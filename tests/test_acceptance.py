@@ -4,6 +4,7 @@ targets are asserted where stated."""
 
 import itertools
 import json
+import pathlib
 import random
 import time
 from fractions import Fraction
@@ -17,8 +18,8 @@ from dqw.functionals import (MatrixLambdaPoly, UndeformedExtension,
 from dqw.koszul import KoszulForm, d_p, poincare_homotopy
 from dqw.qpoly import QPolynomial
 from dqw.rationals import I, gr
-from dqw.scenario import (load_scenario, random_lambda_poly, run_scenario,
-                          strip_timings)
+from dqw.scenario import (load_scenario, random_lambda_poly, report_to_json_text,
+                          run_scenario, strip_timings)
 from dqw.starspec import star_apply
 from dqw.taubuild import build_tau, check_poisson_realization, epsilon_cochain
 from dqw.welement import LambdaPoly, SeriesSign, WElement, deg_operator
@@ -26,6 +27,8 @@ from dqw.weyl import (MatrixWElement, _check_sign_on_pair, _exp_laplace,
                       _monomial_basis, weyl_product)
 
 from conftest import SCENARIO_DIR
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def _report(num, description, ok, detail=""):
@@ -374,6 +377,7 @@ def test_criterion_10_determinism():
     names = ["zero-poisson", "k0-degenerate", "moyal-r2-delta-fixture",
              "moyal-r2-delta", "linear-poisson-2d", "perturbed-c2"]
     ok = True
+    off_golden = []
     for name in names:
         scenario = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
         r1, c1 = run_scenario(scenario)
@@ -381,6 +385,11 @@ def test_criterion_10_determinism():
         same = (c1 == c2 and
                 json.dumps(strip_timings(r1), sort_keys=True) ==
                 json.dumps(strip_timings(r2), sort_keys=True))
-        ok = ok and same
+        golden = (GOLDEN_DIR / f"{name}.json").read_text()
+        if report_to_json_text(strip_timings(r1)) != golden:
+            off_golden.append(name)
+        ok = ok and same and not off_golden
     _report(10, "replaying shipped scenarios reproduces reports byte for "
-                "byte (timings excluded)", ok, f"{len(names)} scenarios")
+                "byte (timings excluded) and matches the committed golden "
+                "reports", ok,
+            f"{len(names)} scenarios, off golden {off_golden or 'none'}")
