@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 from .cochain import MultiDiffCochain, alt, coboundary, find_witness
 from .qpoly import QPolynomial
 from .rationals import GaussianRational, ONE
-from .weyl import ConsistencyError, _exponents, _exponents_upto
+from .terms import exponents
+from .weyl import ConsistencyError
 
 
 class CocyclePrecondition(ValueError):
@@ -204,7 +205,7 @@ def solve_classical_coboundary(target: MultiDiffCochain, normalized: bool = Fals
         raise ValueError("target arity must be >= 1")
     n, K = target.n, target.K
     blocks: dict = {}
-    for (a, idx, jvec, exp, c) in target.flat_terms():
+    for (a, idx, jvec, exp), c in target.flat_terms():
         t = sum(sum(j) for j in jvec)
         blocks.setdefault((a, idx, exp, t), {})[jvec] = c
 
@@ -223,10 +224,7 @@ def solve_classical_coboundary(target: MultiDiffCochain, normalized: bool = Fals
                 {(a, idx, jv): QPolynomial.constant(n, 1)},
             )
             image = coboundary(basis, deformed=False)
-            entries = []
-            for (a2, idx2, jvec2, exp2, c2) in image.flat_terms():
-                entries.append(((a2, idx2, jvec2), c2))
-            columns[jv] = entries
+            columns[jv] = [(key[:3], c2) for key, c2 in image.flat_terms()]
         rhs_map = {(a, idx, jv): c for jv, c in rhs.items()}
         order = sorted(unknowns, key=lambda jv: (max(sum(j) for j in jv) if jv else 0, jv))
         sol = solve_sparse_system(columns, rhs_map, order)
@@ -234,7 +232,7 @@ def solve_classical_coboundary(target: MultiDiffCochain, normalized: bool = Fals
             return None
         for jv, c in sol.items():
             flat_solution[(a, idx, jv, exp)] = c
-    return MultiDiffCochain.from_flat(n, K, m - 1, flat_solution)
+    return MultiDiffCochain.from_flat(flat_solution, n, K, m - 1)
 
 
 def _deriv_vectors(n: int, slots: int, total: int):
@@ -243,7 +241,7 @@ def _deriv_vectors(n: int, slots: int, total: int):
         return [()] if total == 0 else []
     out = []
     for head_total in range(total + 1):
-        for head in _exponents(n, head_total):
+        for head in exponents(n, head_total):
             for rest in _deriv_vectors(n, slots - 1, total - head_total):
                 out.append((head,) + rest)
     return out
@@ -262,9 +260,9 @@ def _direct_solve(phi: MultiDiffCochain, degree: int, jmax: int,
     n, K = phi.n, phi.K
     shapes = []
     for a in range(min(degree, K) + 1):
-        for idx in _exponents(n, degree - a):
+        for idx in exponents(n, degree - a):
             shapes.append((a, tuple(idx)))
-    jset = [tuple(j) for j in _exponents_upto(n, jmax) if sum(j) >= min_deriv]
+    jset = [j for t in range(jmax + 1) if t >= min_deriv for j in exponents(n, t)]
 
     # the coboundary image of a basis term does not depend on the
     # coefficient monomial, so expansions are shared across E blocks
@@ -275,14 +273,11 @@ def _direct_solve(phi: MultiDiffCochain, degree: int, jmax: int,
                 n, K, 1, {(a, idx, (j,)): QPolynomial.constant(n, 1)}
             )
             image = coboundary(basis, deformed=True)
-            expansions[(a, idx, j)] = [
-                ((a2, idx2, jvec2), c2)
-                for (a2, idx2, jvec2, _e2, c2) in image.flat_terms()
-            ]
+            expansions[(a, idx, j)] = [(key[:3], c2) for key, c2 in image.flat_terms()]
 
     monomials = sorted(phi.coefficient_monomials())
     flat_by_exp: dict = {}
-    for (a, idx, jvec, exp, c) in phi.flat_terms():
+    for (a, idx, jvec, exp), c in phi.flat_terms():
         flat_by_exp.setdefault(exp, {})[(a, idx, jvec)] = c
 
     col_order = sorted(expansions, key=lambda u: (u[0], sum(u[2]), u[1], u[2]))
@@ -299,7 +294,7 @@ def _direct_solve(phi: MultiDiffCochain, degree: int, jmax: int,
         )
         for (a, idx, j), c in sol.items():
             solution_flat[(a, idx, (j,), exp)] = c
-    return MultiDiffCochain.from_flat(phi.n, phi.K, 1, solution_flat)
+    return MultiDiffCochain.from_flat(solution_flat, phi.n, phi.K, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -28,28 +28,22 @@ classical action keeps only J = 0.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .qpoly import DimensionMismatch, QPolynomial
-from .rationals import GaussianRational, I, ONE, _coerce
+from .qpoly import DimensionMismatch, PolyTermMap, QPolynomial
+from .rationals import GaussianRational, I
+from .terms import accumulate, exponents
 from .welement import WElement, _add_idx, _zeros
+from .weyl import WEYL_PAIRING, _lower, propagate
 
 
 def _binom_multi(upper: tuple, lower: tuple) -> int:
     out = 1
     for u, l in zip(upper, lower):
-        out *= _binom(u, l)
+        out *= math.comb(u, l)
     return out
-
-
-def _binom(nn: int, kk: int) -> int:
-    if kk < 0 or kk > nn:
-        return 0
-    r = 1
-    for i in range(kk):
-        r = r * (nn - i) // (i + 1)
-    return r
 
 
 def _sub_indices(upper: tuple):
@@ -62,8 +56,9 @@ def _sub_idx(a: tuple, b: tuple) -> tuple:
     return tuple(x - y for x, y in zip(a, b))
 
 
-class MultiDiffCochain:
-    __slots__ = ("n", "K", "arity", "terms")
+class MultiDiffCochain(PolyTermMap):
+    __slots__ = ("n", "K", "arity")
+    _SHAPE = ("n", "K", "arity")
 
     def __init__(self, n: int, K: int, arity: int,
                  terms: Mapping | None = None):
@@ -81,13 +76,7 @@ class MultiDiffCochain:
                     continue
                 if poly:
                     clean[(a, tuple(idx), jvec)] = poly
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultiDiffCochain is immutable")
+        self._init((n, K, arity), clean)
 
     # ---- constructors ----
 
@@ -95,52 +84,7 @@ class MultiDiffCochain:
     def zero(cls, n: int, K: int, arity: int) -> "MultiDiffCochain":
         return cls(n, K, arity)
 
-    @classmethod
-    def from_flat(cls, n: int, K: int, arity: int, flat: Mapping) -> "MultiDiffCochain":
-        grouped: dict = {}
-        for (a, idx, jvec, exp), c in flat.items():
-            if not c or a + sum(idx) > K:
-                continue
-            grouped.setdefault((a, idx, jvec), {})[exp] = c
-        return cls(n, K, arity,
-                   {k: QPolynomial(n, t) for k, t in grouped.items()})
-
-    def flat_terms(self):
-        for (a, idx, jvec), poly in self.terms.items():
-            for exp, c in poly.terms.items():
-                yield (a, idx, jvec, exp, c)
-
     # ---- linear structure ----
-
-    def _check(self, other: "MultiDiffCochain"):
-        if (self.n, self.K, self.arity) != (other.n, other.K, other.arity):
-            raise DimensionMismatch("cochain shape mismatch")
-
-    def __add__(self, other: "MultiDiffCochain") -> "MultiDiffCochain":
-        self._check(other)
-        out = dict(self.terms)
-        for key, poly in other.terms.items():
-            s = out.get(key)
-            s = poly if s is None else s + poly
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return MultiDiffCochain(self.n, self.K, self.arity, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return MultiDiffCochain(self.n, self.K, self.arity,
-                                {k: -p for k, p in self.terms.items()})
-
-    def scale(self, c) -> "MultiDiffCochain":
-        c = _coerce(c)
-        if not c:
-            return MultiDiffCochain(self.n, self.K, self.arity)
-        return MultiDiffCochain(self.n, self.K, self.arity,
-                                {k: p.scale(c) for k, p in self.terms.items()})
 
     def scale_lambda(self, r: int) -> "MultiDiffCochain":
         """Multiply by lam^r (drops terms beyond the truncation)."""
@@ -229,29 +173,11 @@ class MultiDiffCochain:
                     ok = False
                     break
                 val = val * d
-            if not ok or val.is_zero():
-                continue
-            key = (a, idx)
-            s = out.get(key)
-            out[key] = val if s is None else s + val
+            if ok:
+                accumulate(out, (a, idx), val)
         return WElement(self.n, self.K, out)
 
     # ---- structure ----
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiDiffCochain):
-            return NotImplemented
-        return (self.n, self.K, self.arity) == (other.n, other.K, other.arity) \
-            and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, self.K, self.arity, frozenset(self.terms.items())))
 
     def __repr__(self):
         return (f"MultiDiffCochain(n={self.n}, K={self.K}, arity={self.arity}, "
@@ -331,9 +257,7 @@ def biderivation_cochain(n: int, K: int, coeffs) -> MultiDiffCochain:
             if not c:
                 continue
             el = tuple(1 if i == l else 0 for i in range(n))
-            key = (0, z, (ek, el))
-            s = terms.get(key)
-            terms[key] = c if s is None else s + c
+            accumulate(terms, (0, z, (ek, el)), c)
     return MultiDiffCochain(n, K, 2, terms)
 
 
@@ -361,19 +285,10 @@ def coboundary(phi: MultiDiffCochain, deformed: bool = True) -> MultiDiffCochain
     """The bar-complex coboundary for the chosen bimodule action."""
     n, K, k = phi.n, phi.K, phi.arity
     out: dict = {}
-
-    def acc(key, c):
-        s = out.get(key)
-        s = c if s is None else s + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-
-    for (a, idx, jvec, exp, c) in phi.flat_terms():
+    for (a, idx, jvec, exp), c in phi.flat_terms():
         # left outer action: new argument in slot 0
         for (a2, idx2, jnew, exp2, c2) in _outer_action_terms(a, idx, exp, c, deformed, True):
-            acc((a2, idx2, (jnew,) + jvec, exp2), c2)
+            accumulate(out, (a2, idx2, (jnew,) + jvec, exp2), c2)
         # inner insertions with alternating signs
         sign = -1
         for i in range(k):
@@ -381,13 +296,13 @@ def coboundary(phi: MultiDiffCochain, deformed: bool = True) -> MultiDiffCochain
             for l in _sub_indices(j):
                 coeff = c * (sign * _binom_multi(j, l))
                 newj = jvec[:i] + (tuple(l), _sub_idx(j, tuple(l))) + jvec[i + 1:]
-                acc((a, idx, newj, exp), coeff)
+                accumulate(out, (a, idx, newj, exp), coeff)
             sign = -sign
         # right outer action: new argument in slot k
         tail_sign = 1 if (k + 1) % 2 == 0 else -1
         for (a2, idx2, jnew, exp2, c2) in _outer_action_terms(a, idx, exp, c, deformed, False):
-            acc((a2, idx2, jvec + (jnew,), exp2), c2 * tail_sign)
-    return MultiDiffCochain.from_flat(n, K, k + 1, out)
+            accumulate(out, (a2, idx2, jvec + (jnew,), exp2), c2 * tail_sign)
+    return MultiDiffCochain.from_flat(out, n, K, k + 1)
 
 
 def alt(phi: MultiDiffCochain) -> MultiDiffCochain:
@@ -404,13 +319,7 @@ def alt(phi: MultiDiffCochain) -> MultiDiffCochain:
         for (a, idx, jvec), poly in phi.terms.items():
             newj = tuple(jvec[perm[i]] for i in range(k))
             key = (a, idx, newj)
-            p = poly.scale(GaussianRational(sign * norm))
-            s = out.get(key)
-            s = p if s is None else s + p
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            accumulate(out, key, poly.scale(GaussianRational(sign * norm)))
     return MultiDiffCochain(phi.n, phi.K, k, out)
 
 
@@ -431,17 +340,27 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def classical_limit(phi: MultiDiffCochain) -> MultiDiffCochain:
-    return phi.classical_limit()
-
-
-def involution(phi: MultiDiffCochain) -> MultiDiffCochain:
-    return phi.involution()
-
-
 # ---------------------------------------------------------------------------
 # cochain-valued deformed product and composition
 # ---------------------------------------------------------------------------
+
+def _cochain_dq(term: tuple, k: int):
+    """d/dq^k of a value term (a, I, J, E): by the Leibniz rule it hits the
+    coefficient monomial q^E or raises one slot's derivative index."""
+    a, idx, jvec, exp = term
+    out = []
+    if exp[k]:
+        out.append(((a, idx, jvec, _lower(exp, k)), exp[k]))
+    for s, j in enumerate(jvec):
+        raised = j[:k] + (j[k] + 1,) + j[k + 1:]
+        out.append(((a, idx, jvec[:s] + (raised,) + jvec[s + 1:], exp), 1))
+    return out
+
+
+def _cochain_join(t1: tuple, t2: tuple, r: int) -> tuple:
+    return (t1[0] + t2[0] + r, _add_idx(t1[1], t2[1]), t1[2] + t2[2],
+            _add_idx(t1[3], t2[3]))
+
 
 def cochain_weyl_product(phi: MultiDiffCochain, psi: MultiDiffCochain) -> MultiDiffCochain:
     """The q/p-pairing product of cochain values, joining argument slots.
@@ -452,78 +371,9 @@ def cochain_weyl_product(phi: MultiDiffCochain, psi: MultiDiffCochain) -> MultiD
     """
     if phi.n != psi.n or phi.K != psi.K:
         raise DimensionMismatch("cochain base mismatch")
-    n, K = phi.n, phi.K
-    state: dict = {}
-    for t1 in phi.flat_terms():
-        d1 = t1[0] + sum(t1[1])
-        for t2 in psi.flat_terms():
-            if d1 + t2[0] + sum(t2[1]) > K:
-                continue
-            key = (t1[:4], t2[:4])
-            s = state.get(key)
-            s = t1[4] * t2[4] if s is None else s + t1[4] * t2[4]
-            if s:
-                state[key] = s
-            else:
-                state.pop(key, None)
-    out: dict = {}
-    r = 0
-    half_i = I * Fraction(1, 2)
-    factor = ONE
-
-    def acc_out(key, c):
-        s = out.get(key)
-        s = c if s is None else s + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-
-    def q_branches(a, idx, jvec, exp, k):
-        # derivative in q^k of a value term: hits the coefficient monomial
-        # or raises one slot's derivative index
-        if exp[k]:
-            e = list(exp); e[k] -= 1
-            yield ((a, idx, jvec, tuple(e)), Fraction(exp[k]))
-        ek = tuple(1 if i == k else 0 for i in range(len(idx)))
-        for s in range(len(jvec)):
-            nj = jvec[:s] + (_add_idx(jvec[s], ek),) + jvec[s + 1:]
-            yield ((a, idx, nj, exp), Fraction(1))
-
-    while state:
-        for ((a1, i1, j1, e1), (a2, i2, j2, e2)), c in state.items():
-            acc_out((a1 + a2 + r, _add_idx(i1, i2), j1 + j2, _add_idx(e1, e2)),
-                    c * factor)
-        new: dict = {}
-
-        def acc_new(key, c):
-            s = new.get(key)
-            s = c if s is None else s + c
-            if s:
-                new[key] = s
-            else:
-                new.pop(key, None)
-
-        for (t1, t2), c in state.items():
-            a1, i1, j1, e1 = t1
-            a2, i2, j2, e2 = t2
-            for k in range(n):
-                # d/dq^k on the left, d/dp_k on the right
-                if i2[k]:
-                    i2d = list(i2); i2d[k] -= 1
-                    right = (a2, tuple(i2d), j2, e2)
-                    for lt, lc in q_branches(a1, i1, j1, e1, k):
-                        acc_new((lt, right), c * lc * i2[k])
-                # minus d/dp_k on the left, d/dq^k on the right
-                if i1[k]:
-                    i1d = list(i1); i1d[k] -= 1
-                    left = (a1, tuple(i1d), j1, e1)
-                    for rt, rc in q_branches(a2, i2, j2, e2, k):
-                        acc_new((left, rt), -c * rc * i1[k])
-        state = new
-        r += 1
-        factor = factor * half_i * Fraction(1, r)
-    return MultiDiffCochain.from_flat(n, K, phi.arity + psi.arity, out)
+    flat = propagate(phi.flat_terms(), psi.flat_terms(), WEYL_PAIRING,
+                     _cochain_dq, _cochain_join, phi.K)
+    return MultiDiffCochain.from_flat(flat, phi.n, phi.K, phi.arity + psi.arity)
 
 
 def _splittings(j: tuple, parts: int):
@@ -532,7 +382,7 @@ def _splittings(j: tuple, parts: int):
     n = len(j)
     per_dim = []
     for d in range(n):
-        per_dim.append(list(_compositions(j[d], parts)))
+        per_dim.append(list(exponents(parts, j[d])))
     for combo in itertools.product(*per_dim):
         pieces = [tuple(combo[d][p] for d in range(n)) for p in range(parts)]
         coeff = 1
@@ -541,17 +391,7 @@ def _splittings(j: tuple, parts: int):
         yield pieces, coeff
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def _multinomial(total: int, parts) -> int:
-    import math
     out = math.factorial(total)
     for p in parts:
         out //= math.factorial(p)
@@ -571,19 +411,10 @@ def compose_slot(phi: MultiDiffCochain, slot: int, inner: MultiDiffCochain) -> M
     n, K = phi.n, phi.K
     m = inner.arity
     out: dict = {}
-
-    def acc(key, c):
-        s = out.get(key)
-        s = c if s is None else s + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-
     inner_flat = list(inner.flat_terms())
-    for (a, idx, jvec, exp, c) in phi.flat_terms():
+    for (a, idx, jvec, exp), c in phi.flat_terms():
         j = jvec[slot]
-        for (_, _, avec, fexp, ic) in inner_flat:
+        for (_, _, avec, fexp), ic in inner_flat:
             for pieces, mult in _splittings(j, m + 1):
                 j0 = pieces[0]
                 # j0 differentiates the inner coefficient monomial q^fexp
@@ -600,8 +431,8 @@ def compose_slot(phi: MultiDiffCochain, slot: int, inner: MultiDiffCochain) -> M
                 new_exp = _add_idx(exp, _sub_idx(fexp, j0))
                 new_slots = tuple(_add_idx(avec[s], pieces[s + 1]) for s in range(m))
                 newj = jvec[:slot] + new_slots + jvec[slot + 1:]
-                acc((a, idx, newj, new_exp), c * ic * (mult * fall))
-    return MultiDiffCochain.from_flat(n, K, phi.arity + m - 1, out)
+                accumulate(out, (a, idx, newj, new_exp), c * ic * (mult * fall))
+    return MultiDiffCochain.from_flat(out, n, K, phi.arity + m - 1)
 
 
 def plug_constant(phi: MultiDiffCochain, slot: int) -> MultiDiffCochain:
@@ -612,13 +443,7 @@ def plug_constant(phi: MultiDiffCochain, slot: int) -> MultiDiffCochain:
     for (a, idx, jvec), poly in phi.terms.items():
         if any(jvec[slot]):
             continue
-        key = (a, idx, jvec[:slot] + jvec[slot + 1:])
-        s = out.get(key)
-        s = poly if s is None else s + poly
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
+        accumulate(out, (a, idx, jvec[:slot] + jvec[slot + 1:]), poly)
     return MultiDiffCochain(phi.n, phi.K, phi.arity - 1, out)
 
 

@@ -25,13 +25,14 @@ series classify as inconclusive, never as positive.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .qpoly import DimensionMismatch
-from .rationals import (GaussianRational, ZERO, _coerce, format_fraction,
-                        format_scalar, parse_fraction, parse_scalar)
+from .rationals import GaussianRational, ZERO, _coerce, format_scalar, parse_scalar
 from .starspec import StarProductSpec, star_apply
+from .terms import SquareMatrix
 from .welement import (LambdaPoly, NonRealSeries, RealLambdaSeries, SeriesSign,
                        WElement, real_series_from_complex)
 from .weyl import (MatrixWElement, exp_laplace_exact, iota_star,
@@ -46,65 +47,15 @@ class PartitionError(ValueError):
 # matrix-valued base lam-series
 # ---------------------------------------------------------------------------
 
-class MatrixLambdaPoly:
-    """A square matrix of base lam-series; involution is the conjugate
-    transpose.  Used for the matrix amplifications of positivity tests."""
+class MatrixLambdaPoly(SquareMatrix):
+    """A square matrix of base lam-series.  Used for the matrix
+    amplifications of positivity tests."""
 
-    __slots__ = ("N", "n", "K", "entries")
-
-    def __init__(self, entries):
-        rows = [list(r) for r in entries]
-        N = len(rows)
-        if N == 0 or any(len(r) != N for r in rows):
-            raise ValueError("matrix must be square and non-empty")
-        first = rows[0][0]
-        for r in rows:
-            for x in r:
-                if x.n != first.n or x.K != first.K:
-                    raise DimensionMismatch("inconsistent matrix entries")
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "n", first.n)
-        object.__setattr__(self, "K", first.K)
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixLambdaPoly is immutable")
-
-    @classmethod
-    def scalar(cls, f: LambdaPoly) -> "MatrixLambdaPoly":
-        return cls([[f]])
-
-    @classmethod
-    def identity(cls, N: int, n: int, K: int) -> "MatrixLambdaPoly":
-        one = LambdaPoly.constant(n, K, 1)
-        zero = LambdaPoly.zero(n, K)
-        return cls([[one if i == j else zero for j in range(N)] for i in range(N)])
-
-    def involution(self) -> "MatrixLambdaPoly":
-        return MatrixLambdaPoly(
-            [[self.entries[j][i].conjugate() for j in range(self.N)]
-             for i in range(self.N)]
-        )
+    __slots__ = ()
+    _ENTRY = LambdaPoly
 
     def star_mul(self, spec: StarProductSpec, other: "MatrixLambdaPoly") -> "MatrixLambdaPoly":
-        if self.N != other.N:
-            raise DimensionMismatch("matrix size mismatch")
-        zero = LambdaPoly.zero(self.n, self.K)
-        rows = []
-        for i in range(self.N):
-            row = []
-            for j in range(self.N):
-                acc = zero
-                for k in range(self.N):
-                    acc = acc + star_apply(spec, self.entries[i][k], other.entries[k][j])
-                row.append(acc)
-            rows.append(row)
-        return MatrixLambdaPoly(rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixLambdaPoly):
-            return NotImplemented
-        return self.entries == other.entries
+        return self._product(other, lambda x, y: star_apply(spec, x, y))
 
     def to_json(self) -> dict:
         return {"N": self.N,
@@ -193,7 +144,7 @@ class StateFunctional:
             "n": self.n,
             "N": self.N,
             "atoms": [
-                {"point": [format_fraction(x) for x in pt],
+                {"point": [str(x) for x in pt],
                  "vector": [format_scalar(v) for v in vec]}
                 for pt, vec in self.atoms
             ],
@@ -202,16 +153,11 @@ class StateFunctional:
     @classmethod
     def from_json(cls, data: dict) -> "StateFunctional":
         atoms = [
-            ([parse_fraction(x) for x in a["point"]],
+            ([Fraction(x) for x in a["point"]],
              [parse_scalar(v) for v in a["vector"]])
             for a in data["atoms"]
         ]
         return cls(data["n"], data["N"], atoms)
-
-
-def make_point_functional(n: int, N: int, atoms) -> StateFunctional:
-    """Constructor for the atomic functionals; canonicalizes atom order."""
-    return StateFunctional(n, N, atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +282,7 @@ class WickCertificate:
 
     def to_json(self) -> dict:
         return {
-            "coefficients": [format_fraction(c) for c in self.coefficients],
+            "coefficients": [str(c) for c in self.coefficients],
             "nonnegative_flags": [c >= 0 for c in self.coefficients],
             "entries": self.entries,
             "all_nonnegative": self.all_nonnegative,
@@ -376,7 +322,6 @@ def wick_positivity_certificate(state: StateFunctional, A: MatrixWElement) -> Wi
     coefficients = [Fraction(0)] * (K + 1)
     entries = []
     level = {(0,) * n: A}
-    import math
     for r in range(K + 1):
         for M, dA in sorted(level.items()):
             mfact = 1
@@ -398,8 +343,8 @@ def wick_positivity_certificate(state: StateFunctional, A: MatrixWElement) -> Wi
                         "lambda_power": r,
                         "atom": ai,
                         "multi_index": list(M),
-                        "factor": format_fraction(factor),
-                        "norm_sq": format_fraction(norm_sq),
+                        "factor": str(factor),
+                        "norm_sq": str(norm_sq),
                     })
         # next derivative level
         nxt: dict = {}
@@ -560,6 +505,3 @@ class GluedFunctional:
         return {"kind": "glued", "parts": len(self.parts),
                 "sound_order": self.sound_order}
 
-
-def glue_functionals(parts, spec: StarProductSpec) -> GluedFunctional:
-    return GluedFunctional(parts, spec)

@@ -15,10 +15,12 @@ from fractions import Fraction
 from typing import Mapping
 
 from .qpoly import DimensionMismatch
+from .terms import TermMap, accumulate
 
 
-class KoszulForm:
-    __slots__ = ("n", "degree", "terms")
+class KoszulForm(TermMap):
+    __slots__ = ("n", "degree")
+    _SHAPE = ("n", "degree")
 
     def __init__(self, n: int, degree: int, terms: Mapping | None = None):
         if degree < 0:
@@ -35,45 +37,11 @@ class KoszulForm:
                     raise DimensionMismatch("bad index data")
                 if poly:
                     clean[(tuple(idx), sel)] = poly
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("KoszulForm is immutable")
+        self._init((n, degree), clean)
 
     @classmethod
     def zero(cls, n: int, degree: int) -> "KoszulForm":
         return cls(n, degree)
-
-    def __add__(self, other: "KoszulForm") -> "KoszulForm":
-        if (self.n, self.degree) != (other.n, other.degree):
-            raise DimensionMismatch("form shape mismatch")
-        out = dict(self.terms)
-        for key, poly in other.terms.items():
-            s = out.get(key)
-            s = poly if s is None else s + poly
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return KoszulForm(self.n, self.degree, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return KoszulForm(self.n, self.degree,
-                          {k: -p for k, p in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, KoszulForm):
-            return NotImplemented
-        return (self.n, self.degree) == (other.n, other.degree) \
-            and self.terms == other.terms
 
     def __repr__(self):
         return f"KoszulForm(n={self.n}, degree={self.degree}, {len(self.terms)} terms)"
@@ -92,14 +60,7 @@ def d_p(omega: KoszulForm) -> KoszulForm:
             pos = sum(1 for i in sel if i < j)
             sign = -1 if pos % 2 else 1
             newsel = tuple(sorted(sel + (j,)))
-            key = (tuple(e), newsel)
-            p = poly.scale(Fraction(sign * idx[j]))
-            s = out.get(key)
-            s = p if s is None else s + p
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            accumulate(out, (tuple(e), newsel), poly.scale(Fraction(sign * idx[j])))
     return KoszulForm(n, omega.degree + 1, out)
 
 
@@ -111,14 +72,7 @@ def euler_contraction(omega: KoszulForm) -> KoszulForm:
             sign = -1 if m % 2 else 1
             e = list(idx)
             e[i] += 1
-            key = (tuple(e), sel[:m] + sel[m + 1:])
-            p = poly.scale(Fraction(sign))
-            s = out.get(key)
-            s = p if s is None else s + p
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            accumulate(out, (tuple(e), sel[:m] + sel[m + 1:]), poly.scale(Fraction(sign)))
     return KoszulForm(omega.n, omega.degree - 1, out)
 
 
@@ -134,8 +88,5 @@ def poincare_homotopy(omega: KoszulForm) -> KoszulForm:
         piece = KoszulForm(omega.n, k, {(idx, sel): poly})
         w = sum(idx) + k
         contracted = euler_contraction(piece)
-        out = out + KoszulForm(
-            omega.n, k - 1,
-            {key: p.scale(Fraction(1, w)) for key, p in contracted.terms.items()},
-        )
+        out = out + contracted.scale(Fraction(1, w))
     return out

@@ -12,14 +12,12 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .rationals import GaussianRational, ZERO, ONE, _coerce, format_scalar, parse_scalar
+from .terms import DimensionMismatch, TermMap, accumulate
 
 
-class DimensionMismatch(ValueError):
-    """Operands live over different coordinate spaces."""
-
-
-class QPolynomial:
-    __slots__ = ("n", "terms")
+class QPolynomial(TermMap):
+    __slots__ = ("n",)
+    _SHAPE = ("n",)
 
     def __init__(self, n: int, terms: Mapping[tuple, GaussianRational] | None = None):
         if n < 1:
@@ -31,11 +29,7 @@ class QPolynomial:
                     raise DimensionMismatch(f"exponent {exp} has wrong length for n={n}")
                 if c:
                     clean[tuple(exp)] = c if isinstance(c, GaussianRational) else _coerce(c)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QPolynomial is immutable")
+        self._init((n,), clean)
 
     # ---- constructors ----
 
@@ -61,28 +55,6 @@ class QPolynomial:
 
     # ---- ring operations ----
 
-    def _check(self, other: "QPolynomial"):
-        if self.n != other.n:
-            raise DimensionMismatch(f"dimension mismatch: {self.n} vs {other.n}")
-
-    def __add__(self, other: "QPolynomial") -> "QPolynomial":
-        self._check(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp)
-            s = c if s is None else s + c
-            if s:
-                out[exp] = s
-            else:
-                out.pop(exp, None)
-        return QPolynomial(self.n, out)
-
-    def __sub__(self, other: "QPolynomial") -> "QPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "QPolynomial":
-        return QPolynomial(self.n, {e: -c for e, c in self.terms.items()})
-
     def __mul__(self, other) -> "QPolynomial":
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
@@ -90,24 +62,11 @@ class QPolynomial:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(exp)
-                s = c if s is None else s + c
-                if s:
-                    out[exp] = s
-                else:
-                    out.pop(exp, None)
+                accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
         return QPolynomial(self.n, out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
-
-    def scale(self, c) -> "QPolynomial":
-        c = _coerce(c)
-        if not c:
-            return QPolynomial(self.n)
-        return QPolynomial(self.n, {e: v * c for e, v in self.terms.items()})
 
     # ---- calculus and structure ----
 
@@ -120,9 +79,6 @@ class QPolynomial:
                 e[k] -= 1
                 out[tuple(e)] = c * exp[k]
         return QPolynomial(self.n, out)
-
-    def conjugate(self) -> "QPolynomial":
-        return QPolynomial(self.n, {e: c.conjugate() for e, c in self.terms.items()})
 
     def evaluate(self, point) -> GaussianRational:
         """Substitute exact rational (or Gaussian rational) coordinates."""
@@ -144,25 +100,8 @@ class QPolynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_real(self) -> bool:
-        return all(c.is_real() for c in self.terms.values())
-
     def coefficient(self, exp) -> GaussianRational:
         return self.terms.get(tuple(exp), ZERO)
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, QPolynomial):
-            return NotImplemented
-        return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"QPolynomial({self.n}, {self.terms!r})"
@@ -199,3 +138,28 @@ class QPolynomial:
     def from_json(cls, data: dict) -> "QPolynomial":
         terms = {tuple(exp): parse_scalar(cs) for exp, cs in data["terms"]}
         return cls(data["n"], terms)
+
+
+class PolyTermMap(TermMap):
+    """A term map whose values are QPolynomials in the same n coordinates.
+
+    Its flat form maps key + (q-exponent,) to the scalar coefficient of
+    that monomial; the product kernels and the solvers work on it.
+    """
+
+    __slots__ = ()
+
+    def flat_terms(self):
+        """Yield (key + (q-exponent,), coefficient) across all monomials."""
+        for key, poly in self.terms.items():
+            for exp, c in poly.terms.items():
+                yield key + (exp,), c
+
+    @classmethod
+    def from_flat(cls, flat: Mapping, *shape) -> "PolyTermMap":
+        """Assemble from a flat mapping; shape as for the constructor."""
+        grouped: dict = {}
+        for key, c in flat.items():
+            grouped.setdefault(key[:-1], {})[key[-1]] = c
+        n = shape[0]
+        return cls(*shape, {k: QPolynomial(n, t) for k, t in grouped.items()})

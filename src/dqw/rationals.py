@@ -168,10 +168,3 @@ def parse_scalar(s: str) -> GaussianRational:
         return GaussianRational(Fraction(m.group("re")), 0)
     raise ValueError(f"not a valid scalar string: {s!r}")
 
-
-def format_fraction(x: Fraction) -> str:
-    return str(x)
-
-
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)

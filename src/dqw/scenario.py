@@ -23,11 +23,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cobsolver import SolverInfeasible, SolverLimitExceeded
-from .functionals import (MatrixLambdaPoly, PartitionError, StateFunctional,
-                          UndeformedExtension, check_positivity,
-                          deform_functional, glue_functionals)
+from .functionals import (GluedFunctional, MatrixLambdaPoly, PartitionError,
+                          StateFunctional, UndeformedExtension, check_positivity,
+                          deform_functional)
 from .qpoly import QPolynomial
-from .rationals import GaussianRational, parse_fraction, parse_scalar
+from .rationals import GaussianRational, parse_scalar
 from .starspec import (InvalidStarProduct, StarProductSpec,
                        make_constant_theta_star, make_linear_poisson_2d_star,
                        make_zero_star, validate_star)
@@ -122,7 +122,7 @@ def build_star_product(scenario: Scenario) -> StarProductSpec:
     cfg = scenario.star_product
     kind = cfg.get("generator")
     if kind == "constant_theta":
-        theta = [[parse_fraction(x) for x in row] for row in cfg["theta"]]
+        theta = [[Fraction(x) for x in row] for row in cfg["theta"]]
         if len(theta) != scenario.n:
             raise ConfigurationError("theta size differs from scenario dimension")
         return make_constant_theta_star(theta, scenario.K)
@@ -147,7 +147,7 @@ def build_star_product(scenario: Scenario) -> StarProductSpec:
 def build_functional(scenario: Scenario) -> StateFunctional:
     try:
         atoms = [
-            ([parse_fraction(x) for x in a["point"]],
+            ([Fraction(x) for x in a["point"]],
              [parse_scalar(v) for v in a["vector"]])
             for a in scenario.functional["atoms"]
         ]
@@ -320,12 +320,12 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
                 base = deformed if deformed is not None \
                     else UndeformedExtension(state, scenario.K)
                 parts = [
-                    (LambdaPoly.constant(scenario.n, scenario.K, parse_fraction(w)),
+                    (LambdaPoly.constant(scenario.n, scenario.K, Fraction(w)),
                      base)
                     for w in scenario.glue_weights
                 ]
                 try:
-                    functional = glue_functionals(parts, spec)
+                    functional = GluedFunctional(parts, spec)
                 except PartitionError as e:
                     record(op, "fail", {"error": str(e)}, t0)
                     break

@@ -24,7 +24,8 @@ from fractions import Fraction
 from .cochain import (MultiDiffCochain, compose_slot, find_witness,
                       mu_cochain, plug_constant)
 from .qpoly import DimensionMismatch, QPolynomial
-from .rationals import GaussianRational, I, format_fraction, parse_fraction
+from .rationals import GaussianRational, I
+from .terms import accumulate
 from .welement import LambdaPoly, _zeros
 
 
@@ -111,7 +112,7 @@ class StarProductSpec:
             "n": self.n,
             "hermitian": self.hermitian,
             "theta": (
-                [[format_fraction(x) for x in row] for row in self.theta]
+                [[str(x) for x in row] for row in self.theta]
                 if self.theta is not None else None
             ),
             "cochains": [
@@ -142,12 +143,11 @@ class StarProductSpec:
             for t in by_power.get(r, {"terms": []})["terms"]:
                 jvec = tuple(tuple(j) for j in t["derivs"])
                 poly = QPolynomial.from_json(t["coeff_poly"])
-                key = (0, z, jvec)
-                terms[key] = terms[key] + poly if key in terms else poly
+                accumulate(terms, (0, z, jvec), poly)
             cochains.append(MultiDiffCochain(n, order, 2, terms))
         theta = data.get("theta")
         if theta is not None:
-            theta = tuple(tuple(parse_fraction(x) for x in row) for row in theta)
+            theta = tuple(tuple(Fraction(x) for x in row) for row in theta)
         return cls(n=n, order=order, hermitian=data["hermitian"],
                    cochains=tuple(cochains), theta=theta)
 
@@ -155,8 +155,7 @@ class StarProductSpec:
 def _swap(phi: MultiDiffCochain) -> MultiDiffCochain:
     out = {}
     for (a, idx, (j1, j2)), poly in phi.terms.items():
-        key = (a, idx, (j2, j1))
-        out[key] = out[key] + poly if key in out else poly
+        accumulate(out, (a, idx, (j2, j1)), poly)
     return MultiDiffCochain(phi.n, phi.K, 2, out)
 
 
@@ -224,7 +223,7 @@ def make_linear_poisson_2d_star(K: int) -> StarProductSpec:
     part, which solves the same equation.
     """
     from .cobsolver import solve_classical_coboundary
-    from .cochain import coboundary, involution
+    from .cochain import coboundary
 
     n = 2
     z = _zeros(n)
@@ -250,7 +249,7 @@ def make_linear_poisson_2d_star(K: int) -> StarProductSpec:
         herm = cr.hermitian_part()
         if coboundary(herm, deformed=False) == defect:
             cr = herm
-        elif involution(defect) != -defect:
+        elif defect.involution() != -defect:
             raise InvalidStarProduct("associativity defect lost Hermitian symmetry")
         cochains.append(cr)
     return StarProductSpec(n=n, order=K, hermitian=True,
@@ -395,17 +394,11 @@ def star_apply(spec: StarProductSpec, f: LambdaPoly, g: LambdaPoly) -> LambdaPol
         raise DimensionMismatch("operand truncation mismatch")
     K = f.K
     out: dict = {}
-    for r1, fp in f.coeffs.items():
-        for r2, gp in g.coeffs.items():
+    for r1, fp in f.terms.items():
+        for r2, gp in g.terms.items():
             if r1 + r2 > K:
                 continue
-            prod = fp * gp
-            if prod:
-                key = r1 + r2
-                out[key] = out[key] + prod if key in out else prod
+            accumulate(out, r1 + r2, fp * gp)
             for r in range(1, min(spec.order, K - r1 - r2) + 1):
-                c = _evaluate_base(spec.cochain(r), fp, gp)
-                if c:
-                    key = r1 + r2 + r
-                    out[key] = out[key] + c if key in out else c
+                accumulate(out, r1 + r2 + r, _evaluate_base(spec.cochain(r), fp, gp))
     return LambdaPoly(spec.n, K, out)

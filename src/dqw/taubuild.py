@@ -35,8 +35,9 @@ from .cochain import (MultiDiffCochain, alt, coboundary, cochain_weyl_product,
                       plug_constant)
 from .qpoly import DimensionMismatch, QPolynomial
 from .starspec import InvalidStarProduct, StarProductSpec, validate_star
+from .terms import exponents
 from .welement import LambdaPoly, WElement
-from .weyl import ConsistencyError
+from .weyl import ConsistencyError, canonical_bracket
 
 
 class BuildAborted(RuntimeError):
@@ -144,7 +145,7 @@ class TauMap:
             raise DimensionMismatch("argument dimension mismatch")
         total = self.total_cochain()
         out = WElement.zero(self.n, self.K)
-        for r, poly in f.coeffs.items():
+        for r, poly in f.terms.items():
             if r > self.K:
                 continue
             val = total.evaluate([poly])
@@ -233,7 +234,7 @@ class ClosedFormTau:
             return got
 
         out = WElement.zero(self.n, KK)
-        for r, poly in f.coeffs.items():
+        for r, poly in f.terms.items():
             acc = WElement.zero(self.n, KK)
             for exp, c in poly.terms.items():
                 term = WElement.constant(self.n, KK, c)
@@ -253,7 +254,7 @@ class ClosedFormTau:
 
 def _needed_degree(f: LambdaPoly) -> int:
     d = 0
-    for r, poly in f.coeffs.items():
+    for r, poly in f.terms.items():
         d = max(d, r + max((sum(e) for e in poly.terms), default=0))
     return d
 
@@ -419,10 +420,6 @@ def _check_epsilon(spec, taus, k):
             raise ConsistencyError(f"error check failed in degree {d} at stage {k}")
 
 
-def apply_tau(tau, f: LambdaPoly) -> WElement:
-    return tau.apply(f)
-
-
 # ---------------------------------------------------------------------------
 # bracket realization check
 # ---------------------------------------------------------------------------
@@ -443,14 +440,12 @@ def check_poisson_realization(tau, spec: StarProductSpec, K: int | None = None,
     """Verify that the classical limit intertwines the star product's
     bracket with the canonical q/p bracket on monomial pairs, through
     momentum degree K - 1."""
-    from .weyl import canonical_bracket
-    from .weyl import _exponents_upto
 
     n = tau.n
     if K is None:
         K = tau.K if isinstance(tau, TauMap) else spec.order
     cl = tau.classical_part() if isinstance(tau, TauMap) else None
-    basis = [tuple(e) for e in _exponents_upto(n, max_q_degree) if any(e)]
+    basis = [e for t in range(1, max_q_degree + 1) for e in exponents(n, t)]
     checked = 0
     for e1 in basis:
         f = QPolynomial.monomial(n, e1)

@@ -1,0 +1,198 @@
+"""The sparse core shared by every algebraic container.
+
+A term map is an immutable mapping from hashable keys to nonzero values
+(exact scalars, or polynomials for the graded containers) together with
+a shape, such as the dimension, the truncation order or the arity, that
+the operands of every linear operation must share.  Zero values are
+never stored, so equal maps have identical term dictionaries and
+equality is structural.
+"""
+
+from __future__ import annotations
+
+from .rationals import _coerce
+
+
+class DimensionMismatch(ValueError):
+    """Operands live over different coordinate spaces."""
+
+
+def accumulate(out: dict, key, value):
+    """Add value into out[key], removing the key when the sum is zero."""
+    s = out.get(key)
+    s = value if s is None else s + value
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def exponents(n: int, total: int):
+    """Multi-indices of length n summing to exactly total."""
+    if n == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in exponents(n - 1, total - first):
+            yield (first,) + rest
+
+
+class TermMap:
+    """Immutable sparse map with the linear structure over Q(i).
+
+    A subclass lists its shape attributes in _SHAPE, in the order its
+    constructor takes them; the constructor takes the term mapping last,
+    validates the keys, drops zero values and stores both through _init.
+    """
+
+    __slots__ = ("terms",)
+    _SHAPE: tuple = ()
+
+    def _init(self, shape: tuple, terms: dict):
+        for name, value in zip(self._SHAPE, shape):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _shape(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._SHAPE)
+
+    def _new(self, terms) -> "TermMap":
+        return type(self)(*self._shape(), terms)
+
+    def _check(self, other: "TermMap"):
+        if self._shape() != other._shape():
+            raise DimensionMismatch(
+                f"{type(self).__name__} shape mismatch: "
+                f"{self._shape()} vs {other._shape()}"
+            )
+
+    def __add__(self, other):
+        self._check(other)
+        out = dict(self.terms)
+        for key, value in other.terms.items():
+            accumulate(out, key, value)
+        return self._new(out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new({k: -v for k, v in self.terms.items()})
+
+    def scale(self, c):
+        c = _coerce(c)
+        if not c:
+            return self._new({})
+        return self._new({k: v * c for k, v in self.terms.items()})
+
+    def conjugate(self):
+        """Complex conjugation of every coefficient."""
+        return self._new({k: v.conjugate() for k, v in self.terms.items()})
+
+    def is_real(self) -> bool:
+        return all(v.is_real() for v in self.terms.values())
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self._shape() == other._shape() and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self._shape(), frozenset(self.terms.items())))
+
+
+class SquareMatrix:
+    """An immutable non-empty square matrix whose entries share one
+    dimension n and order K; the involution is the entrywise conjugate
+    transpose.  A subclass names its entry class in _ENTRY."""
+
+    __slots__ = ("N", "n", "K", "entries")
+    _ENTRY: type
+
+    def __init__(self, entries):
+        rows = [list(row) for row in entries]
+        N = len(rows)
+        if N == 0 or any(len(r) != N for r in rows):
+            raise ValueError("matrix must be square and non-empty")
+        first = rows[0][0]
+        for row in rows:
+            for x in row:
+                if x.n != first.n or x.K != first.K:
+                    raise DimensionMismatch("inconsistent matrix entries")
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "n", first.n)
+        object.__setattr__(self, "K", first.K)
+        object.__setattr__(self, "entries", rows)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def identity(cls, N: int, n: int, K: int):
+        one = cls._ENTRY.constant(n, K, 1)
+        zero = cls._ENTRY.zero(n, K)
+        return cls([[one if i == j else zero for j in range(N)] for i in range(N)])
+
+    @classmethod
+    def scalar(cls, x):
+        return cls([[x]])
+
+    def map_entries(self, f):
+        return type(self)([[f(x) for x in row] for row in self.entries])
+
+    def _check(self, other: "SquareMatrix"):
+        if self.N != other.N or self.n != other.n or self.K != other.K:
+            raise DimensionMismatch("matrix shape or base mismatch")
+
+    def __add__(self, other):
+        self._check(other)
+        return type(self)(
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
+        )
+
+    def __sub__(self, other):
+        self._check(other)
+        return type(self)(
+            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
+        )
+
+    def _product(self, other, mul):
+        """The matrix product with entry products mul(x, y)."""
+        self._check(other)
+        N = self.N
+        zero = self._ENTRY.zero(self.n, self.K)
+        rows = []
+        for i in range(N):
+            row = []
+            for j in range(N):
+                acc = zero
+                for k in range(N):
+                    acc = acc + mul(self.entries[i][k], other.entries[k][j])
+                row.append(acc)
+            rows.append(row)
+        return type(self)(rows)
+
+    def involution(self):
+        return type(self)(
+            [[self.entries[j][i].conjugate() for j in range(self.N)] for i in range(self.N)]
+        )
+
+    def is_zero(self) -> bool:
+        return all(x.is_zero() for row in self.entries for x in row)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __repr__(self):
+        return f"{type(self).__name__}(N={self.N}, n={self.n}, K={self.K})"

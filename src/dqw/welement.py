@@ -21,8 +21,9 @@ import enum
 from fractions import Fraction
 from typing import Mapping
 
-from .qpoly import DimensionMismatch, QPolynomial
-from .rationals import GaussianRational, ZERO, _coerce
+from .qpoly import DimensionMismatch, PolyTermMap, QPolynomial
+from .rationals import GaussianRational, ZERO
+from .terms import TermMap, accumulate
 
 
 def _zeros(n: int) -> tuple:
@@ -33,8 +34,9 @@ def _add_idx(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
 
-class WElement:
-    __slots__ = ("n", "K", "terms")
+class WElement(PolyTermMap):
+    __slots__ = ("n", "K")
+    _SHAPE = ("n", "K")
 
     def __init__(self, n: int, K: int, terms: Mapping | None = None):
         if n < 1:
@@ -53,12 +55,7 @@ class WElement:
                     continue
                 if poly:
                     clean[(a, idx)] = poly
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("WElement is immutable")
+        self._init((n, K), clean)
 
     # ---- constructors ----
 
@@ -94,31 +91,7 @@ class WElement:
         poly = QPolynomial.monomial(n, q_exp, c)
         return cls(n, K, {(a, tuple(p_exp)): poly})
 
-    # ---- basic algebra (commutative product) ----
-
-    def _check(self, other: "WElement"):
-        if self.n != other.n:
-            raise DimensionMismatch(f"dimension mismatch: {self.n} vs {other.n}")
-        if self.K != other.K:
-            raise DimensionMismatch(f"truncation mismatch: {self.K} vs {other.K}")
-
-    def __add__(self, other: "WElement") -> "WElement":
-        self._check(other)
-        out = dict(self.terms)
-        for key, poly in other.terms.items():
-            s = out.get(key)
-            s = poly if s is None else s + poly
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return WElement(self.n, self.K, out)
-
-    def __sub__(self, other: "WElement") -> "WElement":
-        return self + (-other)
-
-    def __neg__(self) -> "WElement":
-        return WElement(self.n, self.K, {k: -p for k, p in self.terms.items()})
+    # ---- commutative product ----
 
     def __mul__(self, other) -> "WElement":
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -129,25 +102,11 @@ class WElement:
         for (a1, i1), f1 in self.terms.items():
             d1 = a1 + sum(i1)
             for (a2, i2), f2 in other.terms.items():
-                if d1 + a2 + sum(i2) > K:
-                    continue
-                key = (a1 + a2, _add_idx(i1, i2))
-                prod = f1 * f2
-                s = out.get(key)
-                s = prod if s is None else s + prod
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                if d1 + a2 + sum(i2) <= K:
+                    accumulate(out, (a1 + a2, _add_idx(i1, i2)), f1 * f2)
         return WElement(self.n, self.K, out)
 
     __rmul__ = __mul__
-
-    def scale(self, c) -> "WElement":
-        c = _coerce(c)
-        if not c:
-            return WElement(self.n, self.K)
-        return WElement(self.n, self.K, {k: p.scale(c) for k, p in self.terms.items()})
 
     # ---- derivations and grading ----
 
@@ -169,10 +128,7 @@ class WElement:
             if idx[k]:
                 e = list(idx)
                 e[k] -= 1
-                key = (a, tuple(e))
-                p = poly.scale(idx[k])
-                s = out.get(key)
-                out[key] = p if s is None else s + p
+                accumulate(out, (a, tuple(e)), poly.scale(idx[k]))
         return WElement(self.n, self.K, out)
 
     def degree_image(self) -> "WElement":
@@ -193,10 +149,6 @@ class WElement:
         if not self.terms:
             return -1
         return max(a + sum(i) for a, i in self.terms)
-
-    def conjugate(self) -> "WElement":
-        """Complex conjugation; q, p and lam are treated as real."""
-        return WElement(self.n, self.K, {k: p.conjugate() for k, p in self.terms.items()})
 
     def lift(self, K: int) -> "WElement":
         """Re-truncate to a (usually larger) order K."""
@@ -221,23 +173,6 @@ class WElement:
 
     # ---- structure ----
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_real(self) -> bool:
-        return all(p.is_real() for p in self.terms.values())
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, WElement):
-            return NotImplemented
-        return self.n == other.n and self.K == other.K and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, self.K, frozenset(self.terms.items())))
-
     def __repr__(self):
         return f"WElement(n={self.n}, K={self.K}, {len(self.terms)} terms)"
 
@@ -257,24 +192,6 @@ class WElement:
             body = f"[{poly}]"
             parts.append(f"{head}*{body}" if head else body)
         return " + ".join(parts)
-
-    # ---- flat term iteration (shared by the product kernels) ----
-
-    def flat_terms(self):
-        """Yield (a, p_exp, q_exp, coeff) across all monomials."""
-        for (a, idx), poly in self.terms.items():
-            for exp, c in poly.terms.items():
-                yield (a, idx, exp, c)
-
-    @classmethod
-    def from_flat(cls, n: int, K: int, flat: Mapping) -> "WElement":
-        """Assemble from a mapping (a, p_exp, q_exp) -> coeff."""
-        grouped: dict = {}
-        for (a, idx, exp), c in flat.items():
-            if not c or a + sum(idx) > K:
-                continue
-            grouped.setdefault((a, idx), {})[exp] = c
-        return cls(n, K, {k: QPolynomial(n, t) for k, t in grouped.items()})
 
     # ---- canonical JSON ----
 
@@ -302,15 +219,19 @@ class WElement:
         return cls(n, data["max_degree"], terms)
 
 
-class LambdaPoly:
-    """A polynomial lam-series over the base coordinates, truncated at lam^K."""
+class LambdaPoly(TermMap):
+    """A polynomial lam-series over the base coordinates, truncated at lam^K.
 
-    __slots__ = ("n", "K", "coeffs")
+    Terms map the lam-power r to its QPolynomial coefficient.
+    """
 
-    def __init__(self, n: int, K: int, coeffs: Mapping[int, QPolynomial] | None = None):
+    __slots__ = ("n", "K")
+    _SHAPE = ("n", "K")
+
+    def __init__(self, n: int, K: int, terms: Mapping[int, QPolynomial] | None = None):
         clean = {}
-        if coeffs:
-            for r, poly in coeffs.items():
+        if terms:
+            for r, poly in terms.items():
                 if r < 0:
                     raise ValueError("negative lam-power")
                 if r > K:
@@ -319,12 +240,7 @@ class LambdaPoly:
                     if poly.n != n:
                         raise DimensionMismatch("coefficient dimension mismatch")
                     clean[r] = poly
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "K", K)
-        object.__setattr__(self, "coeffs", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LambdaPoly is immutable")
+        self._init((n, K), clean)
 
     @classmethod
     def zero(cls, n: int, K: int) -> "LambdaPoly":
@@ -338,95 +254,43 @@ class LambdaPoly:
     def constant(cls, n: int, K: int, c) -> "LambdaPoly":
         return cls.from_poly(QPolynomial.constant(n, c), K)
 
-    def _check(self, other: "LambdaPoly"):
-        if self.n != other.n or self.K != other.K:
-            raise DimensionMismatch("LambdaPoly mismatch")
-
-    def __add__(self, other: "LambdaPoly") -> "LambdaPoly":
-        self._check(other)
-        out = dict(self.coeffs)
-        for r, poly in other.coeffs.items():
-            s = out.get(r)
-            s = poly if s is None else s + poly
-            if s:
-                out[r] = s
-            else:
-                out.pop(r, None)
-        return LambdaPoly(self.n, self.K, out)
-
-    def __sub__(self, other: "LambdaPoly") -> "LambdaPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "LambdaPoly":
-        return LambdaPoly(self.n, self.K, {r: -p for r, p in self.coeffs.items()})
-
     def __mul__(self, other) -> "LambdaPoly":
         """Pointwise (undeformed) product, truncated at lam^K."""
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         self._check(other)
         out: dict = {}
-        for r1, f1 in self.coeffs.items():
-            for r2, f2 in other.coeffs.items():
-                if r1 + r2 > self.K:
-                    continue
-                prod = f1 * f2
-                s = out.get(r1 + r2)
-                s = prod if s is None else s + prod
-                if s:
-                    out[r1 + r2] = s
-                else:
-                    out.pop(r1 + r2, None)
+        for r1, f1 in self.terms.items():
+            for r2, f2 in other.terms.items():
+                if r1 + r2 <= self.K:
+                    accumulate(out, r1 + r2, f1 * f2)
         return LambdaPoly(self.n, self.K, out)
 
     __rmul__ = __mul__
 
-    def scale(self, c) -> "LambdaPoly":
-        c = _coerce(c)
-        if not c:
-            return LambdaPoly(self.n, self.K)
-        return LambdaPoly(self.n, self.K, {r: p.scale(c) for r, p in self.coeffs.items()})
-
     def shift_lam(self, r: int) -> "LambdaPoly":
-        return LambdaPoly(self.n, self.K, {s + r: p for s, p in self.coeffs.items()})
-
-    def conjugate(self) -> "LambdaPoly":
-        return LambdaPoly(self.n, self.K, {r: p.conjugate() for r, p in self.coeffs.items()})
+        return LambdaPoly(self.n, self.K, {s + r: p for s, p in self.terms.items()})
 
     def coefficient(self, r: int) -> QPolynomial:
-        return self.coeffs.get(r, QPolynomial.zero(self.n))
+        return self.terms.get(r, QPolynomial.zero(self.n))
 
     def evaluate(self, point) -> tuple:
         """Evaluate every lam-coefficient at a base point."""
         return tuple(
-            self.coeffs[r].evaluate(point) if r in self.coeffs else ZERO
+            self.terms[r].evaluate(point) if r in self.terms else ZERO
             for r in range(self.K + 1)
         )
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, LambdaPoly):
-            return NotImplemented
-        return self.n == other.n and self.K == other.K and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.n, self.K, frozenset(self.coeffs.items())))
-
     def __repr__(self):
-        return f"LambdaPoly(n={self.n}, K={self.K}, {len(self.coeffs)} orders)"
+        return f"LambdaPoly(n={self.n}, K={self.K}, {len(self.terms)} orders)"
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for r in sorted(self.coeffs):
+        for r in sorted(self.terms):
             head = "" if r == 0 else ("lam" if r == 1 else f"lam^{r}") + "*"
-            parts.append(f"{head}({self.coeffs[r]})")
+            parts.append(f"{head}({self.terms[r]})")
         return " + ".join(parts)
 
     def to_json(self) -> dict:
@@ -434,8 +298,8 @@ class LambdaPoly:
             "n": self.n,
             "max_order": self.K,
             "coeffs": [
-                {"lam": r, "poly": self.coeffs[r].to_json()["terms"]}
-                for r in sorted(self.coeffs)
+                {"lam": r, "poly": self.terms[r].to_json()["terms"]}
+                for r in sorted(self.terms)
             ],
         }
 
@@ -447,11 +311,6 @@ class LambdaPoly:
             for entry in data["coeffs"]
         }
         return cls(n, data["max_order"], coeffs)
-
-
-def deg_operator(a: WElement) -> WElement:
-    """The grading derivation sum_i p_i d/dp_i + lam d/dlam."""
-    return a.degree_image()
 
 
 class SeriesSign(enum.Enum):
@@ -516,10 +375,6 @@ class RealLambdaSeries:
         while len(out) > 1 and out[-1] == "0":
             out.pop()
         return out
-
-
-def series_sign(s: RealLambdaSeries) -> SeriesSign:
-    return s.sign()
 
 
 def real_series_from_complex(coeffs, context: str = "series") -> RealLambdaSeries:

@@ -28,7 +28,8 @@ import itertools
 from fractions import Fraction
 
 from .qpoly import DimensionMismatch
-from .rationals import GaussianRational, I, ONE
+from .rationals import GaussianRational, HALF_I, ONE
+from .terms import SquareMatrix, accumulate, exponents
 from .welement import LambdaPoly, WElement, _add_idx, _zeros
 
 
@@ -37,113 +38,97 @@ class ConsistencyError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# scalar product kernels (flat-term pair propagation)
+# pair propagation: one kernel for every deformed product
 # ---------------------------------------------------------------------------
 
-def _accumulate(out: dict, key, value):
-    s = out.get(key)
-    s = value if s is None else s + value
-    if s:
-        out[key] = s
-    else:
-        out.pop(key, None)
+# A pairing P = sum_k sum_(u, v, w) w * d/du^k (x) d/dv^k, with u and v each
+# "q" (the coordinate q^k) or "p" (the momentum p_k), as a table of entries
+# (u, v, w).  The q/p-pairing product is sum_r lam^r/r! P^r(a (x) b) with
+# P = (i/2)(dq (x) dp - dp (x) dq); the z/zbar product is the same sum with
+# P = 2 dz (x) dzbar, whose expansion adds (1/2)(dq (x) dq + dp (x) dp).
+WEYL_PAIRING = (("q", "p", HALF_I), ("p", "q", -HALF_I))
+WICK_PAIRING = WEYL_PAIRING + (("q", "q", GaussianRational(Fraction(1, 2))),
+                               ("p", "p", GaussianRational(Fraction(1, 2))))
 
 
-def _weyl_kernel(a: WElement, b: WElement, K: int) -> WElement:
-    """Pair propagation for the antisymmetric q/p pairing product."""
-    n = a.n
-    # state: ((a1, I1, E1), (a2, I2, E2)) -> coeff, all descendants of a pair
-    # keep combined degree a1+a2+r+|I1|+|I2| which is invariant along the
-    # propagation, so pairs are pruned once at entry
+def _lower(idx: tuple, k: int) -> tuple:
+    return idx[:k] + (idx[k] - 1,) + idx[k + 1:]
+
+
+def _dp(term: tuple, k: int):
+    """d/dp_k of a flat term (lam-power, p-exponent, ...), as
+    (term, multiplicity) pairs."""
+    m = term[1][k]
+    if not m:
+        return ()
+    return (((term[0], _lower(term[1], k)) + term[2:], m),)
+
+
+def propagate(left, right, pairing, dq, join, K: int) -> dict:
+    """sum_r lam^r/r! P^r(a (x) b) on flat terms, truncated at combined
+    degree K.
+
+    left and right are (term, coefficient) pairs of the two operands, each
+    term starting with its lam-power and p-exponent.  dq(term, k) gives
+    the (term, multiplicity) pairs of d/dq^k on one term, and
+    join(t1, t2, r) the output key of a pair after r pairings; only these
+    differ between algebra elements and cochains.  Every pairing raises
+    the lam-power, so a pair whose next lam-power exceeds K stops.  When
+    no entry takes two p-derivatives, no pairing lowers the combined
+    degree a + |I| of a pair, so pairs above K are dropped on entry.
+    """
+    steps = [("qp".index(u), "qp".index(v), w) for u, v, w in pairing]
+    monotone = all(u != "p" or v != "p" for u, v, _w in pairing)
+    right = list(right)
     state: dict = {}
-    for t1 in a.flat_terms():
+    for t1, c1 in left:
         d1 = t1[0] + sum(t1[1])
-        for t2 in b.flat_terms():
-            if d1 + t2[0] + sum(t2[1]) > K:
+        for t2, c2 in right:
+            if monotone and d1 + t2[0] + sum(t2[1]) > K:
                 continue
-            _accumulate(state, (t1[:3], t2[:3]), t1[3] * t2[3])
+            accumulate(state, (t1, t2), c1 * c2)
+    weights: dict = {}  # (entry, multiplicity, r) -> weight * multiplicity / (r + 1)
     out: dict = {}
     r = 0
-    half_i = I * Fraction(1, 2)
-    factor = ONE  # (i/2)^r / r!
     while state:
-        for ((a1, i1, e1), (a2, i2, e2)), c in state.items():
-            _accumulate(out, (a1 + a2 + r, _add_idx(i1, i2), _add_idx(e1, e2)), c * factor)
+        # state holds the pairs of P^r(a (x) b) / r!
         new: dict = {}
-        for ((a1, i1, e1), (a2, i2, e2)), c in state.items():
-            for k in range(n):
-                # d/dq^k (x) d/dp_k
-                if e1[k] and i2[k]:
-                    e1d = list(e1); e1d[k] -= 1
-                    i2d = list(i2); i2d[k] -= 1
-                    _accumulate(
-                        new,
-                        ((a1, i1, tuple(e1d)), (a2, tuple(i2d), e2)),
-                        c * (e1[k] * i2[k]),
-                    )
-                # - d/dp_k (x) d/dq^k
-                if i1[k] and e2[k]:
-                    i1d = list(i1); i1d[k] -= 1
-                    e2d = list(e2); e2d[k] -= 1
-                    _accumulate(
-                        new,
-                        ((a1, tuple(i1d), e1), (a2, i2, tuple(e2d))),
-                        c * (-(i1[k] * e2[k])),
-                    )
-        state = new
-        r += 1
-        factor = factor * half_i * Fraction(1, r)
-    return WElement.from_flat(n, K, out)
-
-
-def _wick_kernel(a: WElement, b: WElement, K: int) -> WElement:
-    """Pair propagation for the z/zbar pairing product."""
-    n = a.n
-    state: dict = {}
-    for t1 in a.flat_terms():
-        for t2 in b.flat_terms():
-            _accumulate(state, (t1[:3], t2[:3]), t1[3] * t2[3])
-    out: dict = {}
-    r = 0
-    factor = ONE  # 2^r / r!
-    half = GaussianRational(Fraction(1, 2))
-    mih = GaussianRational(0, Fraction(-1, 2))  # -i/2
-    pih = GaussianRational(0, Fraction(1, 2))   # +i/2
-    while state:
-        for ((a1, i1, e1), (a2, i2, e2)), c in state.items():
-            if a1 + a2 + r + sum(i1) + sum(i2) > K:
+        for (t1, t2), c in state.items():
+            key = join(t1, t2, r)
+            if key[0] + sum(key[1]) <= K:
+                accumulate(out, key, c)
+            if t1[0] + t2[0] + r + 1 > K:
                 continue
-            _accumulate(out, (a1 + a2 + r, _add_idx(i1, i2), _add_idx(e1, e2)), c * factor)
-        new: dict = {}
-        for ((a1, i1, e1), (a2, i2, e2)), c in state.items():
-            if a1 + a2 + r + 1 > K:
-                continue  # every descendant carries lam-power > K
-            for k in range(n):
-                # d/dz^k on the left factor: (dq - i dp)/2
-                left = []
-                if e1[k]:
-                    e1d = list(e1); e1d[k] -= 1
-                    left.append(((a1, i1, tuple(e1d)), half * e1[k]))
-                if i1[k]:
-                    i1d = list(i1); i1d[k] -= 1
-                    left.append(((a1, tuple(i1d), e1), mih * i1[k]))
-                if not left:
-                    continue
-                # d/dzbar^k on the right factor: (dq + i dp)/2
-                right = []
-                if e2[k]:
-                    e2d = list(e2); e2d[k] -= 1
-                    right.append(((a2, i2, tuple(e2d)), half * e2[k]))
-                if i2[k]:
-                    i2d = list(i2); i2d[k] -= 1
-                    right.append(((a2, tuple(i2d), e2), pih * i2[k]))
-                for lt, lc in left:
-                    for rt, rc in right:
-                        _accumulate(new, (lt, rt), c * lc * rc)
+            for k in range(len(t1[1])):
+                lefts = (dq(t1, k), _dp(t1, k))
+                rights = (dq(t2, k), _dp(t2, k))
+                for s, (li, ri, w) in enumerate(steps):
+                    for lt, lm in lefts[li]:
+                        for rt, rm in rights[ri]:
+                            m = lm * rm
+                            wm = weights.get((s, m, r))
+                            if wm is None:
+                                wm = weights[(s, m, r)] = w * Fraction(m, r + 1)
+                            accumulate(new, (lt, rt), c * wm)
         state = new
         r += 1
-        factor = factor * Fraction(2, r)
-    return WElement.from_flat(n, K, out)
+    return out
+
+
+def _element_dq(term: tuple, k: int):
+    a, idx, exp = term
+    m = exp[k]
+    return (((a, idx, _lower(exp, k)), m),) if m else ()
+
+
+def _element_join(t1: tuple, t2: tuple, r: int) -> tuple:
+    return (t1[0] + t2[0] + r, _add_idx(t1[1], t2[1]), _add_idx(t1[2], t2[2]))
+
+
+def _pair_product(a: WElement, b: WElement, pairing, K: int) -> WElement:
+    flat = propagate(a.flat_terms(), b.flat_terms(), pairing,
+                     _element_dq, _element_join, K)
+    return WElement.from_flat(flat, a.n, K)
 
 
 def _laplace_image(flat: dict, n: int) -> dict:
@@ -154,123 +139,53 @@ def _laplace_image(flat: dict, n: int) -> dict:
         for k in range(n):
             if exp[k] >= 2:
                 e = list(exp); e[k] -= 2
-                _accumulate(out, (a, idx, tuple(e)), c * (exp[k] * (exp[k] - 1) * quarter))
+                accumulate(out, (a, idx, tuple(e)), c * (exp[k] * (exp[k] - 1) * quarter))
             if idx[k] >= 2:
                 i = list(idx); i[k] -= 2
-                _accumulate(out, (a, tuple(i), exp), c * (idx[k] * (idx[k] - 1) * quarter))
+                accumulate(out, (a, tuple(i), exp), c * (idx[k] * (idx[k] - 1) * quarter))
     return out
 
 
 def _exp_laplace(x: WElement, sign: int, K: int) -> WElement:
     """Apply exp(sign * lam * Lap), exactly on polynomial data."""
     n = x.n
-    state = {t[:3]: t[3] for t in x.flat_terms()}
+    state = dict(x.flat_terms())
     out: dict = {}
     m = 0
     factor = ONE  # sign^m / m!
     while state:
         for (a, idx, exp), c in state.items():
             if a + m + sum(idx) <= K:
-                _accumulate(out, (a + m, idx, exp), c * factor)
+                accumulate(out, (a + m, idx, exp), c * factor)
         state = _laplace_image(state, n)
         m += 1
         factor = factor * Fraction(sign, m)
-    return WElement.from_flat(n, K, out)
+    return WElement.from_flat(out, n, K)
 
 
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
 
-class MatrixWElement:
-    """A square matrix with WElement entries; involution is the
-    entrywise conjugate transpose."""
+class MatrixWElement(SquareMatrix):
+    """A square matrix with WElement entries."""
 
-    __slots__ = ("N", "n", "K", "entries")
-
-    def __init__(self, entries):
-        rows = [list(row) for row in entries]
-        N = len(rows)
-        if N == 0 or any(len(r) != N for r in rows):
-            raise ValueError("matrix must be square and non-empty")
-        first = rows[0][0]
-        for row in rows:
-            for x in row:
-                if x.n != first.n or x.K != first.K:
-                    raise DimensionMismatch("inconsistent matrix entries")
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "n", first.n)
-        object.__setattr__(self, "K", first.K)
-        object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatrixWElement is immutable")
-
-    @classmethod
-    def identity(cls, N: int, n: int, K: int) -> "MatrixWElement":
-        one = WElement.constant(n, K, 1)
-        zero = WElement.zero(n, K)
-        return cls([[one if i == j else zero for j in range(N)] for i in range(N)])
-
-    @classmethod
-    def scalar(cls, x: WElement) -> "MatrixWElement":
-        return cls([[x]])
-
-    def map_entries(self, f) -> "MatrixWElement":
-        return MatrixWElement([[f(x) for x in row] for row in self.entries])
-
-    def __add__(self, other: "MatrixWElement") -> "MatrixWElement":
-        self._check(other)
-        return MatrixWElement(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
-
-    def __sub__(self, other: "MatrixWElement") -> "MatrixWElement":
-        self._check(other)
-        return MatrixWElement(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
-
-    def _check(self, other: "MatrixWElement"):
-        if self.N != other.N or self.n != other.n or self.K != other.K:
-            raise DimensionMismatch("matrix shape or base mismatch")
-
-    def involution(self) -> "MatrixWElement":
-        return MatrixWElement(
-            [[self.entries[j][i].conjugate() for j in range(self.N)] for i in range(self.N)]
-        )
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.entries for x in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, MatrixWElement):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __repr__(self):
-        return f"MatrixWElement(N={self.N}, n={self.n}, K={self.K})"
-
-
-def _matrix_product(a: MatrixWElement, b: MatrixWElement, kernel, K: int) -> MatrixWElement:
-    a._check(b)
-    N = a.N
-    zero = WElement.zero(a.n, K)
-    rows = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            acc = zero
-            for k in range(N):
-                acc = acc + kernel(a.entries[i][k], b.entries[k][j], K)
-            row.append(acc)
-        rows.append(row)
-    return MatrixWElement(rows)
+    __slots__ = ()
+    _ENTRY = WElement
 
 
 # ---------------------------------------------------------------------------
 # public products
 # ---------------------------------------------------------------------------
+
+def _product(a, b, pairing):
+    if isinstance(a, MatrixWElement):
+        if not isinstance(b, MatrixWElement):
+            raise DimensionMismatch("cannot mix matrix and scalar operands")
+        return a._product(b, lambda x, y: _pair_product(x, y, pairing, a.K))
+    a._check(b)
+    return _pair_product(a, b, pairing, a.K)
+
 
 def weyl_product(a, b):
     """The deformed product with antisymmetric q/p derivative pairing.
@@ -278,26 +193,12 @@ def weyl_product(a, b):
     Graded inputs of degree j and k multiply to degree j + k, so the
     truncation at order K is exact.
     """
-    if isinstance(a, MatrixWElement):
-        if not isinstance(b, MatrixWElement):
-            raise DimensionMismatch("cannot mix matrix and scalar operands")
-        return _matrix_product(a, b, _weyl_kernel, a.K)
-    a._check(b)
-    return _weyl_kernel(a, b, a.K)
+    return _product(a, b, WEYL_PAIRING)
 
 
 def wick_product(a, b):
     """The deformed product pairing d/dz with d/dzbar, z^k = q^k + i p_k."""
-    if isinstance(a, MatrixWElement):
-        if not isinstance(b, MatrixWElement):
-            raise DimensionMismatch("cannot mix matrix and scalar operands")
-        return _matrix_product(a, b, _wick_kernel, a.K)
-    a._check(b)
-    return _wick_kernel(a, b, a.K)
-
-
-def commutator_weyl(a, b):
-    return weyl_product(a, b) - weyl_product(b, a)
+    return _product(a, b, WICK_PAIRING)
 
 
 def canonical_bracket(a: WElement, b: WElement) -> WElement:
@@ -317,7 +218,7 @@ def pi_star(f: LambdaPoly, K: int | None = None) -> WElement:
     """Embed a base lam-series as a p-independent element."""
     K = f.K if K is None else K
     n = f.n
-    return WElement(n, K, {(r, _zeros(n)): poly for r, poly in f.coeffs.items()})
+    return WElement(n, K, {(r, _zeros(n)): poly for r, poly in f.terms.items()})
 
 
 def iota_star(a: WElement) -> LambdaPoly:
@@ -341,25 +242,10 @@ def _monomial_basis(n: int, total_degree: int, q_cap: int | None = None):
                 qtot = d - a - ptot
                 if q_cap is not None and qtot > q_cap:
                     continue
-                for pi in _exponents(n, ptot):
-                    for qe in _exponents(n, qtot):
+                for pi in exponents(n, ptot):
+                    for qe in exponents(n, qtot):
                         out.append((a, pi, qe))
     return out
-
-
-def _exponents(n: int, total: int):
-    """Multi-indices of length n summing to exactly total."""
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _exponents(n - 1, total - first):
-            yield (first,) + rest
-
-
-def _exponents_upto(n: int, total: int):
-    for t in range(total + 1):
-        yield from _exponents(n, t)
 
 
 def _exact_order_for_pair(a: WElement, b: WElement) -> int:
@@ -378,8 +264,9 @@ def _check_sign_on_pair(sign: int, a: WElement, b: WElement) -> bool:
     K = _exact_order_for_pair(a, b)
     a = a.lift(K)
     b = b.lift(K)
-    lhs = _exp_laplace(_wick_kernel(a, b, K), sign, K)
-    rhs = _weyl_kernel(_exp_laplace(a, sign, K), _exp_laplace(b, sign, K), K)
+    lhs = _exp_laplace(_pair_product(a, b, WICK_PAIRING, K), sign, K)
+    rhs = _pair_product(_exp_laplace(a, sign, K), _exp_laplace(b, sign, K),
+                        WEYL_PAIRING, K)
     return lhs == rhs
 
 
@@ -436,12 +323,10 @@ def fock_equivalence(a, direction: str = "forward", sign: int | None = None):
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
-    if isinstance(a, MatrixWElement):
-        sigma = resolve_fock_sign(a.n, a.K)["sigma"] if sign is None else sign
-        s = sigma if direction == "forward" else -sigma
-        return a.map_entries(lambda x: _exp_laplace(x, s, x.K)), sigma
     sigma = resolve_fock_sign(a.n, a.K)["sigma"] if sign is None else sign
     s = sigma if direction == "forward" else -sigma
+    if isinstance(a, MatrixWElement):
+        return a.map_entries(lambda x: _exp_laplace(x, s, x.K)), sigma
     return _exp_laplace(a, s, a.K), sigma
 
 

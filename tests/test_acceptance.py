@@ -10,11 +10,10 @@ import time
 from fractions import Fraction
 
 from dqw.cobsolver import solve_coboundary
-from dqw.cochain import MultiDiffCochain, coboundary, involution
-from dqw.functionals import (MatrixLambdaPoly, UndeformedExtension,
-                             check_positivity, deform_functional,
-                             glue_functionals, make_point_functional,
-                             wick_positivity_certificate)
+from dqw.cochain import MultiDiffCochain, coboundary
+from dqw.functionals import (GluedFunctional, MatrixLambdaPoly, StateFunctional,
+                             UndeformedExtension, check_positivity,
+                             deform_functional, wick_positivity_certificate)
 from dqw.koszul import KoszulForm, d_p, poincare_homotopy
 from dqw.qpoly import QPolynomial
 from dqw.rationals import I, gr
@@ -22,7 +21,7 @@ from dqw.scenario import (load_scenario, random_lambda_poly, report_to_json_text
                           run_scenario, strip_timings)
 from dqw.starspec import star_apply
 from dqw.taubuild import build_tau, check_poisson_realization, epsilon_cochain
-from dqw.welement import LambdaPoly, SeriesSign, WElement, deg_operator
+from dqw.welement import LambdaPoly, SeriesSign, WElement
 from dqw.weyl import (MatrixWElement, _check_sign_on_pair, _exp_laplace,
                       _monomial_basis, weyl_product)
 
@@ -89,8 +88,8 @@ def test_criterion_02_degree_derivation():
     for _ in range(200):
         a = _random_welement(rng, n, K)
         b = _random_welement(rng, n, K)
-        lhs = deg_operator(weyl_product(a, b))
-        rhs = weyl_product(deg_operator(a), b) + weyl_product(a, deg_operator(b))
+        lhs = weyl_product(a, b).degree_image()
+        rhs = weyl_product(a.degree_image(), b) + weyl_product(a, b.degree_image())
         assert lhs == rhs
         checked += 1
     _report(2, "grading operator is a derivation of the deformed product",
@@ -174,8 +173,8 @@ def test_criterion_04_hochschild_layer():
             assert coboundary(phi, True).classical_limit() == \
                 coboundary(phi.classical_limit(), False)
             sign = 1 if (arity + 1) % 2 == 0 else -1
-            lhs = involution(coboundary(phi, True))
-            rhs = coboundary(involution(phi), True)
+            lhs = coboundary(phi, True).involution()
+            rhs = coboundary(phi.involution(), True)
             assert lhs == (rhs if sign == 1 else -rhs)
 
     for degree in range(1, n + 1):
@@ -251,7 +250,7 @@ def _counterexample(K=4):
 
 
 def test_criterion_06_counterexample(moyal_r2):
-    delta = make_point_functional(2, 1, [((0, 0), (1,))])
+    delta = StateFunctional(2, 1, [((0, 0), (1,))])
     omega = UndeformedExtension(delta, 4)
     verdict = check_positivity(omega, moyal_r2, [_counterexample()])
     t = verdict.tests[0]
@@ -265,7 +264,7 @@ def test_criterion_06_counterexample(moyal_r2):
 def test_criterion_07_positivity_deformation(moyal_r2, tau_moyal_r2,
                                              fixture_tau_r2):
     K = 4
-    delta = make_point_functional(2, 1, [((0, 0), (1,))])
+    delta = StateFunctional(2, 1, [((0, 0), (1,))])
     omega_fix = deform_functional(delta, fixture_tau_r2, K=K)
 
     verdict = check_positivity(omega_fix, moyal_r2, [_counterexample()])
@@ -278,7 +277,7 @@ def test_criterion_07_positivity_deformation(moyal_r2, tau_moyal_r2,
     value_ok = (t.coefficients == ["0", "1/4"] and
                 t.classification == SeriesSign.POSITIVE)
 
-    delta2 = make_point_functional(
+    delta2 = StateFunctional(
         2, 2, [((0, 0), (gr(1), gr(0, 1)))])
     functionals = {
         "fixture": {1: deform_functional(delta, fixture_tau_r2, K=K),
@@ -322,7 +321,7 @@ def test_criterion_08_wick_certificates():
              tuple(gr(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(N)))
             for _ in range(rng.randint(1, 2))
         ]
-        state = make_point_functional(n, N, atoms)
+        state = StateFunctional(n, N, atoms)
         entries = []
         for i in range(N):
             row = []
@@ -352,11 +351,11 @@ def test_criterion_08_wick_certificates():
 
 def test_criterion_09_gluing(moyal_r2, fixture_tau_r2):
     K = 4
-    delta = make_point_functional(2, 1, [((0, 0), (1,))])
+    delta = StateFunctional(2, 1, [((0, 0), (1,))])
     omega = deform_functional(delta, fixture_tau_r2, K=K)
     chi1 = LambdaPoly.constant(2, K, Fraction(3, 5))
     chi2 = LambdaPoly.constant(2, K, Fraction(4, 5))
-    glued = glue_functionals([(chi1, omega), (chi2, omega)], moyal_r2)
+    glued = GluedFunctional([(chi1, omega), (chi2, omega)], moyal_r2)
 
     f = _counterexample()
     g = star_apply(moyal_r2, f.conjugate(), f)

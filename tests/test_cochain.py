@@ -5,9 +5,9 @@ import json
 from hypothesis import given, settings
 
 from dqw.cochain import (MultiDiffCochain, alt, biderivation_cochain,
-                         classical_limit, coboundary, cochain_weyl_product,
-                         compose_slot, find_witness, identity_cochain,
-                         involution, mu_cochain, plug_constant)
+                         coboundary, cochain_weyl_product, compose_slot,
+                         find_witness, identity_cochain, mu_cochain,
+                         plug_constant)
 from dqw.qpoly import QPolynomial
 from dqw.rationals import I, gr
 from dqw.weyl import weyl_product
@@ -84,42 +84,42 @@ class TestClassicalLimit:
     def test_drops_lambda_terms(self):
         phi = simple({(1, ZERO_IDX, ((1, 0),)): ONE,
                       (0, (1, 0), ((0, 1),)): ONE})
-        assert classical_limit(phi) == simple({(0, (1, 0), ((0, 1),)): ONE})
+        assert phi.classical_limit() == simple({(0, (1, 0), ((0, 1),)): ONE})
 
     def test_identity_cochain_fixed(self):
-        assert classical_limit(identity_cochain(N, K)) == identity_cochain(N, K)
+        assert identity_cochain(N, K).classical_limit() == identity_cochain(N, K)
 
 
 class TestInvolution:
     def test_conjugates_coefficients(self):
         psi = simple({(1, ZERO_IDX, ((1, 0),)): ONE.scale(I)})
-        assert involution(psi) == simple({(1, ZERO_IDX, ((1, 0),)): ONE.scale(-I)})
+        assert psi.involution() == simple({(1, ZERO_IDX, ((1, 0),)): ONE.scale(-I)})
 
     def test_real_momentum_term_fixed(self):
         psi = simple({(0, (1, 0), ((1, 0),)): ONE})
-        assert involution(psi) == psi
+        assert psi.involution() == psi
 
     def test_reverses_argument_order(self):
         phi = simple({(0, ZERO_IDX, ((1, 0), (0, 1))): ONE}, arity=2)
-        assert involution(phi) == simple(
+        assert phi.involution() == simple(
             {(0, ZERO_IDX, ((0, 1), (1, 0))): ONE}, arity=2)
 
     @settings(max_examples=25)
     @given(cochains(arity=1))
     def test_squares_to_identity(self, phi):
-        assert involution(involution(phi)) == phi
+        assert phi.involution().involution() == phi
 
     @settings(max_examples=25)
     @given(cochains(arity=1))
     def test_coboundary_sign_arity1(self, phi):
         # arity r = 1: (d phi)~ = (+1) d(phi~)
-        assert involution(coboundary(phi, True)) == coboundary(involution(phi), True)
+        assert coboundary(phi, True).involution() == coboundary(phi.involution(), True)
 
     @settings(max_examples=15)
     @given(cochains(arity=2))
     def test_coboundary_sign_arity2(self, phi):
         # arity r = 2: (d phi)~ = (-1) d(phi~)
-        assert involution(coboundary(phi, True)) == -coboundary(involution(phi), True)
+        assert coboundary(phi, True).involution() == -coboundary(phi.involution(), True)
 
 
 class TestProductsAndComposition:

@@ -4,12 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from dqw.functionals import (DeformedFunctional, MatrixLambdaPoly,
-                             PartitionError, StateFunctional,
+from dqw.functionals import (DeformedFunctional, GluedFunctional,
+                             MatrixLambdaPoly, PartitionError, StateFunctional,
                              UndeformedExtension, check_positivity,
-                             deform_functional, glue_functionals,
-                             make_point_functional,
-                             wick_positivity_certificate)
+                             deform_functional, wick_positivity_certificate)
 from dqw.qpoly import QPolynomial
 from dqw.rationals import I, gr
 from dqw.scenario import random_lambda_poly
@@ -30,7 +28,7 @@ def counterexample_test():
 
 @pytest.fixture(scope="module")
 def delta0():
-    return make_point_functional(N_DIM, 1, [((0, 0), (1,))])
+    return StateFunctional(N_DIM, 1, [((0, 0), (1,))])
 
 
 class TestStateFunctional:
@@ -40,13 +38,13 @@ class TestStateFunctional:
         assert str(delta0.eval_matrix_series(f, K)[0]) == "0"
 
     def test_empty_atom_list_is_zero(self):
-        zero = make_point_functional(N_DIM, 1, [])
+        zero = StateFunctional(N_DIM, 1, [])
         assert zero.mass() == 0
         f = [[lp(QPolynomial.constant(N_DIM, 5))]]
         assert all(not c for c in zero.eval_matrix_series(f, K))
 
     def test_matrix_compression(self):
-        st = make_point_functional(N_DIM, 2, [((0, 0), (1, 0))])
+        st = StateFunctional(N_DIM, 2, [((0, 0), (1, 0))])
         m = MatrixLambdaPoly([
             [lp(QPolynomial.constant(N_DIM, 7)), lp(QPolynomial.constant(N_DIM, 2))],
             [lp(QPolynomial.constant(N_DIM, 3)), lp(QPolynomial.constant(N_DIM, 5))],
@@ -56,7 +54,7 @@ class TestStateFunctional:
 
     def test_positive_on_squares_by_construction(self):
         rng = random.Random(31)
-        st = make_point_functional(
+        st = StateFunctional(
             N_DIM, 1, [((1, 2), (gr(1, 1),)), ((Fraction(-1, 2), 0), (gr(2),))])
         for _ in range(10):
             f = random_lambda_poly(rng, N_DIM, K, 3, 3, False)
@@ -65,12 +63,12 @@ class TestStateFunctional:
             assert val.im == 0 and val.re >= 0
 
     def test_atom_order_canonical(self):
-        a = make_point_functional(N_DIM, 1, [((1, 0), (1,)), ((0, 0), (1,))])
-        b = make_point_functional(N_DIM, 1, [((0, 0), (1,)), ((1, 0), (1,))])
+        a = StateFunctional(N_DIM, 1, [((1, 0), (1,)), ((0, 0), (1,))])
+        b = StateFunctional(N_DIM, 1, [((0, 0), (1,)), ((1, 0), (1,))])
         assert a == b
 
     def test_json_roundtrip(self):
-        st = make_point_functional(
+        st = StateFunctional(
             N_DIM, 2, [((Fraction(1, 2), -1), (gr(1), gr(0, Fraction(1, 3))))])
         blob = json.dumps(st.to_json(), sort_keys=True)
         assert StateFunctional.from_json(json.loads(blob)) == st
@@ -113,7 +111,7 @@ class TestWickCertificate:
                        for _ in range(NN)))
                 for _ in range(rng.randint(1, 2))
             ]
-            state = make_point_functional(N_DIM, NN, atoms)
+            state = StateFunctional(N_DIM, NN, atoms)
             entries = []
             for i in range(NN):
                 row = []
@@ -196,7 +194,7 @@ class TestCheckPositivity:
         assert verdict.inconclusive
 
     def test_matrix_amplification(self, moyal_r2, fixture_tau_r2):
-        state = make_point_functional(N_DIM, 2, [((0, 0), (gr(1), gr(0, 1)))])
+        state = StateFunctional(N_DIM, 2, [((0, 0), (gr(1), gr(0, 1)))])
         omega = deform_functional(state, fixture_tau_r2, K=K)
         f = counterexample_test()
         m = MatrixLambdaPoly([
@@ -226,19 +224,19 @@ class TestCheckPositivity:
 class TestGlue:
     def test_single_unit_weight_identity(self, moyal_r2, delta0):
         omega = UndeformedExtension(delta0, K)
-        glued = glue_functionals(
+        glued = GluedFunctional(
             [(LambdaPoly.constant(N_DIM, K, 1), omega)], moyal_r2)
         f = lp(QPolynomial.monomial(N_DIM, (1, 1), gr(2, 1)))
         assert glued.action(f) == omega.action(f)[: glued.sound_order + 1]
 
     def test_convex_combination(self, moyal_r2):
         d1 = UndeformedExtension(
-            make_point_functional(N_DIM, 1, [((1, 0), (1,))]), K)
+            StateFunctional(N_DIM, 1, [((1, 0), (1,))]), K)
         d2 = UndeformedExtension(
-            make_point_functional(N_DIM, 1, [((0, 1), (1,))]), K)
+            StateFunctional(N_DIM, 1, [((0, 1), (1,))]), K)
         chi1 = LambdaPoly.constant(N_DIM, K, Fraction(3, 5))
         chi2 = LambdaPoly.constant(N_DIM, K, Fraction(4, 5))
-        glued = glue_functionals([(chi1, d1), (chi2, d2)], moyal_r2)
+        glued = GluedFunctional([(chi1, d1), (chi2, d2)], moyal_r2)
         f = lp(QPolynomial.coordinate(N_DIM, 0))
         out = glued.action(f)
         # (9/25) f(1,0) + (16/25) f(0,1)
@@ -247,14 +245,14 @@ class TestGlue:
     def test_partition_identity_enforced(self, moyal_r2, delta0):
         omega = UndeformedExtension(delta0, K)
         with pytest.raises(PartitionError):
-            glue_functionals(
+            GluedFunctional(
                 [(LambdaPoly.constant(N_DIM, K, Fraction(1, 2)), omega)], moyal_r2)
 
     def test_glued_positivity_verdict(self, moyal_r2, fixture_tau_r2, delta0):
         omega = deform_functional(delta0, fixture_tau_r2, K=K)
         chi1 = LambdaPoly.constant(N_DIM, K, Fraction(3, 5))
         chi2 = LambdaPoly.constant(N_DIM, K, Fraction(4, 5))
-        glued = glue_functionals([(chi1, omega), (chi2, omega)], moyal_r2)
+        glued = GluedFunctional([(chi1, omega), (chi2, omega)], moyal_r2)
         verdict = check_positivity(
             glued, moyal_r2, [counterexample_test()])
         t = verdict.tests[0]

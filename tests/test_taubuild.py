@@ -9,7 +9,7 @@ from dqw.cochain import (MultiDiffCochain, coboundary, identity_cochain,
 from dqw.qpoly import QPolynomial
 from dqw.rationals import gr
 from dqw.starspec import star_apply
-from dqw.taubuild import (BuildReport, TauMap, apply_tau, build_tau,
+from dqw.taubuild import (BuildReport, TauMap, build_tau,
                           check_poisson_realization, compute_Rk,
                           epsilon_cochain)
 from dqw.welement import LambdaPoly, WElement
@@ -117,7 +117,7 @@ class TestApply:
     def test_plain_embedding_case(self, zero_star):
         tau, _ = build_tau(zero_star, 3)
         f = lp(QPolynomial.monomial(N, (1, 1)), K=3)
-        out = apply_tau(tau, f)
+        out = tau.apply(f)
         assert out == WElement.from_poly(QPolynomial.monomial(N, (1, 1)), 3)
 
     def test_homomorphism_identity_on_samples(self, moyal_r2, tau_moyal_r2):
@@ -128,14 +128,14 @@ class TestApply:
             gp = QPolynomial.monomial(
                 N, (rng.randint(0, 2), rng.randint(0, 2)), gr(1, rng.randint(-2, 2)))
             f, g = lp(fp), lp(gp)
-            lhs = apply_tau(tau_moyal_r2, star_apply(moyal_r2, f, g))
-            rhs = weyl_product(apply_tau(tau_moyal_r2, f), apply_tau(tau_moyal_r2, g))
+            lhs = tau_moyal_r2.apply(star_apply(moyal_r2, f, g))
+            rhs = weyl_product(tau_moyal_r2.apply(f), tau_moyal_r2.apply(g))
             assert lhs == rhs
 
     def test_conjugation_commutes_for_hermitian_build(self, tau_moyal_r2):
         f = lp(QPolynomial.monomial(N, (2, 1), gr(1, 3)))
-        assert apply_tau(tau_moyal_r2, f.conjugate()) == \
-            apply_tau(tau_moyal_r2, f).conjugate()
+        assert tau_moyal_r2.apply(f.conjugate()) == \
+            tau_moyal_r2.apply(f).conjugate()
 
 
 class TestClosedForm:
