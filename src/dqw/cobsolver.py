@@ -38,6 +38,11 @@ from .terms import exponents
 from .weyl import ConsistencyError
 
 
+class ConfigurationError(ValueError):
+    """Malformed or inconsistent outside input: scenario content or the
+    solver's environment variable."""
+
+
 class CocyclePrecondition(ValueError):
     """The target is not solvable: precondition violated, with witness."""
 
@@ -64,7 +69,8 @@ def _max_cells() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SolverLimitExceeded(f"bad DQW_MAX_SOLVER_CELLS value: {raw!r}")
+        raise ConfigurationError(
+            f"DQW_MAX_SOLVER_CELLS must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cobsolver import SolverInfeasible, SolverLimitExceeded
+from .cobsolver import ConfigurationError, SolverInfeasible, SolverLimitExceeded
 from .functionals import (GluedFunctional, MatrixLambdaPoly, PartitionError,
                           StateFunctional, UndeformedExtension, check_positivity,
                           deform_functional)
@@ -35,10 +35,6 @@ from .taubuild import (BuildAborted, ClosedFormTau, build_tau,
                        check_poisson_realization)
 from .welement import LambdaPoly, NonRealSeries
 from .weyl import ConsistencyError
-
-
-class ConfigurationError(ValueError):
-    """Malformed or inconsistent scenario content."""
 
 
 EXIT_PASS = 0
@@ -65,7 +61,7 @@ class Scenario:
     @classmethod
     def from_json(cls, data: dict) -> "Scenario":
         try:
-            return cls(
+            scenario = cls(
                 name=data["name"],
                 n=data["n"],
                 K=data["K"],
@@ -79,6 +75,12 @@ class Scenario:
             )
         except KeyError as e:
             raise ConfigurationError(f"scenario misses required key {e}")
+        for name, low in (("n", 1), ("K", 0), ("N", 1)):
+            value = getattr(scenario, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < low:
+                raise ConfigurationError(
+                    f"scenario field {name!r} must be an integer >= {low}, got {value!r}")
+        return scenario
 
     def to_json(self) -> dict:
         out = {
@@ -122,10 +124,13 @@ def build_star_product(scenario: Scenario) -> StarProductSpec:
     cfg = scenario.star_product
     kind = cfg.get("generator")
     if kind == "constant_theta":
-        theta = [[Fraction(x) for x in row] for row in cfg["theta"]]
-        if len(theta) != scenario.n:
-            raise ConfigurationError("theta size differs from scenario dimension")
-        return make_constant_theta_star(theta, scenario.K)
+        try:
+            theta = [[Fraction(x) for x in row] for row in cfg["theta"]]
+            if len(theta) != scenario.n:
+                raise ValueError("size differs from scenario dimension")
+            return make_constant_theta_star(theta, scenario.K)
+        except (KeyError, ValueError) as e:
+            raise ConfigurationError(f"bad star_product.theta: {e}") from None
     if kind == "zero":
         return make_zero_star(scenario.n, scenario.K)
     if kind == "linear_poisson_2d":
@@ -151,9 +156,9 @@ def build_functional(scenario: Scenario) -> StateFunctional:
              [parse_scalar(v) for v in a["vector"]])
             for a in scenario.functional["atoms"]
         ]
+        return StateFunctional(scenario.n, scenario.N, atoms)
     except (KeyError, ValueError) as e:
         raise ConfigurationError(f"bad functional description: {e}")
-    return StateFunctional(scenario.n, scenario.N, atoms)
 
 
 def build_tau_map(scenario: Scenario, spec: StarProductSpec):
@@ -201,16 +206,21 @@ def generate_tests(scenario: Scenario, seed_override: int | None = None):
     tests = []
     labels = []
     for i, entry in enumerate(scenario.tests.get("explicit", [])):
-        if "entries" in entry:
-            element = MatrixLambdaPoly.from_json(entry)
-        else:
-            element = LambdaPoly.from_json(entry)
+        try:
+            if "entries" in entry:
+                element = MatrixLambdaPoly.from_json(entry)
+            else:
+                element = LambdaPoly.from_json(entry)
+        except KeyError as e:
+            raise ConfigurationError(f"tests.explicit[{i}] misses required key {e}")
         if getattr(element, "N", 1) != N:
             raise ConfigurationError(f"explicit test {i} has wrong matrix size")
         tests.append(element)
         labels.append(f"explicit_{i}")
     randcfg = scenario.tests.get("random")
     if randcfg:
+        if seed_override is None and "seed" not in randcfg:
+            raise ConfigurationError("tests.random misses required key 'seed'")
         seed = seed_override if seed_override is not None else randcfg["seed"]
         rng = random.Random(seed)
         count = randcfg.get("count", 20)

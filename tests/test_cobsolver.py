@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from dqw.cobsolver import (CocyclePrecondition, SolverConfig,
+from dqw.cobsolver import (CocyclePrecondition, ConfigurationError, SolverConfig,
                            SolverLimitExceeded, solve_classical_coboundary,
                            solve_coboundary)
 from dqw.cochain import MultiDiffCochain, coboundary
@@ -152,13 +152,14 @@ class TestClassicalStage:
 
 class TestLimits:
     def test_cell_cap(self, monkeypatch):
-        monkeypatch.setenv("DQW_MAX_SOLVER_CELLS", "1")
         phi = MultiDiffCochain(N, K, 2, {
             (1, ZERO_IDX, ((1, 0), (0, 1))): ONE,
             (1, ZERO_IDX, ((0, 1), (1, 0))): ONE.scale(-1),
         })
-        with pytest.raises(SolverLimitExceeded):
-            solve_coboundary(phi, SolverConfig(use_preconditioner=False))
+        for cap, error in (("1", SolverLimitExceeded), ("abc", ConfigurationError)):
+            monkeypatch.setenv("DQW_MAX_SOLVER_CELLS", cap)
+            with pytest.raises(error, match="DQW_MAX_SOLVER_CELLS"):
+                solve_coboundary(phi, SolverConfig(use_preconditioner=False))
 
     def test_report_records_bounds(self):
         phi = MultiDiffCochain(N, K, 2, {

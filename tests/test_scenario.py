@@ -166,6 +166,26 @@ class TestCli:
         assert code == 0
         assert "overall: pass" in out.read_text()
 
+    @pytest.mark.parametrize("field, mutate", [
+        ("'K'", lambda d: d.update(K=-1)),
+        ("'K'", lambda d: d.update(K="4")),
+        ("'n'", lambda d: d.update(n=0)),
+        ("'N'", lambda d: d.update(N=0)),
+        ("functional", lambda d: d.update(n=3)),
+        ("theta", lambda d: d["star_product"].update(theta=[["0", "1"], ["1", "0"]])),
+        ("'seed'", lambda d: d["tests"]["random"].pop("seed")),
+        ("'coeffs'", lambda d: d["tests"]["explicit"][0].pop("coeffs")),
+    ])
+    def test_malformed_scenario_exit_two(self, tmp_path, capsys, field, mutate):
+        data = json.loads((SCENARIO_DIR / "moyal-r2-delta.json").read_text())
+        mutate(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        code = cli_main(["run", "--scenario", str(path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and field in err
+
     def test_max_order_override(self, capsys):
         code = cli_main(["run", "--scenario",
                          str(SCENARIO_DIR / "zero-poisson.json"),
