@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from .cochain import MultiDiffCochain, alt, coboundary, find_witness
 from .qpoly import QPolynomial
 from .rationals import GaussianRational, ONE
-from .terms import exponents
+from .terms import accumulate, exponents
 from .weyl import ConsistencyError
 
 
@@ -115,14 +115,12 @@ def solve_sparse_system(columns, rhs, col_order):
     for c, entries in columns.items():
         ci = col_index[c]
         for rk, v in entries:
-            row = rows.setdefault(rk, {})
-            row[ci] = row.get(ci, _GZERO) + v
+            accumulate(rows.setdefault(rk, {}), ci, v)
     row_list = []
     rhs_list = []
     all_rows = set(rows) | set(rhs)
     for rk in sorted(all_rows, key=_row_sort_key):
-        r = {ci: v for ci, v in rows.get(rk, {}).items() if v}
-        row_list.append(r)
+        row_list.append(rows.get(rk, {}))
         rhs_list.append(rhs.get(rk, _GZERO))
 
     ncols = len(col_order)

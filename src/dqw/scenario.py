@@ -33,6 +33,7 @@ from .starspec import (InvalidStarProduct, StarProductSpec,
                        make_zero_star, validate_star)
 from .taubuild import (BuildAborted, ClosedFormTau, build_tau,
                        check_poisson_realization)
+from .terms import accumulate
 from .welement import LambdaPoly, NonRealSeries
 from .weyl import ConsistencyError
 
@@ -191,9 +192,7 @@ def random_lambda_poly(rng: random.Random, n: int, K: int, max_q_degree: int,
                 Fraction(rng.randint(-max_coeff, max_coeff), rng.randint(1, max_coeff)),
                 Fraction(rng.randint(-max_coeff, max_coeff), rng.randint(1, max_coeff)),
             )
-            if c:
-                key = tuple(exp)
-                terms[key] = terms[key] + c if key in terms else c
+            accumulate(terms, tuple(exp), c)
         poly = QPolynomial(n, terms)
         if poly:
             coeffs[r] = poly

@@ -190,9 +190,8 @@ def make_constant_theta_star(theta, K: int, hermitian: bool = True) -> StarProdu
             for (k, l, v) in pairs:
                 Ak = list(A); Ak[k] += 1
                 Bl = list(B); Bl[l] += 1
-                key = (tuple(Ak), tuple(Bl))
-                nxt[key] = nxt.get(key, Fraction(0)) + c * v
-        power = {k: v for k, v in nxt.items() if v}
+                accumulate(nxt, (tuple(Ak), tuple(Bl)), c * v)
+        power = nxt
         scale = half_i ** r
         fact = Fraction(1)
         for i in range(2, r + 1):
