@@ -137,6 +137,8 @@ class QPolynomial(TermMap):
     @classmethod
     def from_json(cls, data: dict) -> "QPolynomial":
         terms = {tuple(exp): parse_scalar(cs) for exp, cs in data["terms"]}
+        if not all(type(e) is int and e >= 0 for exp in terms for e in exp):
+            raise ValueError("exponents must be non-negative integers")
         return cls(data["n"], terms)
 
 

@@ -24,10 +24,10 @@ from fractions import Fraction
 
 from .cobsolver import ConfigurationError, SolverInfeasible, SolverLimitExceeded
 from .functionals import (GluedFunctional, MatrixLambdaPoly, PartitionError,
-                          StateFunctional, UndeformedExtension, check_positivity,
-                          deform_functional)
+                          StateFunctional, UndeformedExtension, as_matrix,
+                          check_positivity, deform_functional)
 from .qpoly import QPolynomial
-from .rationals import GaussianRational, parse_scalar
+from .rationals import GaussianRational
 from .starspec import (InvalidStarProduct, StarProductSpec,
                        make_constant_theta_star, make_linear_poisson_2d_star,
                        make_zero_star, validate_star)
@@ -43,7 +43,10 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_INCONCLUSIVE = 3
 
-DEFAULT_COMMANDS = ("validate", "build-tau", "deform", "check-pos")
+DEFAULT_COMMANDS = ("validate", "build-tau", "deform", "check-pos")  # every op
+CHECK_POS_FIELDS = {"functional": ("deformed", "undeformed", "glued"),
+                    "expect": ("nonnegative", "negative")}
+_KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
 
 
 @dataclass
@@ -61,6 +64,14 @@ class Scenario:
 
     @classmethod
     def from_json(cls, data: dict) -> "Scenario":
+        if not isinstance(data, dict):
+            raise ConfigurationError(
+                f"a scenario must be a JSON object, got {type(data).__name__}")
+        for key, kind in (("name", str), ("star_product", dict), ("functional", dict),
+                          ("tau", dict), ("tests", dict), ("glue", dict),
+                          ("commands", list)):
+            if key in data:
+                _check_type(key, data[key], kind)
         try:
             scenario = cls(
                 name=data["name"],
@@ -77,10 +88,19 @@ class Scenario:
         except KeyError as e:
             raise ConfigurationError(f"scenario misses required key {e}")
         for name, low in (("n", 1), ("K", 0), ("N", 1)):
-            value = getattr(scenario, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < low:
-                raise ConfigurationError(
-                    f"scenario field {name!r} must be an integer >= {low}, got {value!r}")
+            _check_int(name, getattr(scenario, name), low)
+        if scenario.tau_source not in ("solver", "closed_form"):
+            raise ConfigurationError(f"unknown tau.source {scenario.tau_source!r}")
+        _check_type("tests.explicit", scenario.tests.get("explicit", []), list)
+        randcfg = scenario.tests.get("random", {})
+        _check_type("tests.random", randcfg, dict)
+        for key, low in (("seed", 0), ("count", 0), ("max_q_degree", 0), ("max_coeff", 1)):
+            if key in randcfg:
+                _check_int(f"tests.random.{key}", randcfg[key], low)
+        _check_type("tests.random.lambda_corrections",
+                    randcfg.get("lambda_corrections", True), bool)
+        for cmd in scenario.commands:
+            _normalize_command(cmd)
         return scenario
 
     def to_json(self) -> dict:
@@ -102,6 +122,18 @@ class Scenario:
     def digest(self) -> str:
         blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _check_type(field: str, value, kind: type) -> None:
+    if not isinstance(value, kind):
+        raise ConfigurationError(
+            f"scenario field {field!r} must be {_KINDS[kind]}, got {type(value).__name__}")
+
+
+def _check_int(field: str, value, low: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ConfigurationError(
+            f"scenario field {field!r} must be an integer >= {low}, got {value!r}")
 
 
 def load_scenario(path: str) -> Scenario:
@@ -130,7 +162,7 @@ def build_star_product(scenario: Scenario) -> StarProductSpec:
             if len(theta) != scenario.n:
                 raise ValueError("size differs from scenario dimension")
             return make_constant_theta_star(theta, scenario.K)
-        except (KeyError, ValueError) as e:
+        except (KeyError, TypeError, ValueError) as e:
             raise ConfigurationError(f"bad star_product.theta: {e}") from None
     if kind == "zero":
         return make_zero_star(scenario.n, scenario.K)
@@ -139,7 +171,10 @@ def build_star_product(scenario: Scenario) -> StarProductSpec:
             raise ConfigurationError("linear_poisson_2d requires n = 2")
         return make_linear_poisson_2d_star(scenario.K)
     if "inline" in cfg:
-        spec = StarProductSpec.from_json(cfg["inline"])
+        try:
+            spec = StarProductSpec.from_json(cfg["inline"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ConfigurationError(f"bad star_product.inline: {e}") from None
         if spec.n != scenario.n:
             raise ConfigurationError("inline star product has wrong dimension")
         if spec.order < scenario.K:
@@ -152,27 +187,21 @@ def build_star_product(scenario: Scenario) -> StarProductSpec:
 
 def build_functional(scenario: Scenario) -> StateFunctional:
     try:
-        atoms = [
-            ([Fraction(x) for x in a["point"]],
-             [parse_scalar(v) for v in a["vector"]])
-            for a in scenario.functional["atoms"]
-        ]
-        return StateFunctional(scenario.n, scenario.N, atoms)
-    except (KeyError, ValueError) as e:
-        raise ConfigurationError(f"bad functional description: {e}")
+        _check_type("functional.atoms", scenario.functional["atoms"], list)
+        return StateFunctional.from_json(
+            {**scenario.functional, "n": scenario.n, "N": scenario.N})
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigurationError(f"bad functional description: {e}") from None
 
 
 def build_tau_map(scenario: Scenario, spec: StarProductSpec):
     if scenario.tau_source == "solver":
-        tau, report = build_tau(spec, scenario.K, validate=False)
-        return tau, report
-    if scenario.tau_source == "closed_form":
-        if spec.theta is None:
-            raise ConfigurationError(
-                "closed_form embedding requires a constant bracket matrix"
-            )
-        return ClosedFormTau(spec.theta), None
-    raise ConfigurationError(f"unknown tau source {scenario.tau_source!r}")
+        return build_tau(spec, scenario.K, validate=False)
+    if spec.theta is None:
+        raise ConfigurationError(
+            "closed_form embedding requires a constant bracket matrix"
+        )
+    return ClosedFormTau(spec.theta), None
 
 
 def random_lambda_poly(rng: random.Random, n: int, K: int, max_q_degree: int,
@@ -200,7 +229,8 @@ def random_lambda_poly(rng: random.Random, n: int, K: int, max_q_degree: int,
 
 
 def generate_tests(scenario: Scenario, seed_override: int | None = None):
-    """The scenario's test elements, explicit first, then seeded random."""
+    """The scenario's test elements as N x N matrices, explicit first, then
+    seeded random."""
     n, K, N = scenario.n, scenario.K, scenario.N
     tests = []
     labels = []
@@ -209,12 +239,15 @@ def generate_tests(scenario: Scenario, seed_override: int | None = None):
             if "entries" in entry:
                 element = MatrixLambdaPoly.from_json(entry)
             else:
-                element = LambdaPoly.from_json(entry)
+                element = as_matrix(LambdaPoly.from_json(entry))
         except KeyError as e:
             raise ConfigurationError(f"tests.explicit[{i}] misses required key {e}")
-        if getattr(element, "N", 1) != N:
-            raise ConfigurationError(f"explicit test {i} has wrong matrix size")
-        tests.append(element)
+        except (TypeError, ValueError) as e:
+            raise ConfigurationError(f"bad tests.explicit[{i}]: {e}") from None
+        if element.N != N or element.n != n:
+            raise ConfigurationError(f"explicit test {i} has wrong matrix size or n")
+        # a test element is read at the scenario's order
+        tests.append(element.map_entries(lambda x: LambdaPoly(n, K, x.terms)))
         labels.append(f"explicit_{i}")
     randcfg = scenario.tests.get("random")
     if randcfg:
@@ -227,13 +260,10 @@ def generate_tests(scenario: Scenario, seed_override: int | None = None):
         max_c = randcfg.get("max_coeff", 4)
         lam = randcfg.get("lambda_corrections", True)
         for i in range(count):
-            if N == 1:
-                tests.append(random_lambda_poly(rng, n, K, max_q, max_c, lam))
-            else:
-                tests.append(MatrixLambdaPoly(
-                    [[random_lambda_poly(rng, n, K, max_q, max_c, lam)
-                      for _ in range(N)] for _ in range(N)]
-                ))
+            tests.append(MatrixLambdaPoly(
+                [[random_lambda_poly(rng, n, K, max_q, max_c, lam)
+                  for _ in range(N)] for _ in range(N)]
+            ))
             labels.append(f"random_{i}")
     return tests, labels
 
@@ -243,11 +273,15 @@ def generate_tests(scenario: Scenario, seed_override: int | None = None):
 # ---------------------------------------------------------------------------
 
 def _normalize_command(cmd) -> dict:
-    if isinstance(cmd, str):
-        return {"op": cmd}
-    if isinstance(cmd, dict) and "op" in cmd:
-        return dict(cmd)
-    raise ConfigurationError(f"bad command entry: {cmd!r}")
+    """The command as a dict, after checking its op and check-pos fields."""
+    cmd = {"op": cmd} if isinstance(cmd, str) else cmd
+    if not isinstance(cmd, dict) or cmd.get("op") not in DEFAULT_COMMANDS:
+        raise ConfigurationError(f"bad command entry: {cmd!r}")
+    for key, allowed in CHECK_POS_FIELDS.items():
+        if cmd["op"] == "check-pos" and key in cmd and cmd[key] not in allowed:
+            raise ConfigurationError(
+                f"check-pos field {key!r} must be one of {allowed}, got {cmd[key]!r}")
+    return dict(cmd)
 
 
 def run_scenario(scenario: Scenario, seed_override: int | None = None,
@@ -310,7 +344,7 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
                 break
             deformed = deform_functional(state, tau, K=scenario.K)
             record(op, "pass", deformed.describe(), t0)
-        elif op == "check-pos":
+        else:  # check-pos
             spec = spec or build_star_product(scenario)
             which = cmd.get("functional", "deformed")
             expect = cmd.get("expect", "nonnegative")
@@ -323,23 +357,23 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
                                      "requires a prior deform step"}, t0)
                     break
                 functional = deformed
-            elif which == "glued":
+            else:  # glued
                 if scenario.glue_weights is None:
                     raise ConfigurationError("glued check needs glue weights")
                 base = deformed if deformed is not None \
                     else UndeformedExtension(state, scenario.K)
-                parts = [
-                    (LambdaPoly.constant(scenario.n, scenario.K, Fraction(w)),
-                     base)
-                    for w in scenario.glue_weights
-                ]
                 try:
+                    parts = [
+                        (LambdaPoly.constant(scenario.n, scenario.K, Fraction(w)),
+                         base)
+                        for w in scenario.glue_weights
+                    ]
                     functional = GluedFunctional(parts, spec)
                 except PartitionError as e:
                     record(op, "fail", {"error": str(e)}, t0)
                     break
-            else:
-                raise ConfigurationError(f"unknown functional variant {which!r}")
+                except (TypeError, ValueError) as e:
+                    raise ConfigurationError(f"bad glue.weights: {e}") from None
             tests, labels = generate_tests(scenario, seed_override)
             try:
                 verdict = check_positivity(functional, spec, tests, labels=labels)
@@ -354,8 +388,6 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
                 outcome = verdict.aggregate
             record(op, outcome, detail, t0)
             verdict_outcomes.append(outcome)
-        else:
-            raise ConfigurationError(f"unknown command {op!r}")
 
     outcomes = [r["outcome"] for r in results]
     if any(o == "fail" for o in outcomes):

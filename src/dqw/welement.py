@@ -310,6 +310,8 @@ class LambdaPoly(TermMap):
             entry["lam"]: QPolynomial.from_json({"n": n, "terms": entry["poly"]})
             for entry in data["coeffs"]
         }
+        if not all(type(r) is int for r in coeffs):
+            raise ValueError("lam-powers must be integers")
         return cls(n, data["max_order"], coeffs)
 
 

@@ -17,18 +17,17 @@ exceeds the element's order K.
 The operator family E_sigma = exp(sigma * lam * Lap) with
 Lap = sum_k d^2/dz^k dzbar^k = (1/4) sum_k (d^2/d(q^k)^2 + d^2/d(p_k)^2)
 conjugates one product into the other.  The sign sigma that actually
-intertwines them under the conventions above is discovered at runtime by
-symbolic verification on a monomial basis (and cached per dimension and
-order) rather than hard-coded.
+intertwines them under the conventions above is not hard-coded: it is
+certified at runtime on the quadratic symbols read from the same pairing
+and Laplacian tables that the products and Lap apply.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from .qpoly import DimensionMismatch
-from .rationals import GaussianRational, HALF_I, ONE
+from .rationals import GaussianRational, HALF_I, ONE, ZERO, _coerce
 from .terms import SquareMatrix, accumulate, exponents
 from .welement import LambdaPoly, WElement, _add_idx, _zeros
 
@@ -131,18 +130,22 @@ def _pair_product(a: WElement, b: WElement, pairing, K: int) -> WElement:
     return WElement.from_flat(flat, a.n, K)
 
 
+# Lap = sum_k sum_(u, w) w d^2/d(u^k)^2; the operator and the sign
+# certificate both read this table.
+LAPLACIAN = tuple((u, Fraction(1, 4)) for u in "qp")
+
+
 def _laplace_image(flat: dict, n: int) -> dict:
-    """One application of (1/4) sum_k (d^2/d(q^k)^2 + d^2/d(p_k)^2)."""
+    """One application of Lap to flat terms (lam-power, p-exponent, q-exponent)."""
     out: dict = {}
-    quarter = Fraction(1, 4)
-    for (a, idx, exp), c in flat.items():
+    for term, c in flat.items():
         for k in range(n):
-            if exp[k] >= 2:
-                e = list(exp); e[k] -= 2
-                accumulate(out, (a, idx, tuple(e)), c * (exp[k] * (exp[k] - 1) * quarter))
-            if idx[k] >= 2:
-                i = list(idx); i[k] -= 2
-                accumulate(out, (a, tuple(i), exp), c * (idx[k] * (idx[k] - 1) * quarter))
+            for u, w in LAPLACIAN:
+                slot = 2 if u == "q" else 1
+                m = term[slot][k]
+                if m >= 2:
+                    e = term[slot][:k] + (m - 2,) + term[slot][k + 1:]
+                    accumulate(out, term[:slot] + (e,) + term[slot + 1:], c * (m * (m - 1) * w))
     return out
 
 
@@ -233,17 +236,57 @@ def iota_star(a: WElement) -> LambdaPoly:
 # the exponential equivalence between the two products
 # ---------------------------------------------------------------------------
 
-def _monomial_basis(n: int, total_degree: int, q_cap: int | None = None):
+_SYMBOL_KEYS = tuple((u, v) for u in "qp" for v in "qp")
+
+
+def _symbol(table) -> dict:
+    """The {q,p} x {q,p} coefficient matrix of the bilinear symbol
+    sum_(u, v, w) w xi_u eta_v of a pairing table."""
+    out = dict.fromkeys(_SYMBOL_KEYS, ZERO)
+    for u, v, w in table:
+        out[(u, v)] += w
+    return out
+
+
+def _equivalence_signs(wick, weyl, laplace) -> tuple:
+    """The signs sigma for which exp(sigma lam Lap) maps the product of the
+    pairing table `wick` into that of `weyl`, Lap being the table `laplace`.
+
+    All three are exponentials of constant-coefficient operators, so on
+    e^(xi.x), x = (q, p), they act by their symbols, and E_sigma intertwines
+    the products exactly when wick(xi, eta) - weyl(xi, eta) =
+    -sigma (L(xi+eta) - L(xi) - L(eta)).  No table couples two indices k,
+    so this is an equality of {q,p} x {q,p} matrices.  E must commute with
+    conjugation, so the Laplacian weights must be real.
+    """
+    if not all(_coerce(w).is_real() for _u, w in laplace):
+        return ()
+    gap = _symbol(tuple(wick) + tuple((u, v, -w) for u, v, w in weyl))
+    polar = _symbol((u, u, w + w) for u, w in laplace)  # L(xi+eta) - L(xi) - L(eta)
+    return tuple(s for s in (1, -1) if all(gap[k] == -s * polar[k] for k in _SYMBOL_KEYS))
+
+
+def resolve_fock_sign(n: int, K: int) -> dict:
+    """The sign sigma with E_sigma = exp(sigma lam Lap) mapping the z/zbar
+    product into the q/p product, certified on the symbols of the tables
+    (alike for every n and K); basis_size counts the coefficients compared."""
+    signs = _equivalence_signs(WICK_PAIRING, WEYL_PAIRING, LAPLACIAN)
+    if len(signs) != 1:
+        raise ConsistencyError(f"equivalence sign resolution failed for n={n}, "
+                               f"K={K}: passing signs {list(signs)}")
+    return {"n": n, "K": K, "sigma": signs[0], "basis_size": len(_SYMBOL_KEYS)}
+
+
+# The pair check below, kept as the tests' oracle independent of the symbols.
+
+def _monomial_basis(n: int, total_degree: int):
     """All monomials lam^a p^I q^E with a + |I| + |E| <= total_degree."""
     out = []
     for d in range(total_degree + 1):
         for a in range(d + 1):
             for ptot in range(d - a + 1):
-                qtot = d - a - ptot
-                if q_cap is not None and qtot > q_cap:
-                    continue
                 for pi in exponents(n, ptot):
-                    for qe in exponents(n, qtot):
+                    for qe in exponents(n, d - a - ptot):
                         out.append((a, pi, qe))
     return out
 
@@ -270,52 +313,7 @@ def _check_sign_on_pair(sign: int, a: WElement, b: WElement) -> bool:
     return lhs == rhs
 
 
-_SIGN_CACHE: dict = {}
-
-
-def resolve_fock_sign(n: int, K: int, q_cap: int = 2) -> dict:
-    """Determine the sign sigma with E_sigma = exp(sigma lam Lap) mapping
-    the z/zbar product into the q/p product multiplicatively.
-
-    The verification runs over all ordered pairs from the monomial basis
-    with combined degree a + |I| <= min(K, 2) and q-degree <= q_cap,
-    computed in exact (untruncated) arithmetic, plus compatibility with
-    conjugation.  Exactly one sign must pass.  The result is memoized per
-    (n, K).
-    """
-    key = (n, K)
-    cached = _SIGN_CACHE.get(key)
-    if cached is not None:
-        return cached
-    deg = min(K, 2) if K >= 1 else 1
-    basis = [
-        WElement.monomial(n, max(K, deg), a, pi, qe)
-        for (a, pi, qe) in _monomial_basis(n, deg + q_cap, q_cap=q_cap)
-        if a + sum(pi) <= deg
-    ]
-    survivors = []
-    for sign in (1, -1):
-        ok = all(
-            _check_sign_on_pair(sign, x, y)
-            for x, y in itertools.product(basis, repeat=2)
-        )
-        ok = ok and all(
-            _exp_laplace(x.conjugate(), sign, x.K) == _exp_laplace(x, sign, x.K).conjugate()
-            for x in basis
-        )
-        if ok:
-            survivors.append(sign)
-    if len(survivors) != 1:
-        raise ConsistencyError(
-            f"equivalence sign resolution failed for n={n}, K={K}: "
-            f"passing signs {survivors}"
-        )
-    report = {"n": n, "K": K, "sigma": survivors[0], "basis_size": len(basis)}
-    _SIGN_CACHE[key] = report
-    return report
-
-
-def fock_equivalence(a, direction: str = "forward", sign: int | None = None):
+def fock_equivalence(a, direction: str = "forward"):
     """Apply the product-intertwining operator E = exp(sigma lam Lap).
 
     direction "forward" maps the z/zbar product side into the q/p side;
@@ -323,7 +321,7 @@ def fock_equivalence(a, direction: str = "forward", sign: int | None = None):
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
-    sigma = resolve_fock_sign(a.n, a.K)["sigma"] if sign is None else sign
+    sigma = resolve_fock_sign(a.n, a.K)["sigma"]
     s = sigma if direction == "forward" else -sigma
     if isinstance(a, MatrixWElement):
         return a.map_entries(lambda x: _exp_laplace(x, s, x.K)), sigma

@@ -1,12 +1,24 @@
+import contextlib
+import io
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from dqw.cli import main as cli_main
 from dqw.scenario import (ConfigurationError, Scenario, emit_report,
                           load_scenario, run_scenario, strip_timings)
 
 from conftest import SCENARIO_DIR
+
+
+class Replace:
+    """A mutation result that replaces the whole scenario document."""
+
+    def __init__(self, document):
+        self.document = document
 
 
 def load(name):
@@ -175,10 +187,28 @@ class TestCli:
         ("theta", lambda d: d["star_product"].update(theta=[["0", "1"], ["1", "0"]])),
         ("'seed'", lambda d: d["tests"]["random"].pop("seed")),
         ("'coeffs'", lambda d: d["tests"]["explicit"][0].pop("coeffs")),
+        ("object", lambda d: Replace([])),
+        ("'tau'", lambda d: d.update(tau="solver")),
+        ("'star_product'", lambda d: d.update(star_product="zero")),
+        ("'functional'", lambda d: d.update(functional=[])),
+        ("'tests'", lambda d: d.update(tests=[])),
+        ("'glue'", lambda d: d.update(glue=[1])),
+        ("'commands'", lambda d: d.update(commands="validate")),
+        ("'tests.random.count'", lambda d: d["tests"]["random"].update(count="x")),
+        ("'tests.random.max_coeff'",
+         lambda d: d["tests"]["random"].update(max_coeff=0)),
+        ("'tests.random.max_q_degree'",
+         lambda d: d["tests"]["random"].update(max_q_degree=-1)),
+        ("'tests.random.seed'", lambda d: d["tests"]["random"].update(seed="7")),
+        ("'tests.random.lambda_corrections'",
+         lambda d: d["tests"]["random"].update(lambda_corrections="yes")),
+        ("'expect'", lambda d: d["commands"][3].update(expect="maybe")),
     ])
     def test_malformed_scenario_exit_two(self, tmp_path, capsys, field, mutate):
         data = json.loads((SCENARIO_DIR / "moyal-r2-delta.json").read_text())
-        mutate(data)
+        result = mutate(data)
+        if isinstance(result, Replace):
+            data = result.document
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
         code = cli_main(["run", "--scenario", str(path)])
@@ -193,3 +223,123 @@ class TestCli:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["scenario"]["K"] == 2
+
+
+# The fuzzed document is k0-degenerate with one random test, glue weights
+# and a glued check added, so that every config field of a scenario occurs.
+def _fuzz_base() -> dict:
+    data = json.loads((SCENARIO_DIR / "k0-degenerate.json").read_text())
+    data["tests"]["random"] = {"seed": 0, "count": 1, "max_q_degree": 1,
+                               "max_coeff": 1, "lambda_corrections": True}
+    data["glue"] = {"weights": ["1"]}
+    data["commands"].append({"op": "check-pos", "functional": "glued"})
+    return data
+
+
+def _paths(x, path=()):
+    yield path
+    if isinstance(x, dict):
+        children = x.items()
+    elif isinstance(x, list):
+        children = enumerate(x)
+    else:
+        children = ()
+    for key, value in children:
+        yield from _paths(value, path + (key,))
+
+
+DELETE = "<delete>"
+FUZZ_VALUES = (None, True, -1, 0, 1, 3, 2.5, "x", "", [], [1], {}, {"a": 1}, DELETE)
+OPS = ("validate", "build-tau", "deform", "check-pos")
+
+
+def _int_at_least(low):
+    return lambda v: type(v) is int and v >= low
+
+
+def _rational(v):
+    try:
+        Fraction(v)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _is(kind):
+    return lambda v: isinstance(v, kind)
+
+
+# config field (list indices as "*") -> (required, which values are valid)
+CONFIG_FIELDS = {
+    (): (True, _is(dict)),
+    ("name",): (True, _is(str)),
+    ("n",): (True, _int_at_least(1)),
+    ("K",): (True, _int_at_least(0)),
+    ("N",): (False, _int_at_least(1)),
+    ("star_product",): (True, _is(dict)),
+    ("star_product", "generator"):
+        (True, lambda v: v in ("constant_theta", "zero", "linear_poisson_2d")),
+    ("tau",): (False, _is(dict)),
+    ("tau", "source"): (False, lambda v: v in ("solver", "closed_form")),
+    ("functional",): (True, _is(dict)),
+    ("functional", "atoms"): (True, _is(list)),
+    ("tests",): (False, _is(dict)),
+    ("tests", "explicit"): (False, _is(list)),
+    ("tests", "random"): (False, _is(dict)),
+    ("tests", "random", "seed"): (True, _int_at_least(0)),
+    ("tests", "random", "count"): (False, _int_at_least(0)),
+    ("tests", "random", "max_q_degree"): (False, _int_at_least(0)),
+    ("tests", "random", "max_coeff"): (False, _int_at_least(1)),
+    ("tests", "random", "lambda_corrections"): (False, _is(bool)),
+    # the glued check needs the weights
+    ("glue",): (True, _is(dict)),
+    ("glue", "weights"): (True, lambda v: isinstance(v, list) and bool(v)),
+    ("glue", "weights", "*"): (True, _rational),
+    ("commands",): (False, _is(list)),
+    ("commands", "*"): (False, lambda v: v in OPS or (
+        isinstance(v, dict) and v.get("op") in OPS)),
+    ("commands", "*", "op"): (True, lambda v: v in OPS),
+    ("commands", "*", "functional"):
+        (False, lambda v: v in ("deformed", "undeformed", "glued")),
+    ("commands", "*", "expect"): (False, lambda v: v in ("nonnegative", "negative")),
+}
+
+
+def _mutated(data, path, value):
+    if not path:
+        return value
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    if value == DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return data
+
+
+class TestScenarioFuzz:
+    """One field of a scenario replaced or deleted: the CLI keeps its exit
+    codes and raises nothing, and a config field given a value of the wrong
+    type or range, or deleted when required, exits 2."""
+
+    BASE = _fuzz_base()
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(path=st.sampled_from(list(_paths(BASE))), value=st.sampled_from(FUZZ_VALUES))
+    def test_mutated_scenario_keeps_exit_contract(self, tmp_path, path, value):
+        assume(path or value != DELETE)
+        scenario = tmp_path / "fuzz.json"
+        scenario.write_text(json.dumps(_mutated(self.BASE, path, value)))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli_main(["run", "--scenario", str(scenario)])
+        assert code in (0, 1, 2, 3)
+        field = tuple("*" if isinstance(key, int) else key for key in path)
+        if field in CONFIG_FIELDS:
+            required, valid = CONFIG_FIELDS[field]
+            if required if value == DELETE else not valid(value):
+                assert code == 2
+                assert err.getvalue().startswith("configuration error:")

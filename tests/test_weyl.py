@@ -4,13 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from dqw import weyl
 from dqw.qpoly import DimensionMismatch, QPolynomial
-from dqw.rationals import I, gr
+from dqw.rationals import HALF_I, I, gr
 from dqw.welement import LambdaPoly, WElement
-from dqw.weyl import (MatrixWElement, _monomial_basis, canonical_bracket,
-                      exp_laplace_exact, fock_equivalence,
-                      iota_star, pi_star, resolve_fock_sign, weyl_product,
-                      wick_product)
+from dqw.weyl import (LAPLACIAN, WEYL_PAIRING, WICK_PAIRING, ConsistencyError,
+                      MatrixWElement, _check_sign_on_pair, _equivalence_signs,
+                      _monomial_basis, canonical_bracket, exp_laplace_exact,
+                      fock_equivalence, iota_star, pi_star, resolve_fock_sign,
+                      weyl_product, wick_product)
 
 from strategies import welements
 
@@ -123,8 +125,32 @@ class TestFockEquivalence:
         assert out == x + lam().scale(sigma)
 
     def test_sign_is_minus_one(self):
-        rep = resolve_fock_sign(N, K)
-        assert rep["sigma"] == -1
+        for n in (1, 2, 3, 4):
+            for order in (0, 4, 8):
+                rep = resolve_fock_sign(n, order)
+                assert rep == {"n": n, "K": order, "sigma": -1, "basis_size": 4}
+
+    def test_certificate_rejects_perturbed_tables(self, monkeypatch):
+        half = gr(Fraction(1, 2))
+        flipped_wick = tuple((u, v, -w) if (u, v) == ("q", "q") else (u, v, w)
+                             for u, v, w in WICK_PAIRING)
+        # these two would intertwine with sigma = -1 but for the complex weights
+        complex_wick = WEYL_PAIRING + (("q", "q", HALF_I), ("p", "p", HALF_I))
+        complex_laplacian = tuple((u, w * I) for u, w in LAPLACIAN)
+        assert _equivalence_signs(WICK_PAIRING, WEYL_PAIRING, LAPLACIAN) == (-1,)
+        for wick, laplacian in ((WICK_PAIRING, (("q", half), ("p", half))),
+                                (flipped_wick, LAPLACIAN),
+                                (WEYL_PAIRING, LAPLACIAN),
+                                (complex_wick, complex_laplacian)):
+            assert _equivalence_signs(wick, WEYL_PAIRING, laplacian) == ()
+        # the operator reads the same table: with weight 1/2 the pair check
+        # fails for both signs too, and the certificate raises
+        monkeypatch.setattr(weyl, "LAPLACIAN", (("q", half), ("p", half)))
+        z = q(0) + p(0).scale(I)
+        zb = q(0) - p(0).scale(I)
+        assert not any(_check_sign_on_pair(s, z, zb) for s in (1, -1))
+        with pytest.raises(ConsistencyError):
+            resolve_fock_sign(N, K)
 
     def test_linear_elements_fixed(self):
         out, _ = fock_equivalence(q(0), "forward")
@@ -197,9 +223,8 @@ class TestMatrix:
 
     def test_matrix_fock_equivalence(self):
         m = self._m()
-        fwd, sigma = fock_equivalence(m, "forward")
-        lhs, _ = fock_equivalence(wick_product(m, m), "forward",
-                                  sign=sigma)
+        fwd, _ = fock_equivalence(m, "forward")
+        lhs, _ = fock_equivalence(wick_product(m, m), "forward")
         # compare at the common truncation (inputs are low degree, exact)
         rhs = weyl_product(fwd, fwd)
         assert lhs.entries == rhs.entries
