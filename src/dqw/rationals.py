@@ -1,59 +1,80 @@
 """Exact complex scalars: rational real and imaginary parts.
 
-All coefficient arithmetic in this package runs over Q(i).  Values are
-immutable, always reduced (``fractions.Fraction`` keeps numerator and
-denominator coprime with positive denominator), and compare structurally,
-so equality of derived objects is decidable and canonical.
+All coefficient arithmetic in this package runs over Q(i).  A value is
+one integer triple (a, b, d) meaning (a + b*i)/d, kept reduced: d > 0 and
+gcd(a, b, d) = 1, restored by one three-argument gcd per operation.  Each
+element of Q(i) therefore has exactly one triple, so values compare
+structurally and equality of derived objects is decidable and canonical.
+Values are immutable; `re` and `im` give the parts as Fractions, and a
+real value hashes like the Fraction (or int) it equals.
 """
 
 from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class GaussianRational:
     """A complex number a + b*i with exact rational a, b."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_t",)
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        # over the lcm of two reduced denominators the triple is reduced
+        d = lcm(re.denominator, im.denominator)
+        _set(self, (re.numerator * (d // re.denominator),
+                    im.numerator * (d // im.denominator), d))
 
-    @classmethod
-    def _raw(cls, re: Fraction, im: Fraction) -> "GaussianRational":
-        # fast path: parts are already Fractions
-        self = object.__new__(cls)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        return self
-
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("GaussianRational is immutable")
 
+    __delattr__ = __setattr__
+
+    @property
+    def re(self) -> Fraction:
+        a, _b, d = self._t
+        return Fraction(a, d)
+
+    @property
+    def im(self) -> Fraction:
+        _a, b, d = self._t
+        return Fraction(b, d)
+
     # ---- arithmetic ----
+    #
+    # perfbench/tracer.py counts scalar operations by wrapping the operator
+    # slots below, so arithmetic between scalars goes through them.
 
     def __add__(self, other):
-        other = _coerce(other)
-        return GaussianRational._raw(self.re + other.re, self.im + other.im)
+        a, b, d = self._t
+        c, e, f = other._t if type(other) is GaussianRational else _parts(other)
+        if d == f:
+            return _reduced(a + c, b + e, d)
+        return _reduced(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return GaussianRational._raw(self.re - other.re, self.im - other.im)
+        a, b, d = self._t
+        c, e, f = other._t if type(other) is GaussianRational else _parts(other)
+        if d == f:
+            return _reduced(a - c, b - e, d)
+        return _reduced(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __neg__(self):
-        return GaussianRational._raw(-self.re, -self.im)
+        a, b, d = self._t
+        return _triple(-a, -b, d)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return GaussianRational._raw(a * c - b * d, a * d + b * c)
+        a, b, d = self._t
+        c, e, f = other._t if type(other) is GaussianRational else _parts(other)
+        return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
@@ -65,13 +86,15 @@ class GaussianRational:
         return _coerce(other) / self
 
     def inverse(self) -> "GaussianRational":
-        d = self.re * self.re + self.im * self.im
-        if not d:
+        a, b, d = self._t
+        norm = a * a + b * b
+        if not norm:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational._raw(self.re / d, -self.im / d)
+        return _reduced(a * d, -b * d, norm)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational._raw(self.re, -self.im)
+        a, b, d = self._t
+        return _triple(a, -b, d)
 
     def __pow__(self, k: int) -> "GaussianRational":
         if k < 0:
@@ -88,20 +111,27 @@ class GaussianRational:
     # ---- structure ----
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        a, b, _d = self._t
+        return a != 0 or b != 0
 
     def is_real(self) -> bool:
-        return not self.im
+        return not self._t[1]
 
     def __eq__(self, other):
         if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
+            return self._t == other._t
+        a, b, d = self._t
+        if isinstance(other, int):
+            return b == 0 and d == 1 and a == other
+        if isinstance(other, Fraction):
+            return b == 0 and a == other.numerator and d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        a, b, d = self._t
+        if b:
+            return hash(self._t)
+        return hash(a) if d == 1 else hash(Fraction(a, d))
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
@@ -110,12 +140,40 @@ class GaussianRational:
         return format_scalar(self)
 
 
-def _coerce(x) -> GaussianRational:
+_set = GaussianRational._t.__set__
+_new = object.__new__
+
+
+def _triple(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b*i)/d; the triple must already be reduced."""
+    x = _new(GaussianRational)
+    _set(x, (a, b, d))
+    return x
+
+
+def _reduced(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b*i)/d for any integers a, b and d > 0."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _triple(a, b, d)
+
+
+def _parts(x) -> tuple:
+    """The reduced triple of a scalar operand."""
     if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational._raw(Fraction(x), Fraction(0))
+        return x._t
+    if isinstance(x, int):
+        return int(x), 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
     raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+
+
+def _coerce(x) -> GaussianRational:
+    return x if isinstance(x, GaussianRational) else _triple(*_parts(x))
 
 
 ZERO = GaussianRational(0)
@@ -167,4 +225,3 @@ def parse_scalar(s: str) -> GaussianRational:
     if m:
         return GaussianRational(Fraction(m.group("re")), 0)
     raise ValueError(f"not a valid scalar string: {s!r}")
-

@@ -99,8 +99,8 @@ class Scenario:
                 _check_int(f"tests.random.{key}", randcfg[key], low)
         _check_type("tests.random.lambda_corrections",
                     randcfg.get("lambda_corrections", True), bool)
-        for cmd in scenario.commands:
-            _normalize_command(cmd)
+        _normalize_commands(scenario.commands)
+        _check_data(scenario)
         return scenario
 
     def to_json(self) -> dict:
@@ -134,6 +134,47 @@ def _check_int(field: str, value, low: int) -> None:
     if not isinstance(value, int) or isinstance(value, bool) or value < low:
         raise ConfigurationError(
             f"scenario field {field!r} must be an integer >= {low}, got {value!r}")
+
+
+def _check_scalars(field: str, value, depth: int = 1) -> None:
+    """A list, nested depth deep, of exact scalars written as strings or
+    integers; a float such as 0.1 is not the rational it looks like."""
+    if depth:
+        _check_type(field, value, list)
+        for i, x in enumerate(value):
+            _check_scalars(f"{field}[{i}]", x, depth - 1)
+    elif isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ConfigurationError(
+            f"scenario field {field!r} must be a string or an integer, got {value!r}")
+
+
+def _check_lists(field: str, node) -> None:
+    """Every `entries`, `coeffs` and `poly` below node is a list."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            if key in ("entries", "coeffs", "poly"):
+                _check_type(f"{field}.{key}", value, list)
+            _check_lists(f"{field}.{key}", value)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _check_lists(f"{field}[{i}]", value)
+
+
+def _check_data(scenario: Scenario) -> None:
+    """Points, vectors, theta and glue weights are lists of scalars written
+    as strings or integers, and the terms of explicit tests are lists: a
+    string in place of a list would be read as its characters."""
+    if "theta" in scenario.star_product:
+        _check_scalars("star_product.theta", scenario.star_product["theta"], 2)
+    atoms = scenario.functional.get("atoms")
+    for i, atom in enumerate(atoms if isinstance(atoms, list) else []):
+        for key in ("point", "vector"):
+            if isinstance(atom, dict) and key in atom:
+                _check_scalars(f"functional.atoms[{i}].{key}", atom[key])
+    if scenario.glue_weights is not None:
+        _check_scalars("glue.weights", scenario.glue_weights)
+    for i, entry in enumerate(scenario.tests.get("explicit", [])):
+        _check_lists(f"tests.explicit[{i}]", entry)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -272,16 +313,31 @@ def generate_tests(scenario: Scenario, seed_override: int | None = None):
 # the runner
 # ---------------------------------------------------------------------------
 
-def _normalize_command(cmd) -> dict:
-    """The command as a dict, after checking its op and check-pos fields."""
-    cmd = {"op": cmd} if isinstance(cmd, str) else cmd
-    if not isinstance(cmd, dict) or cmd.get("op") not in DEFAULT_COMMANDS:
-        raise ConfigurationError(f"bad command entry: {cmd!r}")
-    for key, allowed in CHECK_POS_FIELDS.items():
-        if cmd["op"] == "check-pos" and key in cmd and cmd[key] not in allowed:
+def _normalize_commands(commands: list) -> list:
+    """The commands as dicts, after checking each op, the check-pos fields
+    and that every command comes after the one whose result it uses."""
+    out, seen = [], set()
+    for i, cmd in enumerate(commands):
+        cmd = {"op": cmd} if isinstance(cmd, str) else cmd
+        if not isinstance(cmd, dict) or cmd.get("op") not in DEFAULT_COMMANDS:
+            raise ConfigurationError(f"bad command entry commands[{i}]: {cmd!r}")
+        op = cmd["op"]
+        for key, allowed in CHECK_POS_FIELDS.items():
+            if op == "check-pos" and key in cmd and cmd[key] not in allowed:
+                raise ConfigurationError(
+                    f"check-pos field {key!r} must be one of {allowed}, got {cmd[key]!r}")
+        if op == "deform":
+            needs = "build-tau"
+        elif op == "check-pos" and cmd.get("functional", "deformed") == "deformed":
+            needs = "deform"
+        else:
+            needs = None
+        if needs is not None and needs not in seen:
             raise ConfigurationError(
-                f"check-pos field {key!r} must be one of {allowed}, got {cmd[key]!r}")
-    return dict(cmd)
+                f"commands[{i}]: {op} needs an earlier {needs} command")
+        seen.add(op)
+        out.append(dict(cmd))
+    return out
 
 
 def run_scenario(scenario: Scenario, seed_override: int | None = None,
@@ -293,7 +349,7 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
         )
     t_start = time.perf_counter()
     timings = {}
-    commands = [_normalize_command(c) for c in scenario.commands]
+    commands = _normalize_commands(scenario.commands)
     results = []
     verdict_outcomes = []
 
@@ -339,9 +395,6 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
             if not realization.ok:
                 break
         elif op == "deform":
-            if tau is None:
-                record(op, "fail", {"error": "deform requires a built embedding"}, t0)
-                break
             deformed = deform_functional(state, tau, K=scenario.K)
             record(op, "pass", deformed.describe(), t0)
         else:  # check-pos
@@ -351,11 +404,6 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
             if which == "undeformed":
                 functional = UndeformedExtension(state, scenario.K)
             elif which == "deformed":
-                if deformed is None:
-                    record(op, "fail",
-                           {"error": "check-pos on the deformed functional "
-                                     "requires a prior deform step"}, t0)
-                    break
                 functional = deformed
             else:  # glued
                 if scenario.glue_weights is None:

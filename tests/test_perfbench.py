@@ -20,3 +20,8 @@ def test_traced_cli_run(tmp_path):
     result = json.loads(out.read_text())
     assert result["problems"] == []
     assert result["incl"]["weyl.resolve_fock_sign"] > 0
+    # the scalar counters wrap the operator slots of GaussianRational, so
+    # arithmetic routed around those slots would read zero here
+    counts = result["counts"]
+    assert counts["rationals.mul_calls"] > 0
+    assert counts["rationals.add_calls"] > 0

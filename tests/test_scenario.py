@@ -8,6 +8,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dqw.cli import main as cli_main
+from dqw.rationals import parse_scalar
 from dqw.scenario import (ConfigurationError, Scenario, emit_report,
                           load_scenario, run_scenario, strip_timings)
 
@@ -146,6 +147,12 @@ class TestReports:
             emit_report(report, "yaml")
 
 
+def _k0_without_command(index):
+    data = json.loads((SCENARIO_DIR / "k0-degenerate.json").read_text())
+    del data["commands"][index]
+    return data
+
+
 class TestCli:
     def test_run_verb(self, capsys):
         code = cli_main(["run", "--scenario",
@@ -203,6 +210,29 @@ class TestCli:
         ("'tests.random.lambda_corrections'",
          lambda d: d["tests"]["random"].update(lambda_corrections="yes")),
         ("'expect'", lambda d: d["commands"][3].update(expect="maybe")),
+        # deform without build-tau, deformed check-pos without deform
+        ("commands[1]", lambda d: Replace(_k0_without_command(1))),
+        ("commands[2]", lambda d: Replace(_k0_without_command(2))),
+        ("commands[2]", lambda d: d.update(commands=["validate", "build-tau", "check-pos"])),
+        # data fields are lists (not strings) of strings or integers (not floats or bools)
+        ("'star_product.theta[0][1]'",
+         lambda d: d["star_product"]["theta"][0].__setitem__(1, 0.5)),
+        ("'star_product.theta[1]'",
+         lambda d: d["star_product"]["theta"].__setitem__(1, "-10")),
+        ("'functional.atoms[0].point[0]'",
+         lambda d: d["functional"]["atoms"][0]["point"].__setitem__(0, 0.1)),
+        ("'functional.atoms[0].point'",
+         lambda d: d["functional"]["atoms"][0].update(point="00")),
+        ("'functional.atoms[0].vector'",
+         lambda d: d["functional"]["atoms"][0].update(vector="1")),
+        ("'functional.atoms[0].vector[0]'",
+         lambda d: d["functional"]["atoms"][0].update(vector=[True])),
+        ("'glue.weights[0]'", lambda d: d.update(glue={"weights": [0.5, "1/2"]})),
+        ("'glue.weights'", lambda d: d.update(glue={"weights": "1"})),
+        ("'tests.explicit[0].coeffs'",
+         lambda d: d["tests"]["explicit"][0].update(coeffs="")),
+        ("'tests.explicit[0].coeffs[0].poly'",
+         lambda d: d["tests"]["explicit"][0]["coeffs"][0].update(poly="")),
     ])
     def test_malformed_scenario_exit_two(self, tmp_path, capsys, field, mutate):
         data = json.loads((SCENARIO_DIR / "moyal-r2-delta.json").read_text())
@@ -257,9 +287,20 @@ def _int_at_least(low):
     return lambda v: type(v) is int and v >= low
 
 
-def _rational(v):
+def _exact(v):
+    """A rational written as a string or an integer (not a float or a bool)."""
+    if isinstance(v, bool) or not isinstance(v, (str, int)):
+        return False
     try:
         Fraction(v)
+    except ValueError:
+        return False
+    return True
+
+
+def _scalar_string(v):
+    try:
+        parse_scalar(v)
     except (TypeError, ValueError):
         return False
     return True
@@ -283,8 +324,14 @@ CONFIG_FIELDS = {
     ("tau", "source"): (False, lambda v: v in ("solver", "closed_form")),
     ("functional",): (True, _is(dict)),
     ("functional", "atoms"): (True, _is(list)),
+    ("functional", "atoms", "*", "point"): (True, _is(list)),
+    ("functional", "atoms", "*", "point", "*"): (True, _exact),
+    ("functional", "atoms", "*", "vector"): (True, _is(list)),
+    ("functional", "atoms", "*", "vector", "*"): (True, _scalar_string),
     ("tests",): (False, _is(dict)),
     ("tests", "explicit"): (False, _is(list)),
+    ("tests", "explicit", "*", "coeffs"): (True, _is(list)),
+    ("tests", "explicit", "*", "coeffs", "*", "poly"): (True, _is(list)),
     ("tests", "random"): (False, _is(dict)),
     ("tests", "random", "seed"): (True, _int_at_least(0)),
     ("tests", "random", "count"): (False, _int_at_least(0)),
@@ -294,7 +341,7 @@ CONFIG_FIELDS = {
     # the glued check needs the weights
     ("glue",): (True, _is(dict)),
     ("glue", "weights"): (True, lambda v: isinstance(v, list) and bool(v)),
-    ("glue", "weights", "*"): (True, _rational),
+    ("glue", "weights", "*"): (True, _exact),
     ("commands",): (False, _is(list)),
     ("commands", "*"): (False, lambda v: v in OPS or (
         isinstance(v, dict) and v.get("op") in OPS)),
