@@ -4,8 +4,7 @@ order and uses it to deform classical positive functionals into
 functionals positive for the star product, verifying every step
 symbolically at a configurable truncation order."""
 
-from .cobsolver import (SolverConfig, SolverInfeasible, solve_classical_coboundary,
-                        solve_coboundary)
+from .cobsolver import solve_classical_coboundary, solve_coboundary
 from .cochain import (MultiDiffCochain, alt, coboundary, cochain_weyl_product,
                       compose_slot, identity_cochain, mu_cochain)
 from .functionals import (DeformedFunctional, GluedFunctional, MatrixLambdaPoly,

@@ -1,102 +1,59 @@
-"""Constructive coboundary solving by exact linear algebra.
+"""Constructive coboundary solving in closed form.
 
 Given a graded 2-cochain phi that is a cocycle for the deformed
 differential and whose classical limit has vanishing antisymmetrization,
 this module produces a 1-cochain psi with d(psi) = phi as an exact
-normal-form identity.  The route is a graded linear solve:
+normal-form identity.  The coefficient monomial q^E is inert under the
+coboundary, so psi is read through its symbol sigma(p, xi) and the
+equation is solved one lam-level a = 0..degree at a time, lowest first
+(the delta / delta^-1 recursion of Fedosov):
 
-* the unknown psi ranges over normal-form basis terms (a, I, J, E) of
-  the same combined degree as phi, with the derivative order |J| bounded
-  by the maximum order in phi plus a slack, escalating (doubling) on
-  infeasibility up to a cap;
-* the coboundary operator never touches the coefficient monomial q^E, so
-  the system splits into independent blocks per monomial E drawn from
-  phi's own coefficient support (enlarging the q-degree ansatz cannot
-  help, which is why no q-degree escalation is performed);
-* each block is solved over Q(i) by sparse exact elimination; free
-  unknowns are set to zero after a column ordering by (lam-power,
-  derivative order, p-exponent, derivative index), which makes the
-  output deterministic and biased toward low-order solutions.
+* the antisymmetric part of the level-a residual is a biderivation
+  sum_{k<l} omega_kl (D_k (x) D_l - D_l (x) D_k) whose coefficients form
+  a closed momentum 2-form omega.  With d_p X = omega (the axial
+  potential of `koszul`), the derivation lam^(a-1) (-2i) X_l(p) D_l has
+  exactly this antisymmetric part as its level-a coboundary;
+* what remains at level a is a symmetric classical cocycle, inverted by
+  polarization: sigma_m(xi) = phi_m(xi, xi) / (2 - 2^m) for the part of
+  total derivative order m, i.e. termwise
+  p^I c D^{J1} (x) D^{J2} -> p^I c / (2 - 2^m) D^{J1+J2}.
 
-An optional preconditioner strips the target level by level in the
-lam-power, solving classical-mode systems (which additionally split per
-(a, I, E) and per total derivative order) while the antisymmetrized
-obstruction of the current level vanishes; whatever remains goes to the
-direct solve.  Every returned solution is re-verified symbolically
-against the original target before being handed back.
+The deformed coboundary of each new piece is subtracted from the
+residual, which pushes its higher-order terms to later levels.  The
+returned solution is re-verified symbolically against the original
+target.  The exact sparse elimination below serves the purely classical
+arity-3 solve of `starspec.make_linear_poisson_2d_star`.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .cochain import MultiDiffCochain, alt, coboundary, find_witness
+from .koszul import KoszulForm, axial_potential
 from .qpoly import QPolynomial
 from .rationals import GaussianRational, ONE
 from .terms import accumulate, exponents
+from .welement import _add_idx
 from .weyl import ConsistencyError
-
-
-class ConfigurationError(ValueError):
-    """Malformed or inconsistent outside input: scenario content or the
-    solver's environment variable."""
 
 
 class CocyclePrecondition(ValueError):
     """The target is not solvable: precondition violated, with witness."""
 
 
-class SolverInfeasible(RuntimeError):
-    """No solution within the escalated ansatz bounds."""
-
-    def __init__(self, message, bounds_tried):
-        super().__init__(message)
-        self.bounds_tried = bounds_tried
-
-
-class SolverLimitExceeded(RuntimeError):
-    """The assembled linear system exceeds the configured cell cap."""
-
-
-DEFAULT_MAX_CELLS = 50_000_000
-
-
-def _max_cells() -> int:
-    raw = os.environ.get("DQW_MAX_SOLVER_CELLS")
-    if raw is None:
-        return DEFAULT_MAX_CELLS
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"DQW_MAX_SOLVER_CELLS must be an integer, got {raw!r}") from None
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    deriv_slack: int = 2
-    max_escalations: int = 2
-    min_deriv_order: int = 0
-    use_preconditioner: bool = True
-
-
 @dataclass
 class SolveReport:
     degree: int = 0
-    stripped_levels: int = 0
-    direct_blocks: list = field(default_factory=list)
-    bounds_tried: list = field(default_factory=list)
-    classical_blocks: int = 0
+    potential_levels: list = field(default_factory=list)
+
+    # always empty; perfbench/tracer.py's on_solve still reads them
+    direct_blocks = property(lambda self: ())
+    bounds_tried = property(lambda self: ())
 
     def to_json(self) -> dict:
-        return {
-            "degree": self.degree,
-            "stripped_levels": self.stripped_levels,
-            "direct_blocks": self.direct_blocks,
-            "bounds_tried": self.bounds_tried,
-            "classical_blocks": self.classical_blocks,
-        }
+        return {"degree": self.degree, "potential_levels": self.potential_levels}
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +81,6 @@ def solve_sparse_system(columns, rhs, col_order):
         rhs_list.append(rhs.get(rk, _GZERO))
 
     ncols = len(col_order)
-    if len(row_list) * max(ncols, 1) > _max_cells():
-        raise SolverLimitExceeded(
-            f"system of {len(row_list)} x {ncols} exceeds DQW_MAX_SOLVER_CELLS"
-        )
-
     # column -> set of row ids currently containing it
     occupancy = [set() for _ in range(ncols)]
     for ri, r in enumerate(row_list):
@@ -252,63 +204,11 @@ def _deriv_vectors(n: int, slots: int, total: int):
 
 
 # ---------------------------------------------------------------------------
-# direct deformed-mode solve
-# ---------------------------------------------------------------------------
-
-def _direct_solve(phi: MultiDiffCochain, degree: int, jmax: int,
-                  min_deriv: int, report: SolveReport):
-    """One attempt at the direct graded solve with derivative bound jmax.
-
-    Returns the solution cochain or None when infeasible at this bound.
-    """
-    n, K = phi.n, phi.K
-    shapes = []
-    for a in range(min(degree, K) + 1):
-        for idx in exponents(n, degree - a):
-            shapes.append((a, tuple(idx)))
-    jset = [j for t in range(jmax + 1) if t >= min_deriv for j in exponents(n, t)]
-
-    # the coboundary image of a basis term does not depend on the
-    # coefficient monomial, so expansions are shared across E blocks
-    expansions = {}
-    for (a, idx) in shapes:
-        for j in jset:
-            basis = MultiDiffCochain(
-                n, K, 1, {(a, idx, (j,)): QPolynomial.constant(n, 1)}
-            )
-            image = coboundary(basis, deformed=True)
-            expansions[(a, idx, j)] = [(key[:3], c2) for key, c2 in image.flat_terms()]
-
-    monomials = sorted(phi.coefficient_monomials())
-    flat_by_exp: dict = {}
-    for (a, idx, jvec, exp), c in phi.flat_terms():
-        flat_by_exp.setdefault(exp, {})[(a, idx, jvec)] = c
-
-    col_order = sorted(expansions, key=lambda u: (u[0], sum(u[2]), u[1], u[2]))
-    solution_flat: dict = {}
-    for exp in monomials:
-        rhs = flat_by_exp.get(exp)
-        if not rhs:
-            continue
-        sol = solve_sparse_system(expansions, rhs, col_order)
-        if sol is None:
-            return None
-        report.direct_blocks.append(
-            {"monomial": list(exp), "cols": len(col_order), "rows": len(rhs)}
-        )
-        for (a, idx, j), c in sol.items():
-            solution_flat[(a, idx, (j,), exp)] = c
-    return MultiDiffCochain.from_flat(solution_flat, phi.n, phi.K, 1)
-
-
-# ---------------------------------------------------------------------------
-# public entry
+# closed-form deformed solve
 # ---------------------------------------------------------------------------
 
 def check_solvability_preconditions(phi: MultiDiffCochain):
     """Cocycle and symmetric-classical-part checks, with witnesses."""
-    if phi.arity != 2:
-        raise ValueError("solver expects an arity-2 target")
     dphi = coboundary(phi, deformed=True)
     if not dphi.is_zero():
         args, val = find_witness(dphi)
@@ -325,15 +225,64 @@ def check_solvability_preconditions(phi: MultiDiffCochain):
         )
 
 
-def solve_coboundary(phi: MultiDiffCochain, config: SolverConfig | None = None,
-                     check_preconditions: bool = True):
+def _level(phi: MultiDiffCochain, a: int) -> MultiDiffCochain:
+    return MultiDiffCochain(phi.n, phi.K, phi.arity,
+                            {k: p for k, p in phi.terms.items() if k[0] == a})
+
+
+_MINUS_TWO_I = GaussianRational(0, -2)
+
+
+def _potential_term(antisym: MultiDiffCochain, a: int) -> MultiDiffCochain:
+    """The derivation lam^(a-1) (-2i) X_l(p) D_l whose level-a coboundary
+    is the antisymmetric biderivation antisym: d_p X = omega, the 2-form
+    of antisym's coefficients on the slots (D_k, D_l), k < l."""
+    n = antisym.n
+    omega = {}
+    for (_a, idx, (j1, j2)), poly in antisym.terms.items():
+        if a == 0 or sum(j1) != 1 or sum(j2) != 1:
+            raise ConsistencyError(
+                f"antisymmetric part at lam-level {a} is not a lam multiple "
+                "of a biderivation")
+        k, l = j1.index(1), j2.index(1)
+        if k < l:
+            omega[(idx, (k, l))] = poly
+    try:
+        potential = axial_potential(KoszulForm(n, 2, omega))
+    except ValueError:
+        raise ConsistencyError(
+            f"antisymmetric part at lam-level {a} is not closed") from None
+    return MultiDiffCochain(n, antisym.K, 1, {
+        (a - 1, idx, (tuple(1 if d == l else 0 for d in range(n)),)):
+            poly.scale(_MINUS_TWO_I)
+        for (idx, (l,)), poly in potential.terms.items()
+    })
+
+
+def _polarized_term(part: MultiDiffCochain) -> MultiDiffCochain:
+    """The 1-cochain sigma whose classical coboundary is the symmetric
+    classical cocycle part: sigma_m(xi) = part_m(xi, xi) / (2 - 2^m)."""
+    out: dict = {}
+    for (a, idx, (j1, j2)), poly in part.terms.items():
+        m = sum(j1) + sum(j2)
+        if m == 1:
+            raise ConsistencyError(
+                f"symmetric part at lam-level {a} has a first-order term")
+        accumulate(out, (a, idx, (_add_idx(j1, j2),)),
+                   poly.scale(Fraction(1, 2 - 2 ** m)))
+    return MultiDiffCochain(part.n, part.K, 1, out)
+
+
+def solve_coboundary(phi: MultiDiffCochain, check_preconditions: bool = True):
     """Find psi with d(psi) = phi, exactly.  Returns (psi, report).
 
     phi must be an arity-2 cocycle, homogeneous for the combined grading,
-    with symmetric classical limit.  The returned identity is re-verified
-    before returning regardless of the route taken.
+    with symmetric classical limit; check_preconditions=False skips
+    re-checking that for a caller that already has.  The returned
+    identity is re-verified before returning in every case.
     """
-    config = config or SolverConfig()
+    if phi.arity != 2:
+        raise ValueError("solver expects an arity-2 target")
     n, K = phi.n, phi.K
     report = SolveReport()
     if phi.is_zero():
@@ -348,45 +297,20 @@ def solve_coboundary(phi: MultiDiffCochain, config: SolverConfig | None = None,
 
     psi = MultiDiffCochain.zero(n, K, 1)
     residual = phi
-
-    if config.use_preconditioner:
-        for level in range(degree + 1):
-            if residual.is_zero():
-                break
-            part = MultiDiffCochain(
-                n, K, 2,
-                {k: p for k, p in residual.terms.items() if k[0] == level},
-            )
-            if part.is_zero():
-                continue
-            if not alt(part).is_zero():
-                break  # antisymmetric class at this level: leave to direct solve
-            partial = solve_classical_coboundary(part, normalized=config.min_deriv_order >= 1)
-            if partial is None:
-                break
-            report.classical_blocks += 1
-            report.stripped_levels = level + 1
-            psi = psi + partial
-            residual = residual - coboundary(partial, deformed=True)
-
-    if not residual.is_zero():
-        jmax = phi.max_deriv_order() + config.deriv_slack
-        attempt = 0
-        solved = None
-        while True:
-            report.bounds_tried.append(jmax)
-            solved = _direct_solve(residual, degree, jmax, config.min_deriv_order, report)
-            if solved is not None:
-                break
-            attempt += 1
-            if attempt > config.max_escalations:
-                raise SolverInfeasible(
-                    "no solution within derivative-order bounds "
-                    f"{report.bounds_tried}",
-                    report.bounds_tried,
-                )
-            jmax *= 2
-        psi = psi + solved
+    for a in range(degree + 1):
+        part = _level(residual, a)
+        if part.is_zero():
+            continue
+        antisym = alt(part)
+        if not antisym.is_zero():
+            term = _potential_term(antisym, a)
+            report.potential_levels.append(a)
+            psi = psi + term
+            residual = residual - coboundary(term, deformed=True)
+            part = _level(residual, a)
+        term = _polarized_term(part)
+        psi = psi + term
+        residual = residual - coboundary(term, deformed=True)
 
     if coboundary(psi, deformed=True) != phi:
         raise ConsistencyError("solver certificate failed: d(psi) != phi")

@@ -1,12 +1,14 @@
 """Forms in the momentum differentials dp_i with polynomial-in-(q, p)
-coefficients, and the Euler-contraction homotopy.
+coefficients, the Euler-contraction homotopy and the axial potential of
+a closed 2-form.
 
 A degree-k form is a sum of terms c(q) * p^I * dp_{i_1} ^ ... ^ dp_{i_k}
 with i_1 < ... < i_k; antisymmetry is structural (index sets are kept
 sorted, signs normalized away).  The exterior derivative d_p acts in the
 p variables only.  Contraction with the Euler field sum_i p_i d/dp_i,
 weighted by 1 / (p-weight + form degree), gives a homotopy h with
-d_p h + h d_p = id on every form of degree >= 1.
+d_p h + h d_p = id on every form of degree >= 1.  The coboundary solver
+uses the axial gauge instead, whose potentials have far fewer terms.
 """
 
 from __future__ import annotations
@@ -90,3 +92,33 @@ def poincare_homotopy(omega: KoszulForm) -> KoszulForm:
         contracted = euler_contraction(piece)
         out = out + contracted.scale(Fraction(1, w))
     return out
+
+
+def axial_potential(omega: KoszulForm) -> KoszulForm:
+    """A 1-form X with d_p X = omega for a closed 2-form omega, in the
+    axial gauge: X has no dp_{n-1} component.
+
+    Peels the momenta off from the last index m = n-1 down: with
+    Y_k = -int_0^{p_m} omega_km dp_m for each k < m (termwise
+    p^I -> p^(I + e_m) / (I_m + 1)), omega - d_p(sum_k Y_k dp_k) no longer
+    involves dp_m, and the recursion goes on with the remaining indices.
+    Raises ValueError when something is left at the end: omega was not
+    closed.
+    """
+    if omega.degree != 2:
+        raise ValueError("axial potential requires a 2-form")
+    n = omega.n
+    rest = omega
+    potential = KoszulForm.zero(n, 1)
+    for m in range(n - 1, 0, -1):
+        step: dict = {}
+        for (idx, (k, l)), poly in rest.terms.items():
+            if l == m:
+                raised = idx[:m] + (idx[m] + 1,) + idx[m + 1:]
+                accumulate(step, (raised, (k,)), poly.scale(Fraction(-1, idx[m] + 1)))
+        y = KoszulForm(n, 1, step)
+        potential = potential + y
+        rest = rest - d_p(y)
+    if not rest.is_zero():
+        raise ValueError("form is not closed: no potential exists")
+    return potential

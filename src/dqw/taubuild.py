@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cobsolver import SolverConfig, solve_coboundary
+from .cobsolver import solve_coboundary
 from .cochain import (MultiDiffCochain, alt, coboundary, cochain_weyl_product,
                       compose_slot, find_witness, identity_cochain, mu_cochain,
                       plug_constant)
@@ -74,7 +74,6 @@ class BuildReport:
     hermitian: bool
     sign: int | None
     spec_digest: str
-    solver_config: dict
     stages: list = field(default_factory=list)
 
     def to_json(self) -> dict:
@@ -84,15 +83,13 @@ class BuildReport:
             "hermitian": self.hermitian,
             "sign": self.sign,
             "spec_digest": self.spec_digest,
-            "solver_config": self.solver_config,
             "stages": [s.to_json() for s in self.stages],
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "BuildReport":
         rep = cls(n=data["n"], K=data["K"], hermitian=data["hermitian"],
-                  sign=data["sign"], spec_digest=data["spec_digest"],
-                  solver_config=data["solver_config"])
+                  sign=data["sign"], spec_digest=data["spec_digest"])
         rep.stages = [
             StageReport(stage=s["stage"], stage_term=s["stage_term"],
                         cl_symmetric=s["cl_symmetric"], sign=s["sign"],
@@ -315,13 +312,12 @@ def epsilon_cochain(spec: StarProductSpec, taus, upto: int) -> MultiDiffCochain:
 
 
 def build_tau(spec: StarProductSpec, K: int, hermitian: bool | None = None,
-              solver_config: SolverConfig | None = None,
               validate: bool = True):
     """Construct the embedding through combined degree K.
 
     Returns (TauMap, BuildReport).  Raises BuildAborted when a structural
     assertion fails, InvalidStarProduct when validation fails, and
-    propagates solver errors.
+    ConsistencyError when a solver certificate or an error check fails.
     """
     if K > spec.order:
         raise InvalidStarProduct(
@@ -335,27 +331,10 @@ def build_tau(spec: StarProductSpec, K: int, hermitian: bool | None = None,
         hermitian = spec.hermitian
     if hermitian and not spec.hermitian:
         raise InvalidStarProduct("Hermitian build requires a Hermitian star product")
-    config = solver_config or SolverConfig(min_deriv_order=1)
-    if config.min_deriv_order < 1:
-        # unit preservation tau(1) = 1 needs derivative order >= 1 in
-        # every correction stage
-        config = SolverConfig(
-            deriv_slack=config.deriv_slack,
-            max_escalations=config.max_escalations,
-            min_deriv_order=1,
-            use_preconditioner=config.use_preconditioner,
-        )
-
     n = spec.n
     report = BuildReport(
         n=n, K=K, hermitian=hermitian, sign=None,
         spec_digest=spec_digest(spec),
-        solver_config={
-            "deriv_slack": config.deriv_slack,
-            "max_escalations": config.max_escalations,
-            "min_deriv_order": config.min_deriv_order,
-            "use_preconditioner": config.use_preconditioner,
-        },
     )
     taus = [identity_cochain(n, K)]
     sign = None
@@ -374,8 +353,9 @@ def build_tau(spec: StarProductSpec, K: int, hermitian: bool | None = None,
         candidates = [sign] if sign is not None else [1, -1]
         solved = None
         for s in candidates:
-            psi, solve_rep = solve_coboundary(
-                rk.scale(s), config=config, check_preconditions=(s == candidates[0]))
+            # compute_Rk has already checked the cocycle and classical-limit
+            # preconditions, with witnesses
+            psi, solve_rep = solve_coboundary(rk.scale(s), check_preconditions=False)
             cand = psi.hermitian_part() if hermitian else psi
             trial = taus + [cand]
             eps = epsilon_cochain(spec, trial, k)

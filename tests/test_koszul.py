@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from dqw.koszul import KoszulForm, d_p, euler_contraction, poincare_homotopy
+from dqw.koszul import (KoszulForm, axial_potential, d_p, euler_contraction,
+                        poincare_homotopy)
 from dqw.qpoly import QPolynomial
 
 N = 3
@@ -77,3 +78,23 @@ def test_euler_contraction_squares_to_zero():
     rng = random.Random(9)
     w = random_form(rng, 2)
     assert euler_contraction(euler_contraction(w)).is_zero()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_axial_potential_of_exact_forms(n):
+    rng = random.Random(100 + n)
+    nonzero = 0
+    for _ in range(6):
+        w = d_p(random_form(rng, 1, n=n))
+        x = axial_potential(w)
+        assert d_p(x) == w == d_p(poincare_homotopy(w))
+        assert all(sel != (n - 1,) for (_idx, sel) in x.terms)
+        nonzero += bool(w)
+    assert nonzero >= 5
+
+
+def test_axial_potential_rejects_non_closed_form():
+    w = KoszulForm(N, 2, {((1, 0, 0), (1, 2)): ONE})
+    assert not d_p(w).is_zero()
+    with pytest.raises(ValueError, match="not closed"):
+        axial_potential(w)

@@ -233,6 +233,17 @@ class TestCli:
          lambda d: d["tests"]["explicit"][0].update(coeffs="")),
         ("'tests.explicit[0].coeffs[0].poly'",
          lambda d: d["tests"]["explicit"][0]["coeffs"][0].update(poly="")),
+        # the n and max_order of an explicit test are integers in range
+        ("'tests.explicit[0].n'", lambda d: d["tests"]["explicit"][0].update(n=2.0)),
+        ("'tests.explicit[0].max_order'",
+         lambda d: d["tests"]["explicit"][0].update(max_order=2.5)),
+        ("'tests.explicit[0].max_order'",
+         lambda d: d["tests"]["explicit"][0].update(max_order=True)),
+        ("'tests.explicit[0].max_order'",
+         lambda d: d["tests"]["explicit"][0].update(max_order=-1)),
+        ("'tests.explicit[0].entries[0][0].max_order'",
+         lambda d: d["tests"]["explicit"].__setitem__(
+             0, {"entries": [[{**d["tests"]["explicit"][0], "max_order": -1}]]})),
     ])
     def test_malformed_scenario_exit_two(self, tmp_path, capsys, field, mutate):
         data = json.loads((SCENARIO_DIR / "moyal-r2-delta.json").read_text())
@@ -330,6 +341,8 @@ CONFIG_FIELDS = {
     ("functional", "atoms", "*", "vector", "*"): (True, _scalar_string),
     ("tests",): (False, _is(dict)),
     ("tests", "explicit"): (False, _is(list)),
+    ("tests", "explicit", "*", "n"): (True, _int_at_least(1)),
+    ("tests", "explicit", "*", "max_order"): (True, _int_at_least(0)),
     ("tests", "explicit", "*", "coeffs"): (True, _is(list)),
     ("tests", "explicit", "*", "coeffs", "*", "poly"): (True, _is(list)),
     ("tests", "random"): (False, _is(dict)),
