@@ -12,7 +12,7 @@ Writes, next to the hand-written scenarios:
   by exact classical solves of the associativity constraints.
 
 Both outputs are deterministic; rerunning the script reproduces them
-byte for byte.
+byte for byte.  `fixtures()` returns the texts without writing them.
 """
 
 import json
@@ -30,12 +30,12 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"
 
 
-def dump(path, data):
-    path.write_text(json.dumps(data, sort_keys=True, indent=2) + "\n")
-    print(f"wrote {path.relative_to(ROOT)}")
+def _text(data) -> str:
+    return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def main():
+def fixtures() -> dict:
+    """The derived fixtures as {path: file text}."""
     moyal = make_constant_theta_star([[0, 1], [-1, 0]], K=4)
     bump = MultiDiffCochain(
         2, 4, 2,
@@ -58,11 +58,19 @@ def main():
                      {"op": "check-pos", "functional": "deformed",
                       "expect": "nonnegative"}],
     }
-    dump(SCENARIOS / "perturbed-c2.json", scenario)
 
     linear = make_linear_poisson_2d_star(K=3)
     assert validate_star(linear).ok
-    dump(SCENARIOS / "linear-poisson-2d-spec.json", linear.to_json())
+    return {
+        SCENARIOS / "perturbed-c2.json": _text(scenario),
+        SCENARIOS / "linear-poisson-2d-spec.json": _text(linear.to_json()),
+    }
+
+
+def main():
+    for path, text in fixtures().items():
+        path.write_text(text)
+        print(f"wrote {path.relative_to(ROOT)}")
 
 
 if __name__ == "__main__":

@@ -379,6 +379,10 @@ def cochain_weyl_product(phi: MultiDiffCochain, psi: MultiDiffCochain) -> MultiD
 def _splittings(j: tuple, parts: int):
     """All ways to write the multi-index j as an ordered sum of `parts`
     multi-indices, with the multinomial coefficient."""
+    if parts == 0:
+        if not any(j):
+            yield [], 1
+        return
     n = len(j)
     per_dim = []
     for d in range(n):
@@ -412,26 +416,27 @@ def compose_slot(phi: MultiDiffCochain, slot: int, inner: MultiDiffCochain) -> M
     m = inner.arity
     out: dict = {}
     inner_flat = list(inner.flat_terms())
+    splits: dict = {}  # multi-index -> its splittings over the m inner slots
     for (a, idx, jvec, exp), c in phi.flat_terms():
         j = jvec[slot]
+        head, tail = jvec[:slot], jvec[slot + 1:]
         for (_, _, avec, fexp), ic in inner_flat:
-            for pieces, mult in _splittings(j, m + 1):
-                j0 = pieces[0]
-                # j0 differentiates the inner coefficient monomial q^fexp
-                fall = 1
-                ok = True
-                for d in range(n):
-                    if j0[d] > fexp[d]:
-                        ok = False
-                        break
-                    for t in range(j0[d]):
-                        fall *= fexp[d] - t
-                if not ok:
-                    continue
+            cc = c * ic
+            # Leibniz: j0 <= j differentiates the inner coefficient q^fexp
+            # (weight C(j, j0) * fexp!/(fexp - j0)!), the rest splits over
+            # the inner arguments
+            for j0 in _sub_indices(tuple(map(min, j, fexp))):
+                weight = math.prod(math.comb(x, y) * math.perm(f, y)
+                                   for x, f, y in zip(j, fexp, j0))
                 new_exp = _add_idx(exp, _sub_idx(fexp, j0))
-                new_slots = tuple(_add_idx(avec[s], pieces[s + 1]) for s in range(m))
-                newj = jvec[:slot] + new_slots + jvec[slot + 1:]
-                accumulate(out, (a, idx, newj, new_exp), c * ic * (mult * fall))
+                rest = _sub_idx(j, j0)
+                pieces_list = splits.get(rest)
+                if pieces_list is None:
+                    pieces_list = splits[rest] = list(_splittings(rest, m))
+                for pieces, mult in pieces_list:
+                    new_slots = tuple(_add_idx(avec[s], pieces[s]) for s in range(m))
+                    accumulate(out, (a, idx, head + new_slots + tail, new_exp),
+                               cc * (weight * mult))
     return MultiDiffCochain.from_flat(out, n, K, phi.arity + m - 1)
 
 

@@ -9,17 +9,25 @@ combined degree k, such that the error cochain
 
 vanishes identically in all combined degrees <= K (tau extended
 lam-linearly, the dot being the deformed q/p-pairing product).  Stage k
-reduces to one cohomological equation d(tau_k) = s * R_k with
+reduces to one cohomological equation d(tau_k) = R_k with
 
     R_k(f,g) = sum_{i<k} lam^{k-i} tau_i(C_{k-i}(f,g))
                - sum_{0<i<k} tau_i(f) . tau_{k-i}(g),
 
 where R_k is checked to be a homogeneous cocycle with symmetric
-classical limit before solving.  The stage sign s is not assumed: it is
-fixed at the first nontrivial stage by requiring the recomputed error to
-vanish, then asserted at every later stage.  For Hermitian star products
-each tau_k is replaced by its Hermitian part (which solves the same
-stage equation) and the error check is repeated.
+classical limit before solving.  Every tau_i is homogeneous of degree i,
+so adding tau_k leaves the error in degrees below k unchanged, and its
+degree-k component is exactly
+
+    eps_k = R_k - d(tau_k)
+
+with d the deformed coboundary.  So the stage equation carries no sign
+to search for (the reports record it as +1), and each stage checks only
+that one component.  For Hermitian star products each tau_k is
+replaced by its Hermitian part (which solves the same stage equation)
+before that check.  After the last stage the error is recomputed from
+the whole truncated tau in every degree <= K, an independent
+certificate of the total.
 """
 
 from __future__ import annotations
@@ -337,46 +345,28 @@ def build_tau(spec: StarProductSpec, K: int, hermitian: bool | None = None,
         spec_digest=spec_digest(spec),
     )
     taus = [identity_cochain(n, K)]
-    sign = None
     for k in range(1, K + 1):
         rk = compute_Rk(spec, taus, k)
         if rk.is_zero():
             taus.append(MultiDiffCochain.zero(n, K, 1))
             report.stages.append(StageReport(
-                stage=k, stage_term=None, cl_symmetric=True, sign=sign,
+                stage=k, stage_term=None, cl_symmetric=True, sign=report.sign,
                 hermitized=False, solver=None, epsilon_checked_to=k))
-            _check_epsilon(spec, taus, k)
             continue
         if hermitian and rk.involution() != rk:
             raise BuildAborted(f"stage-{k} term is not Hermitian")
-        tried = []
-        candidates = [sign] if sign is not None else [1, -1]
-        solved = None
-        for s in candidates:
-            # compute_Rk has already checked the cocycle and classical-limit
-            # preconditions, with witnesses
-            psi, solve_rep = solve_coboundary(rk.scale(s), check_preconditions=False)
-            cand = psi.hermitian_part() if hermitian else psi
-            trial = taus + [cand]
-            eps = epsilon_cochain(spec, trial, k)
-            bad = [d for d in range(k + 1) if not eps.component(d).is_zero()]
-            tried.append((s, bad))
-            if not bad:
-                solved = (s, cand, solve_rep)
-                break
-        if solved is None:
-            raise ConsistencyError(
-                f"no stage sign makes the degree-{k} error vanish: {tried}"
-            )
-        s, cand, solve_rep = solved
-        if sign is None:
-            sign = s
-            report.sign = s
+        # compute_Rk has already checked the cocycle and classical-limit
+        # preconditions, with witnesses
+        psi, solve_rep = solve_coboundary(rk, check_preconditions=False)
+        cand = psi.hermitian_part() if hermitian else psi
+        if not (rk - coboundary(cand, deformed=True)).is_zero():
+            raise ConsistencyError(f"error check failed in degree {k} at stage {k}")
+        report.sign = 1
         if not plug_constant(cand, 0).is_zero():
             raise BuildAborted(f"stage-{k} component does not vanish on constants")
         taus.append(cand)
         report.stages.append(StageReport(
-            stage=k, stage_term=rk.to_json(), cl_symmetric=True, sign=s,
+            stage=k, stage_term=rk.to_json(), cl_symmetric=True, sign=1,
             hermitized=hermitian, solver=solve_rep.to_json(),
             epsilon_checked_to=k))
 
@@ -391,13 +381,6 @@ def build_tau(spec: StarProductSpec, K: int, hermitian: bool | None = None,
                 raise ConsistencyError(f"component {k} is not Hermitian after build")
     tau = TauMap(n, K, taus, hermitian, report)
     return tau, report
-
-
-def _check_epsilon(spec, taus, k):
-    eps = epsilon_cochain(spec, taus, k)
-    for d in range(k + 1):
-        if not eps.component(d).is_zero():
-            raise ConsistencyError(f"error check failed in degree {d} at stage {k}")
 
 
 # ---------------------------------------------------------------------------
@@ -425,22 +408,20 @@ def check_poisson_realization(tau, spec: StarProductSpec, K: int | None = None,
     if K is None:
         K = tau.K if isinstance(tau, TauMap) else spec.order
     cl = tau.classical_part() if isinstance(tau, TauMap) else None
-    basis = [e for t in range(1, max_q_degree + 1) for e in exponents(n, t)]
+    if cl is not None:
+        def image(poly):
+            return cl.evaluate([poly])
+    else:
+        def image(poly):
+            # closed-form substitution map: exact on polynomials
+            return _classical_image(tau, poly, K)
+    basis = [QPolynomial.monomial(n, e)
+             for t in range(1, max_q_degree + 1) for e in exponents(n, t)]
+    images = [image(f) for f in basis]
     checked = 0
-    for e1 in basis:
-        f = QPolynomial.monomial(n, e1)
-        for e2 in basis:
-            g = QPolynomial.monomial(n, e2)
-            bracket = spec.poisson_bracket(f, g)
-            if cl is not None:
-                lhs = cl.evaluate([bracket])
-                rhs = canonical_bracket(cl.evaluate([f]), cl.evaluate([g]))
-            else:
-                # closed-form substitution map: exact on polynomials
-                lhs = _classical_image(tau, bracket, K)
-                rhs = canonical_bracket(_classical_image(tau, f, K),
-                                        _classical_image(tau, g, K))
-            diff = lhs - rhs
+    for f, f_image in zip(basis, images):
+        for g, g_image in zip(basis, images):
+            diff = image(spec.poisson_bracket(f, g)) - canonical_bracket(f_image, g_image)
             bad = {
                 key: p for key, p in diff.terms.items()
                 if key[0] == 0 and sum(key[1]) <= K - 1

@@ -59,8 +59,12 @@ class TermMap:
     def _shape(self) -> tuple:
         return tuple(getattr(self, name) for name in self._SHAPE)
 
-    def _new(self, terms) -> "TermMap":
-        return type(self)(*self._shape(), terms)
+    def _new(self, terms: dict) -> "TermMap":
+        """A map of the same shape; its keys come from operands of that
+        shape and its values are nonzero, so nothing is re-validated."""
+        out = object.__new__(type(self))
+        out._init(self._shape(), terms)
+        return out
 
     def _check(self, other: "TermMap"):
         if self._shape() != other._shape():

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
+import itertools
 import json
+import math
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqw.cochain import (MultiDiffCochain, alt, biderivation_cochain,
                          coboundary, cochain_weyl_product, compose_slot,
@@ -12,7 +15,7 @@ from dqw.qpoly import QPolynomial
 from dqw.rationals import I, gr
 from dqw.weyl import weyl_product
 
-from strategies import cochains, qpolynomials
+from strategies import cochains, exponents, gaussian_rationals, qpolynomials
 
 N, K = 2, 4
 ZERO_IDX = (0, 0)
@@ -144,6 +147,74 @@ class TestProductsAndComposition:
     def test_plug_constant(self):
         assert plug_constant(mu_cochain(N, K), 0) == identity_cochain(N, K)
         assert plug_constant(mu_cochain(N, K), 1) == identity_cochain(N, K)
+
+
+def _ordered_splits(j, parts):
+    """Every ordered tuple of `parts` multi-indices summing to j."""
+    if parts == 1:
+        yield (j,)
+        return
+    for first in itertools.product(*[range(x + 1) for x in j]):
+        rest = tuple(x - y for x, y in zip(j, first))
+        for tail in _ordered_splits(rest, parts - 1):
+            yield (first,) + tail
+
+
+def _reference_compose_slot(phi, slot, inner):
+    """The kernel compose_slot used to be: split the slot's derivative
+    over the inner coefficient and all m inner arguments at once, then drop
+    every split whose first piece differentiates q^fexp too often."""
+    m = inner.arity
+    out = {}
+    for (a, idx, jvec, exp), c in phi.flat_terms():
+        j = jvec[slot]
+        for (_, _, avec, fexp), ic in inner.flat_terms():
+            for pieces in _ordered_splits(j, m + 1):
+                j0 = pieces[0]
+                if any(x > f for x, f in zip(j0, fexp)):
+                    continue
+                mult = 1
+                for d in range(phi.n):
+                    mult *= math.factorial(j[d])
+                    for piece in pieces:
+                        mult //= math.factorial(piece[d])
+                    mult *= math.perm(fexp[d], j0[d])
+                new_exp = tuple(e + f - x for e, f, x in zip(exp, fexp, j0))
+                new_slots = tuple(tuple(x + y for x, y in zip(avec[s], pieces[s + 1]))
+                                  for s in range(m))
+                key = (a, idx, jvec[:slot] + new_slots + jvec[slot + 1:], new_exp)
+                out[key] = out[key] + c * ic * mult if key in out else c * ic * mult
+    out = {k: v for k, v in out.items() if v}
+    return MultiDiffCochain.from_flat(out, phi.n, phi.K, phi.arity + m - 1)
+
+
+@st.composite
+def _composition_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    outer = draw(cochains(n=n, arity=draw(st.integers(min_value=1, max_value=2))))
+    m = draw(st.integers(min_value=0, max_value=3))  # 0 plugs in a value
+    # inner coefficients of degree >= 1, so derivatives also land on them
+    coeff_exp = exponents(n, 2).filter(any)
+    entries = draw(st.lists(
+        st.tuples(st.tuples(*[exponents(n, 1)] * m), coeff_exp, gaussian_rationals()),
+        min_size=1, max_size=3))
+    terms = {}
+    for jvec, fexp, c in entries:
+        key = (0, (0,) * n, jvec)
+        poly = QPolynomial(n, {fexp: c})
+        terms[key] = terms[key] + poly if key in terms else poly
+    inner = MultiDiffCochain(n, outer.K, m, terms)
+    slot = draw(st.integers(min_value=0, max_value=outer.arity - 1))
+    return outer, slot, inner
+
+
+class TestComposeSlotOracle:
+    @settings(max_examples=60, deadline=None)
+    @given(_composition_inputs())
+    def test_matches_enumerate_then_filter(self, case):
+        outer, slot, inner = case
+        assert compose_slot(outer, slot, inner) == \
+            _reference_compose_slot(outer, slot, inner)
 
 
 class TestWitness:

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 from fractions import Fraction
@@ -403,3 +404,15 @@ class TestScenarioFuzz:
             if required if value == DELETE else not valid(value):
                 assert code == 2
                 assert err.getvalue().startswith("configuration error:")
+
+
+def test_committed_fixtures_match_the_generator():
+    path = SCENARIO_DIR.parent / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    generated = module.fixtures()
+    assert sorted(p.name for p in generated) == [
+        "linear-poisson-2d-spec.json", "perturbed-c2.json"]
+    for fixture, text in generated.items():
+        assert fixture.read_text() == text, fixture.name

@@ -1,19 +1,24 @@
+import importlib.util
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from dqw import taubuild
 from dqw.cochain import (MultiDiffCochain, coboundary, identity_cochain,
                          plug_constant)
 from dqw.qpoly import QPolynomial
 from dqw.rationals import gr
-from dqw.starspec import star_apply
+from dqw.starspec import make_constant_theta_star, star_apply
 from dqw.taubuild import (BuildReport, TauMap, build_tau,
                           check_poisson_realization, compute_Rk,
                           epsilon_cochain)
 from dqw.welement import LambdaPoly, WElement
-from dqw.weyl import weyl_product
+from dqw.weyl import ConsistencyError, weyl_product
+
+from conftest import SCENARIO_DIR
 
 N = 2
 ZERO_IDX = (0, 0)
@@ -111,6 +116,84 @@ class TestBuild:
             for (a, idx, _j) in comp.terms:
                 if k >= 1:
                     assert (a, idx) != (0, ZERO_IDX)
+
+
+def _bench_n4_spec(seed=5, K=4):
+    """The seeded n = 4 constant bracket of the build-tau benchmark."""
+    path = SCENARIO_DIR.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    theta = workloads.moyal_n4_scenario(seed)["star_product"]["theta"]
+    return make_constant_theta_star([[Fraction(x) for x in row] for row in theta], K)
+
+
+class TestStageIdentity:
+    """The algebra behind the one-degree stage check: adding the
+    homogeneous tau_k leaves the error below degree k unchanged, and its
+    degree-k component is R_k - d(tau_k), whatever tau_k is."""
+
+    def _check_stages(self, spec, taus):
+        K = len(taus) - 1
+        for k in range(1, K + 1):
+            rk = compute_Rk(spec, taus[:k], k)
+            # the built component, no component, and the retired -1 sign
+            for cand in (taus[k], MultiDiffCochain.zero(spec.n, K, 1), -taus[k]):
+                eps = epsilon_cochain(spec, taus[:k] + [cand], k)
+                for d in range(k):
+                    assert eps.component(d).is_zero(), (k, d)
+                expect = rk - coboundary(cand, deformed=True)
+                assert eps.component(k) == expect.retruncate(k), k
+            assert coboundary(taus[k], deformed=True) == rk
+
+    def test_moyal_r2(self, moyal_r2, tau_moyal_r2):
+        self._check_stages(moyal_r2, list(tau_moyal_r2.components))
+
+    def test_linear_2d(self, linear_2d, tau_linear):
+        self._check_stages(linear_2d, list(tau_linear.components))
+
+    def test_moyal_r3_rank2(self, moyal_r3_rank2, tau_moyal_r3):
+        self._check_stages(moyal_r3_rank2, list(tau_moyal_r3.components))
+
+    def test_bench_n4_bracket(self):
+        spec = _bench_n4_spec()
+        tau, report = build_tau(spec, 4, validate=False)
+        assert report.sign == 1
+        self._check_stages(spec, list(tau.components))
+
+
+class TestStageCheckFailure:
+    """A stage component that does not solve d(tau_k) = R_k is caught by
+    the degree-k check of its own stage."""
+
+    def _patch(self, monkeypatch, change):
+        real = taubuild.solve_coboundary
+
+        def fake(phi, check_preconditions=True):
+            psi, rep = real(phi, check_preconditions)
+            (k,) = phi.degrees()
+            return change(psi, k), rep
+
+        monkeypatch.setattr(taubuild, "solve_coboundary", fake)
+
+    def test_negated_solution(self, moyal_r2, monkeypatch):
+        self._patch(monkeypatch, lambda psi, k: -psi)
+        with pytest.raises(ConsistencyError,
+                           match="error check failed in degree 1 at stage 1$"):
+            build_tau(moyal_r2, 4)
+
+    @pytest.mark.parametrize("stage", [1, 2, 3, 4])
+    def test_perturbed_solution(self, moyal_r2, monkeypatch, stage):
+        # lam^k D_1 D_1 is real, kills constants and is not a cocycle
+        bump = MultiDiffCochain(N, 4, 1, {(stage, ZERO_IDX, ((2, 0),)): ONE})
+        assert not coboundary(bump, deformed=True).is_zero()
+        self._patch(monkeypatch,
+                    lambda psi, k: psi + bump if k == stage else psi)
+        with pytest.raises(ConsistencyError,
+                           match=f"error check failed in degree {stage} "
+                                 f"at stage {stage}$"):
+            build_tau(moyal_r2, 4)
 
 
 class TestApply:

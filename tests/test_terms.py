@@ -1,0 +1,83 @@
+"""The linear operations of TermMap build their results without the
+validating constructor; these tests pin that the results are exactly
+what that constructor would have produced."""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dqw.cochain import MultiDiffCochain
+from dqw.koszul import KoszulForm
+from dqw.qpoly import QPolynomial
+from dqw.terms import DimensionMismatch
+from dqw.welement import LambdaPoly, WElement
+
+from strategies import (cochains, exponents, gaussian_rationals, lambda_polys,
+                        qpolynomials, welements)
+
+
+def koszul_forms(n=3, degree=1, max_terms=3):
+    def build(entries):
+        terms = {}
+        for idx, sel, exp, c in entries:
+            key = (idx, tuple(sorted(sel)))
+            poly = QPolynomial(n, {exp: c})
+            terms[key] = terms[key] + poly if key in terms else poly
+        return KoszulForm(n, degree, terms)
+
+    entry = st.tuples(
+        exponents(n, 2),
+        st.sets(st.integers(min_value=0, max_value=n - 1),
+                min_size=degree, max_size=degree),
+        exponents(n, 2),
+        gaussian_rationals(),
+    )
+    return st.lists(entry, min_size=0, max_size=max_terms).map(build)
+
+
+KINDS = {
+    "QPolynomial": qpolynomials(),
+    "WElement": welements(),
+    "LambdaPoly": lambda_polys(),
+    "MultiDiffCochain": cochains(arity=2),
+    "KoszulForm": koszul_forms(),
+}
+
+
+def _assert_canonical(x):
+    rebuilt = type(x)(*x._shape(), x.terms)
+    assert rebuilt == x
+    assert rebuilt.terms == x.terms
+    assert hash(rebuilt) == hash(x)
+    assert all(x.terms.values())
+    with pytest.raises(AttributeError):
+        x.terms = {}
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_results_match_validating_constructor(kind, data):
+    x = data.draw(KINDS[kind])
+    y = data.draw(KINDS[kind])
+    c = data.draw(gaussian_rationals())
+    results = [x + y, x - y, -x, x.scale(c), x.scale(0), x.conjugate(), x - x]
+    for r in results:
+        assert type(r) is type(x) and r._shape() == x._shape()
+        _assert_canonical(r)
+    assert (x - x).is_zero() and x.scale(0).is_zero()
+
+
+def test_shape_mismatch_still_raises():
+    pairs = [
+        (QPolynomial.constant(2, 1), QPolynomial.constant(3, 1)),
+        (WElement.zero(2, 3), WElement.zero(2, 4)),
+        (LambdaPoly.zero(2, 3), LambdaPoly.zero(3, 3)),
+        (MultiDiffCochain.zero(2, 3, 1), MultiDiffCochain.zero(2, 3, 2)),
+        (KoszulForm.zero(3, 1), KoszulForm.zero(3, 2)),
+    ]
+    for a, b in pairs:
+        with pytest.raises(DimensionMismatch):
+            a + b
+        with pytest.raises(DimensionMismatch):
+            a - b
