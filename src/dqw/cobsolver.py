@@ -21,22 +21,25 @@ equation is solved one lam-level a = 0..degree at a time, lowest first
 The deformed coboundary of each new piece is subtracted from the
 residual, which pushes its higher-order terms to later levels.  The
 returned solution is re-verified symbolically against the original
-target.  The exact sparse elimination below serves the purely classical
-arity-3 solve of `starspec.make_linear_poisson_2d_star`.
+target.  The classical arity-3 solve of
+`starspec.make_linear_poisson_2d_star` is a closed-form recursion on
+monomial values (an algebraic Morse matching on the bar complex of the
+polynomial ring, Skoldberg 2006), also certified; the sparse eliminator
+below is off the pipeline and is the tests' reference for it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cochain import MultiDiffCochain, alt, coboundary, find_witness
 from .koszul import KoszulForm, axial_potential
-from .qpoly import QPolynomial
 from .rationals import GaussianRational, ONE
 from .terms import accumulate, exponents
 from .welement import _add_idx
-from .weyl import ConsistencyError
+from .weyl import ConsistencyError, _lower
 
 
 class CocyclePrecondition(ValueError):
@@ -57,7 +60,7 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# exact sparse elimination
+# exact sparse elimination (off the pipeline)
 # ---------------------------------------------------------------------------
 
 def solve_sparse_system(columns, rhs, col_order):
@@ -66,6 +69,9 @@ def solve_sparse_system(columns, rhs, col_order):
     columns: mapping col -> list of (row_key, coeff); rhs: mapping
     row_key -> coeff.  Returns a dict col -> coeff (free columns are
     zero) or None when inconsistent.
+    No pipeline path calls it; it and its helpers stay as the tests'
+    reference for `solve_classical_coboundary` and because
+    perfbench/tracer.py wraps this name.
     """
     col_index = {c: i for i, c in enumerate(col_order)}
     rows: dict = {}
@@ -145,62 +151,68 @@ def _row_sort_key(rk):
 
 
 # ---------------------------------------------------------------------------
-# classical-mode solve (splits into micro blocks)
+# classical arity-3 solve in closed form
 # ---------------------------------------------------------------------------
 
-def solve_classical_coboundary(target: MultiDiffCochain, normalized: bool = False):
-    """Solve d0(psi) = target for psi of arity target.arity - 1.
+def solve_classical_coboundary(target: MultiDiffCochain):
+    """Solve d0(psi) = target for a normalized arity-3 target.
 
-    The classical coboundary preserves the key (a, I), the coefficient
-    monomial and the total derivative order, so the system is a union of
-    independent micro blocks.  Returns psi or None when some block is
-    inconsistent (the obstruction is an antisymmetric class).
+    The classical coboundary leaves lam, p and the coefficient monomial
+    q^E inert and preserves the total derivative order t, so each block
+    (a, I, q^E, t) is a constant-coefficient problem, solved through the
+    values of psi on monomials at q = 0 (`_value`).  Returns the
+    normalized 2-cochain psi, or None when d0(psi) != target (the
+    obstruction is an antisymmetric class).
     """
-    m = target.arity
-    if m < 1:
-        raise ValueError("target arity must be >= 1")
-    n, K = target.n, target.K
+    if target.arity != 3 or any(
+            not any(j) for (_a, _i, jvec) in target.terms for j in jvec):
+        raise ValueError("target must be a normalized arity-3 cochain")
+    n = target.n
     blocks: dict = {}
     for (a, idx, jvec, exp), c in target.flat_terms():
         t = sum(sum(j) for j in jvec)
-        blocks.setdefault((a, idx, exp, t), {})[jvec] = c
-
-    flat_solution: dict = {}
-    for (a, idx, exp, t), rhs in sorted(blocks.items()):
-        unknowns = [
-            jv for jv in _deriv_vectors(n, m - 1, t)
-            if not normalized or all(sum(j) >= 1 for j in jv)
-        ]
-        if not unknowns:
-            return None
-        columns = {}
-        for jv in unknowns:
-            basis = MultiDiffCochain(
-                n, K, m - 1,
-                {(a, idx, jv): QPolynomial.constant(n, 1)},
-            )
-            image = coboundary(basis, deformed=False)
-            columns[jv] = [(key[:3], c2) for key, c2 in image.flat_terms()]
-        rhs_map = {(a, idx, jv): c for jv, c in rhs.items()}
-        order = sorted(unknowns, key=lambda jv: (max(sum(j) for j in jv) if jv else 0, jv))
-        sol = solve_sparse_system(columns, rhs_map, order)
-        if sol is None:
-            return None
-        for jv, c in sol.items():
-            flat_solution[(a, idx, jv, exp)] = c
-    return MultiDiffCochain.from_flat(flat_solution, n, K, m - 1)
+        blocks.setdefault((a, idx, exp, t), {})[jvec] = c * _factorial(jvec)
+    flat: dict = {}
+    for (a, idx, exp, t), phi in blocks.items():
+        for t1 in range(1, t):
+            for j1 in exponents(n, t1):
+                for j2 in exponents(n, t - t1):
+                    c = _value(phi, j1, j2)
+                    if c:
+                        flat[(a, idx, (j1, j2), exp)] = c / _factorial((j1, j2))
+    psi = MultiDiffCochain.from_flat(flat, n, target.K, 2)
+    return psi if coboundary(psi, deformed=False) == target else None
 
 
-def _deriv_vectors(n: int, slots: int, total: int):
-    """All tuples of `slots` multi-indices with total order exactly `total`."""
-    if slots == 0:
-        return [()] if total == 0 else []
-    out = []
-    for head_total in range(total + 1):
-        for head in exponents(n, head_total):
-            for rest in _deriv_vectors(n, slots - 1, total - head_total):
-                out.append((head,) + rest)
-    return out
+def _factorial(jvec) -> int:
+    return math.prod(math.factorial(e) for j in jvec for e in j)
+
+
+def _last(e: tuple) -> int:
+    return max(i for i, x in enumerate(e) if x)
+
+
+def _unit(n: int, k: int) -> tuple:
+    return tuple(1 if i == k else 0 for i in range(n))
+
+
+def _value(phi: dict, x: tuple, y: tuple) -> GaussianRational:
+    """C(q^x, q^y) = x! y! times the coefficient of D^x (x) D^y, from
+    the target's values phi = -C(xy, z) + C(x, yz) on monomial triples.
+    With l the last index of a nonzero exponent, C(x, y' q_l) =
+    Phi(x, y', q_l) + C(x y', q_l), C(x' q_l, q_k) = Phi(x', q_k, q_l)
+    - Phi(x', q_l, q_k) for k < l, and C = 0 on (J - e_l, e_l)."""
+    if sum(y) >= 2:
+        l = _last(y)
+        rest = _lower(y, l)
+        el = _unit(len(y), l)
+        return phi.get((x, rest, el), _GZERO) + _value(phi, _add_idx(x, rest), el)
+    k, l = _last(y), _last(x)
+    if sum(x) < 2 or k >= l:
+        return _GZERO
+    rest = _lower(x, l)
+    el = _unit(len(x), l)
+    return phi.get((rest, y, el), _GZERO) - phi.get((rest, el, y), _GZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +265,7 @@ def _potential_term(antisym: MultiDiffCochain, a: int) -> MultiDiffCochain:
         raise ConsistencyError(
             f"antisymmetric part at lam-level {a} is not closed") from None
     return MultiDiffCochain(n, antisym.K, 1, {
-        (a - 1, idx, (tuple(1 if d == l else 0 for d in range(n)),)):
+        (a - 1, idx, (_unit(n, l),)):
             poly.scale(_MINUS_TWO_I)
         for (idx, (l,)), poly in potential.terms.items()
     })
@@ -273,13 +285,14 @@ def _polarized_term(part: MultiDiffCochain) -> MultiDiffCochain:
     return MultiDiffCochain(part.n, part.K, 1, out)
 
 
-def solve_coboundary(phi: MultiDiffCochain, check_preconditions: bool = True):
+def solve_coboundary(phi: MultiDiffCochain):
     """Find psi with d(psi) = phi, exactly.  Returns (psi, report).
 
     phi must be an arity-2 cocycle, homogeneous for the combined grading,
-    with symmetric classical limit; check_preconditions=False skips
-    re-checking that for a caller that already has.  The returned
-    identity is re-verified before returning in every case.
+    with symmetric classical limit; `check_solvability_preconditions`
+    checks that with witnesses, and a target that violates it raises
+    ConsistencyError here.  The returned identity is re-verified before
+    returning in every case.
     """
     if phi.arity != 2:
         raise ValueError("solver expects an arity-2 target")
@@ -292,8 +305,6 @@ def solve_coboundary(phi: MultiDiffCochain, check_preconditions: bool = True):
         raise ValueError(f"target is not homogeneous: degrees {sorted(degrees)}")
     degree = degrees.pop()
     report.degree = degree
-    if check_preconditions:
-        check_solvability_preconditions(phi)
 
     psi = MultiDiffCochain.zero(n, K, 1)
     residual = phi

@@ -123,25 +123,6 @@ class MultiDiffCochain(PolyTermMap):
     def hermitian_part(self) -> "MultiDiffCochain":
         return (self + self.involution()).scale(Fraction(1, 2))
 
-    def max_deriv_order(self) -> int:
-        out = 0
-        for (_a, _i, jvec) in self.terms:
-            for j in jvec:
-                out = max(out, sum(j))
-        return out
-
-    def max_coeff_degree(self) -> int:
-        out = 0
-        for poly in self.terms.values():
-            out = max(out, max((sum(e) for e in poly.terms), default=0))
-        return out
-
-    def coefficient_monomials(self) -> set:
-        out = set()
-        for poly in self.terms.values():
-            out.update(poly.terms)
-        return out
-
     # ---- evaluation ----
 
     def evaluate(self, args: Sequence[QPolynomial]) -> WElement:

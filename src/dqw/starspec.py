@@ -215,11 +215,11 @@ def make_zero_star(n: int, K: int) -> StarProductSpec:
 def make_linear_poisson_2d_star(K: int) -> StarProductSpec:
     """A star product for the bracket {x, y} = x on the plane.
 
-    C_1 is (i/2) times the bracket biderivation; each higher C_r is
-    produced by an exact classical solve of the order-r associativity
-    constraint (always solvable in two dimensions, where no arity-3
-    antisymmetric obstruction exists), then replaced by its Hermitian
-    part, which solves the same equation.
+    C_1 is (i/2) times the bracket biderivation; each higher C_r is the
+    closed-form solve of the order-r associativity constraint (a
+    normalized classical arity-3 equation, always solvable in two
+    dimensions, where no antisymmetric obstruction exists), then
+    replaced by its Hermitian part, which solves the same equation.
     """
     from .cobsolver import solve_classical_coboundary
     from .cochain import coboundary
@@ -240,7 +240,7 @@ def make_linear_poisson_2d_star(K: int) -> StarProductSpec:
             j = r - i
             ci, cj = cochains[i - 1], cochains[j - 1]
             defect = defect + compose_slot(ci, 0, cj) - compose_slot(ci, 1, cj)
-        cr = solve_classical_coboundary(defect, normalized=True)
+        cr = solve_classical_coboundary(defect)
         if cr is None:
             raise InvalidStarProduct(
                 f"order-{r} associativity constraint unexpectedly unsolvable"

@@ -37,10 +37,10 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cobsolver import solve_coboundary
-from .cochain import (MultiDiffCochain, alt, coboundary, cochain_weyl_product,
-                      compose_slot, find_witness, identity_cochain, mu_cochain,
-                      plug_constant)
+from .cobsolver import (CocyclePrecondition, check_solvability_preconditions,
+                        solve_coboundary)
+from .cochain import (MultiDiffCochain, coboundary, cochain_weyl_product,
+                      compose_slot, identity_cochain, mu_cochain, plug_constant)
 from .qpoly import DimensionMismatch, QPolynomial
 from .starspec import InvalidStarProduct, StarProductSpec, validate_star
 from .terms import exponents
@@ -288,20 +288,10 @@ def compute_Rk(spec: StarProductSpec, taus, k: int) -> MultiDiffCochain:
     if not out.is_zero():
         if not out.is_homogeneous(k):
             raise BuildAborted(f"stage-{k} term is not homogeneous of degree {k}")
-        d = coboundary(out, deformed=True)
-        if not d.is_zero():
-            args, val = find_witness(d)
-            raise BuildAborted(
-                f"stage-{k} term is not a cocycle (invalid star product?); "
-                f"witness {[str(a) for a in args]} -> {val}"
-            )
-        obstruction = alt(out.classical_limit())
-        if not obstruction.is_zero():
-            args, val = find_witness(obstruction)
-            raise BuildAborted(
-                f"stage-{k} classical limit is not symmetric; "
-                f"witness {[str(a) for a in args]} -> {val}"
-            )
+        try:
+            check_solvability_preconditions(out)
+        except CocyclePrecondition as e:
+            raise BuildAborted(f"stage-{k} term: {e}") from e
     return out
 
 
@@ -357,7 +347,7 @@ def build_tau(spec: StarProductSpec, K: int, hermitian: bool | None = None,
             raise BuildAborted(f"stage-{k} term is not Hermitian")
         # compute_Rk has already checked the cocycle and classical-limit
         # preconditions, with witnesses
-        psi, solve_rep = solve_coboundary(rk, check_preconditions=False)
+        psi, solve_rep = solve_coboundary(rk)
         cand = psi.hermitian_part() if hermitian else psi
         if not (rk - coboundary(cand, deformed=True)).is_zero():
             raise ConsistencyError(f"error check failed in degree {k} at stage {k}")

@@ -7,12 +7,13 @@ from fractions import Fraction
 import pytest
 
 from dqw import taubuild
+from dqw.cobsolver import CocyclePrecondition
 from dqw.cochain import (MultiDiffCochain, coboundary, identity_cochain,
                          plug_constant)
 from dqw.qpoly import QPolynomial
 from dqw.rationals import gr
-from dqw.starspec import make_constant_theta_star, star_apply
-from dqw.taubuild import (BuildReport, TauMap, build_tau,
+from dqw.starspec import StarProductSpec, make_constant_theta_star, star_apply
+from dqw.taubuild import (BuildAborted, BuildReport, TauMap, build_tau,
                           check_poisson_realization, compute_Rk,
                           epsilon_cochain)
 from dqw.welement import LambdaPoly, WElement
@@ -52,6 +53,17 @@ class TestComputeRk:
         r2 = compute_Rk(moyal_r2, list(tau_moyal_r2.components[:2]), 2)
         assert coboundary(r2, True).is_zero()
         assert r2.is_homogeneous(2)
+
+    def test_non_cocycle_stage_term_aborts_with_witness(self):
+        # the perturbed product is not associative at order 3, so an
+        # unvalidated build meets a stage-3 term that is not a cocycle
+        data = json.loads((SCENARIO_DIR / "perturbed-c2.json").read_text())
+        spec = StarProductSpec.from_json(data["star_product"]["inline"])
+        with pytest.raises(BuildAborted,
+                           match="^stage-3 term: target is not a cocycle; "
+                                 "witness arguments") as exc:
+            build_tau(spec, 4, validate=False)
+        assert isinstance(exc.value.__cause__, CocyclePrecondition)
 
 
 class TestBuild:
@@ -170,8 +182,8 @@ class TestStageCheckFailure:
     def _patch(self, monkeypatch, change):
         real = taubuild.solve_coboundary
 
-        def fake(phi, check_preconditions=True):
-            psi, rep = real(phi, check_preconditions)
+        def fake(phi):
+            psi, rep = real(phi)
             (k,) = phi.degrees()
             return change(psi, k), rep
 
