@@ -15,12 +15,13 @@ runtime-verified operator carrying the z/zbar-pairing product to the
 q/p-pairing product.  Positivity of each value then reduces to the
 automatic positivity of atomic functionals for the z/zbar product.
 
-Truncation honesty: with a stage-built tau the components of degree
-above K are unknown, and they can feed lam-orders above floor(K/2) of
-the final series through the p-contracting operator U.  Series are
-therefore reported only through their sound order: K for the exact
-substitution map, floor(K/2) for a stage-built map.  All-zero reported
-series classify as inconclusive, never as positive.
+Truncation honesty: U contracts two momentum degrees into one
+lam-power, so the unknown components of tau above its order tau.K can
+reach every lam-order above floor(tau.K/2) of the final series.  Series
+are therefore reported only through their sound order
+min(K, floor(tau.K/2)): K for the substitution map built to order 2K,
+floor(K/2) for a stage-built map of order K.  All-zero reported series
+classify as inconclusive, never as positive.
 """
 
 from __future__ import annotations
@@ -231,11 +232,10 @@ class DeformedFunctional:
         """Highest lam-order of the output that is exact.
 
         The inverse equivalence operator consumes two momentum degrees
-        per lam-power, so unknown embedding components of degree > K can
-        only reach lam-orders above floor(K/2); with a complete
-        (substitution) embedding every order through K is exact.
+        per lam-power, so the unknown embedding components of degree
+        > tau.K can only reach lam-orders above floor(tau.K/2).
         """
-        return self.K if getattr(self.tau, "tail_exact", False) else self.K // 2
+        return min(self.K, self.tau.K // 2)
 
     def _push_entry(self, f: LambdaPoly) -> LambdaPoly:
         w = self.tau.apply(f)
@@ -257,17 +257,13 @@ class DeformedFunctional:
             "K": self.K,
             "sigma": self.sigma,
             "equivalence_direction": f"exp({-self.sigma:+d} lam Lap)",
-            "tau_tail_exact": bool(getattr(self.tau, "tail_exact", False)),
+            "tau_tail_exact": self.tau.K > self.K,
             "sound_order": self.sound_order,
         }
 
 
 def deform_functional(base: StateFunctional, tau, K: int | None = None) -> DeformedFunctional:
-    if K is None:
-        K = getattr(tau, "K", None)
-        if K is None:
-            raise ValueError("truncation order required for this embedding")
-    return DeformedFunctional(base, tau, K)
+    return DeformedFunctional(base, tau, tau.K if K is None else K)
 
 
 # ---------------------------------------------------------------------------

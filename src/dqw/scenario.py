@@ -249,7 +249,8 @@ def build_tau_map(scenario: Scenario, spec: StarProductSpec):
         raise ConfigurationError(
             "closed_form embedding requires a constant bracket matrix"
         )
-    return ClosedFormTau(spec.theta), None
+    # lam^K of the deformed series is exact once tau is known to degree 2K
+    return ClosedFormTau(spec.theta, 2 * scenario.K), None
 
 
 def random_lambda_poly(rng: random.Random, n: int, K: int, max_q_degree: int,
@@ -388,7 +389,7 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
                 break
             realization = check_poisson_realization(tau, spec, K=scenario.K)
             detail = {
-                "tau": "closed_form" if isinstance(tau, ClosedFormTau) else "solver",
+                "tau": scenario.tau_source,
                 "report": tau_report.to_json() if tau_report else None,
                 "poisson_realization": realization.to_json(),
             }

@@ -163,10 +163,9 @@ def _swap(phi: MultiDiffCochain) -> MultiDiffCochain:
 # generators
 # ---------------------------------------------------------------------------
 
-def make_constant_theta_star(theta, K: int, hermitian: bool = True) -> StarProductSpec:
-    """The exponential star product of a constant antisymmetric matrix:
-    C_r = (1/r!) (i/2)^r theta^{k1 l1} .. theta^{kr lr} D_{k..} (x) D_{l..}.
-    """
+def antisymmetric_matrix(theta) -> tuple:
+    """theta as a square antisymmetric tuple of Fraction rows (ValueError
+    otherwise)."""
     theta = tuple(tuple(Fraction(x) for x in row) for row in theta)
     n = len(theta)
     for row in theta:
@@ -176,15 +175,20 @@ def make_constant_theta_star(theta, K: int, hermitian: bool = True) -> StarProdu
         for l in range(n):
             if theta[k][l] != -theta[l][k]:
                 raise ValueError("theta must be antisymmetric")
+    return theta
+
+
+def theta_powers(theta, K: int):
+    """The tensor powers of a constant bracket: for r = 1..K, the dict
+    (A, B) -> sum of theta^{k1 l1} .. theta^{kr lr} over the index choices
+    with e_k1 + .. + e_kr = A and e_l1 + .. + e_lr = B."""
+    n = len(theta)
     pairs = [
         (k, l, theta[k][l]) for k in range(n) for l in range(n) if theta[k][l]
     ]
     z = _zeros(n)
-    cochains = []
-    # power[r] maps (A, B) -> scalar for the r-fold tensor power of the bracket
     power = {(z, z): Fraction(1)}
-    half_i = I * Fraction(1, 2)
-    for r in range(1, K + 1):
+    for _ in range(K):
         nxt: dict = {}
         for (A, B), c in power.items():
             for (k, l, v) in pairs:
@@ -192,6 +196,19 @@ def make_constant_theta_star(theta, K: int, hermitian: bool = True) -> StarProdu
                 Bl = list(B); Bl[l] += 1
                 accumulate(nxt, (tuple(Ak), tuple(Bl)), c * v)
         power = nxt
+        yield power
+
+
+def make_constant_theta_star(theta, K: int, hermitian: bool = True) -> StarProductSpec:
+    """The exponential star product of a constant antisymmetric matrix:
+    C_r = (1/r!) (i/2)^r theta^{k1 l1} .. theta^{kr lr} D_{k..} (x) D_{l..}.
+    """
+    theta = antisymmetric_matrix(theta)
+    n = len(theta)
+    z = _zeros(n)
+    cochains = []
+    half_i = I * Fraction(1, 2)
+    for r, power in enumerate(theta_powers(theta, K), start=1):
         scale = half_i ** r
         fact = Fraction(1)
         for i in range(2, r + 1):

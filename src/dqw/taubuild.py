@@ -33,7 +33,9 @@ certificate of the total.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -42,7 +44,8 @@ from .cobsolver import (CocyclePrecondition, check_solvability_preconditions,
 from .cochain import (MultiDiffCochain, coboundary, cochain_weyl_product,
                       compose_slot, identity_cochain, mu_cochain, plug_constant)
 from .qpoly import DimensionMismatch, QPolynomial
-from .starspec import InvalidStarProduct, StarProductSpec, validate_star
+from .starspec import (InvalidStarProduct, StarProductSpec, antisymmetric_matrix,
+                       theta_powers, validate_star)
 from .terms import exponents
 from .welement import LambdaPoly, WElement
 from .weyl import ConsistencyError, canonical_bracket
@@ -118,8 +121,6 @@ class TauMap:
 
     __slots__ = ("n", "K", "components", "hermitian", "report")
 
-    tail_exact = False  # components of degree > K are unknown
-
     def __init__(self, n, K, components, hermitian, report=None):
         components = tuple(components)
         if len(components) != K + 1:
@@ -185,83 +186,32 @@ class TauMap:
         return cls(data["n"], data["K"], comps, data["hermitian"], report)
 
 
-class ClosedFormTau:
-    """The exact substitution embedding for a constant bracket matrix:
-    f -> f(q^i - (1/2) sum_j theta^{ij} p_j).
+class ClosedFormTau(TauMap):
+    """The substitution embedding of a constant bracket matrix,
+    f -> f(q^i - (1/2) sum_j theta^{ij} p_j), through combined degree K.
 
-    Complete to all degrees, so downstream lam-series built from it are
-    exact through the full truncation order.
+    Its components are the Taylor terms of the substitution,
+    tau_k = ((-1/2)^k / k!) sum_{A, B} theta^{(k)}_{A,B} p^B D^A with
+    theta^{(k)} the k-th tensor power of the bracket (`theta_powers`), so
+    it is an ordinary TauMap: the map's order alone says how far a
+    series built from it is exact.
     """
 
-    __slots__ = ("n", "theta")
+    __slots__ = ()
 
-    tail_exact = True
-    hermitian = True
-
-    def __init__(self, theta):
-        theta = tuple(tuple(Fraction(x) for x in row) for row in theta)
+    def __init__(self, theta, K: int):
+        theta = antisymmetric_matrix(theta)
         n = len(theta)
-        for k in range(n):
-            for l in range(n):
-                if theta[k][l] != -theta[l][k]:
-                    raise ValueError("theta must be antisymmetric")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "theta", theta)
+        components = [identity_cochain(n, K)]
+        for k, power in enumerate(theta_powers(theta, K), start=1):
+            scale = Fraction((-1) ** k, 2 ** k * math.factorial(k))
+            components.append(MultiDiffCochain(n, K, 1, {
+                (0, B, (A,)): QPolynomial.constant(n, v * scale)
+                for (A, B), v in power.items()}))
+        super().__init__(n, K, components, hermitian=True)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ClosedFormTau is immutable")
-
-    def substitution_images(self, K: int):
-        """The images of the coordinates, as degree <= 1 elements."""
-        out = []
-        for i in range(self.n):
-            img = WElement.coordinate_q(self.n, K, i)
-            for j in range(self.n):
-                if self.theta[i][j]:
-                    img = img - WElement.coordinate_p(self.n, K, j).scale(
-                        Fraction(self.theta[i][j], 2))
-            out.append(img)
-        return out
-
-    def apply(self, f: LambdaPoly, K: int | None = None) -> WElement:
-        K = f.K if K is None else K
-        images = self.substitution_images(max(K, _needed_degree(f)))
-        KK = images[0].K
-        powers: dict = {}
-
-        def img_power(i, e):
-            got = powers.get((i, e))
-            if got is None:
-                got = WElement.constant(self.n, KK, 1)
-                for _ in range(e):
-                    got = got * images[i]
-                powers[(i, e)] = got
-            return got
-
-        out = WElement.zero(self.n, KK)
-        for r, poly in f.terms.items():
-            acc = WElement.zero(self.n, KK)
-            for exp, c in poly.terms.items():
-                term = WElement.constant(self.n, KK, c)
-                for i, e in enumerate(exp):
-                    if e:
-                        term = term * img_power(i, e)
-                acc = acc + term
-            out = out + _shift_lam(acc, r)
-        return WElement(self.n, K, out.terms)
-
-    def to_json(self) -> dict:
-        return {
-            "type": "linear_substitution",
-            "theta": [[str(x) for x in row] for row in self.theta],
-        }
-
-
-def _needed_degree(f: LambdaPoly) -> int:
-    d = 0
-    for r, poly in f.terms.items():
-        d = max(d, r + max((sum(e) for e in poly.terms), default=0))
-    return d
+    # perfbench/tracer.py wraps the `apply` found in each class's own dict
+    apply = TauMap.apply
 
 
 def _shift_lam(w: WElement, r: int) -> WElement:
@@ -388,44 +338,33 @@ class RealizationReport:
                 "violation": self.violation}
 
 
-def check_poisson_realization(tau, spec: StarProductSpec, K: int | None = None,
+def check_poisson_realization(tau: TauMap, spec: StarProductSpec, K: int | None = None,
                               max_q_degree: int = 2) -> RealizationReport:
     """Verify that the classical limit intertwines the star product's
     bracket with the canonical q/p bracket on monomial pairs, through
-    momentum degree K - 1."""
+    momentum degree K - 1 (K defaults to the map's order).
 
-    n = tau.n
-    if K is None:
-        K = tau.K if isinstance(tau, TauMap) else spec.order
-    cl = tau.classical_part() if isinstance(tau, TauMap) else None
-    if cl is not None:
-        def image(poly):
-            return cl.evaluate([poly])
-    else:
-        def image(poly):
-            # closed-form substitution map: exact on polynomials
-            return _classical_image(tau, poly, K)
-    basis = [QPolynomial.monomial(n, e)
-             for t in range(1, max_q_degree + 1) for e in exponents(n, t)]
-    images = [image(f) for f in basis]
+    Both sides are antisymmetric and bilinear in the pair, so only the
+    pairs (f, g) with f before g in the basis are checked; the first
+    failing pair is the first failing ordered pair as well.
+    """
+    K = tau.K if K is None else K
+    cl = tau.classical_part()
+    basis = [QPolynomial.monomial(tau.n, e)
+             for t in range(1, max_q_degree + 1) for e in exponents(tau.n, t)]
+    images = [cl.evaluate([f]) for f in basis]
     checked = 0
-    for f, f_image in zip(basis, images):
-        for g, g_image in zip(basis, images):
-            diff = image(spec.poisson_bracket(f, g)) - canonical_bracket(f_image, g_image)
-            bad = {
-                key: p for key, p in diff.terms.items()
-                if key[0] == 0 and sum(key[1]) <= K - 1
-            }
-            checked += 1
-            if bad:
-                key = sorted(bad)[0]
-                return RealizationReport(
-                    ok=False, checked_pairs=checked,
-                    violation=f"pair ({f}, {g}): p-exponent {key[1]} "
-                              f"differs by {bad[key]}")
+    for (f, f_image), (g, g_image) in itertools.combinations(zip(basis, images), 2):
+        diff = cl.evaluate([spec.poisson_bracket(f, g)]) - canonical_bracket(f_image, g_image)
+        bad = {
+            key: p for key, p in diff.terms.items()
+            if key[0] == 0 and sum(key[1]) <= K - 1
+        }
+        checked += 1
+        if bad:
+            key = sorted(bad)[0]
+            return RealizationReport(
+                ok=False, checked_pairs=checked,
+                violation=f"pair ({f}, {g}): p-exponent {key[1]} "
+                          f"differs by {bad[key]}")
     return RealizationReport(ok=True, checked_pairs=checked)
-
-
-def _classical_image(tau, poly: QPolynomial, K: int) -> WElement:
-    w = tau.apply(LambdaPoly.from_poly(poly, K))
-    return WElement(w.n, w.K, {k: p for k, p in w.terms.items() if k[0] == 0})

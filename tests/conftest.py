@@ -57,4 +57,4 @@ def tau_linear(linear_2d):
 
 @pytest.fixture(scope="session")
 def fixture_tau_r2():
-    return ClosedFormTau([[0, 1], [-1, 0]])
+    return ClosedFormTau([[0, 1], [-1, 0]], 8)

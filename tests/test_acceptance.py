@@ -2,6 +2,7 @@
 line.  Tolerances are exact (all arithmetic is over Q(i)); runtime
 targets are asserted where stated."""
 
+import difflib
 import itertools
 import json
 import pathlib
@@ -377,7 +378,7 @@ def test_criterion_10_determinism():
     names = sorted(p.stem for p in SCENARIO_DIR.glob("*.json")
                    if not p.name.endswith("-spec.json"))
     ok = True
-    off_golden = []
+    diffs = {}  # off-golden scenario -> head of its unified diff
     for name in names:
         scenario = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
         r1, c1 = run_scenario(scenario)
@@ -386,11 +387,16 @@ def test_criterion_10_determinism():
                 json.dumps(strip_timings(r1), sort_keys=True) ==
                 json.dumps(strip_timings(r2), sort_keys=True))
         golden = GOLDEN_DIR / f"{name}.json"
-        if (not golden.exists() or
-                report_to_json_text(strip_timings(r1)) != golden.read_text()):
-            off_golden.append(name)
-        ok = ok and same and not off_golden
+        text = report_to_json_text(strip_timings(r1))
+        expected = golden.read_text() if golden.exists() else ""
+        if text != expected:
+            diff = difflib.unified_diff(
+                expected.splitlines(), text.splitlines(),
+                f"golden/{name}.json", f"run of {name}", lineterm="")
+            diffs[name] = "\n".join(itertools.islice(diff, 20))
+        ok = ok and same and not diffs
     _report(10, "replaying shipped scenarios reproduces reports byte for "
                 "byte (timings excluded) and matches the committed golden "
                 "reports", ok,
-            f"{len(names)} scenarios, off golden {off_golden or 'none'}")
+            f"{len(names)} scenarios, off golden {sorted(diffs) or 'none'}"
+            + "".join(f"\n{d}" for d in diffs.values()))

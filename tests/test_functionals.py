@@ -10,9 +10,14 @@ from dqw.functionals import (DeformedFunctional, GluedFunctional,
                              deform_functional, wick_positivity_certificate)
 from dqw.qpoly import QPolynomial
 from dqw.rationals import I, gr
-from dqw.scenario import random_lambda_poly
+from dqw.scenario import (Scenario, build_functional, build_star_product,
+                          build_tau_map, generate_tests, load_scenario,
+                          random_lambda_poly)
 from dqw.welement import LambdaPoly, NonRealSeries, SeriesSign, WElement
-from dqw.weyl import MatrixWElement
+from dqw.weyl import MatrixWElement, exp_laplace_exact, iota_star, resolve_fock_sign
+
+from conftest import SCENARIO_DIR
+from test_taubuild import _substitution_reference, seeded_theta
 
 N_DIM, K = 2, 4
 
@@ -164,9 +169,43 @@ class TestDeformedFunctional:
         assert built.sound_order == K // 2
         assert fixt.sound_order == K
 
-    def test_requires_order_for_closed_form(self, fixture_tau_r2, delta0):
-        with pytest.raises(ValueError):
-            deform_functional(delta0, fixture_tau_r2)
+
+class TestClosedFormSeries:
+    """The deformed series of a closed-form scenario must equal, through
+    lam^K, the one pushed through the untruncated substitution."""
+
+    @staticmethod
+    def _check(scenario):
+        spec = build_star_product(scenario)
+        tau, _ = build_tau_map(scenario, spec)
+        state = build_functional(scenario)
+        omega = deform_functional(state, tau, K=scenario.K)
+        sigma = resolve_fock_sign(scenario.n, scenario.K)["sigma"]
+        tests, labels = generate_tests(scenario)
+        for m, label in zip(tests, labels):
+            g = m.involution().star_mul(spec, m)
+            pushed = [[iota_star(exp_laplace_exact(
+                _substitution_reference(spec.theta, x), -sigma)) for x in row]
+                for row in g.entries]
+            expect = state.eval_matrix_series(pushed, scenario.K)
+            assert omega.action(g) == expect, label
+
+    def test_fixture_scenario(self):
+        self._check(load_scenario(str(SCENARIO_DIR / "moyal-r2-delta-fixture.json")))
+
+    def test_seeded_n3_bracket(self):
+        rng = random.Random(8)
+        theta = seeded_theta(rng, 3)
+        self._check(Scenario.from_json({
+            "name": "n3-closed-form", "n": 3, "K": 4,
+            "star_product": {"generator": "constant_theta",
+                             "theta": [[str(x) for x in row] for row in theta]},
+            "tau": {"source": "closed_form"},
+            "functional": {"atoms": [{"point": ["1", "-1/2", "2"],
+                                      "vector": ["1"]}]},
+            "tests": {"random": {"seed": 3, "count": 6, "max_q_degree": 3,
+                                 "max_coeff": 4}},
+        }))
 
 
 class TestCheckPositivity:

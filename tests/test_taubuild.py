@@ -12,12 +12,14 @@ from dqw.cochain import (MultiDiffCochain, coboundary, identity_cochain,
                          plug_constant)
 from dqw.qpoly import QPolynomial
 from dqw.rationals import gr
+from dqw.scenario import random_lambda_poly
 from dqw.starspec import StarProductSpec, make_constant_theta_star, star_apply
-from dqw.taubuild import (BuildAborted, BuildReport, TauMap, build_tau,
-                          check_poisson_realization, compute_Rk,
+from dqw.taubuild import (BuildAborted, BuildReport, ClosedFormTau, TauMap,
+                          build_tau, check_poisson_realization, compute_Rk,
                           epsilon_cochain)
+from dqw.terms import exponents
 from dqw.welement import LambdaPoly, WElement
-from dqw.weyl import ConsistencyError, weyl_product
+from dqw.weyl import ConsistencyError, canonical_bracket, weyl_product
 
 from conftest import SCENARIO_DIR
 
@@ -233,13 +235,63 @@ class TestApply:
             tau_moyal_r2.apply(f).conjugate()
 
 
+def _substitution_reference(theta, f: LambdaPoly, K: int | None = None) -> WElement:
+    """f(q^i - (1/2) sum_j theta^{ij} p_j) by products of the coordinate
+    images, computed with nothing dropped and then truncated at K (not at
+    all when K is None)."""
+    n = len(theta)
+    KK = max([K or 0] + [r + sum(e) for r, poly in f.terms.items() for e in poly.terms])
+    images = []
+    for i in range(n):
+        img = WElement.coordinate_q(n, KK, i)
+        for j in range(n):
+            if theta[i][j]:
+                img = img - WElement.coordinate_p(n, KK, j).scale(
+                    Fraction(theta[i][j]) / 2)
+        images.append(img)
+    out = WElement.zero(n, KK)
+    for r, poly in f.terms.items():
+        for exp, c in poly.terms.items():
+            term = WElement.monomial(n, KK, r, (0,) * n, (0,) * n, c)
+            for i, e in enumerate(exp):
+                for _ in range(e):
+                    term = term * images[i]
+            out = out + term
+    return out if K is None else WElement(n, K, out.terms)
+
+
+def seeded_theta(rng, n):
+    theta = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            theta[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            theta[j][i] = -theta[i][j]
+    return theta
+
+
 class TestClosedForm:
     def test_coordinate_images(self, fixture_tau_r2):
         f = lp(QPolynomial.coordinate(N, 0))
         out = fixture_tau_r2.apply(f)
-        expect = WElement.coordinate_q(N, 4, 0) - \
-            WElement.coordinate_p(N, 4, 1).scale(Fraction(1, 2))
+        K = fixture_tau_r2.K
+        expect = WElement.coordinate_q(N, K, 0) - \
+            WElement.coordinate_p(N, K, 1).scale(Fraction(1, 2))
         assert out == expect
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_components_match_the_substitution(self, n):
+        rng = random.Random(40 + n)
+        for K in range(0, 6):
+            theta = seeded_theta(rng, n)
+            tau = ClosedFormTau(theta, K)
+            assert tau.hermitian and len(tau.components) == K + 1
+            for _ in range(4):
+                f = random_lambda_poly(rng, n, K, 3, 4, True)
+                assert tau.apply(f) == _substitution_reference(theta, f, K)
+
+    def test_rejects_non_antisymmetric_theta(self):
+        with pytest.raises(ValueError, match="antisymmetric"):
+            ClosedFormTau([[0, 1], [1, 0]], 2)
 
     def test_homomorphism(self, moyal_r2, fixture_tau_r2):
         f = lp(QPolynomial.monomial(N, (1, 1)))
@@ -247,10 +299,6 @@ class TestClosedForm:
         lhs = fixture_tau_r2.apply(star_apply(moyal_r2, f, g))
         rhs = weyl_product(fixture_tau_r2.apply(f), fixture_tau_r2.apply(g))
         assert lhs == rhs
-
-    def test_tail_exact_flag(self, fixture_tau_r2, tau_moyal_r2):
-        assert fixture_tau_r2.tail_exact
-        assert not tau_moyal_r2.tail_exact
 
 
 class TestPoissonRealization:
@@ -272,7 +320,33 @@ class TestPoissonRealization:
         broken = TauMap(N, 4, comps, hermitian=False)
         report = check_poisson_realization(broken, moyal_r2)
         assert not report.ok
-        assert report.violation
+        assert report.violation == _first_ordered_violation(broken, moyal_r2)
+
+    def test_unordered_pairs_counted(self, moyal_r2, tau_moyal_r2, moyal_r3_rank2,
+                                     tau_moyal_r3):
+        # 5 basis monomials of degree 1..2 at n = 2, 9 at n = 3
+        assert check_poisson_realization(tau_moyal_r2, moyal_r2).checked_pairs == 10
+        assert check_poisson_realization(
+            tau_moyal_r3, moyal_r3_rank2).checked_pairs == 36
+
+
+def _first_ordered_violation(tau, spec, max_q_degree=2):
+    """The realization check over every ordered pair, diagonal included:
+    the violation text of the first failing pair, or None."""
+    cl = tau.classical_part()
+    basis = [QPolynomial.monomial(tau.n, e)
+             for t in range(1, max_q_degree + 1) for e in exponents(tau.n, t)]
+    for f in basis:
+        for g in basis:
+            diff = cl.evaluate([spec.poisson_bracket(f, g)]) - \
+                canonical_bracket(cl.evaluate([f]), cl.evaluate([g]))
+            bad = {key: p for key, p in diff.terms.items()
+                   if key[0] == 0 and sum(key[1]) <= tau.K - 1}
+            if bad:
+                key = sorted(bad)[0]
+                return (f"pair ({f}, {g}): p-exponent {key[1]} "
+                        f"differs by {bad[key]}")
+    return None
 
 
 class TestSerialization:
