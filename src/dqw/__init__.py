@@ -10,7 +10,7 @@ from .cochain import (MultiDiffCochain, alt, coboundary, cochain_weyl_product,
 from .functionals import (DeformedFunctional, GluedFunctional, MatrixLambdaPoly,
                           StateFunctional, UndeformedExtension, check_positivity,
                           deform_functional, wick_positivity_certificate)
-from .koszul import KoszulForm, d_p, poincare_homotopy
+from .koszul import KoszulForm, d_p
 from .qpoly import QPolynomial
 from .rationals import GaussianRational, gr
 from .starspec import (StarProductSpec, make_constant_theta_star,

@@ -37,9 +37,8 @@ from fractions import Fraction
 from .cochain import MultiDiffCochain, alt, coboundary, find_witness
 from .koszul import KoszulForm, axial_potential
 from .rationals import GaussianRational, ONE
-from .terms import accumulate, exponents
-from .welement import _add_idx
-from .weyl import ConsistencyError, _lower
+from .terms import accumulate, add, exponents, factorial, shift, unit
+from .weyl import ConsistencyError
 
 
 class CocyclePrecondition(ValueError):
@@ -171,7 +170,7 @@ def solve_classical_coboundary(target: MultiDiffCochain):
     blocks: dict = {}
     for (a, idx, jvec, exp), c in target.flat_terms():
         t = sum(sum(j) for j in jvec)
-        blocks.setdefault((a, idx, exp, t), {})[jvec] = c * _factorial(jvec)
+        blocks.setdefault((a, idx, exp, t), {})[jvec] = c * math.prod(map(factorial, jvec))
     flat: dict = {}
     for (a, idx, exp, t), phi in blocks.items():
         for t1 in range(1, t):
@@ -179,21 +178,13 @@ def solve_classical_coboundary(target: MultiDiffCochain):
                 for j2 in exponents(n, t - t1):
                     c = _value(phi, j1, j2)
                     if c:
-                        flat[(a, idx, (j1, j2), exp)] = c / _factorial((j1, j2))
+                        flat[(a, idx, (j1, j2), exp)] = c / (factorial(j1) * factorial(j2))
     psi = MultiDiffCochain.from_flat(flat, n, target.K, 2)
     return psi if coboundary(psi, deformed=False) == target else None
 
 
-def _factorial(jvec) -> int:
-    return math.prod(math.factorial(e) for j in jvec for e in j)
-
-
 def _last(e: tuple) -> int:
     return max(i for i, x in enumerate(e) if x)
-
-
-def _unit(n: int, k: int) -> tuple:
-    return tuple(1 if i == k else 0 for i in range(n))
 
 
 def _value(phi: dict, x: tuple, y: tuple) -> GaussianRational:
@@ -204,14 +195,14 @@ def _value(phi: dict, x: tuple, y: tuple) -> GaussianRational:
     - Phi(x', q_l, q_k) for k < l, and C = 0 on (J - e_l, e_l)."""
     if sum(y) >= 2:
         l = _last(y)
-        rest = _lower(y, l)
-        el = _unit(len(y), l)
-        return phi.get((x, rest, el), _GZERO) + _value(phi, _add_idx(x, rest), el)
+        rest = shift(y, l, -1)
+        el = unit(len(y), l)
+        return phi.get((x, rest, el), _GZERO) + _value(phi, add(x, rest), el)
     k, l = _last(y), _last(x)
     if sum(x) < 2 or k >= l:
         return _GZERO
-    rest = _lower(x, l)
-    el = _unit(len(x), l)
+    rest = shift(x, l, -1)
+    el = unit(len(x), l)
     return phi.get((rest, y, el), _GZERO) - phi.get((rest, el, y), _GZERO)
 
 
@@ -265,8 +256,7 @@ def _potential_term(antisym: MultiDiffCochain, a: int) -> MultiDiffCochain:
         raise ConsistencyError(
             f"antisymmetric part at lam-level {a} is not closed") from None
     return MultiDiffCochain(n, antisym.K, 1, {
-        (a - 1, idx, (_unit(n, l),)):
-            poly.scale(_MINUS_TWO_I)
+        (a - 1, idx, (unit(n, l),)): poly.scale(_MINUS_TWO_I)
         for (idx, (l,)), poly in potential.terms.items()
     })
 
@@ -280,7 +270,7 @@ def _polarized_term(part: MultiDiffCochain) -> MultiDiffCochain:
         if m == 1:
             raise ConsistencyError(
                 f"symmetric part at lam-level {a} has a first-order term")
-        accumulate(out, (a, idx, (_add_idx(j1, j2),)),
+        accumulate(out, (a, idx, (add(j1, j2),)),
                    poly.scale(Fraction(1, 2 - 2 ** m)))
     return MultiDiffCochain(part.n, part.K, 1, out)
 

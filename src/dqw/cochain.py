@@ -34,26 +34,10 @@ from typing import Mapping, Sequence
 
 from .qpoly import DimensionMismatch, PolyTermMap, QPolynomial
 from .rationals import GaussianRational, I
-from .terms import accumulate, exponents
-from .welement import WElement, _add_idx, _zeros
-from .weyl import WEYL_PAIRING, _lower, propagate
-
-
-def _binom_multi(upper: tuple, lower: tuple) -> int:
-    out = 1
-    for u, l in zip(upper, lower):
-        out *= math.comb(u, l)
-    return out
-
-
-def _sub_indices(upper: tuple):
-    """All multi-indices J <= upper componentwise."""
-    ranges = [range(u + 1) for u in upper]
-    return itertools.product(*ranges)
-
-
-def _sub_idx(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+from .terms import (accumulate, add, below, binom, exponents, factorial, falling,
+                    shift, sub, unit, zeros)
+from .welement import WElement
+from .weyl import WEYL_PAIRING, propagate
 
 
 class MultiDiffCochain(PolyTermMap):
@@ -132,24 +116,14 @@ class MultiDiffCochain(PolyTermMap):
             if f.n != self.n:
                 raise DimensionMismatch("argument dimension mismatch")
         out: dict = {}
-        deriv_cache: dict = {}
-
-        def deriv(si, j):
-            key = (si, j)
-            got = deriv_cache.get(key)
-            if got is None:
-                got = args[si]
-                for k, e in enumerate(j):
-                    for _ in range(e):
-                        got = got.diff(k)
-                deriv_cache[key] = got
-            return got
-
+        derivs: dict = {}  # (slot, j) -> D^j of that slot's argument
         for (a, idx, jvec), poly in self.terms.items():
             val = poly
             ok = True
             for si, j in enumerate(jvec):
-                d = deriv(si, j)
+                d = derivs.get((si, j))
+                if d is None:
+                    d = derivs[(si, j)] = args[si].derivative(j)
                 if d.is_zero():
                     ok = False
                     break
@@ -217,28 +191,25 @@ class MultiDiffCochain(PolyTermMap):
 
 def identity_cochain(n: int, K: int) -> MultiDiffCochain:
     """The arity-1 cochain f -> f (the p-independent embedding)."""
-    z = _zeros(n)
+    z = zeros(n)
     return MultiDiffCochain(n, K, 1, {(0, z, (z,)): QPolynomial.constant(n, 1)})
 
 
 def mu_cochain(n: int, K: int) -> MultiDiffCochain:
     """The arity-2 cochain (f, g) -> f g."""
-    z = _zeros(n)
+    z = zeros(n)
     return MultiDiffCochain(n, K, 2, {(0, z, (z, z)): QPolynomial.constant(n, 1)})
 
 
 def biderivation_cochain(n: int, K: int, coeffs) -> MultiDiffCochain:
     """sum_{k,l} coeffs[k][l] * D_k (x) D_l with QPolynomial coefficients."""
-    z = _zeros(n)
+    z = zeros(n)
     terms: dict = {}
     for k in range(n):
-        ek = tuple(1 if i == k else 0 for i in range(n))
         for l in range(n):
             c = coeffs[k][l]
-            if not c:
-                continue
-            el = tuple(1 if i == l else 0 for i in range(n))
-            accumulate(terms, (0, z, (ek, el)), c)
+            if c:
+                accumulate(terms, (0, z, (unit(n, k), unit(n, l))), c)
     return MultiDiffCochain(n, K, 2, terms)
 
 
@@ -253,13 +224,13 @@ def _outer_action_terms(a, idx, exp, c, deformed, left):
     on the new argument.
     """
     if not deformed:
-        yield (a, idx, _zeros(len(idx)), exp, c)
+        yield (a, idx, zeros(len(idx)), exp, c)
         return
-    for jnew in _sub_indices(idx):
+    for jnew in below(idx):
         w = sum(jnew)
         scalar = (I * Fraction(1, 2) if left else I * Fraction(-1, 2)) ** w
-        coeff = c * scalar * _binom_multi(idx, jnew)
-        yield (a + w, _sub_idx(idx, jnew), tuple(jnew), exp, coeff)
+        coeff = c * scalar * binom(idx, jnew)
+        yield (a + w, sub(idx, jnew), jnew, exp, coeff)
 
 
 def coboundary(phi: MultiDiffCochain, deformed: bool = True) -> MultiDiffCochain:
@@ -274,9 +245,9 @@ def coboundary(phi: MultiDiffCochain, deformed: bool = True) -> MultiDiffCochain
         sign = -1
         for i in range(k):
             j = jvec[i]
-            for l in _sub_indices(j):
-                coeff = c * (sign * _binom_multi(j, l))
-                newj = jvec[:i] + (tuple(l), _sub_idx(j, tuple(l))) + jvec[i + 1:]
+            for l in below(j):
+                coeff = c * (sign * binom(j, l))
+                newj = jvec[:i] + (l, sub(j, l)) + jvec[i + 1:]
                 accumulate(out, (a, idx, newj, exp), coeff)
             sign = -sign
         # right outer action: new argument in slot k
@@ -331,16 +302,14 @@ def _cochain_dq(term: tuple, k: int):
     a, idx, jvec, exp = term
     out = []
     if exp[k]:
-        out.append(((a, idx, jvec, _lower(exp, k)), exp[k]))
+        out.append(((a, idx, jvec, shift(exp, k, -1)), exp[k]))
     for s, j in enumerate(jvec):
-        raised = j[:k] + (j[k] + 1,) + j[k + 1:]
-        out.append(((a, idx, jvec[:s] + (raised,) + jvec[s + 1:], exp), 1))
+        out.append(((a, idx, jvec[:s] + (shift(j, k, 1),) + jvec[s + 1:], exp), 1))
     return out
 
 
 def _cochain_join(t1: tuple, t2: tuple, r: int) -> tuple:
-    return (t1[0] + t2[0] + r, _add_idx(t1[1], t2[1]), t1[2] + t2[2],
-            _add_idx(t1[3], t2[3]))
+    return (t1[0] + t2[0] + r, add(t1[1], t2[1]), t1[2] + t2[2], add(t1[3], t2[3]))
 
 
 def cochain_weyl_product(phi: MultiDiffCochain, psi: MultiDiffCochain) -> MultiDiffCochain:
@@ -370,17 +339,7 @@ def _splittings(j: tuple, parts: int):
         per_dim.append(list(exponents(parts, j[d])))
     for combo in itertools.product(*per_dim):
         pieces = [tuple(combo[d][p] for d in range(n)) for p in range(parts)]
-        coeff = 1
-        for d in range(n):
-            coeff *= _multinomial(j[d], combo[d])
-        yield pieces, coeff
-
-
-def _multinomial(total: int, parts) -> int:
-    out = math.factorial(total)
-    for p in parts:
-        out //= math.factorial(p)
-    return out
+        yield pieces, factorial(j) // math.prod(map(factorial, pieces))
 
 
 def compose_slot(phi: MultiDiffCochain, slot: int, inner: MultiDiffCochain) -> MultiDiffCochain:
@@ -403,19 +362,17 @@ def compose_slot(phi: MultiDiffCochain, slot: int, inner: MultiDiffCochain) -> M
         head, tail = jvec[:slot], jvec[slot + 1:]
         for (_, _, avec, fexp), ic in inner_flat:
             cc = c * ic
-            # Leibniz: j0 <= j differentiates the inner coefficient q^fexp
-            # (weight C(j, j0) * fexp!/(fexp - j0)!), the rest splits over
-            # the inner arguments
-            for j0 in _sub_indices(tuple(map(min, j, fexp))):
-                weight = math.prod(math.comb(x, y) * math.perm(f, y)
-                                   for x, f, y in zip(j, fexp, j0))
-                new_exp = _add_idx(exp, _sub_idx(fexp, j0))
-                rest = _sub_idx(j, j0)
+            # Leibniz: j0 <= j differentiates the inner coefficient q^fexp,
+            # the rest splits over the inner arguments
+            for j0 in below(tuple(map(min, j, fexp))):
+                weight = binom(j, j0) * falling(fexp, j0)
+                new_exp = add(exp, sub(fexp, j0))
+                rest = sub(j, j0)
                 pieces_list = splits.get(rest)
                 if pieces_list is None:
                     pieces_list = splits[rest] = list(_splittings(rest, m))
                 for pieces, mult in pieces_list:
-                    new_slots = tuple(_add_idx(avec[s], pieces[s]) for s in range(m))
+                    new_slots = tuple(add(avec[s], pieces[s]) for s in range(m))
                     accumulate(out, (a, idx, head + new_slots + tail, new_exp),
                                cc * (weight * mult))
     return MultiDiffCochain.from_flat(out, n, K, phi.arity + m - 1)

@@ -26,14 +26,13 @@ classify as inconclusive, never as positive.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .qpoly import DimensionMismatch
 from .rationals import GaussianRational, ZERO, _coerce, format_scalar, parse_scalar
 from .starspec import StarProductSpec, star_apply
-from .terms import SquareMatrix
+from .terms import SquareMatrix, factorial, shift, zeros
 from .welement import (LambdaPoly, NonRealSeries, RealLambdaSeries, SeriesSign,
                        WElement, real_series_from_complex)
 from .weyl import (MatrixWElement, exp_laplace_exact, iota_star,
@@ -317,13 +316,10 @@ def wick_positivity_certificate(state: StateFunctional, A: MatrixWElement) -> Wi
     # decomposition: level r collects all zbar-derivative multi-indices
     coefficients = [Fraction(0)] * (K + 1)
     entries = []
-    level = {(0,) * n: A}
+    level = {zeros(n): A}
     for r in range(K + 1):
         for M, dA in sorted(level.items()):
-            mfact = 1
-            for e in M:
-                mfact *= math.factorial(e)
-            factor = Fraction(2 ** r, mfact)
+            factor = Fraction(2 ** r, factorial(M))
             at_zero = [[iota_star(x) for x in row] for row in dA.entries]
             for ai, (point, vector) in enumerate(state.atoms):
                 norm_sq = Fraction(0)
@@ -346,8 +342,7 @@ def wick_positivity_certificate(state: StateFunctional, A: MatrixWElement) -> Wi
         nxt: dict = {}
         for M, dA in level.items():
             for k in range(n):
-                MM = list(M); MM[k] += 1
-                key = tuple(MM)
+                key = shift(M, k, 1)
                 if key not in nxt:
                     nxt[key] = dzbar(dA, k)
         level = {k: v for k, v in nxt.items() if not v.is_zero()}

@@ -1,14 +1,12 @@
 """Forms in the momentum differentials dp_i with polynomial-in-(q, p)
-coefficients, the Euler-contraction homotopy and the axial potential of
-a closed 2-form.
+coefficients and the axial potential of a closed 2-form.
 
 A degree-k form is a sum of terms c(q) * p^I * dp_{i_1} ^ ... ^ dp_{i_k}
 with i_1 < ... < i_k; antisymmetry is structural (index sets are kept
 sorted, signs normalized away).  The exterior derivative d_p acts in the
-p variables only.  Contraction with the Euler field sum_i p_i d/dp_i,
-weighted by 1 / (p-weight + form degree), gives a homotopy h with
-d_p h + h d_p = id on every form of degree >= 1.  The coboundary solver
-uses the axial gauge instead, whose potentials have far fewer terms.
+p variables only.  The coboundary solver inverts d_p on closed 2-forms
+in the axial gauge, whose potentials have far fewer terms than those of
+the weighted Euler-contraction homotopy.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .qpoly import DimensionMismatch
-from .terms import TermMap, accumulate
+from .terms import TermMap, accumulate, shift
 
 
 class KoszulForm(TermMap):
@@ -57,41 +55,11 @@ def d_p(omega: KoszulForm) -> KoszulForm:
         for j in range(n):
             if not idx[j] or j in sel:
                 continue
-            e = list(idx)
-            e[j] -= 1
             pos = sum(1 for i in sel if i < j)
             sign = -1 if pos % 2 else 1
             newsel = tuple(sorted(sel + (j,)))
-            accumulate(out, (tuple(e), newsel), poly.scale(Fraction(sign * idx[j])))
+            accumulate(out, (shift(idx, j, -1), newsel), poly.scale(Fraction(sign * idx[j])))
     return KoszulForm(n, omega.degree + 1, out)
-
-
-def euler_contraction(omega: KoszulForm) -> KoszulForm:
-    """Interior product with the Euler field sum_i p_i d/dp_i."""
-    out: dict = {}
-    for (idx, sel), poly in omega.terms.items():
-        for m, i in enumerate(sel):
-            sign = -1 if m % 2 else 1
-            e = list(idx)
-            e[i] += 1
-            accumulate(out, (tuple(e), sel[:m] + sel[m + 1:]), poly.scale(Fraction(sign)))
-    return KoszulForm(omega.n, omega.degree - 1, out)
-
-
-def poincare_homotopy(omega: KoszulForm) -> KoszulForm:
-    """The weighted Euler contraction h with d_p h + h d_p = id for
-    forms of degree >= 1.  Acts termwise on p-homogeneous pieces with
-    weight 1 / (|I| + k)."""
-    if omega.degree < 1:
-        raise ValueError("homotopy requires form degree >= 1")
-    k = omega.degree
-    out = KoszulForm.zero(omega.n, k - 1)
-    for (idx, sel), poly in omega.terms.items():
-        piece = KoszulForm(omega.n, k, {(idx, sel): poly})
-        w = sum(idx) + k
-        contracted = euler_contraction(piece)
-        out = out + contracted.scale(Fraction(1, w))
-    return out
 
 
 def axial_potential(omega: KoszulForm) -> KoszulForm:
@@ -114,8 +82,7 @@ def axial_potential(omega: KoszulForm) -> KoszulForm:
         step: dict = {}
         for (idx, (k, l)), poly in rest.terms.items():
             if l == m:
-                raised = idx[:m] + (idx[m] + 1,) + idx[m + 1:]
-                accumulate(step, (raised, (k,)), poly.scale(Fraction(-1, idx[m] + 1)))
+                accumulate(step, (shift(idx, m, 1), (k,)), poly.scale(Fraction(-1, idx[m] + 1)))
         y = KoszulForm(n, 1, step)
         potential = potential + y
         rest = rest - d_p(y)

@@ -12,7 +12,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .rationals import GaussianRational, ZERO, ONE, _coerce, format_scalar, parse_scalar
-from .terms import DimensionMismatch, TermMap, accumulate
+from .terms import (DimensionMismatch, TermMap, accumulate, add, falling, shift, sub,
+                    unit, zeros)
 
 
 class QPolynomial(TermMap):
@@ -39,15 +40,14 @@ class QPolynomial(TermMap):
 
     @classmethod
     def constant(cls, n: int, c) -> "QPolynomial":
-        return cls(n, {(0,) * n: _coerce(c)})
+        return cls(n, {zeros(n): _coerce(c)})
 
     @classmethod
     def coordinate(cls, n: int, k: int) -> "QPolynomial":
         """The polynomial q^{k+1} (0-based k)."""
         if not 0 <= k < n:
             raise IndexError(f"coordinate index {k} out of range for n={n}")
-        exp = tuple(1 if i == k else 0 for i in range(n))
-        return cls(n, {exp: ONE})
+        return cls(n, {unit(n, k): ONE})
 
     @classmethod
     def monomial(cls, n: int, exp: Iterable[int], c=1) -> "QPolynomial":
@@ -62,7 +62,7 @@ class QPolynomial(TermMap):
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                accumulate(out, tuple(a + b for a, b in zip(e1, e2)), c1 * c2)
+                accumulate(out, add(e1, e2), c1 * c2)
         return QPolynomial(self.n, out)
 
     def __rmul__(self, other):
@@ -75,10 +75,17 @@ class QPolynomial(TermMap):
         out = {}
         for exp, c in self.terms.items():
             if exp[k]:
-                e = list(exp)
-                e[k] -= 1
-                out[tuple(e)] = c * exp[k]
+                out[shift(exp, k, -1)] = c * exp[k]
         return QPolynomial(self.n, out)
+
+    def derivative(self, j: tuple) -> "QPolynomial":
+        """The partial derivative D^j, in one pass over the monomials."""
+        out = {}
+        for exp, c in self.terms.items():
+            w = falling(exp, j)
+            if w:
+                out[sub(exp, j)] = c * w
+        return self._new(out)
 
     def evaluate(self, point) -> GaussianRational:
         """Substitute exact rational (or Gaussian rational) coordinates."""

@@ -32,7 +32,7 @@ from .starspec import (InvalidStarProduct, StarProductSpec,
                        make_zero_star, validate_star)
 from .taubuild import (BuildAborted, ClosedFormTau, build_tau,
                        check_poisson_realization)
-from .terms import accumulate
+from .terms import accumulate, shift, zeros
 from .welement import LambdaPoly, NonRealSeries
 from .weyl import ConsistencyError
 
@@ -262,15 +262,15 @@ def random_lambda_poly(rng: random.Random, n: int, K: int, max_q_degree: int,
     for r in orders:
         terms = {}
         for _ in range(rng.randint(1, 3)):
-            exp = [0] * n
+            exp = zeros(n)
             budget = rng.randint(0, max_q_degree)
             for _ in range(budget):
-                exp[rng.randrange(n)] += 1
+                exp = shift(exp, rng.randrange(n), 1)
             c = GaussianRational(
                 Fraction(rng.randint(-max_coeff, max_coeff), rng.randint(1, max_coeff)),
                 Fraction(rng.randint(-max_coeff, max_coeff), rng.randint(1, max_coeff)),
             )
-            accumulate(terms, tuple(exp), c)
+            accumulate(terms, exp, c)
         poly = QPolynomial(n, terms)
         if poly:
             coeffs[r] = poly

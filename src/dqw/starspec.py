@@ -21,12 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .cochain import (MultiDiffCochain, compose_slot, find_witness,
-                      mu_cochain, plug_constant)
+from .cobsolver import solve_classical_coboundary
+from .cochain import (MultiDiffCochain, biderivation_cochain, coboundary, compose_slot,
+                      find_witness, mu_cochain, plug_constant)
 from .qpoly import DimensionMismatch, QPolynomial
 from .rationals import GaussianRational, I
-from .terms import accumulate
-from .welement import LambdaPoly, _zeros
+from .terms import accumulate, shift, zeros
+from .welement import LambdaPoly
 
 
 class InvalidStarProduct(ValueError):
@@ -135,7 +136,7 @@ class StarProductSpec:
         n = data["n"]
         entries = sorted(data["cochains"], key=lambda e: e["lambda_power"])
         order = max((e["lambda_power"] for e in entries), default=0)
-        z = _zeros(n)
+        z = zeros(n)
         cochains = []
         by_power = {e["lambda_power"]: e for e in entries}
         for r in range(1, order + 1):
@@ -186,26 +187,24 @@ def theta_powers(theta, K: int):
     pairs = [
         (k, l, theta[k][l]) for k in range(n) for l in range(n) if theta[k][l]
     ]
-    z = _zeros(n)
+    z = zeros(n)
     power = {(z, z): Fraction(1)}
     for _ in range(K):
         nxt: dict = {}
         for (A, B), c in power.items():
             for (k, l, v) in pairs:
-                Ak = list(A); Ak[k] += 1
-                Bl = list(B); Bl[l] += 1
-                accumulate(nxt, (tuple(Ak), tuple(Bl)), c * v)
+                accumulate(nxt, (shift(A, k, 1), shift(B, l, 1)), c * v)
         power = nxt
         yield power
 
 
-def make_constant_theta_star(theta, K: int, hermitian: bool = True) -> StarProductSpec:
+def make_constant_theta_star(theta, K: int) -> StarProductSpec:
     """The exponential star product of a constant antisymmetric matrix:
     C_r = (1/r!) (i/2)^r theta^{k1 l1} .. theta^{kr lr} D_{k..} (x) D_{l..}.
     """
     theta = antisymmetric_matrix(theta)
     n = len(theta)
-    z = _zeros(n)
+    z = zeros(n)
     cochains = []
     half_i = I * Fraction(1, 2)
     for r, power in enumerate(theta_powers(theta, K), start=1):
@@ -218,7 +217,7 @@ def make_constant_theta_star(theta, K: int, hermitian: bool = True) -> StarProdu
             for (A, B), v in power.items()
         }
         cochains.append(MultiDiffCochain(n, K, 2, terms))
-    return StarProductSpec(n=n, order=K, hermitian=hermitian,
+    return StarProductSpec(n=n, order=K, hermitian=True,
                            cochains=tuple(cochains), theta=theta)
 
 
@@ -238,11 +237,8 @@ def make_linear_poisson_2d_star(K: int) -> StarProductSpec:
     dimensions, where no antisymmetric obstruction exists), then
     replaced by its Hermitian part, which solves the same equation.
     """
-    from .cobsolver import solve_classical_coboundary
-    from .cochain import coboundary
-
     n = 2
-    z = _zeros(n)
+    z = zeros(n)
     q1 = QPolynomial.coordinate(n, 0)
     half_i = I * Fraction(1, 2)
     c1 = MultiDiffCochain(
@@ -318,72 +314,53 @@ def _witness_str(cochain: MultiDiffCochain) -> str:
     return f"args ({', '.join(str(a) for a in args)}) -> {val}"
 
 
-def validate_star(spec: StarProductSpec, K: int | None = None) -> ValidationReport:
-    """Run all symbolic checks up to order K (default: the spec order)."""
-    K = spec.order if K is None else min(K, spec.order)
-    n = spec.n
-    checks = []
-    mu = mu_cochain(n, spec.order)
+def _first_failure(name: str, cases) -> ValidationCheck:
+    """The check `name`, failed at the first of the lazily generated
+    cases (order, cochain, witness prefix) whose cochain is nonzero."""
+    for order, cochain, prefix in cases:
+        if not cochain.is_zero():
+            return ValidationCheck(name, False, order=order,
+                                   witness=prefix + _witness_str(cochain))
+    return ValidationCheck(name, True)
 
+
+def _associator(spec: StarProductSpec, mu: MultiDiffCochain, m: int) -> MultiDiffCochain:
+    """sum_{i+j=m} C_i(C_j(f,g),h) - C_i(f,C_j(g,h)) with C_0 = mu."""
     def cr(r):
         return mu if r == 0 else spec.cochain(r)
 
-    assoc_ok = True
-    for m in range(1, K + 1):
-        defect = MultiDiffCochain.zero(n, spec.order, 3)
-        for i in range(0, m + 1):
-            j = m - i
-            defect = defect + compose_slot(cr(i), 0, cr(j)) - compose_slot(cr(i), 1, cr(j))
-        if not defect.is_zero():
-            checks.append(ValidationCheck(
-                "associativity", False, order=m, witness=_witness_str(defect)))
-            assoc_ok = False
-            break
-    if assoc_ok:
-        checks.append(ValidationCheck("associativity", True))
+    out = MultiDiffCochain.zero(spec.n, spec.order, 3)
+    for i in range(0, m + 1):
+        j = m - i
+        out = out + compose_slot(cr(i), 0, cr(j)) - compose_slot(cr(i), 1, cr(j))
+    return out
+
+
+def validate_star(spec: StarProductSpec, K: int | None = None) -> ValidationReport:
+    """Run all symbolic checks up to order K (default: the spec order)."""
+    K = spec.order if K is None else min(K, spec.order)
+    mu = mu_cochain(spec.n, spec.order)
+    orders = range(1, K + 1)
+    checks = [_first_failure("associativity", (
+        (m, _associator(spec, mu, m), "") for m in orders))]
 
     if spec.order >= 1:
+        c1 = spec.cochain(1)
         try:
-            theta = spec.poisson_matrix()
-            from .cochain import biderivation_cochain
-            bracket = biderivation_cochain(n, spec.order, theta).scale(I)
-            anti = spec.cochain(1) - _swap(spec.cochain(1))
-            diff = anti - bracket
-            if diff.is_zero():
-                checks.append(ValidationCheck("first_order_bracket", True))
-            else:
-                checks.append(ValidationCheck(
-                    "first_order_bracket", False, order=1, witness=_witness_str(diff)))
+            bracket = biderivation_cochain(spec.n, spec.order, spec.poisson_matrix())
+            checks.append(_first_failure("first_order_bracket", [
+                (1, c1 - _swap(c1) - bracket.scale(I), "")]))
         except InvalidStarProduct as e:
             checks.append(ValidationCheck("first_order_bracket", False, order=1,
                                           witness=str(e)))
 
     if spec.hermitian:
-        herm_ok = True
-        for r in range(1, K + 1):
-            diff = spec.cochain(r).involution() - spec.cochain(r)
-            if not diff.is_zero():
-                checks.append(ValidationCheck(
-                    "hermitian", False, order=r, witness=_witness_str(diff)))
-                herm_ok = False
-                break
-        if herm_ok:
-            checks.append(ValidationCheck("hermitian", True))
+        checks.append(_first_failure("hermitian", (
+            (r, spec.cochain(r).involution() - spec.cochain(r), "") for r in orders)))
 
-    unital_ok = True
-    for r in range(1, K + 1):
-        for slot in (0, 1):
-            res = plug_constant(spec.cochain(r), slot)
-            if not res.is_zero():
-                checks.append(ValidationCheck(
-                    "unitality", False, order=r,
-                    witness=f"slot {slot}: {_witness_str(res)}"))
-                unital_ok = False
-                break
-        if not unital_ok:
-            break
-    if unital_ok:
-        checks.append(ValidationCheck("unitality", True))
+    checks.append(_first_failure("unitality", (
+        (r, plug_constant(spec.cochain(r), slot), f"slot {slot}: ")
+        for r in orders for slot in (0, 1))))
 
     return ValidationReport(ok=all(c.ok for c in checks), checks=checks)
 

@@ -259,8 +259,7 @@ def epsilon_cochain(spec: StarProductSpec, taus, upto: int) -> MultiDiffCochain:
     return out
 
 
-def build_tau(spec: StarProductSpec, K: int, hermitian: bool | None = None,
-              validate: bool = True):
+def build_tau(spec: StarProductSpec, K: int, validate: bool = True):
     """Construct the embedding through combined degree K.
 
     Returns (TauMap, BuildReport).  Raises BuildAborted when a structural
@@ -275,10 +274,7 @@ def build_tau(spec: StarProductSpec, K: int, hermitian: bool | None = None,
         rep = validate_star(spec, K)
         if not rep.ok:
             raise InvalidStarProduct(f"star product failed validation: {rep.to_json()}")
-    if hermitian is None:
-        hermitian = spec.hermitian
-    if hermitian and not spec.hermitian:
-        raise InvalidStarProduct("Hermitian build requires a Hermitian star product")
+    hermitian = spec.hermitian
     n = spec.n
     report = BuildReport(
         n=n, K=K, hermitian=hermitian, sign=None,
@@ -338,11 +334,12 @@ class RealizationReport:
                 "violation": self.violation}
 
 
-def check_poisson_realization(tau: TauMap, spec: StarProductSpec, K: int | None = None,
-                              max_q_degree: int = 2) -> RealizationReport:
+def check_poisson_realization(tau: TauMap, spec: StarProductSpec,
+                              K: int | None = None) -> RealizationReport:
     """Verify that the classical limit intertwines the star product's
-    bracket with the canonical q/p bracket on monomial pairs, through
-    momentum degree K - 1 (K defaults to the map's order).
+    bracket with the canonical q/p bracket on the pairs of monomials of
+    degree 1 and 2, through momentum degree K - 1 (K defaults to the
+    map's order).
 
     Both sides are antisymmetric and bilinear in the pair, so only the
     pairs (f, g) with f before g in the basis are checked; the first
@@ -351,7 +348,7 @@ def check_poisson_realization(tau: TauMap, spec: StarProductSpec, K: int | None 
     K = tau.K if K is None else K
     cl = tau.classical_part()
     basis = [QPolynomial.monomial(tau.n, e)
-             for t in range(1, max_q_degree + 1) for e in exponents(tau.n, t)]
+             for t in (1, 2) for e in exponents(tau.n, t)]
     images = [cl.evaluate([f]) for f in basis]
     checked = 0
     for (f, f_image), (g, g_image) in itertools.combinations(zip(basis, images), 2):

@@ -6,9 +6,18 @@ a shape, such as the dimension, the truncation order or the arity, that
 the operands of every linear operation must share.  Zero values are
 never stored, so equal maps have identical term dictionaries and
 equality is structural.
+
+The keys are built from multi-indices: tuples of n non-negative ints
+for q-exponents, p-exponents and derivative orders D^j.  Their
+arithmetic lives here, for every module: `zeros`, `unit`, `add`, `sub`,
+`shift`, the enumerators `exponents` and `below`, and the weights
+`binom`, `factorial` and `falling`.
 """
 
 from __future__ import annotations
+
+import itertools
+import math
 
 from .rationals import _coerce
 
@@ -35,6 +44,47 @@ def exponents(n: int, total: int):
     for first in range(total + 1):
         for rest in exponents(n - 1, total - first):
             yield (first,) + rest
+
+
+def zeros(n: int) -> tuple:
+    return (0,) * n
+
+
+def unit(n: int, k: int) -> tuple:
+    """The multi-index e_k of length n."""
+    return tuple(1 if i == k else 0 for i in range(n))
+
+
+def add(a: tuple, b: tuple) -> tuple:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def sub(a: tuple, b: tuple) -> tuple:
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def shift(a: tuple, k: int, by: int) -> tuple:
+    """a + by * e_k."""
+    return a[:k] + (a[k] + by,) + a[k + 1:]
+
+
+def below(upper: tuple):
+    """All multi-indices j <= upper componentwise."""
+    return itertools.product(*(range(u + 1) for u in upper))
+
+
+def binom(upper: tuple, lower: tuple) -> int:
+    """The multi-index binomial prod_i C(upper_i, lower_i)."""
+    return math.prod(math.comb(u, l) for u, l in zip(upper, lower))
+
+
+def factorial(j: tuple) -> int:
+    return math.prod(math.factorial(e) for e in j)
+
+
+def falling(e: tuple, j: tuple) -> int:
+    """E!/(E - j)!, the weight of D^j on q^E; 0 unless j <= E."""
+    return math.prod(math.perm(x, y) for x, y in zip(e, j))
 
 
 class TermMap:

@@ -23,15 +23,7 @@ from typing import Mapping
 
 from .qpoly import DimensionMismatch, PolyTermMap, QPolynomial
 from .rationals import GaussianRational, ZERO
-from .terms import TermMap, accumulate
-
-
-def _zeros(n: int) -> tuple:
-    return (0,) * n
-
-
-def _add_idx(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+from .terms import TermMap, accumulate, add, shift, unit, zeros
 
 
 class WElement(PolyTermMap):
@@ -65,7 +57,7 @@ class WElement(PolyTermMap):
 
     @classmethod
     def from_poly(cls, poly: QPolynomial, K: int) -> "WElement":
-        return cls(poly.n, K, {(0, _zeros(poly.n)): poly})
+        return cls(poly.n, K, {(0, zeros(poly.n)): poly})
 
     @classmethod
     def constant(cls, n: int, K: int, c) -> "WElement":
@@ -79,12 +71,11 @@ class WElement(PolyTermMap):
     def coordinate_p(cls, n: int, K: int, k: int) -> "WElement":
         if not 0 <= k < n:
             raise IndexError(f"momentum index {k} out of range for n={n}")
-        idx = tuple(1 if i == k else 0 for i in range(n))
-        return cls(n, K, {(0, idx): QPolynomial.constant(n, 1)})
+        return cls(n, K, {(0, unit(n, k)): QPolynomial.constant(n, 1)})
 
     @classmethod
     def lam(cls, n: int, K: int, power: int = 1) -> "WElement":
-        return cls(n, K, {(power, _zeros(n)): QPolynomial.constant(n, 1)})
+        return cls(n, K, {(power, zeros(n)): QPolynomial.constant(n, 1)})
 
     @classmethod
     def monomial(cls, n: int, K: int, a: int, p_exp, q_exp, c=1) -> "WElement":
@@ -103,7 +94,7 @@ class WElement(PolyTermMap):
             d1 = a1 + sum(i1)
             for (a2, i2), f2 in other.terms.items():
                 if d1 + a2 + sum(i2) <= K:
-                    accumulate(out, (a1 + a2, _add_idx(i1, i2)), f1 * f2)
+                    accumulate(out, (a1 + a2, add(i1, i2)), f1 * f2)
         return WElement(self.n, self.K, out)
 
     __rmul__ = __mul__
@@ -126,9 +117,7 @@ class WElement(PolyTermMap):
         out: dict = {}
         for (a, idx), poly in self.terms.items():
             if idx[k]:
-                e = list(idx)
-                e[k] -= 1
-                accumulate(out, (a, tuple(e)), poly.scale(idx[k]))
+                accumulate(out, (a, shift(idx, k, -1)), poly.scale(idx[k]))
         return WElement(self.n, self.K, out)
 
     def degree_image(self) -> "WElement":

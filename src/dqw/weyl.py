@@ -28,8 +28,8 @@ from fractions import Fraction
 
 from .qpoly import DimensionMismatch
 from .rationals import GaussianRational, HALF_I, ONE, ZERO, _coerce
-from .terms import SquareMatrix, accumulate, exponents
-from .welement import LambdaPoly, WElement, _add_idx, _zeros
+from .terms import SquareMatrix, accumulate, add, shift, zeros
+from .welement import LambdaPoly, WElement
 
 
 class ConsistencyError(RuntimeError):
@@ -50,17 +50,13 @@ WICK_PAIRING = WEYL_PAIRING + (("q", "q", GaussianRational(Fraction(1, 2))),
                                ("p", "p", GaussianRational(Fraction(1, 2))))
 
 
-def _lower(idx: tuple, k: int) -> tuple:
-    return idx[:k] + (idx[k] - 1,) + idx[k + 1:]
-
-
 def _dp(term: tuple, k: int):
     """d/dp_k of a flat term (lam-power, p-exponent, ...), as
     (term, multiplicity) pairs."""
     m = term[1][k]
     if not m:
         return ()
-    return (((term[0], _lower(term[1], k)) + term[2:], m),)
+    return (((term[0], shift(term[1], k, -1)) + term[2:], m),)
 
 
 def propagate(left, right, pairing, dq, join, K: int) -> dict:
@@ -117,11 +113,11 @@ def propagate(left, right, pairing, dq, join, K: int) -> dict:
 def _element_dq(term: tuple, k: int):
     a, idx, exp = term
     m = exp[k]
-    return (((a, idx, _lower(exp, k)), m),) if m else ()
+    return (((a, idx, shift(exp, k, -1)), m),) if m else ()
 
 
 def _element_join(t1: tuple, t2: tuple, r: int) -> tuple:
-    return (t1[0] + t2[0] + r, _add_idx(t1[1], t2[1]), _add_idx(t1[2], t2[2]))
+    return (t1[0] + t2[0] + r, add(t1[1], t2[1]), add(t1[2], t2[2]))
 
 
 def _pair_product(a: WElement, b: WElement, pairing, K: int) -> WElement:
@@ -144,7 +140,7 @@ def _laplace_image(flat: dict, n: int) -> dict:
                 slot = 2 if u == "q" else 1
                 m = term[slot][k]
                 if m >= 2:
-                    e = term[slot][:k] + (m - 2,) + term[slot][k + 1:]
+                    e = shift(term[slot], k, -2)
                     accumulate(out, term[:slot] + (e,) + term[slot + 1:], c * (m * (m - 1) * w))
     return out
 
@@ -221,13 +217,13 @@ def pi_star(f: LambdaPoly, K: int | None = None) -> WElement:
     """Embed a base lam-series as a p-independent element."""
     K = f.K if K is None else K
     n = f.n
-    return WElement(n, K, {(r, _zeros(n)): poly for r, poly in f.terms.items()})
+    return WElement(n, K, {(r, zeros(n)): poly for r, poly in f.terms.items()})
 
 
 def iota_star(a: WElement) -> LambdaPoly:
     """Set all momenta to zero, keeping the lam-series of q-polynomials."""
     n = a.n
-    zero_idx = _zeros(n)
+    zero_idx = zeros(n)
     coeffs = {r: poly for (r, idx), poly in a.terms.items() if idx == zero_idx}
     return LambdaPoly(n, a.K, coeffs)
 
@@ -275,42 +271,6 @@ def resolve_fock_sign(n: int, K: int) -> dict:
         raise ConsistencyError(f"equivalence sign resolution failed for n={n}, "
                                f"K={K}: passing signs {list(signs)}")
     return {"n": n, "K": K, "sigma": signs[0], "basis_size": len(_SYMBOL_KEYS)}
-
-
-# The pair check below, kept as the tests' oracle independent of the symbols.
-
-def _monomial_basis(n: int, total_degree: int):
-    """All monomials lam^a p^I q^E with a + |I| + |E| <= total_degree."""
-    out = []
-    for d in range(total_degree + 1):
-        for a in range(d + 1):
-            for ptot in range(d - a + 1):
-                for pi in exponents(n, ptot):
-                    for qe in exponents(n, d - a - ptot):
-                        out.append((a, pi, qe))
-    return out
-
-
-def _exact_order_for_pair(a: WElement, b: WElement) -> int:
-    """A truncation order at which all intermediate results of the
-    intertwining check are computed without dropping any term."""
-    def budget(x):
-        m = 0
-        for (la, idx), poly in x.terms.items():
-            qd = max((sum(e) for e in poly.terms), default=0)
-            m = max(m, la + 2 * (sum(idx) + qd))
-        return m
-    return budget(a) + budget(b) + 2
-
-
-def _check_sign_on_pair(sign: int, a: WElement, b: WElement) -> bool:
-    K = _exact_order_for_pair(a, b)
-    a = a.lift(K)
-    b = b.lift(K)
-    lhs = _exp_laplace(_pair_product(a, b, WICK_PAIRING, K), sign, K)
-    rhs = _pair_product(_exp_laplace(a, sign, K), _exp_laplace(b, sign, K),
-                        WEYL_PAIRING, K)
-    return lhs == rhs
 
 
 def fock_equivalence(a, direction: str = "forward"):

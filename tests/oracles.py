@@ -1,0 +1,77 @@
+"""Reference implementations that only the tests use.
+
+* The Weyl/Wick intertwining check on an explicit pair of elements,
+  independent of the symbol certificate in `dqw.weyl`.
+* The weighted Euler-contraction homotopy h of the momentum Koszul
+  complex, with d_p h + h d_p = id on forms of degree >= 1; the solver
+  uses the axial potential instead.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from dqw.koszul import KoszulForm
+from dqw.terms import accumulate, exponents, shift
+from dqw.welement import WElement
+from dqw.weyl import _exp_laplace, weyl_product, wick_product
+
+
+def monomial_basis(n: int, total_degree: int):
+    """All monomials lam^a p^I q^E with a + |I| + |E| <= total_degree."""
+    out = []
+    for d in range(total_degree + 1):
+        for a in range(d + 1):
+            for ptot in range(d - a + 1):
+                for pi in exponents(n, ptot):
+                    for qe in exponents(n, d - a - ptot):
+                        out.append((a, pi, qe))
+    return out
+
+
+def exact_order_for_pair(a: WElement, b: WElement) -> int:
+    """A truncation order at which all intermediate results of the
+    intertwining check are computed without dropping any term."""
+    def budget(x):
+        m = 0
+        for (la, idx), poly in x.terms.items():
+            qd = max((sum(e) for e in poly.terms), default=0)
+            m = max(m, la + 2 * (sum(idx) + qd))
+        return m
+    return budget(a) + budget(b) + 2
+
+
+def check_sign_on_pair(sign: int, a: WElement, b: WElement) -> bool:
+    K = exact_order_for_pair(a, b)
+    a = a.lift(K)
+    b = b.lift(K)
+    lhs = _exp_laplace(wick_product(a, b), sign, K)
+    rhs = weyl_product(_exp_laplace(a, sign, K), _exp_laplace(b, sign, K))
+    return lhs == rhs
+
+
+def euler_contraction(omega: KoszulForm) -> KoszulForm:
+    """Interior product with the Euler field sum_i p_i d/dp_i."""
+    out: dict = {}
+    for (idx, sel), poly in omega.terms.items():
+        for m, i in enumerate(sel):
+            sign = -1 if m % 2 else 1
+            accumulate(out, (shift(idx, i, 1), sel[:m] + sel[m + 1:]),
+                       poly.scale(Fraction(sign)))
+    return KoszulForm(omega.n, omega.degree - 1, out)
+
+
+def poincare_homotopy(omega: KoszulForm) -> KoszulForm:
+    """The weighted Euler contraction h with d_p h + h d_p = id for
+    forms of degree >= 1.  Acts termwise on p-homogeneous pieces with
+    weight 1 / (|I| + k)."""
+    if omega.degree < 1:
+        raise ValueError("homotopy requires form degree >= 1")
+    k = omega.degree
+    out = KoszulForm.zero(omega.n, k - 1)
+    for (idx, sel), poly in omega.terms.items():
+        piece = KoszulForm(omega.n, k, {(idx, sel): poly})
+        w = sum(idx) + k
+        contracted = euler_contraction(piece)
+        out = out + contracted.scale(Fraction(1, w))
+    return out

@@ -15,7 +15,7 @@ from dqw.cochain import MultiDiffCochain, coboundary
 from dqw.functionals import (GluedFunctional, MatrixLambdaPoly, StateFunctional,
                              UndeformedExtension, check_positivity,
                              deform_functional, wick_positivity_certificate)
-from dqw.koszul import KoszulForm, d_p, poincare_homotopy
+from dqw.koszul import KoszulForm, d_p
 from dqw.qpoly import QPolynomial
 from dqw.rationals import I, gr
 from dqw.scenario import (load_scenario, random_lambda_poly, report_to_json_text,
@@ -23,10 +23,10 @@ from dqw.scenario import (load_scenario, random_lambda_poly, report_to_json_text
 from dqw.starspec import star_apply
 from dqw.taubuild import build_tau, check_poisson_realization, epsilon_cochain
 from dqw.welement import LambdaPoly, SeriesSign, WElement
-from dqw.weyl import (MatrixWElement, _check_sign_on_pair, _exp_laplace,
-                      _monomial_basis, weyl_product)
+from dqw.weyl import MatrixWElement, _exp_laplace, weyl_product
 
 from conftest import SCENARIO_DIR
+from oracles import check_sign_on_pair, monomial_basis, poincare_homotopy
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 
@@ -40,7 +40,7 @@ def _report(num, description, ok, detail=""):
 
 def _qp_monomials(n, K, max_total):
     out = []
-    for (a, pi, qe) in _monomial_basis(n, max_total):
+    for (a, pi, qe) in monomial_basis(n, max_total):
         if a == 0:
             out.append(WElement.monomial(n, K, 0, pi, qe))
     return out
@@ -119,14 +119,14 @@ def test_criterion_03_product_equivalence_sign():
     t0 = time.perf_counter()
     for n in (1, 2):
         basis = [WElement.monomial(n, K, a, pi, qe)
-                 for (a, pi, qe) in _monomial_basis(n, K)]
+                 for (a, pi, qe) in monomial_basis(n, K)]
         passing = []
         for sign in (1, -1):
             ok = all(_exp_laplace(x.conjugate(), sign, x.K) ==
                      _exp_laplace(x, sign, x.K).conjugate() for x in basis)
             if ok:
                 pairs = itertools.product(basis, repeat=2)
-                ok = all(_check_sign_on_pair(sign, a, b) for a, b in pairs)
+                ok = all(check_sign_on_pair(sign, a, b) for a, b in pairs)
             if ok:
                 passing.append(sign)
         results[n] = passing

@@ -3,6 +3,7 @@ from fractions import Fraction
 import itertools
 import json
 import math
+import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,8 @@ from dqw.cochain import (MultiDiffCochain, alt, biderivation_cochain,
                          plug_constant)
 from dqw.qpoly import QPolynomial
 from dqw.rationals import I, gr
+from dqw.terms import accumulate
+from dqw.welement import WElement
 from dqw.weyl import weyl_product
 
 from strategies import cochains, exponents, gaussian_rationals, qpolynomials
@@ -64,6 +67,55 @@ class TestCoboundary:
     def test_classical_limit_intertwines_arity2(self, phi):
         assert coboundary(phi, True).classical_limit() == \
             coboundary(phi.classical_limit(), False)
+
+
+def _evaluate_by_repeated_diff(phi, args):
+    """The evaluation that builds each D^j by |j| one-coordinate diffs."""
+    out = {}
+    for (a, idx, jvec), poly in phi.terms.items():
+        val = poly
+        for f, j in zip(args, jvec):
+            d = f
+            for k, e in enumerate(j):
+                for _ in range(e):
+                    d = d.diff(k)
+            val = val * d
+        accumulate(out, (a, idx), val)
+    return WElement(phi.n, phi.K, out)
+
+
+def _seeded_poly(rng, terms=3, max_exp=3):
+    return QPolynomial(N, {
+        tuple(rng.randint(0, max_exp) for _ in range(N)):
+            gr(rng.randint(-4, 4), rng.randint(-2, 2))
+        for _ in range(terms)})
+
+
+def _seeded_cochain(rng, arity, terms=5):
+    out = {}
+    for _ in range(terms):
+        a = rng.randint(0, 2)
+        idx = tuple(rng.randint(0, 1) for _ in range(N))
+        jvec = tuple(tuple(rng.randint(0, 3) for _ in range(N)) for _ in range(arity))
+        out[(a, idx, jvec)] = _seeded_poly(rng, terms=2, max_exp=2)
+    return MultiDiffCochain(N, K, arity, out)
+
+
+def test_evaluate_takes_each_derivative_in_one_pass(monkeypatch):
+    rng = random.Random(7)
+    cases = []
+    for arity in range(4):
+        for _ in range(8):
+            phi = _seeded_cochain(rng, arity)
+            args = [_seeded_poly(rng) for _ in range(arity)]
+            cases.append((phi, args, _evaluate_by_repeated_diff(phi, args)))
+
+    def no_diff(self, k):
+        raise AssertionError("evaluate chained a one-coordinate diff")
+
+    monkeypatch.setattr(QPolynomial, "diff", no_diff)
+    for phi, args, expected in cases:
+        assert phi.evaluate(args) == expected
 
 
 class TestAlt:

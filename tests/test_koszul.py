@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from dqw.koszul import (KoszulForm, axial_potential, d_p, euler_contraction,
-                        poincare_homotopy)
+from dqw.koszul import KoszulForm, axial_potential, d_p
 from dqw.qpoly import QPolynomial
+
+from oracles import euler_contraction, poincare_homotopy
 
 N = 3
 ONE = QPolynomial.constant(N, 1)

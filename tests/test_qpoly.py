@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given
 
 from dqw.qpoly import DimensionMismatch, QPolynomial
 from dqw.rationals import gr
+from dqw.terms import exponents
 
 from strategies import qpolynomials
 
@@ -32,6 +34,36 @@ def test_diff():
     assert p.diff(0) == QPolynomial.monomial(2, (2, 1), 3)
     assert p.diff(1) == QPolynomial.monomial(2, (3, 0))
     assert p.diff(0).diff(1) == p.diff(1).diff(0)
+
+
+def _seeded_poly(rng, n, terms=4, max_exp=3):
+    return QPolynomial(n, {
+        tuple(rng.randint(0, max_exp) for _ in range(n)):
+            gr(rng.randint(-5, 5), rng.randint(-3, 3))
+        for _ in range(terms)})
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_derivative_is_repeated_diff(n):
+    rng = random.Random(n)
+    for _ in range(8):
+        p = _seeded_poly(rng, n)
+        # |j| <= 4 with exponents <= 3, so some j exceed every exponent
+        for total in range(5):
+            for j in exponents(n, total):
+                expected = p
+                for k, e in enumerate(j):
+                    for _ in range(e):
+                        expected = expected.diff(k)
+                assert p.derivative(j) == expected
+
+
+def test_derivative_edges():
+    p = QPolynomial.monomial(2, (3, 1), 2)
+    assert p.derivative((0, 0)) == p
+    assert p.derivative((3, 1)) == QPolynomial.constant(2, 12)
+    assert p.derivative((4, 0)).is_zero()
+    assert p.derivative((0, 2)).is_zero()
 
 
 def test_evaluate():

@@ -8,7 +8,8 @@ from dqw.qpoly import QPolynomial
 from dqw.rationals import gr
 from dqw.starspec import (StarProductSpec, make_constant_theta_star,
                           perturb_cochain, star_apply, validate_star)
-from dqw.welement import LambdaPoly, _zeros
+from dqw.terms import zeros
+from dqw.welement import LambdaPoly
 
 N = 2
 
@@ -23,8 +24,8 @@ class TestConstantThetaGenerator:
         ih = gr(0, Fraction(1, 2))
         one = QPolynomial.constant(N, 1)
         expect = MultiDiffCochain(N, 4, 2, {
-            (0, _zeros(N), ((1, 0), (0, 1))): one.scale(ih),
-            (0, _zeros(N), ((0, 1), (1, 0))): one.scale(-ih),
+            (0, zeros(N), ((1, 0), (0, 1))): one.scale(ih),
+            (0, zeros(N), ((0, 1), (1, 0))): one.scale(-ih),
         })
         assert c1 == expect
 
@@ -50,7 +51,7 @@ class TestValidator:
 
     def test_biderivation_perturbation_fails_at_order_three(self, moyal_r2):
         bump = MultiDiffCochain(N, 4, 2, {
-            (0, _zeros(N), ((1, 0), (1, 0))): QPolynomial.constant(N, 1)})
+            (0, zeros(N), ((1, 0), (1, 0))): QPolynomial.constant(N, 1)})
         bad = perturb_cochain(moyal_r2, 2, bump)
         report = validate_star(bad)
         assert not report.ok
@@ -61,7 +62,7 @@ class TestValidator:
 
     def test_non_cocycle_perturbation_fails_at_order_two(self, moyal_r2):
         bump = MultiDiffCochain(N, 4, 2, {
-            (0, _zeros(N), ((2, 0), (1, 0))): QPolynomial.constant(N, 1)})
+            (0, zeros(N), ((2, 0), (1, 0))): QPolynomial.constant(N, 1)})
         bad = perturb_cochain(moyal_r2, 2, bump)
         report = validate_star(bad)
         assoc = next(c for c in report.checks if c.name == "associativity")
@@ -72,7 +73,7 @@ class TestValidator:
 
     def test_unitality_violation_detected(self, moyal_r2):
         bump = MultiDiffCochain(N, 4, 2, {
-            (0, _zeros(N), ((0, 0), (1, 0))): QPolynomial.constant(N, 1)})
+            (0, zeros(N), ((0, 0), (1, 0))): QPolynomial.constant(N, 1)})
         bad = perturb_cochain(moyal_r2, 2, bump)
         report = validate_star(bad)
         unital = next(c for c in report.checks if c.name == "unitality")
@@ -80,7 +81,7 @@ class TestValidator:
 
     def test_hermitian_violation_detected(self, moyal_r2):
         bump = MultiDiffCochain(N, 4, 2, {
-            (0, _zeros(N), ((1, 0), (1, 0))): QPolynomial.constant(N, gr(0, 1))})
+            (0, zeros(N), ((1, 0), (1, 0))): QPolynomial.constant(N, gr(0, 1))})
         bad = perturb_cochain(moyal_r2, 2, bump)
         report = validate_star(bad)
         herm = next(c for c in report.checks if c.name == "hermitian")

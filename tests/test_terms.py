@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from dqw.cochain import MultiDiffCochain
 from dqw.koszul import KoszulForm
 from dqw.qpoly import QPolynomial
-from dqw.terms import DimensionMismatch
+from dqw.terms import (DimensionMismatch, add, below, binom, factorial, falling,
+                       shift, sub, unit, zeros)
 from dqw.welement import LambdaPoly, WElement
 
 from strategies import (cochains, exponents, gaussian_rationals, lambda_polys,
@@ -81,3 +82,27 @@ def test_shape_mismatch_still_raises():
             a + b
         with pytest.raises(DimensionMismatch):
             a - b
+
+
+def test_index_vocabulary_edges():
+    a = (2, 0, 1)
+    assert zeros(3) == (0, 0, 0)
+    assert unit(3, 0) == (1, 0, 0) and unit(3, 2) == (0, 0, 1)
+    assert add(a, unit(3, 1)) == (2, 1, 1) and sub(a, a) == zeros(3)
+    assert shift(a, 0, 1) == (3, 0, 1) and shift(a, 2, -1) == (2, 0, 0)
+    assert shift(a, 0, -2) == (0, 0, 1) and shift(a, 1, 0) == a
+    assert list(below(zeros(2))) == [(0, 0)]
+    assert list(below((1, 2))) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
+    assert binom((3, 2), zeros(2)) == 1 and binom((3, 2), (3, 2)) == 1
+    assert binom((3, 2), (1, 1)) == 6 and binom((3, 2), (4, 0)) == 0
+    assert factorial(zeros(2)) == 1 and factorial((3, 2)) == 12
+    assert falling((3, 2), zeros(2)) == 1
+    assert falling((3, 2), (2, 1)) == 12 and falling((3, 2), (3, 2)) == 12
+    assert falling((3, 2), (4, 0)) == 0 and falling((3, 2), (0, 3)) == 0
+
+
+@pytest.mark.parametrize("e", [(0,), (4,), (3, 0), (2, 1, 3)])
+def test_falling_is_a_factorial_quotient(e):
+    for j in below(e):
+        assert falling(e, j) == factorial(e) // factorial(sub(e, j))
+        assert binom(e, j) * factorial(j) == falling(e, j)
