@@ -29,11 +29,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .qpoly import DimensionMismatch, PolyTermMap, QPolynomial
-from .rationals import GaussianRational, I
+from .rationals import I
 from .terms import (accumulate, add, below, binom, exponents, factorial, falling,
                     shift, sub, unit, zeros)
 from .welement import WElement
@@ -116,19 +117,20 @@ class MultiDiffCochain(PolyTermMap):
             if f.n != self.n:
                 raise DimensionMismatch("argument dimension mismatch")
         out: dict = {}
-        derivs: dict = {}  # (slot, j) -> D^j of that slot's argument
+        # D^j of an argument vanishes unless j <= its componentwise top exponent
+        tops = [tuple(map(max, zip(*f.terms))) for f in args]
+        derivs: dict = {}  # (slot, j) -> D^j of that slot's argument, or False
         for (a, idx, jvec), poly in self.terms.items():
             val = poly
-            ok = True
             for si, j in enumerate(jvec):
                 d = derivs.get((si, j))
                 if d is None:
-                    d = derivs[(si, j)] = args[si].derivative(j)
-                if d.is_zero():
-                    ok = False
+                    d = derivs[(si, j)] = (all(map(operator.le, j, tops[si]))
+                                           and args[si].derivative(j))
+                if not d:
                     break
                 val = val * d
-            if ok:
+            else:
                 accumulate(out, (a, idx), val)
         return WElement(self.n, self.K, out)
 
@@ -174,16 +176,6 @@ class MultiDiffCochain(PolyTermMap):
             ],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "MultiDiffCochain":
-        n = data["n"]
-        terms = {}
-        for entry in data["terms"]:
-            key = (entry["lam"], tuple(entry["p"]),
-                   tuple(tuple(j) for j in entry["derivs"]))
-            terms[key] = QPolynomial.from_json({"n": n, "terms": entry["poly"]})
-        return cls(n, data["max_degree"], data["arity"], terms)
-
 
 # ---------------------------------------------------------------------------
 # canonical cochains
@@ -214,7 +206,7 @@ def biderivation_cochain(n: int, K: int, coeffs) -> MultiDiffCochain:
 
 
 # ---------------------------------------------------------------------------
-# coboundary, antisymmetrization
+# coboundary, swap and antisymmetrization
 # ---------------------------------------------------------------------------
 
 def _outer_action_terms(a, idx, exp, c, deformed, left):
@@ -257,39 +249,19 @@ def coboundary(phi: MultiDiffCochain, deformed: bool = True) -> MultiDiffCochain
     return MultiDiffCochain.from_flat(out, n, K, k + 1)
 
 
+def swap(phi: MultiDiffCochain) -> MultiDiffCochain:
+    """The 2-cochain with its arguments exchanged: (f, g) -> phi(g, f)."""
+    out = {}
+    for (a, idx, (j1, j2)), poly in phi.terms.items():
+        accumulate(out, (a, idx, (j2, j1)), poly)
+    return MultiDiffCochain(phi.n, phi.K, 2, out)
+
+
 def alt(phi: MultiDiffCochain) -> MultiDiffCochain:
-    """Antisymmetrization (1/k!) sum_sigma sign(sigma) phi o sigma."""
-    k = phi.arity
-    if k <= 1:
-        return phi
-    out: dict = {}
-    norm = Fraction(1)
-    for i in range(2, k + 1):
-        norm /= i
-    for perm in itertools.permutations(range(k)):
-        sign = _perm_sign(perm)
-        for (a, idx, jvec), poly in phi.terms.items():
-            newj = tuple(jvec[perm[i]] for i in range(k))
-            key = (a, idx, newj)
-            accumulate(out, key, poly.scale(GaussianRational(sign * norm)))
-    return MultiDiffCochain(phi.n, phi.K, k, out)
-
-
-def _perm_sign(perm) -> int:
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+    """The antisymmetric part (phi - swap(phi)) / 2 of a 2-cochain."""
+    if phi.arity != 2:
+        raise ValueError(f"alt takes a 2-cochain, not arity {phi.arity}")
+    return (phi - swap(phi)).scale(Fraction(1, 2))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .qpoly import DimensionMismatch
-from .rationals import GaussianRational, ZERO, _coerce, format_scalar, parse_scalar
+from .rationals import GaussianRational, ZERO, _coerce, parse_scalar
 from .starspec import StarProductSpec, star_apply
 from .terms import SquareMatrix, factorial, shift, zeros
 from .welement import (LambdaPoly, NonRealSeries, RealLambdaSeries, SeriesSign,
@@ -56,10 +56,6 @@ class MatrixLambdaPoly(SquareMatrix):
 
     def star_mul(self, spec: StarProductSpec, other: "MatrixLambdaPoly") -> "MatrixLambdaPoly":
         return self._product(other, lambda x, y: star_apply(spec, x, y))
-
-    def to_json(self) -> dict:
-        return {"N": self.N,
-                "entries": [[x.to_json() for x in row] for row in self.entries]}
 
     @classmethod
     def from_json(cls, data: dict) -> "MatrixLambdaPoly":
@@ -139,17 +135,6 @@ class StateFunctional:
     def __repr__(self):
         return f"StateFunctional(n={self.n}, N={self.N}, {len(self.atoms)} atoms)"
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "N": self.N,
-            "atoms": [
-                {"point": [str(x) for x in pt],
-                 "vector": [format_scalar(v) for v in vec]}
-                for pt, vec in self.atoms
-            ],
-        }
-
     @classmethod
     def from_json(cls, data: dict) -> "StateFunctional":
         atoms = [
@@ -209,7 +194,7 @@ class DeformedFunctional:
     __slots__ = ("base", "tau", "K", "sigma")
 
     def __init__(self, base: StateFunctional, tau, K: int):
-        sigma = resolve_fock_sign(base.n, K)["sigma"]
+        sigma = resolve_fock_sign()["sigma"]
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "K", K)
@@ -274,14 +259,6 @@ class WickCertificate:
     coefficients: list            # RealLambdaSeries-style Fractions per lam-power
     entries: list                 # decomposition entries per lam-power
     all_nonnegative: bool
-
-    def to_json(self) -> dict:
-        return {
-            "coefficients": [str(c) for c in self.coefficients],
-            "nonnegative_flags": [c >= 0 for c in self.coefficients],
-            "entries": self.entries,
-            "all_nonnegative": self.all_nonnegative,
-        }
 
 
 def wick_positivity_certificate(state: StateFunctional, A: MatrixWElement) -> WickCertificate:

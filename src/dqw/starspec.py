@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .cobsolver import solve_classical_coboundary
 from .cochain import (MultiDiffCochain, biderivation_cochain, coboundary, compose_slot,
-                      find_witness, mu_cochain, plug_constant)
+                      find_witness, mu_cochain, plug_constant, swap)
 from .qpoly import DimensionMismatch, QPolynomial
 from .rationals import GaussianRational, I
 from .terms import accumulate, shift, zeros
@@ -78,7 +78,7 @@ class StarProductSpec:
         out = [[QPolynomial.zero(n) for _ in range(n)] for _ in range(n)]
         if self.order == 0:
             return out
-        anti = self.cochain(1) - _swap(self.cochain(1))
+        anti = self.cochain(1) - swap(self.cochain(1))
         for (a, idx, jvec), poly in anti.terms.items():
             j1, j2 = jvec
             if sum(j1) != 1 or sum(j2) != 1:
@@ -151,13 +151,6 @@ class StarProductSpec:
             theta = tuple(tuple(Fraction(x) for x in row) for row in theta)
         return cls(n=n, order=order, hermitian=data["hermitian"],
                    cochains=tuple(cochains), theta=theta)
-
-
-def _swap(phi: MultiDiffCochain) -> MultiDiffCochain:
-    out = {}
-    for (a, idx, (j1, j2)), poly in phi.terms.items():
-        accumulate(out, (a, idx, (j2, j1)), poly)
-    return MultiDiffCochain(phi.n, phi.K, 2, out)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +342,7 @@ def validate_star(spec: StarProductSpec, K: int | None = None) -> ValidationRepo
         try:
             bracket = biderivation_cochain(spec.n, spec.order, spec.poisson_matrix())
             checks.append(_first_failure("first_order_bracket", [
-                (1, c1 - _swap(c1) - bracket.scale(I), "")]))
+                (1, c1 - swap(c1) - bracket.scale(I), "")]))
         except InvalidStarProduct as e:
             checks.append(ValidationCheck("first_order_bracket", False, order=1,
                                           witness=str(e)))

@@ -97,19 +97,6 @@ class BuildReport:
             "stages": [s.to_json() for s in self.stages],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "BuildReport":
-        rep = cls(n=data["n"], K=data["K"], hermitian=data["hermitian"],
-                  sign=data["sign"], spec_digest=data["spec_digest"])
-        rep.stages = [
-            StageReport(stage=s["stage"], stage_term=s["stage_term"],
-                        cl_symmetric=s["cl_symmetric"], sign=s["sign"],
-                        hermitized=s["hermitized"], solver=s["solver"],
-                        epsilon_checked_to=s["epsilon_checked_to"])
-            for s in data["stages"]
-        ]
-        return rep
-
 
 def spec_digest(spec: StarProductSpec) -> str:
     blob = json.dumps(spec.to_json(), sort_keys=True, separators=(",", ":"))
@@ -117,11 +104,11 @@ def spec_digest(spec: StarProductSpec) -> str:
 
 
 class TauMap:
-    """The built embedding: tau_0..tau_K with build diagnostics."""
+    """The built embedding: its components tau_0..tau_K."""
 
-    __slots__ = ("n", "K", "components", "hermitian", "report")
+    __slots__ = ("n", "K", "components", "hermitian")
 
-    def __init__(self, n, K, components, hermitian, report=None):
+    def __init__(self, n, K, components, hermitian):
         components = tuple(components)
         if len(components) != K + 1:
             raise ValueError("need components for every degree 0..K")
@@ -134,7 +121,6 @@ class TauMap:
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "hermitian", hermitian)
-        object.__setattr__(self, "report", report)
 
     def __setattr__(self, name, value):
         raise AttributeError("TauMap is immutable")
@@ -169,21 +155,6 @@ class TauMap:
             return NotImplemented
         return (self.n, self.K, self.hermitian) == (other.n, other.K, other.hermitian) \
             and self.components == other.components
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "K": self.K,
-            "hermitian": self.hermitian,
-            "components": [c.to_json() for c in self.components],
-            "report": self.report.to_json() if self.report else None,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "TauMap":
-        comps = [MultiDiffCochain.from_json(c) for c in data["components"]]
-        report = BuildReport.from_json(data["report"]) if data.get("report") else None
-        return cls(data["n"], data["K"], comps, data["hermitian"], report)
 
 
 class ClosedFormTau(TauMap):
@@ -254,7 +225,9 @@ def epsilon_cochain(spec: StarProductSpec, taus, upto: int) -> MultiDiffCochain:
         total = total + c.retruncate(upto)
     out = compose_slot(total, 0, mu_cochain(n, upto))
     for r in range(1, min(spec.order, upto) + 1):
-        out = out + compose_slot(total, 0, spec.cochain(r).retruncate(upto)).scale_lambda(r)
+        # lam^r drops every term of degree above upto - r, so compose only the rest
+        low = total.retruncate(upto - r).retruncate(upto)
+        out = out + compose_slot(low, 0, spec.cochain(r).retruncate(upto)).scale_lambda(r)
     out = out - cochain_weyl_product(total, total)
     return out
 
@@ -315,8 +288,7 @@ def build_tau(spec: StarProductSpec, K: int, validate: bool = True):
         for k, c in enumerate(taus):
             if c.involution() != c:
                 raise ConsistencyError(f"component {k} is not Hermitian after build")
-    tau = TauMap(n, K, taus, hermitian, report)
-    return tau, report
+    return TauMap(n, K, taus, hermitian), report
 
 
 # ---------------------------------------------------------------------------

@@ -182,31 +182,6 @@ class WElement(PolyTermMap):
             parts.append(f"{head}*{body}" if head else body)
         return " + ".join(parts)
 
-    # ---- canonical JSON ----
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "max_degree": self.K,
-            "terms": [
-                {
-                    "lam": a,
-                    "p": list(idx),
-                    "poly": self.terms[(a, idx)].to_json()["terms"],
-                }
-                for (a, idx) in sorted(self.terms)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "WElement":
-        n = data["n"]
-        terms = {}
-        for entry in data["terms"]:
-            poly = QPolynomial.from_json({"n": n, "terms": entry["poly"]})
-            terms[(entry["lam"], tuple(entry["p"]))] = poly
-        return cls(n, data["max_degree"], terms)
-
 
 class LambdaPoly(TermMap):
     """A polynomial lam-series over the base coordinates, truncated at lam^K.
@@ -281,16 +256,6 @@ class LambdaPoly(TermMap):
             head = "" if r == 0 else ("lam" if r == 1 else f"lam^{r}") + "*"
             parts.append(f"{head}({self.terms[r]})")
         return " + ".join(parts)
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "max_order": self.K,
-            "coeffs": [
-                {"lam": r, "poly": self.terms[r].to_json()["terms"]}
-                for r in sorted(self.terms)
-            ],
-        }
 
     @classmethod
     def from_json(cls, data: dict) -> "LambdaPoly":

@@ -262,15 +262,15 @@ def _equivalence_signs(wick, weyl, laplace) -> tuple:
     return tuple(s for s in (1, -1) if all(gap[k] == -s * polar[k] for k in _SYMBOL_KEYS))
 
 
-def resolve_fock_sign(n: int, K: int) -> dict:
+def resolve_fock_sign() -> dict:
     """The sign sigma with E_sigma = exp(sigma lam Lap) mapping the z/zbar
     product into the q/p product, certified on the symbols of the tables
     (alike for every n and K); basis_size counts the coefficients compared."""
     signs = _equivalence_signs(WICK_PAIRING, WEYL_PAIRING, LAPLACIAN)
     if len(signs) != 1:
-        raise ConsistencyError(f"equivalence sign resolution failed for n={n}, "
-                               f"K={K}: passing signs {list(signs)}")
-    return {"n": n, "K": K, "sigma": signs[0], "basis_size": len(_SYMBOL_KEYS)}
+        raise ConsistencyError("equivalence sign resolution failed: "
+                               f"passing signs {list(signs)}")
+    return {"sigma": signs[0], "basis_size": len(_SYMBOL_KEYS)}
 
 
 def fock_equivalence(a, direction: str = "forward"):
@@ -281,7 +281,7 @@ def fock_equivalence(a, direction: str = "forward"):
     """
     if direction not in ("forward", "inverse"):
         raise ValueError(f"unknown direction {direction!r}")
-    sigma = resolve_fock_sign(a.n, a.K)["sigma"]
+    sigma = resolve_fock_sign()["sigma"]
     s = sigma if direction == "forward" else -sigma
     if isinstance(a, MatrixWElement):
         return a.map_entries(lambda x: _exp_laplace(x, s, x.K)), sigma

@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import itertools
-import json
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -133,6 +133,12 @@ class TestAlt:
     @given(cochains(arity=2))
     def test_idempotent(self, phi):
         assert alt(alt(phi)) == alt(phi)
+
+    @pytest.mark.parametrize("arity", [1, 3])
+    def test_rejects_other_arities(self, arity):
+        phi = simple({(0, ZERO_IDX, ((1, 0),) * arity): ONE}, arity=arity)
+        with pytest.raises(ValueError):
+            alt(phi)
 
 
 class TestClassicalLimit:
@@ -300,10 +306,3 @@ def test_deg_homogeneous_components():
     assert not phi.is_homogeneous(1)
     assert phi.component(2).is_homogeneous(2)
 
-
-@given(cochains(arity=2))
-def test_cochain_json_roundtrip(phi):
-    blob = json.dumps(phi.to_json(), sort_keys=True)
-    again = MultiDiffCochain.from_json(json.loads(blob))
-    assert again == phi
-    assert json.dumps(again.to_json(), sort_keys=True) == blob

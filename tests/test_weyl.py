@@ -125,10 +125,7 @@ class TestFockEquivalence:
         assert out == x + lam().scale(sigma)
 
     def test_sign_is_minus_one(self):
-        for n in (1, 2, 3, 4):
-            for order in (0, 4, 8):
-                rep = resolve_fock_sign(n, order)
-                assert rep == {"n": n, "K": order, "sigma": -1, "basis_size": 4}
+        assert resolve_fock_sign() == {"sigma": -1, "basis_size": 4}
 
     def test_certificate_rejects_perturbed_tables(self, monkeypatch):
         half = gr(Fraction(1, 2))
@@ -150,7 +147,7 @@ class TestFockEquivalence:
         zb = q(0) - p(0).scale(I)
         assert not any(check_sign_on_pair(s, z, zb) for s in (1, -1))
         with pytest.raises(ConsistencyError):
-            resolve_fock_sign(N, K)
+            resolve_fock_sign()
 
     def test_linear_elements_fixed(self):
         out, _ = fock_equivalence(q(0), "forward")
@@ -165,7 +162,7 @@ class TestFockEquivalence:
     def test_intertwines_products(self):
         z = q(0) + p(0).scale(I)
         zb = q(0) - p(0).scale(I)
-        sigma = resolve_fock_sign(N, K)["sigma"]
+        sigma = resolve_fock_sign()["sigma"]
         lhs = exp_laplace_exact(wick_product(z, zb), sigma)
         rhs = weyl_product(exp_laplace_exact(z, sigma), exp_laplace_exact(zb, sigma))
         assert WElement(N, K, lhs.terms) == WElement(N, K, rhs.terms)
