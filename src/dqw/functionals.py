@@ -33,8 +33,7 @@ from .qpoly import DimensionMismatch
 from .rationals import GaussianRational, ZERO, _coerce, parse_scalar
 from .starspec import StarProductSpec, star_apply
 from .terms import SquareMatrix, factorial, shift, zeros
-from .welement import (LambdaPoly, NonRealSeries, RealLambdaSeries, SeriesSign,
-                       WElement, real_series_from_complex)
+from .welement import LambdaPoly, NonRealSeries, SeriesSign, real_series_from_complex
 from .weyl import (MatrixWElement, exp_laplace_exact, iota_star,
                    resolve_fock_sign, wick_product)
 
@@ -417,7 +416,11 @@ def check_positivity(functional, spec: StarProductSpec, tests,
 
 class GluedFunctional:
     """f -> sum_a omega_a(conj(chi_a) * f * chi_a) for weights with
-    sum_a conj(chi_a) * chi_a = 1, verified symbolically on entry."""
+    sum_a conj(chi_a) * chi_a = 1, verified symbolically on entry.
+    No scenario runs it: with polynomial weights on flat space only
+    constants satisfy the identity, and then the glued functional is the
+    base one.  It stays for the gluing tests and because
+    perfbench/tracer.py wraps `GluedFunctional.action` by name."""
 
     __slots__ = ("parts", "spec", "K")
 

@@ -22,9 +22,8 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .functionals import (GluedFunctional, MatrixLambdaPoly, PartitionError,
-                          StateFunctional, UndeformedExtension, as_matrix,
-                          check_positivity, deform_functional)
+from .functionals import (MatrixLambdaPoly, StateFunctional, UndeformedExtension,
+                          as_matrix, check_positivity, deform_functional)
 from .qpoly import QPolynomial
 from .rationals import GaussianRational
 from .starspec import (InvalidStarProduct, StarProductSpec,
@@ -43,8 +42,11 @@ EXIT_CONFIG = 2
 EXIT_INCONCLUSIVE = 3
 
 DEFAULT_COMMANDS = ("validate", "build-tau", "deform", "check-pos")  # every op
-CHECK_POS_FIELDS = {"functional": ("deformed", "undeformed", "glued"),
+CHECK_POS_FIELDS = {"functional": ("deformed", "undeformed"),
                     "expect": ("nonnegative", "negative")}
+SCENARIO_KEYS = ("name", "n", "K", "N", "star_product", "functional", "tau", "tests",
+                 "commands")
+RANDOM_TEST_LOWS = {"seed": 0, "count": 0, "max_q_degree": 0, "max_coeff": 1}
 _KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
 
 
@@ -62,7 +64,6 @@ class Scenario:
     functional: dict
     tau_source: str = "solver"
     tests: dict = field(default_factory=dict)
-    glue_weights: list | None = None
     commands: list = field(default_factory=lambda: list(DEFAULT_COMMANDS))
 
     @classmethod
@@ -70,11 +71,12 @@ class Scenario:
         if not isinstance(data, dict):
             raise ConfigurationError(
                 f"a scenario must be a JSON object, got {type(data).__name__}")
+        _check_keys("", data, SCENARIO_KEYS)
         for key, kind in (("name", str), ("star_product", dict), ("functional", dict),
-                          ("tau", dict), ("tests", dict), ("glue", dict),
-                          ("commands", list)):
+                          ("tau", dict), ("tests", dict), ("commands", list)):
             if key in data:
                 _check_type(key, data[key], kind)
+        _check_keys("tau.", data.get("tau", {}), ("source",))
         try:
             scenario = cls(
                 name=data["name"],
@@ -85,7 +87,6 @@ class Scenario:
                 functional=data["functional"],
                 tau_source=data.get("tau", {}).get("source", "solver"),
                 tests=data.get("tests", {}),
-                glue_weights=data.get("glue", {}).get("weights"),
                 commands=data.get("commands", list(DEFAULT_COMMANDS)),
             )
         except KeyError as e:
@@ -94,10 +95,12 @@ class Scenario:
             _check_int(name, getattr(scenario, name), low)
         if scenario.tau_source not in ("solver", "closed_form"):
             raise ConfigurationError(f"unknown tau.source {scenario.tau_source!r}")
+        _check_keys("tests.", scenario.tests, ("explicit", "random"))
         _check_type("tests.explicit", scenario.tests.get("explicit", []), list)
         randcfg = scenario.tests.get("random", {})
         _check_type("tests.random", randcfg, dict)
-        for key, low in (("seed", 0), ("count", 0), ("max_q_degree", 0), ("max_coeff", 1)):
+        _check_keys("tests.random.", randcfg, (*RANDOM_TEST_LOWS, "lambda_corrections"))
+        for key, low in RANDOM_TEST_LOWS.items():
             if key in randcfg:
                 _check_int(f"tests.random.{key}", randcfg[key], low)
         _check_type("tests.random.lambda_corrections",
@@ -107,7 +110,7 @@ class Scenario:
         return scenario
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "name": self.name,
             "n": self.n,
             "K": self.K,
@@ -118,9 +121,6 @@ class Scenario:
             "tests": self.tests,
             "commands": self.commands,
         }
-        if self.glue_weights is not None:
-            out["glue"] = {"weights": self.glue_weights}
-        return out
 
     def digest(self) -> str:
         blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
@@ -131,6 +131,15 @@ def _check_type(field: str, value, kind: type) -> None:
     if not isinstance(value, kind):
         raise ConfigurationError(
             f"scenario field {field!r} must be {_KINDS[kind]}, got {type(value).__name__}")
+
+
+def _check_keys(prefix: str, obj: dict, known) -> None:
+    """Every key of obj is one that the runner reads: an unread key, such
+    as a misspelt one, would otherwise leave its default in force."""
+    for key in obj:
+        if key not in known:
+            raise ConfigurationError(
+                f"unknown scenario field {prefix + key!r}, expected one of {sorted(known)}")
 
 
 def _check_int(field: str, value, low: int) -> None:
@@ -167,10 +176,10 @@ def _check_explicit(field: str, node) -> None:
 
 
 def _check_data(scenario: Scenario) -> None:
-    """Points, vectors, theta and glue weights are lists of scalars written
-    as strings or integers, and the terms of explicit tests are lists: a
-    string in place of a list would be read as its characters.  The `n` and
-    `max_order` of an explicit test are integers in range."""
+    """Points, vectors and theta are lists of scalars written as strings or
+    integers, and the terms of explicit tests are lists: a string in place
+    of a list would be read as its characters.  The `n` and `max_order` of
+    an explicit test are integers in range."""
     if "theta" in scenario.star_product:
         _check_scalars("star_product.theta", scenario.star_product["theta"], 2)
     atoms = scenario.functional.get("atoms")
@@ -178,8 +187,6 @@ def _check_data(scenario: Scenario) -> None:
         for key in ("point", "vector"):
             if isinstance(atom, dict) and key in atom:
                 _check_scalars(f"functional.atoms[{i}].{key}", atom[key])
-    if scenario.glue_weights is not None:
-        _check_scalars("glue.weights", scenario.glue_weights)
     for i, entry in enumerate(scenario.tests.get("explicit", [])):
         _check_explicit(f"tests.explicit[{i}]", entry)
 
@@ -244,7 +251,7 @@ def build_functional(scenario: Scenario) -> StateFunctional:
 
 def build_tau_map(scenario: Scenario, spec: StarProductSpec):
     if scenario.tau_source == "solver":
-        return build_tau(spec, scenario.K, validate=False)
+        return build_tau(spec, scenario.K)
     if spec.theta is None:
         raise ConfigurationError(
             "closed_form embedding requires a constant bracket matrix"
@@ -322,16 +329,18 @@ def generate_tests(scenario: Scenario, seed_override: int | None = None):
 # ---------------------------------------------------------------------------
 
 def _normalize_commands(commands: list) -> list:
-    """The commands as dicts, after checking each op, the check-pos fields
-    and that every command comes after the one whose result it uses."""
+    """The commands as dicts, after checking each op, its fields and their
+    values and that every command comes after the one whose result it uses."""
     out, seen = [], set()
     for i, cmd in enumerate(commands):
         cmd = {"op": cmd} if isinstance(cmd, str) else cmd
         if not isinstance(cmd, dict) or cmd.get("op") not in DEFAULT_COMMANDS:
             raise ConfigurationError(f"bad command entry commands[{i}]: {cmd!r}")
         op = cmd["op"]
+        known = ("op", *CHECK_POS_FIELDS) if op == "check-pos" else ("op",)
+        _check_keys(f"commands[{i}].", cmd, known)
         for key, allowed in CHECK_POS_FIELDS.items():
-            if op == "check-pos" and key in cmd and cmd[key] not in allowed:
+            if key in cmd and cmd[key] not in allowed:
                 raise ConfigurationError(
                     f"check-pos field {key!r} must be one of {allowed}, got {cmd[key]!r}")
         if op == "deform":
@@ -401,29 +410,11 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
             record(op, "pass", deformed.describe(), t0)
         else:  # check-pos
             spec = spec or build_star_product(scenario)
-            which = cmd.get("functional", "deformed")
             expect = cmd.get("expect", "nonnegative")
-            if which == "undeformed":
-                functional = UndeformedExtension(state, scenario.K)
-            elif which == "deformed":
+            if cmd.get("functional", "deformed") == "deformed":
                 functional = deformed
-            else:  # glued
-                if scenario.glue_weights is None:
-                    raise ConfigurationError("glued check needs glue weights")
-                base = deformed if deformed is not None \
-                    else UndeformedExtension(state, scenario.K)
-                try:
-                    parts = [
-                        (LambdaPoly.constant(scenario.n, scenario.K, Fraction(w)),
-                         base)
-                        for w in scenario.glue_weights
-                    ]
-                    functional = GluedFunctional(parts, spec)
-                except PartitionError as e:
-                    record(op, "fail", {"error": str(e)}, t0)
-                    break
-                except (TypeError, ValueError) as e:
-                    raise ConfigurationError(f"bad glue.weights: {e}") from None
+            else:
+                functional = UndeformedExtension(state, scenario.K)
             tests, labels = generate_tests(scenario, seed_override)
             try:
                 verdict = check_positivity(functional, spec, tests, labels=labels)

@@ -45,7 +45,7 @@ from .cochain import (MultiDiffCochain, coboundary, cochain_weyl_product,
                       compose_slot, identity_cochain, mu_cochain, plug_constant)
 from .qpoly import DimensionMismatch, QPolynomial
 from .starspec import (InvalidStarProduct, StarProductSpec, antisymmetric_matrix,
-                       theta_powers, validate_star)
+                       theta_powers)
 from .terms import exponents
 from .welement import LambdaPoly, WElement
 from .weyl import ConsistencyError, canonical_bracket
@@ -232,21 +232,20 @@ def epsilon_cochain(spec: StarProductSpec, taus, upto: int) -> MultiDiffCochain:
     return out
 
 
-def build_tau(spec: StarProductSpec, K: int, validate: bool = True):
-    """Construct the embedding through combined degree K.
+def build_tau(spec: StarProductSpec, K: int):
+    """Construct the embedding through combined degree K.  The star
+    product is not validated here (that is `validate_star`): a product
+    that is not associative shows as a stage term that is not a cocycle.
 
     Returns (TauMap, BuildReport).  Raises BuildAborted when a structural
-    assertion fails, InvalidStarProduct when validation fails, and
-    ConsistencyError when a solver certificate or an error check fails.
+    assertion fails, InvalidStarProduct when the product's order is below
+    K, and ConsistencyError when a solver certificate or an error check
+    fails.
     """
     if K > spec.order:
         raise InvalidStarProduct(
             f"cannot build to degree {K}: star product only supplied to order {spec.order}"
         )
-    if validate:
-        rep = validate_star(spec, K)
-        if not rep.ok:
-            raise InvalidStarProduct(f"star product failed validation: {rep.to_json()}")
     hermitian = spec.hermitian
     n = spec.n
     report = BuildReport(

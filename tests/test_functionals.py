@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from dqw.functionals import (DeformedFunctional, GluedFunctional,
-                             MatrixLambdaPoly, PartitionError, StateFunctional,
-                             UndeformedExtension, check_positivity,
+from dqw.functionals import (GluedFunctional, MatrixLambdaPoly, PartitionError,
+                             StateFunctional, UndeformedExtension, check_positivity,
                              deform_functional, wick_positivity_certificate)
 from dqw.qpoly import QPolynomial
 from dqw.rationals import I, gr

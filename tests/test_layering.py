@@ -1,6 +1,8 @@
 """The modules of `dqw` share no private names: a helper that two
 modules need is public in the module that owns it (multi-index
-arithmetic in `terms`).  `rationals._coerce` is the one exception."""
+arithmetic in `terms`).  `rationals._coerce` is the one exception.
+No module of `dqw` or of the tests imports a name it does not use;
+the re-exports of an `__init__.py` are exempt."""
 
 import ast
 import pathlib
@@ -8,6 +10,7 @@ import pathlib
 import dqw
 
 SRC = pathlib.Path(dqw.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 SHARED_PRIVATE = {"rationals"}
 
 
@@ -22,4 +25,27 @@ def _private_imports(path):
 
 def test_no_private_imports_across_modules():
     found = [line for path in sorted(SRC.glob("*.py")) for line in _private_imports(path)]
+    assert found == []
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for name, lineno in imported.items():
+        if name not in used:
+            yield f"{path.name}:{lineno}: {name}"
+
+
+def test_no_unused_imports():
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    found = [line for path in paths if path.name != "__init__.py"
+             for line in _unused_imports(path)]
     assert found == []

@@ -200,7 +200,17 @@ class TestCli:
         ("'star_product'", lambda d: d.update(star_product="zero")),
         ("'functional'", lambda d: d.update(functional=[])),
         ("'tests'", lambda d: d.update(tests=[])),
-        ("'glue'", lambda d: d.update(glue=[1])),
+        # a key that nothing reads, glue among them, is refused, not dropped
+        ("'glue'", lambda d: d.update(glue={"weights": ["1"]})),
+        ("'comands'", lambda d: d.update(comands=d.pop("commands"))),
+        ("'tau.sorce'", lambda d: d.update(tau={"sorce": "closed_form"})),
+        ("'tests.explict'", lambda d: d["tests"].update(explict=[])),
+        ("'tests.random.cout'", lambda d: d["tests"]["random"].update(cout=3)),
+        ("'commands[3].functinal'",
+         lambda d: d["commands"][3].update(functinal=d["commands"][3].pop("functional"))),
+        ("'commands[0].expect'",
+         lambda d: d["commands"].__setitem__(0, {"op": "validate", "expect": "negative"})),
+        ("field 'functional'", lambda d: d["commands"][3].update(functional="glued")),
         ("'commands'", lambda d: d.update(commands="validate")),
         ("'tests.random.count'", lambda d: d["tests"]["random"].update(count="x")),
         ("'tests.random.max_coeff'",
@@ -228,8 +238,6 @@ class TestCli:
          lambda d: d["functional"]["atoms"][0].update(vector="1")),
         ("'functional.atoms[0].vector[0]'",
          lambda d: d["functional"]["atoms"][0].update(vector=[True])),
-        ("'glue.weights[0]'", lambda d: d.update(glue={"weights": [0.5, "1/2"]})),
-        ("'glue.weights'", lambda d: d.update(glue={"weights": "1"})),
         ("'tests.explicit[0].coeffs'",
          lambda d: d["tests"]["explicit"][0].update(coeffs="")),
         ("'tests.explicit[0].coeffs[0].poly'",
@@ -267,14 +275,12 @@ class TestCli:
         assert report["scenario"]["K"] == 2
 
 
-# The fuzzed document is k0-degenerate with one random test, glue weights
-# and a glued check added, so that every config field of a scenario occurs.
+# The fuzzed document is k0-degenerate with one random test added, so
+# that every config field of a scenario occurs.
 def _fuzz_base() -> dict:
     data = json.loads((SCENARIO_DIR / "k0-degenerate.json").read_text())
     data["tests"]["random"] = {"seed": 0, "count": 1, "max_q_degree": 1,
                                "max_coeff": 1, "lambda_corrections": True}
-    data["glue"] = {"weights": ["1"]}
-    data["commands"].append({"op": "check-pos", "functional": "glued"})
     return data
 
 
@@ -322,9 +328,15 @@ def _is(kind):
     return lambda v: isinstance(v, kind)
 
 
+def _object(*keys):
+    """An object with no key outside `keys`: a key nothing reads is refused."""
+    return lambda v: isinstance(v, dict) and set(v) <= set(keys)
+
+
 # config field (list indices as "*") -> (required, which values are valid)
 CONFIG_FIELDS = {
-    (): (True, _is(dict)),
+    (): (True, _object("name", "n", "K", "N", "star_product", "functional", "tau",
+                       "tests", "commands")),
     ("name",): (True, _is(str)),
     ("n",): (True, _int_at_least(1)),
     ("K",): (True, _int_at_least(0)),
@@ -332,7 +344,7 @@ CONFIG_FIELDS = {
     ("star_product",): (True, _is(dict)),
     ("star_product", "generator"):
         (True, lambda v: v in ("constant_theta", "zero", "linear_poisson_2d")),
-    ("tau",): (False, _is(dict)),
+    ("tau",): (False, _object("source")),
     ("tau", "source"): (False, lambda v: v in ("solver", "closed_form")),
     ("functional",): (True, _is(dict)),
     ("functional", "atoms"): (True, _is(list)),
@@ -340,28 +352,25 @@ CONFIG_FIELDS = {
     ("functional", "atoms", "*", "point", "*"): (True, _exact),
     ("functional", "atoms", "*", "vector"): (True, _is(list)),
     ("functional", "atoms", "*", "vector", "*"): (True, _scalar_string),
-    ("tests",): (False, _is(dict)),
+    ("tests",): (False, _object("explicit", "random")),
     ("tests", "explicit"): (False, _is(list)),
     ("tests", "explicit", "*", "n"): (True, _int_at_least(1)),
     ("tests", "explicit", "*", "max_order"): (True, _int_at_least(0)),
     ("tests", "explicit", "*", "coeffs"): (True, _is(list)),
     ("tests", "explicit", "*", "coeffs", "*", "poly"): (True, _is(list)),
-    ("tests", "random"): (False, _is(dict)),
+    ("tests", "random"): (False, _object("seed", "count", "max_q_degree", "max_coeff",
+                                         "lambda_corrections")),
     ("tests", "random", "seed"): (True, _int_at_least(0)),
     ("tests", "random", "count"): (False, _int_at_least(0)),
     ("tests", "random", "max_q_degree"): (False, _int_at_least(0)),
     ("tests", "random", "max_coeff"): (False, _int_at_least(1)),
     ("tests", "random", "lambda_corrections"): (False, _is(bool)),
-    # the glued check needs the weights
-    ("glue",): (True, _is(dict)),
-    ("glue", "weights"): (True, lambda v: isinstance(v, list) and bool(v)),
-    ("glue", "weights", "*"): (True, _exact),
     ("commands",): (False, _is(list)),
     ("commands", "*"): (False, lambda v: v in OPS or (
         isinstance(v, dict) and v.get("op") in OPS)),
     ("commands", "*", "op"): (True, lambda v: v in OPS),
     ("commands", "*", "functional"):
-        (False, lambda v: v in ("deformed", "undeformed", "glued")),
+        (False, lambda v: v in ("deformed", "undeformed")),
     ("commands", "*", "expect"): (False, lambda v: v in ("nonnegative", "negative")),
 }
 

@@ -57,14 +57,15 @@ class TestComputeRk:
         assert r2.is_homogeneous(2)
 
     def test_non_cocycle_stage_term_aborts_with_witness(self):
-        # the perturbed product is not associative at order 3, so an
-        # unvalidated build meets a stage-3 term that is not a cocycle
+        # the perturbed product is not associative at order 3, so the
+        # build, which does not validate, meets a stage-3 term that is not
+        # a cocycle
         data = json.loads((SCENARIO_DIR / "perturbed-c2.json").read_text())
         spec = StarProductSpec.from_json(data["star_product"]["inline"])
         with pytest.raises(BuildAborted,
                            match="^stage-3 term: target is not a cocycle; "
                                  "witness arguments") as exc:
-            build_tau(spec, 4, validate=False)
+            build_tau(spec, 4)
         assert isinstance(exc.value.__cause__, CocyclePrecondition)
 
 
@@ -186,7 +187,7 @@ class TestStageIdentity:
 
     def test_bench_n4_bracket(self):
         spec = _bench_n4_spec()
-        tau, report = build_tau(spec, 4, validate=False)
+        tau, report = build_tau(spec, 4)
         assert report.sign == 1
         self._check_stages(spec, list(tau.components))
 

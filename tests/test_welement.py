@@ -8,7 +8,7 @@ from dqw.rationals import gr
 from dqw.welement import (LambdaPoly, RealLambdaSeries, SeriesSign, WElement,
                           real_series_from_complex)
 
-from strategies import fractions, real_series, welements
+from strategies import real_series, welements
 
 N, K = 2, 4
 
