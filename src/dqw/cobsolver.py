@@ -49,10 +49,18 @@ class CocyclePrecondition(ValueError):
 class SolveReport:
     degree: int = 0
     potential_levels: list = field(default_factory=list)
+    # the (phi, psi) whose identity d(psi) = phi the certificate proved;
+    # not part of the JSON form
+    certified: tuple = field(default=(), repr=False, compare=False)
 
     # always empty; perfbench/tracer.py's on_solve still reads them
     direct_blocks = property(lambda self: ())
     bounds_tried = property(lambda self: ())
+
+    def certifies(self, phi: MultiDiffCochain, psi: MultiDiffCochain) -> bool:
+        """Whether this solve's certificate proved d(psi) = phi, so a
+        caller need not recompute the coboundary."""
+        return self.certified == (phi, psi)
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "potential_levels": self.potential_levels}
@@ -279,17 +287,21 @@ def solve_coboundary(phi: MultiDiffCochain):
     """Find psi with d(psi) = phi, exactly.  Returns (psi, report).
 
     phi must be an arity-2 cocycle, homogeneous for the combined grading,
-    with symmetric classical limit; `check_solvability_preconditions`
-    checks that with witnesses, and a target that violates it raises
-    ConsistencyError here.  The returned identity is re-verified before
-    returning in every case.
+    with symmetric classical limit.  The solver does not check that up
+    front: a target that violates it raises ConsistencyError, at the
+    latest from the certificate, which re-verifies d(psi) = phi before
+    every return and records the pair in `report.certified`.  A caller
+    that wants the reason runs `check_solvability_preconditions`, which
+    names a witness, after the failure.
     """
     if phi.arity != 2:
         raise ValueError("solver expects an arity-2 target")
     n, K = phi.n, phi.K
     report = SolveReport()
     if phi.is_zero():
-        return MultiDiffCochain.zero(n, K, 1), report
+        psi = MultiDiffCochain.zero(n, K, 1)
+        report.certified = (phi, psi)
+        return psi, report
     degrees = phi.degrees()
     if len(degrees) != 1:
         raise ValueError(f"target is not homogeneous: degrees {sorted(degrees)}")
@@ -315,4 +327,5 @@ def solve_coboundary(phi: MultiDiffCochain):
 
     if coboundary(psi, deformed=True) != phi:
         raise ConsistencyError("solver certificate failed: d(psi) != phi")
+    report.certified = (phi, psi)
     return psi, report

@@ -27,6 +27,7 @@ classical action keeps only J = 0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -106,7 +107,12 @@ class MultiDiffCochain(PolyTermMap):
         return MultiDiffCochain(self.n, self.K, self.arity, out)
 
     def hermitian_part(self) -> "MultiDiffCochain":
-        return (self + self.involution()).scale(Fraction(1, 2))
+        """(phi + phi*) / 2; phi itself, the same object, when it is
+        already Hermitian."""
+        inv = self.involution()
+        if inv == self:
+            return self
+        return (self + inv).scale(Fraction(1, 2))
 
     # ---- evaluation ----
 
@@ -298,20 +304,22 @@ def cochain_weyl_product(phi: MultiDiffCochain, psi: MultiDiffCochain) -> MultiD
     return MultiDiffCochain.from_flat(flat, phi.n, phi.K, phi.arity + psi.arity)
 
 
-def _splittings(j: tuple, parts: int):
+@functools.lru_cache(maxsize=None)
+def _splittings(j: tuple, parts: int) -> tuple:
     """All ways to write the multi-index j as an ordered sum of `parts`
-    multi-indices, with the multinomial coefficient."""
+    multi-indices, as a tuple of (pieces, multinomial coefficient) pairs.
+
+    Memoized: the result is immutable, and the keys are bounded by the
+    multi-indices of total order <= K that the compositions meet."""
     if parts == 0:
-        if not any(j):
-            yield [], 1
-        return
-    n = len(j)
-    per_dim = []
-    for d in range(n):
-        per_dim.append(list(exponents(parts, j[d])))
+        return (((), 1),) if not any(j) else ()
+    per_dim = [list(exponents(parts, e)) for e in j]
+    top = factorial(j)
+    out = []
     for combo in itertools.product(*per_dim):
-        pieces = [tuple(combo[d][p] for d in range(n)) for p in range(parts)]
-        yield pieces, factorial(j) // math.prod(map(factorial, pieces))
+        pieces = tuple(zip(*combo))
+        out.append((pieces, top // math.prod(map(factorial, pieces))))
+    return tuple(out)
 
 
 def compose_slot(phi: MultiDiffCochain, slot: int, inner: MultiDiffCochain) -> MultiDiffCochain:
@@ -327,12 +335,15 @@ def compose_slot(phi: MultiDiffCochain, slot: int, inner: MultiDiffCochain) -> M
     n, K = phi.n, phi.K
     m = inner.arity
     out: dict = {}
-    inner_flat = list(inner.flat_terms())
-    splits: dict = {}  # multi-index -> its splittings over the m inner slots
+    inner_flat = [(avec, fexp, ic) for (_, _, avec, fexp), ic in inner.flat_terms()]
+    # (inner derivative tuple, rest) -> the inner slots D^{avec_s + piece_s}
+    # of each splitting of rest, with its multinomial; kept for one call
+    # only, since a process-wide table of them raises the peak memory
+    slot_cache: dict = {}
     for (a, idx, jvec, exp), c in phi.flat_terms():
         j = jvec[slot]
         head, tail = jvec[:slot], jvec[slot + 1:]
-        for (_, _, avec, fexp), ic in inner_flat:
+        for avec, fexp, ic in inner_flat:
             cc = c * ic
             # Leibniz: j0 <= j differentiates the inner coefficient q^fexp,
             # the rest splits over the inner arguments
@@ -340,11 +351,12 @@ def compose_slot(phi: MultiDiffCochain, slot: int, inner: MultiDiffCochain) -> M
                 weight = binom(j, j0) * falling(fexp, j0)
                 new_exp = add(exp, sub(fexp, j0))
                 rest = sub(j, j0)
-                pieces_list = splits.get(rest)
-                if pieces_list is None:
-                    pieces_list = splits[rest] = list(_splittings(rest, m))
-                for pieces, mult in pieces_list:
-                    new_slots = tuple(add(avec[s], pieces[s]) for s in range(m))
+                slots = slot_cache.get((avec, rest))
+                if slots is None:
+                    slots = slot_cache[(avec, rest)] = [
+                        (tuple(map(add, avec, pieces)), mult)
+                        for pieces, mult in _splittings(rest, m)]
+                for new_slots, mult in slots:
                     accumulate(out, (a, idx, head + new_slots + tail, new_exp),
                                cc * (weight * mult))
     return MultiDiffCochain.from_flat(out, n, K, phi.arity + m - 1)

@@ -63,7 +63,7 @@ class QPolynomial(TermMap):
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 accumulate(out, add(e1, e2), c1 * c2)
-        return QPolynomial(self.n, out)
+        return self._new(out)
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -76,7 +76,7 @@ class QPolynomial(TermMap):
         for exp, c in self.terms.items():
             if exp[k]:
                 out[shift(exp, k, -1)] = c * exp[k]
-        return QPolynomial(self.n, out)
+        return self._new(out)
 
     def derivative(self, j: tuple) -> "QPolynomial":
         """The partial derivative D^j, in one pass over the monomials."""
@@ -166,9 +166,23 @@ class PolyTermMap(TermMap):
 
     @classmethod
     def from_flat(cls, flat: Mapping, *shape) -> "PolyTermMap":
-        """Assemble from a flat mapping; shape as for the constructor."""
+        """Assemble from a flat mapping; shape as for the constructor.
+
+        The product and coboundary kernels hand in nonzero coefficients
+        under well-formed keys (a, I, ...) + (q-exponent,), so nothing is
+        re-validated; only the truncation a + |I| <= K is applied, with K
+        the second shape entry.
+        """
         grouped: dict = {}
         for key, c in flat.items():
-            grouped.setdefault(key[:-1], {})[key[-1]] = c
-        n = shape[0]
-        return cls(*shape, {k: QPolynomial(n, t) for k, t in grouped.items()})
+            head = key[:-1]
+            poly = grouped.get(head)
+            if poly is None:
+                grouped[head] = {key[-1]: c}
+            else:
+                poly[key[-1]] = c
+        n, K = shape[0], shape[1]
+        poly_shape = (n,)
+        return cls._trusted(shape, {
+            head: QPolynomial._trusted(poly_shape, t) for head, t in grouped.items()
+            if head[0] + sum(head[1]) <= K})

@@ -14,20 +14,25 @@ reduces to one cohomological equation d(tau_k) = R_k with
     R_k(f,g) = sum_{i<k} lam^{k-i} tau_i(C_{k-i}(f,g))
                - sum_{0<i<k} tau_i(f) . tau_{k-i}(g),
 
-where R_k is checked to be a homogeneous cocycle with symmetric
-classical limit before solving.  Every tau_i is homogeneous of degree i,
-so adding tau_k leaves the error in degrees below k unchanged, and its
-degree-k component is exactly
+where R_k is checked to be homogeneous of degree k.  Every tau_i is
+homogeneous of degree i, so adding tau_k leaves the error in degrees
+below k unchanged, and its degree-k component is exactly
 
     eps_k = R_k - d(tau_k)
 
 with d the deformed coboundary.  So the stage equation carries no sign
 to search for (the reports record it as +1), and each stage checks only
-that one component.  For Hermitian star products each tau_k is
-replaced by its Hermitian part (which solves the same stage equation)
-before that check.  After the last stage the error is recomputed from
-the whole truncated tau in every degree <= K, an independent
-certificate of the total.
+that one component, once: the solver's certificate d(psi) = R_k is that
+check when tau_k = psi, and it is recomputed only when tau_k is another
+cochain.  For Hermitian star products each tau_k is replaced by its
+Hermitian part (which solves the same stage equation); on every shipped
+product psi is already Hermitian, and then tau_k is psi.  The
+solvability preconditions of R_k (a cocycle with symmetric classical
+limit) follow from a passed stage check, since d o d = 0 and the
+classical part of d(psi) is symmetric; they are run only when a stage
+fails, and then their witness names the reason.  After the last stage
+the error is recomputed from the whole truncated tau in every degree
+<= K, an independent certificate of the total.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NoReturn
 
 from .cobsolver import (CocyclePrecondition, check_solvability_preconditions,
                         solve_coboundary)
@@ -48,7 +54,7 @@ from .starspec import (InvalidStarProduct, StarProductSpec, antisymmetric_matrix
                        theta_powers)
 from .terms import exponents
 from .welement import LambdaPoly, WElement
-from .weyl import ConsistencyError, canonical_bracket
+from .weyl import ConsistencyError
 
 
 class BuildAborted(RuntimeError):
@@ -196,8 +202,10 @@ def _shift_lam(w: WElement, r: int) -> WElement:
 # ---------------------------------------------------------------------------
 
 def compute_Rk(spec: StarProductSpec, taus, k: int) -> MultiDiffCochain:
-    """The inhomogeneous term of the stage-k equation, with structural
-    assertions (homogeneity, cocycle, symmetric classical limit)."""
+    """The inhomogeneous term of the stage-k equation, asserted to be
+    homogeneous of degree k.  Its solvability preconditions (cocycle,
+    symmetric classical limit) are checked by `build_tau` only when the
+    stage fails (`_stage_failure`)."""
     n = spec.n
     K = taus[0].K
     out = MultiDiffCochain.zero(n, K, 2)
@@ -206,14 +214,19 @@ def compute_Rk(spec: StarProductSpec, taus, k: int) -> MultiDiffCochain:
         out = out + compose_slot(taus[i], 0, c).scale_lambda(k - i)
     for i in range(1, k):
         out = out - cochain_weyl_product(taus[i], taus[k - i])
-    if not out.is_zero():
-        if not out.is_homogeneous(k):
-            raise BuildAborted(f"stage-{k} term is not homogeneous of degree {k}")
-        try:
-            check_solvability_preconditions(out)
-        except CocyclePrecondition as e:
-            raise BuildAborted(f"stage-{k} term: {e}") from e
+    if not out.is_zero() and not out.is_homogeneous(k):
+        raise BuildAborted(f"stage-{k} term is not homogeneous of degree {k}")
     return out
+
+
+def _stage_failure(rk: MultiDiffCochain, k: int, error: Exception) -> NoReturn:
+    """Raise for a failed stage k: the precondition witness when R_k is
+    not a cocycle or its classical limit is not symmetric, else `error`."""
+    try:
+        check_solvability_preconditions(rk)
+    except CocyclePrecondition as e:
+        raise BuildAborted(f"stage-{k} term: {e}") from e
+    raise error
 
 
 def epsilon_cochain(spec: StarProductSpec, taus, upto: int) -> MultiDiffCochain:
@@ -261,14 +274,21 @@ def build_tau(spec: StarProductSpec, K: int):
                 stage=k, stage_term=None, cl_symmetric=True, sign=report.sign,
                 hermitized=False, solver=None, epsilon_checked_to=k))
             continue
+        # every failure exit of the stage goes through _stage_failure, so
+        # a violated precondition is reported with its witness
         if hermitian and rk.involution() != rk:
-            raise BuildAborted(f"stage-{k} term is not Hermitian")
-        # compute_Rk has already checked the cocycle and classical-limit
-        # preconditions, with witnesses
-        psi, solve_rep = solve_coboundary(rk)
+            _stage_failure(rk, k, BuildAborted(f"stage-{k} term is not Hermitian"))
+        try:
+            psi, solve_rep = solve_coboundary(rk)
+        except (ConsistencyError, ValueError) as e:
+            _stage_failure(rk, k, e)
         cand = psi.hermitian_part() if hermitian else psi
-        if not (rk - coboundary(cand, deformed=True)).is_zero():
-            raise ConsistencyError(f"error check failed in degree {k} at stage {k}")
+        # the stage check eps_k = R_k - d(tau_k) = 0, unless the solver's
+        # certificate has proved it for this cochain
+        if not solve_rep.certifies(rk, cand) and \
+                not (rk - coboundary(cand, deformed=True)).is_zero():
+            _stage_failure(rk, k, ConsistencyError(
+                f"error check failed in degree {k} at stage {k}"))
         report.sign = 1
         if not plug_constant(cand, 0).is_zero():
             raise BuildAborted(f"stage-{k} component does not vanish on constants")
@@ -314,16 +334,36 @@ def check_poisson_realization(tau: TauMap, spec: StarProductSpec,
 
     Both sides are antisymmetric and bilinear in the pair, so only the
     pairs (f, g) with f before g in the basis are checked; the first
-    failing pair is the first failing ordered pair as well.
+    failing pair is the first failing ordered pair as well.  The
+    gradients of each basis image are taken once, and since the
+    classical limit is linear, its image of a bracket is summed from the
+    images of the bracket's monomials, each evaluated once.
     """
     K = tau.K if K is None else K
+    n = tau.n
     cl = tau.classical_part()
-    basis = [QPolynomial.monomial(tau.n, e)
-             for t in (1, 2) for e in exponents(tau.n, t)]
-    images = [cl.evaluate([f]) for f in basis]
+    images: dict = {}  # q-exponent e -> cl(q^e)
+
+    def image(e):
+        img = images.get(e)
+        if img is None:
+            img = images[e] = cl.evaluate([QPolynomial.monomial(n, e)])
+        return img
+
+    exps = [e for t in (1, 2) for e in exponents(n, t)]
+    basis = [QPolynomial.monomial(n, e) for e in exps]
+    grads = [([image(e).diff_q(k) for k in range(n)],
+              [image(e).diff_p(k) for k in range(n)]) for e in exps]
+    zero = WElement.zero(n, tau.K)
     checked = 0
-    for (f, f_image), (g, g_image) in itertools.combinations(zip(basis, images), 2):
-        diff = cl.evaluate([spec.poisson_bracket(f, g)]) - canonical_bracket(f_image, g_image)
+    for (f, (fq, fp)), (g, (gq, gp)) in itertools.combinations(zip(basis, grads), 2):
+        lhs = zero
+        for e, c in spec.poisson_bracket(f, g).terms.items():
+            lhs = lhs + image(e).scale(c)
+        rhs = zero  # the canonical bracket of cl(f) and cl(g)
+        for k in range(n):
+            rhs = rhs + fq[k] * gp[k] - fp[k] * gq[k]
+        diff = lhs - rhs
         bad = {
             key: p for key, p in diff.terms.items()
             if key[0] == 0 and sum(key[1]) <= K - 1

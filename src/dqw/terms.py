@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 
 from .rationals import _coerce
 
@@ -56,11 +57,11 @@ def unit(n: int, k: int) -> tuple:
 
 
 def add(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def sub(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def shift(a: tuple, k: int, by: int) -> tuple:
@@ -92,35 +93,43 @@ class TermMap:
 
     A subclass lists its shape attributes in _SHAPE, in the order its
     constructor takes them; the constructor takes the term mapping last,
-    validates the keys, drops zero values and stores both through _init.
+    validates the keys, drops zero values and stores both through _init,
+    which also keeps the shape as one tuple for the shape checks.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_shape_tuple")
     _SHAPE: tuple = ()
 
     def _init(self, shape: tuple, terms: dict):
         for name, value in zip(self._SHAPE, shape):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_shape_tuple", shape)
         object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def _trusted(cls, shape: tuple, terms: dict) -> "TermMap":
+        """A map from terms that need no validation: well-formed keys for
+        this shape and nonzero values, as the kernels produce them."""
+        out = object.__new__(cls)
+        out._init(shape, terms)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def _shape(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._SHAPE)
+        return self._shape_tuple
 
     def _new(self, terms: dict) -> "TermMap":
         """A map of the same shape; its keys come from operands of that
         shape and its values are nonzero, so nothing is re-validated."""
-        out = object.__new__(type(self))
-        out._init(self._shape(), terms)
-        return out
+        return self._trusted(self._shape_tuple, terms)
 
     def _check(self, other: "TermMap"):
-        if self._shape() != other._shape():
+        if self._shape_tuple != other._shape_tuple:
             raise DimensionMismatch(
                 f"{type(self).__name__} shape mismatch: "
-                f"{self._shape()} vs {other._shape()}"
+                f"{self._shape_tuple} vs {other._shape_tuple}"
             )
 
     def __add__(self, other):
@@ -131,7 +140,19 @@ class TermMap:
         return self._new(out)
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        out = dict(self.terms)
+        for key, value in other.terms.items():
+            s = out.get(key)
+            if s is None:
+                out[key] = -value
+            else:
+                s = s - value
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+        return self._new(out)
 
     def __neg__(self):
         return self._new({k: -v for k, v in self.terms.items()})
@@ -158,10 +179,10 @@ class TermMap:
     def __eq__(self, other):
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._shape() == other._shape() and self.terms == other.terms
+        return self._shape_tuple == other._shape_tuple and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self._shape(), frozenset(self.terms.items())))
+        return hash((self._shape_tuple, frozenset(self.terms.items())))
 
 
 class SquareMatrix:

@@ -5,16 +5,22 @@
 * The weighted Euler-contraction homotopy h of the momentum Koszul
   complex, with d_p h + h d_p = id on forms of degree >= 1; the solver
   uses the axial potential instead.
+* The bracket-realization check pair by pair, evaluating both sides of
+  every pair from scratch; `taubuild.check_poisson_realization` shares
+  the basis images, their gradients and the monomial images instead.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from dqw.koszul import KoszulForm
+from dqw.qpoly import QPolynomial
+from dqw.taubuild import RealizationReport
 from dqw.terms import accumulate, exponents, shift
 from dqw.welement import WElement
-from dqw.weyl import _exp_laplace, weyl_product, wick_product
+from dqw.weyl import _exp_laplace, canonical_bracket, weyl_product, wick_product
 
 
 def monomial_basis(n: int, total_degree: int):
@@ -75,3 +81,28 @@ def poincare_homotopy(omega: KoszulForm) -> KoszulForm:
         contracted = euler_contraction(piece)
         out = out + contracted.scale(Fraction(1, w))
     return out
+
+
+def realization_per_pair(tau, spec, K=None) -> RealizationReport:
+    """The bracket-realization check over the unordered pairs of the
+    degree-1 and degree-2 monomials, with each pair's sides computed on
+    their own: cl({f, g}_spec) against the canonical bracket of cl(f)
+    and cl(g), through momentum degree K - 1."""
+    K = tau.K if K is None else K
+    cl = tau.classical_part()
+    basis = [QPolynomial.monomial(tau.n, e)
+             for t in (1, 2) for e in exponents(tau.n, t)]
+    images = [cl.evaluate([f]) for f in basis]
+    checked = 0
+    for (f, f_image), (g, g_image) in itertools.combinations(zip(basis, images), 2):
+        diff = cl.evaluate([spec.poisson_bracket(f, g)]) - canonical_bracket(f_image, g_image)
+        bad = {key: p for key, p in diff.terms.items()
+               if key[0] == 0 and sum(key[1]) <= K - 1}
+        checked += 1
+        if bad:
+            key = sorted(bad)[0]
+            return RealizationReport(
+                ok=False, checked_pairs=checked,
+                violation=f"pair ({f}, {g}): p-exponent {key[1]} "
+                          f"differs by {bad[key]}")
+    return RealizationReport(ok=True, checked_pairs=checked)

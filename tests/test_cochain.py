@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqw.cochain import (MultiDiffCochain, alt, biderivation_cochain,
+from dqw.cochain import (MultiDiffCochain, _splittings, alt, biderivation_cochain,
                          coboundary, cochain_weyl_product, compose_slot,
                          find_witness, identity_cochain, mu_cochain,
                          plug_constant)
@@ -273,6 +273,50 @@ class TestComposeSlotOracle:
         outer, slot, inner = case
         assert compose_slot(outer, slot, inner) == \
             _reference_compose_slot(outer, slot, inner)
+
+
+@st.composite
+def _splitting_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    j = draw(st.tuples(*[st.integers(min_value=0, max_value=5)] * n)
+             .filter(lambda j: sum(j) <= 5))
+    return j, draw(st.integers(min_value=0, max_value=3))
+
+
+class TestSplittingMemo:
+    @settings(max_examples=150, deadline=None)
+    @given(_splitting_inputs())
+    def test_matches_brute_force(self, case):
+        j, m = case
+        got = _splittings(j, m)
+        if m == 0:
+            expect = {(): 1} if not any(j) else {}
+        else:
+            expect = {
+                pieces: math.prod(math.factorial(e) for e in j) // math.prod(
+                    math.factorial(e) for piece in pieces for e in piece)
+                for pieces in _ordered_splits(j, m)}
+        assert len(got) == len(expect)
+        assert dict(got) == expect
+        for pieces, _mult in got:
+            assert len(pieces) == m
+            assert tuple(map(sum, zip(*pieces))) == (j if m else ())
+
+    def test_hands_out_only_tuples(self):
+        first = _splittings((2, 1), 2)
+        assert _splittings((2, 1), 2) is first
+        assert type(first) is tuple
+        for entry in first:
+            pieces, mult = entry
+            assert type(entry) is tuple and type(pieces) is tuple
+            assert all(type(p) is tuple for p in pieces) and type(mult) is int
+        with pytest.raises(TypeError):
+            first[0][0][0] = (0, 0)
+        snapshot = list(first)
+        # a composition reads the memo and leaves it as it was
+        phi = simple({(0, ZERO_IDX, ((2, 1),)): ONE})
+        compose_slot(phi, 0, mu_cochain(N, K))
+        assert list(_splittings((2, 1), 2)) == snapshot
 
 
 class TestWitness:

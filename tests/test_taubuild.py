@@ -6,14 +6,16 @@ from fractions import Fraction
 
 import pytest
 
-from dqw import taubuild
+from dqw import cobsolver, cochain, starspec, taubuild
 from dqw.cobsolver import CocyclePrecondition
 from dqw.cochain import (MultiDiffCochain, coboundary, identity_cochain,
                          plug_constant)
-from dqw.qpoly import QPolynomial
-from dqw.rationals import gr
-from dqw.scenario import random_lambda_poly
-from dqw.starspec import StarProductSpec, make_constant_theta_star, star_apply
+from dqw.qpoly import PolyTermMap, QPolynomial
+from dqw.rationals import GaussianRational, I, gr
+from dqw.scenario import (build_star_product, build_tau_map, load_scenario,
+                          random_lambda_poly)
+from dqw.starspec import (StarProductSpec, make_constant_theta_star, star_apply,
+                          validate_star)
 from dqw.taubuild import (BuildAborted, ClosedFormTau, TauMap, build_tau,
                           check_poisson_realization, compute_Rk,
                           epsilon_cochain)
@@ -22,6 +24,7 @@ from dqw.welement import LambdaPoly, WElement
 from dqw.weyl import ConsistencyError, canonical_bracket, weyl_product
 
 from conftest import SCENARIO_DIR
+from oracles import realization_per_pair
 
 N = 2
 ZERO_IDX = (0, 0)
@@ -225,6 +228,166 @@ class TestStageCheckFailure:
             build_tau(moyal_r2, 4)
 
 
+class TestStageFailurePath:
+    """The solvability preconditions of R_k run only when a stage fails,
+    at each of its failure exits, and their witness wins over the exit's
+    own error."""
+
+    def _count_preconditions(self, monkeypatch, witness=None):
+        """Record the targets the preconditions see; raise a witness for
+        them when one is given."""
+        seen = []
+        real = taubuild.check_solvability_preconditions
+
+        def checked(phi):
+            seen.append(phi)
+            if witness is not None:
+                raise CocyclePrecondition(witness)
+            real(phi)
+
+        monkeypatch.setattr(taubuild, "check_solvability_preconditions", checked)
+        return seen
+
+    def _fail_at(self, monkeypatch, exit_name):
+        """Make stage 1 of the moyal_r2 build fail at one exit; returns the
+        pattern of that exit's own error."""
+        if exit_name == "hermitian":
+            real = taubuild.compute_Rk
+            monkeypatch.setattr(taubuild, "compute_Rk",
+                                lambda spec, taus, k: real(spec, taus, k).scale(I))
+            return BuildAborted, "^stage-1 term is not Hermitian$"
+        if exit_name == "solver":
+            def refused(phi):
+                raise ConsistencyError("solver certificate failed: d(psi) != phi")
+            monkeypatch.setattr(taubuild, "solve_coboundary", refused)
+            return ConsistencyError, "^solver certificate failed"
+        real_solve = taubuild.solve_coboundary
+
+        def negated(phi):
+            psi, rep = real_solve(phi)
+            return -psi, rep
+        monkeypatch.setattr(taubuild, "solve_coboundary", negated)
+        return ConsistencyError, "^error check failed in degree 1 at stage 1$"
+
+    def test_passing_build_never_runs_them(self, moyal_r2, linear_2d, monkeypatch):
+        seen = self._count_preconditions(monkeypatch, witness="unexpected")
+        build_tau(moyal_r2, 4)
+        build_tau(linear_2d, 3)
+        build_tau(_bench_n4_spec(), 4)
+        assert seen == []
+
+    @pytest.mark.parametrize("exit_name", ["hermitian", "solver", "certificate"])
+    def test_witness_runs_first(self, moyal_r2, monkeypatch, exit_name):
+        self._fail_at(monkeypatch, exit_name)
+        seen = self._count_preconditions(monkeypatch, witness="witness W")
+        with pytest.raises(BuildAborted, match="^stage-1 term: witness W$") as exc:
+            build_tau(moyal_r2, 4)
+        assert isinstance(exc.value.__cause__, CocyclePrecondition)
+        assert len(seen) == 1 and seen[0].is_homogeneous(1)
+
+    @pytest.mark.parametrize("exit_name", ["hermitian", "solver", "certificate"])
+    def test_original_error_when_preconditions_hold(self, moyal_r2, monkeypatch,
+                                                    exit_name):
+        kind, pattern = self._fail_at(monkeypatch, exit_name)
+        seen = self._count_preconditions(monkeypatch)
+        with pytest.raises(kind, match=pattern):
+            build_tau(moyal_r2, 4)
+        assert len(seen) == 1
+
+    def test_wrong_solution_on_valid_product(self, moyal_r2, monkeypatch):
+        # the solver certified its own psi, not the cochain it hands back,
+        # so the stage recomputes d(tau_1); the real preconditions pass
+        self._fail_at(monkeypatch, "certificate")
+        seen = self._count_preconditions(monkeypatch)
+        with pytest.raises(ConsistencyError,
+                           match="^error check failed in degree 1 at stage 1$"):
+            build_tau(moyal_r2, 4)
+        assert seen == [compute_Rk(moyal_r2, [identity_cochain(N, 4)], 1)]
+
+    def test_certified_stage_computes_no_second_coboundary(self, moyal_r2,
+                                                           monkeypatch):
+        calls = []
+        real = taubuild.coboundary
+
+        def counted(phi, deformed=True):
+            calls.append(phi)
+            return real(phi, deformed)
+
+        monkeypatch.setattr(taubuild, "coboundary", counted)
+        build_tau(moyal_r2, 4)
+        assert calls == []
+
+
+def _shipped_builds():
+    """(name, spec, tau, K) for every shipped scenario that builds tau."""
+    out = []
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        data = json.loads(path.read_text())
+        ops = [c if isinstance(c, str) else c["op"] for c in data.get("commands", ())]
+        if "build-tau" not in ops:
+            continue
+        scenario = load_scenario(str(path))
+        spec = build_star_product(scenario)
+        if not validate_star(spec, scenario.K).ok:
+            continue
+        tau, _ = build_tau_map(scenario, spec)
+        out.append((scenario.name, spec, tau, scenario.K))
+    return out
+
+
+class TestTrustedKernelOutput:
+    """The kernels assemble their results without the validating
+    constructors; on the shipped builds every such result is one the
+    constructors would have produced: no zero stored, no term above the
+    truncation order, no malformed key."""
+
+    def test_results_survive_validation(self, monkeypatch):
+        results = []
+
+        def recorded(fn):
+            def wrapper(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                results.append(out)
+                return out
+            return wrapper
+
+        for module in (cochain, cobsolver, taubuild, starspec):
+            for name in ("compose_slot", "coboundary", "cochain_weyl_product"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, recorded(getattr(module, name)))
+        from_flat = PolyTermMap.from_flat.__func__
+        monkeypatch.setattr(PolyTermMap, "from_flat",
+                            classmethod(recorded(from_flat)))
+        for _name, spec, tau, K in _shipped_builds():
+            assert check_poisson_realization(tau, spec, K=K).ok
+            # the element product assembles through from_flat as well
+            x = [tau.apply(LambdaPoly.from_poly(QPolynomial.coordinate(tau.n, k), tau.K))
+                 for k in range(tau.n)]
+            weyl_product(x[0], x[-1])
+        kinds = {type(r) for r in results}
+        assert kinds == {MultiDiffCochain, WElement}
+        assert len(results) > 100
+        for r in results:
+            _assert_validated(r)
+
+
+def _assert_validated(x):
+    """x equals its rebuild through the validating constructors, and its
+    keys and coefficients are well formed."""
+    rebuilt = type(x)(*x._shape(), {
+        key: QPolynomial(x.n, dict(poly.terms)) for key, poly in x.terms.items()})
+    assert rebuilt == x
+    for key, poly in x.terms.items():
+        assert type(poly) is QPolynomial and poly.n == x.n and poly.terms
+        a, idx = key[0], key[1]
+        assert a >= 0 and a + sum(idx) <= x.K
+        indices = (idx,) + (key[2] if isinstance(x, MultiDiffCochain) else ())
+        assert all(type(e) is int and e >= 0 for j in indices for e in j)
+        for exp, c in poly.terms.items():
+            assert type(c) is GaussianRational and c
+            assert len(exp) == x.n and all(type(e) is int and e >= 0 for e in exp)
+
+
 class TestApply:
     def test_plain_embedding_case(self, zero_star):
         tau, _ = build_tau(zero_star, 3)
@@ -359,6 +522,38 @@ class TestPoissonRealization:
         assert check_poisson_realization(tau_moyal_r2, moyal_r2).checked_pairs == 10
         assert check_poisson_realization(
             tau_moyal_r3, moyal_r3_rank2).checked_pairs == 36
+
+
+    def test_matches_per_pair_oracle_on_shipped_builds(self):
+        builds = _shipped_builds()
+        assert len(builds) >= 5
+        for name, spec, tau, K in builds:
+            assert check_poisson_realization(tau, spec, K=K) == \
+                realization_per_pair(tau, spec, K=K), name
+
+    def test_matches_per_pair_oracle_on_bench_n4(self):
+        spec = _bench_n4_spec()
+        tau, _ = build_tau(spec, 4)
+        report = check_poisson_realization(tau, spec)
+        assert report.ok and report.checked_pairs == 91
+        assert report == realization_per_pair(tau, spec)
+
+    @pytest.mark.parametrize("which", ["moyal_r2", "linear_2d", "bench_n4"])
+    def test_first_violation_matches_per_pair_oracle(self, which, request):
+        if which == "bench_n4":
+            spec = _bench_n4_spec()
+            tau, _ = build_tau(spec, 4)
+        else:
+            spec = request.getfixturevalue(which)
+            tau = request.getfixturevalue(
+                {"moyal_r2": "tau_moyal_r2", "linear_2d": "tau_linear"}[which])
+        comps = list(tau.components)
+        comps[1] = -comps[1]
+        broken = TauMap(tau.n, tau.K, comps, hermitian=tau.hermitian)
+        report = check_poisson_realization(broken, spec)
+        assert not report.ok
+        assert report == realization_per_pair(broken, spec)
+        assert report.violation == _first_ordered_violation(broken, spec)
 
 
 def _first_ordered_violation(tau, spec, max_q_degree=2):
