@@ -47,7 +47,6 @@ class CocyclePrecondition(ValueError):
 
 @dataclass
 class SolveReport:
-    degree: int = 0
     potential_levels: list = field(default_factory=list)
     # the (phi, psi) whose identity d(psi) = phi the certificate proved;
     # not part of the JSON form
@@ -63,7 +62,7 @@ class SolveReport:
         return self.certified == (phi, psi)
 
     def to_json(self) -> dict:
-        return {"degree": self.degree, "potential_levels": self.potential_levels}
+        return {"potential_levels": self.potential_levels}
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +305,6 @@ def solve_coboundary(phi: MultiDiffCochain):
     if len(degrees) != 1:
         raise ValueError(f"target is not homogeneous: degrees {sorted(degrees)}")
     degree = degrees.pop()
-    report.degree = degree
 
     psi = MultiDiffCochain.zero(n, K, 1)
     residual = phi

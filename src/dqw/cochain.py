@@ -70,23 +70,7 @@ class MultiDiffCochain(PolyTermMap):
     def zero(cls, n: int, K: int, arity: int) -> "MultiDiffCochain":
         return cls(n, K, arity)
 
-    # ---- linear structure ----
-
-    def scale_lambda(self, r: int) -> "MultiDiffCochain":
-        """Multiply by lam^r (drops terms beyond the truncation)."""
-        return MultiDiffCochain(
-            self.n, self.K, self.arity,
-            {(a + r, idx, jvec): p for (a, idx, jvec), p in self.terms.items()},
-        )
-
-    def retruncate(self, K: int) -> "MultiDiffCochain":
-        return MultiDiffCochain(self.n, K, self.arity, self.terms)
-
     # ---- grading, conjugation, restriction ----
-
-    def component(self, d: int) -> "MultiDiffCochain":
-        out = {k: p for k, p in self.terms.items() if k[0] + sum(k[1]) == d}
-        return MultiDiffCochain(self.n, self.K, self.arity, out)
 
     def degrees(self) -> set:
         return {a + sum(idx) for (a, idx, _j) in self.terms}

@@ -239,8 +239,6 @@ class DeformedFunctional:
             "kind": "deformed",
             "K": self.K,
             "sigma": self.sigma,
-            "equivalence_direction": f"exp({-self.sigma:+d} lam Lap)",
-            "tau_tail_exact": self.tau.K > self.K,
             "sound_order": self.sound_order,
         }
 
@@ -347,14 +345,12 @@ class TestVerdict:
     label: str
     coefficients: list
     classification: SeriesSign
-    sound_order: int
 
     def to_json(self) -> dict:
         return {
             "label": self.label,
             "coefficients": self.coefficients,
             "classification": self.classification.value,
-            "sound_order": self.sound_order,
         }
 
 
@@ -405,7 +401,6 @@ def check_positivity(functional, spec: StarProductSpec, tests,
             label=label,
             coefficients=series.trimmed_strings(),
             classification=series.sign(),
-            sound_order=len(raw) - 1,
         ))
     return verdict
 

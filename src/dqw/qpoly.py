@@ -65,8 +65,7 @@ class QPolynomial(TermMap):
                 accumulate(out, add(e1, e2), c1 * c2)
         return self._new(out)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     # ---- calculus and structure ----
 
@@ -106,9 +105,6 @@ class QPolynomial(TermMap):
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def coefficient(self, exp) -> GaussianRational:
-        return self.terms.get(tuple(exp), ZERO)
 
     def __repr__(self):
         return f"QPolynomial({self.n}, {self.terms!r})"
@@ -150,10 +146,10 @@ class QPolynomial(TermMap):
 
 
 class PolyTermMap(TermMap):
-    """A term map whose values are QPolynomials in the same n coordinates.
-
-    Its flat form maps key + (q-exponent,) to the scalar coefficient of
-    that monomial; the product kernels and the solvers work on it.
+    """A term map whose values are QPolynomials in the same n coordinates,
+    under keys (a, I, ...) of combined degree a + |I| truncated at K, the
+    second shape entry.  Its flat form maps key + (q-exponent,) to the
+    scalar coefficient of that monomial; the kernels and solvers use it.
     """
 
     __slots__ = ()
@@ -164,25 +160,29 @@ class PolyTermMap(TermMap):
             for exp, c in poly.terms.items():
                 yield key + (exp,), c
 
+    def component(self, d: int) -> "PolyTermMap":
+        """The homogeneous part of combined degree d."""
+        return self._new({k: p for k, p in self.terms.items() if k[0] + sum(k[1]) == d})
+
+    def retruncate(self, K: int) -> "PolyTermMap":
+        """The same terms at truncation order K, dropping those above it."""
+        terms = {k: p for k, p in self.terms.items() if k[0] + sum(k[1]) <= K}
+        return self._trusted(self._shape_tuple[:1] + (K,) + self._shape_tuple[2:], terms)
+
+    def scale_lambda(self, r: int) -> "PolyTermMap":
+        """Multiply by lam^r, dropping terms beyond the truncation."""
+        low = self.retruncate(self._shape_tuple[1] - r).terms
+        return self._new({(k[0] + r,) + k[1:]: p for k, p in low.items()})
+
     @classmethod
     def from_flat(cls, flat: Mapping, *shape) -> "PolyTermMap":
         """Assemble from a flat mapping; shape as for the constructor.
-
-        The product and coboundary kernels hand in nonzero coefficients
-        under well-formed keys (a, I, ...) + (q-exponent,), so nothing is
-        re-validated; only the truncation a + |I| <= K is applied, with K
-        the second shape entry.
-        """
+        The kernels hand in nonzero coefficients under well-formed keys, so
+        nothing is re-validated; only the truncation at K is applied."""
         grouped: dict = {}
         for key, c in flat.items():
-            head = key[:-1]
-            poly = grouped.get(head)
-            if poly is None:
-                grouped[head] = {key[-1]: c}
-            else:
-                poly[key[-1]] = c
-        n, K = shape[0], shape[1]
-        poly_shape = (n,)
+            grouped.setdefault(key[:-1], {})[key[-1]] = c
+        poly_shape, K = shape[:1], shape[1]
         return cls._trusted(shape, {
             head: QPolynomial._trusted(poly_shape, t) for head, t in grouped.items()
             if head[0] + sum(head[1]) <= K})

@@ -215,10 +215,7 @@ def make_constant_theta_star(theta, K: int) -> StarProductSpec:
 
 
 def make_zero_star(n: int, K: int) -> StarProductSpec:
-    zero = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-    cochains = tuple(MultiDiffCochain.zero(n, K, 2) for _ in range(K))
-    return StarProductSpec(n=n, order=K, hermitian=True,
-                           cochains=cochains, theta=zero)
+    return make_constant_theta_star([[0] * n for _ in range(n)], K)
 
 
 def make_linear_poisson_2d_star(K: int) -> StarProductSpec:
@@ -252,7 +249,9 @@ def make_linear_poisson_2d_star(K: int) -> StarProductSpec:
                 f"order-{r} associativity constraint unexpectedly unsolvable"
             )
         herm = cr.hermitian_part()
-        if coboundary(herm, deformed=False) == defect:
+        # hermitian_part returns cr itself when it is Hermitian, and the
+        # solver has certified d0(cr) = defect
+        if herm is cr or coboundary(herm, deformed=False) == defect:
             cr = herm
         elif defect.involution() != -defect:
             raise InvalidStarProduct("associativity defect lost Hermitian symmetry")

@@ -21,8 +21,8 @@ below k unchanged, and its degree-k component is exactly
     eps_k = R_k - d(tau_k)
 
 with d the deformed coboundary.  So the stage equation carries no sign
-to search for (the reports record it as +1), and each stage checks only
-that one component, once: the solver's certificate d(psi) = R_k is that
+to search for, and each stage checks only that one component, once: the
+solver's certificate d(psi) = R_k is that
 check when tau_k = psi, and it is recomputed only when tau_k is another
 cochain.  For Hermitian star products each tau_k is replaced by its
 Hermitian part (which solves the same stage equation); on every shipped
@@ -41,14 +41,15 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import NoReturn
 
 from .cobsolver import (CocyclePrecondition, check_solvability_preconditions,
                         solve_coboundary)
-from .cochain import (MultiDiffCochain, coboundary, cochain_weyl_product,
-                      compose_slot, identity_cochain, mu_cochain, plug_constant)
+from .cochain import (MultiDiffCochain, biderivation_cochain, coboundary,
+                      cochain_weyl_product, compose_slot, identity_cochain,
+                      mu_cochain, plug_constant)
 from .qpoly import DimensionMismatch, QPolynomial
 from .starspec import (InvalidStarProduct, StarProductSpec, antisymmetric_matrix,
                        theta_powers)
@@ -66,22 +67,9 @@ class StageReport:
     stage: int
     stage_term: dict | None       # R_k, which is also the degree-k error of
                                   # the previous prefix (no tau_k added yet)
-    cl_symmetric: bool
-    sign: int | None
-    hermitized: bool
-    solver: dict | None
-    epsilon_checked_to: int
+    solver: dict | None           # None when R_k = 0 and tau_k = 0
 
-    def to_json(self) -> dict:
-        return {
-            "stage": self.stage,
-            "stage_term": self.stage_term,
-            "cl_symmetric": self.cl_symmetric,
-            "sign": self.sign,
-            "hermitized": self.hermitized,
-            "solver": self.solver,
-            "epsilon_checked_to": self.epsilon_checked_to,
-        }
+    to_json = asdict
 
 
 @dataclass
@@ -89,19 +77,10 @@ class BuildReport:
     n: int
     K: int
     hermitian: bool
-    sign: int | None
     spec_digest: str
     stages: list = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "K": self.K,
-            "hermitian": self.hermitian,
-            "sign": self.sign,
-            "spec_digest": self.spec_digest,
-            "stages": [s.to_json() for s in self.stages],
-        }
+    to_json = asdict
 
 
 def spec_digest(spec: StarProductSpec) -> str:
@@ -147,7 +126,7 @@ class TauMap:
             if r > self.K:
                 continue
             val = total.evaluate([poly])
-            out = out + _shift_lam(val, r)
+            out = out + val.scale_lambda(r)
         return out
 
     def classical_part(self) -> MultiDiffCochain:
@@ -189,12 +168,6 @@ class ClosedFormTau(TauMap):
 
     # perfbench/tracer.py wraps the `apply` found in each class's own dict
     apply = TauMap.apply
-
-
-def _shift_lam(w: WElement, r: int) -> WElement:
-    if r == 0:
-        return w
-    return WElement(w.n, w.K, {(a + r, idx): p for (a, idx), p in w.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +218,31 @@ def epsilon_cochain(spec: StarProductSpec, taus, upto: int) -> MultiDiffCochain:
     return out
 
 
+def _solve_stage(rk: MultiDiffCochain, k: int, hermitian: bool):
+    """tau_k with d(tau_k) = R_k, and the solver's report as JSON (None
+    when R_k = 0 and so tau_k = 0).  Every failure exit goes through
+    `_stage_failure`, so a violated precondition is reported with its
+    witness."""
+    if rk.is_zero():
+        return MultiDiffCochain.zero(rk.n, rk.K, 1), None
+    if hermitian and rk.involution() != rk:
+        _stage_failure(rk, k, BuildAborted(f"stage-{k} term is not Hermitian"))
+    try:
+        psi, solve_rep = solve_coboundary(rk)
+    except (ConsistencyError, ValueError) as e:
+        _stage_failure(rk, k, e)
+    tau_k = psi.hermitian_part() if hermitian else psi
+    # the stage check eps_k = R_k - d(tau_k) = 0, unless the solver's
+    # certificate has proved it for this cochain
+    if not solve_rep.certifies(rk, tau_k) and \
+            not (rk - coboundary(tau_k, deformed=True)).is_zero():
+        _stage_failure(rk, k, ConsistencyError(
+            f"error check failed in degree {k} at stage {k}"))
+    if not plug_constant(tau_k, 0).is_zero():
+        raise BuildAborted(f"stage-{k} component does not vanish on constants")
+    return tau_k, solve_rep.to_json()
+
+
 def build_tau(spec: StarProductSpec, K: int):
     """Construct the embedding through combined degree K.  The star
     product is not validated here (that is `validate_star`): a product
@@ -261,42 +259,14 @@ def build_tau(spec: StarProductSpec, K: int):
         )
     hermitian = spec.hermitian
     n = spec.n
-    report = BuildReport(
-        n=n, K=K, hermitian=hermitian, sign=None,
-        spec_digest=spec_digest(spec),
-    )
+    report = BuildReport(n=n, K=K, hermitian=hermitian, spec_digest=spec_digest(spec))
     taus = [identity_cochain(n, K)]
     for k in range(1, K + 1):
         rk = compute_Rk(spec, taus, k)
-        if rk.is_zero():
-            taus.append(MultiDiffCochain.zero(n, K, 1))
-            report.stages.append(StageReport(
-                stage=k, stage_term=None, cl_symmetric=True, sign=report.sign,
-                hermitized=False, solver=None, epsilon_checked_to=k))
-            continue
-        # every failure exit of the stage goes through _stage_failure, so
-        # a violated precondition is reported with its witness
-        if hermitian and rk.involution() != rk:
-            _stage_failure(rk, k, BuildAborted(f"stage-{k} term is not Hermitian"))
-        try:
-            psi, solve_rep = solve_coboundary(rk)
-        except (ConsistencyError, ValueError) as e:
-            _stage_failure(rk, k, e)
-        cand = psi.hermitian_part() if hermitian else psi
-        # the stage check eps_k = R_k - d(tau_k) = 0, unless the solver's
-        # certificate has proved it for this cochain
-        if not solve_rep.certifies(rk, cand) and \
-                not (rk - coboundary(cand, deformed=True)).is_zero():
-            _stage_failure(rk, k, ConsistencyError(
-                f"error check failed in degree {k} at stage {k}"))
-        report.sign = 1
-        if not plug_constant(cand, 0).is_zero():
-            raise BuildAborted(f"stage-{k} component does not vanish on constants")
-        taus.append(cand)
+        tau_k, solver = _solve_stage(rk, k, hermitian)
+        taus.append(tau_k)
         report.stages.append(StageReport(
-            stage=k, stage_term=rk.to_json(), cl_symmetric=True, sign=1,
-            hermitized=hermitian, solver=solve_rep.to_json(),
-            epsilon_checked_to=k))
+            stage=k, stage_term=None if rk.is_zero() else rk.to_json(), solver=solver))
 
     # final exactness check of every degree <= K at once
     eps = epsilon_cochain(spec, taus, K)
@@ -320,9 +290,7 @@ class RealizationReport:
     checked_pairs: int
     violation: str | None = None
 
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "checked_pairs": self.checked_pairs,
-                "violation": self.violation}
+    to_json = asdict
 
 
 def check_poisson_realization(tau: TauMap, spec: StarProductSpec,
@@ -335,13 +303,15 @@ def check_poisson_realization(tau: TauMap, spec: StarProductSpec,
     Both sides are antisymmetric and bilinear in the pair, so only the
     pairs (f, g) with f before g in the basis are checked; the first
     failing pair is the first failing ordered pair as well.  The
-    gradients of each basis image are taken once, and since the
-    classical limit is linear, its image of a bracket is summed from the
-    images of the bracket's monomials, each evaluated once.
+    bracket's biderivation and the gradients of each basis image are
+    built once, and since the classical limit is linear, its image of a
+    bracket is summed from the images of the bracket's monomials, each
+    evaluated once.
     """
     K = tau.K if K is None else K
     n = tau.n
     cl = tau.classical_part()
+    bracket = biderivation_cochain(n, 0, spec.poisson_matrix())
     images: dict = {}  # q-exponent e -> cl(q^e)
 
     def image(e):
@@ -358,7 +328,7 @@ def check_poisson_realization(tau: TauMap, spec: StarProductSpec,
     checked = 0
     for (f, (fq, fp)), (g, (gq, gp)) in itertools.combinations(zip(basis, grads), 2):
         lhs = zero
-        for e, c in spec.poisson_bracket(f, g).terms.items():
+        for (_a, _i, e), c in bracket.evaluate([f, g]).flat_terms():
             lhs = lhs + image(e).scale(c)
         rhs = zero  # the canonical bracket of cl(f) and cl(g)
         for k in range(n):

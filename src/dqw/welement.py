@@ -129,19 +129,10 @@ class WElement(PolyTermMap):
                 out[(a, idx)] = poly.scale(d)
         return WElement(self.n, self.K, out)
 
-    def component(self, d: int) -> "WElement":
-        """The homogeneous part of combined degree d."""
-        out = {k: p for k, p in self.terms.items() if k[0] + sum(k[1]) == d}
-        return WElement(self.n, self.K, out)
-
     def max_degree(self) -> int:
         if not self.terms:
             return -1
         return max(a + sum(i) for a, i in self.terms)
-
-    def lift(self, K: int) -> "WElement":
-        """Re-truncate to a (usually larger) order K."""
-        return WElement(self.n, K, self.terms)
 
     def evaluate(self, q_point, p_point) -> tuple:
         """Substitute numeric q and p, leaving lam formal.

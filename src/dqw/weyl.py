@@ -295,4 +295,4 @@ def exp_laplace_exact(x: WElement, sign: int) -> WElement:
         qd = max((sum(e) for e in poly.terms), default=0)
         bound = max(bound, a + sum(idx) + (sum(idx) + qd + 1) // 2 + 1)
     K = max(x.K, bound)
-    return _exp_laplace(x.lift(K), sign, K)
+    return _exp_laplace(x.retruncate(K), sign, K)

@@ -49,8 +49,8 @@ def exact_order_for_pair(a: WElement, b: WElement) -> int:
 
 def check_sign_on_pair(sign: int, a: WElement, b: WElement) -> bool:
     K = exact_order_for_pair(a, b)
-    a = a.lift(K)
-    b = b.lift(K)
+    a = a.retruncate(K)
+    b = b.retruncate(K)
     lhs = _exp_laplace(wick_product(a, b), sign, K)
     rhs = weyl_product(_exp_laplace(a, sign, K), _exp_laplace(b, sign, K))
     return lhs == rhs

@@ -256,4 +256,4 @@ class TestLimits:
             (1, ZERO_IDX, ((0, 1), (1, 0))): ONE.scale(-1),
         })
         psi, report = solve_coboundary(phi)
-        assert report.to_json() == {"degree": 1, "potential_levels": [1]}
+        assert report.to_json() == {"potential_levels": [1]}

@@ -147,6 +147,31 @@ class TestReports:
         with pytest.raises(ConfigurationError):
             emit_report(report, "yaml")
 
+    def test_reports_state_each_fact_once(self):
+        """On every shipped scenario a build stage lists only its stage, its
+        stage term and its solver report, a test verdict has no sound order
+        of its own, and no coefficient list reaches past the functional's
+        sound order (K for the undeformed extension)."""
+        stages = verdicts = 0
+        for path in sorted(SCENARIO_DIR.glob("*.json")):
+            if path.name.endswith("-spec.json"):
+                continue
+            report, _ = run_scenario(load_scenario(str(path)))
+            for c in report["commands"]:
+                detail = c["detail"] or {}
+                if c["op"] == "build-tau" and detail.get("report"):
+                    for stage in detail["report"]["stages"]:
+                        assert set(stage) == {"stage", "stage_term", "solver"}, path.name
+                        stages += 1
+                elif c["op"] == "check-pos" and "tests" in detail:
+                    functional = detail["functional"]
+                    order = functional.get("sound_order", report["scenario"]["K"])
+                    for t in detail["tests"]:
+                        assert "sound_order" not in t, (path.name, t["label"])
+                        assert len(t["coefficients"]) <= order + 1, (path.name, t["label"])
+                        verdicts += 1
+        assert stages and verdicts
+
 
 def _k0_without_command(index):
     data = json.loads((SCENARIO_DIR / "k0-degenerate.json").read_text())
@@ -425,3 +450,15 @@ def test_committed_fixtures_match_the_generator():
         "linear-poisson-2d-spec.json", "perturbed-c2.json"]
     for fixture, text in generated.items():
         assert fixture.read_text() == text, fixture.name
+
+
+def test_committed_goldens_match_the_generator():
+    path = SCENARIO_DIR.parent / "scripts" / "make_goldens.py"
+    spec = importlib.util.spec_from_file_location("make_goldens", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    generated = module.goldens()
+    golden_dir = SCENARIO_DIR.parent / "tests" / "golden"
+    assert sorted(generated) == sorted(golden_dir.glob("*.json"))
+    for golden, text in generated.items():
+        assert golden.read_text() == text, golden.name

@@ -6,7 +6,7 @@ import pytest
 from dqw.cochain import MultiDiffCochain
 from dqw.qpoly import QPolynomial
 from dqw.rationals import gr
-from dqw.starspec import (StarProductSpec, make_constant_theta_star,
+from dqw.starspec import (StarProductSpec, make_constant_theta_star, make_zero_star,
                           perturb_cochain, star_apply, validate_star)
 from dqw.terms import zeros
 from dqw.welement import LambdaPoly
@@ -32,6 +32,13 @@ class TestConstantThetaGenerator:
     def test_zero_matrix_gives_zero_cochains(self):
         spec = make_constant_theta_star([[0, 0], [0, 0]], K=3)
         assert all(spec.cochain(r).is_zero() for r in range(1, 4))
+
+    def test_zero_star_is_the_zero_matrix_product(self):
+        for n, K in ((1, 0), (2, 3), (3, 4)):
+            zero = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
+            assert make_zero_star(n, K) == StarProductSpec(
+                n=n, order=K, hermitian=True, theta=zero,
+                cochains=tuple(MultiDiffCochain.zero(n, K, 2) for _ in range(K)))
 
     def test_validates_at_order_six(self, moyal_r2_k6):
         assert validate_star(moyal_r2_k6).ok
