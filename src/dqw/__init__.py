@@ -9,7 +9,8 @@ from .cochain import (MultiDiffCochain, alt, coboundary, cochain_weyl_product,
                       compose_slot, identity_cochain, mu_cochain)
 from .functionals import (DeformedFunctional, GluedFunctional, MatrixLambdaPoly,
                           StateFunctional, UndeformedExtension, check_positivity,
-                          deform_functional, wick_positivity_certificate)
+                          deform_functional, star_squares,
+                          wick_positivity_certificate)
 from .koszul import KoszulForm, d_p
 from .qpoly import QPolynomial
 from .rationals import GaussianRational, gr

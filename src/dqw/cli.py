@@ -11,6 +11,7 @@ order and random-test seed; --out and --format control report output.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .scenario import (ConfigurationError, EXIT_CONFIG, Scenario, emit_report,
@@ -70,5 +71,18 @@ def main(argv=None) -> int:
     return code
 
 
+def run() -> int:
+    """The process entry point: `python -m dqw.cli` and the `dqw` script."""
+    code = main()
+    # The report is written and the process is about to exit.  Freezing
+    # moves every live object out of the collector's generations, so the
+    # collections at interpreter shutdown do not traverse every term,
+    # cochain and code object the run left alive; the memory goes back
+    # to the system at exit either way.  main() itself does not
+    # freeze, because the tests call it in-process.
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

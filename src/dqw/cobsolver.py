@@ -31,7 +31,6 @@ below is off the pipeline and is the tests' reference for it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cochain import MultiDiffCochain, alt, coboundary, find_witness
@@ -45,12 +44,16 @@ class CocyclePrecondition(ValueError):
     """The target is not solvable: precondition violated, with witness."""
 
 
-@dataclass
 class SolveReport:
-    potential_levels: list = field(default_factory=list)
-    # the (phi, psi) whose identity d(psi) = phi the certificate proved;
-    # not part of the JSON form
-    certified: tuple = field(default=(), repr=False, compare=False)
+    """The levels at which the solve used an axial potential, and the
+    (phi, psi) whose identity d(psi) = phi the certificate proved (not
+    part of the JSON form)."""
+
+    __slots__ = ("potential_levels", "certified")
+
+    def __init__(self):
+        self.potential_levels = []
+        self.certified = ()
 
     # always empty; perfbench/tracer.py's on_solve still reads them
     direct_blocks = property(lambda self: ())

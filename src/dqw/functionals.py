@@ -26,7 +26,7 @@ classify as inconclusive, never as positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .qpoly import DimensionMismatch
@@ -251,11 +251,10 @@ def deform_functional(base: StateFunctional, tau, K: int | None = None) -> Defor
 # automatic positivity certificate for the z/zbar product
 # ---------------------------------------------------------------------------
 
-@dataclass
-class WickCertificate:
-    coefficients: list            # RealLambdaSeries-style Fractions per lam-power
-    entries: list                 # decomposition entries per lam-power
-    all_nonnegative: bool
+# coefficients: the Fraction per lam-power; entries: the decomposition
+# entries per lam-power
+WickCertificate = namedtuple("WickCertificate",
+                             "coefficients entries all_nonnegative")
 
 
 def wick_positivity_certificate(state: StateFunctional, A: MatrixWElement) -> WickCertificate:
@@ -340,11 +339,8 @@ def wick_positivity_certificate(state: StateFunctional, A: MatrixWElement) -> Wi
 # verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TestVerdict:
-    label: str
-    coefficients: list
-    classification: SeriesSign
+class TestVerdict(namedtuple("TestVerdict", "label coefficients classification")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -354,10 +350,12 @@ class TestVerdict:
         }
 
 
-@dataclass
 class PositivityVerdict:
-    tests: list = field(default_factory=list)
-    functional: dict = field(default_factory=dict)
+    __slots__ = ("functional", "tests")
+
+    def __init__(self, functional: dict):
+        self.functional = functional
+        self.tests = []
 
     @property
     def negatives(self):
@@ -386,22 +384,25 @@ class PositivityVerdict:
         }
 
 
-def check_positivity(functional, spec: StarProductSpec, tests,
-                     labels=None) -> PositivityVerdict:
-    """Evaluate omega(f~ * f) for every test element and classify the
-    resulting real lam-series by its leading coefficient."""
-    verdict = PositivityVerdict(functional=functional.describe())
-    for idx, f in enumerate(tests):
-        label = labels[idx] if labels else f"test_{idx}"
+def star_squares(spec: StarProductSpec, tests) -> list:
+    """f~ * f, as a matrix, for every test element f.  A run squares its
+    test set once and every check-pos reads the same squares."""
+    squares = []
+    for f in tests:
         m = as_matrix(f)
-        g = m.involution().star_mul(spec, m)
-        raw = functional.action(g)
-        series = real_series_from_complex(raw, context=f"omega(f~ * f) for {label}")
-        verdict.tests.append(TestVerdict(
-            label=label,
-            coefficients=series.trimmed_strings(),
-            classification=series.sign(),
-        ))
+        squares.append(m.involution().star_mul(spec, m))
+    return squares
+
+
+def check_positivity(functional, squares, labels) -> PositivityVerdict:
+    """Evaluate omega(f~ * f) for every square from `star_squares` and
+    classify the resulting real lam-series by its leading coefficient."""
+    verdict = PositivityVerdict(functional.describe())
+    for label, g in zip(labels, squares, strict=True):
+        series = real_series_from_complex(functional.action(g),
+                                          context=f"omega(f~ * f) for {label}")
+        verdict.tests.append(
+            TestVerdict(label, series.trimmed_strings(), series.sign()))
     return verdict
 
 

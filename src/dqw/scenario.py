@@ -19,11 +19,12 @@ import hashlib
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .functionals import (MatrixLambdaPoly, StateFunctional, UndeformedExtension,
-                          as_matrix, check_positivity, deform_functional)
+                          as_matrix, check_positivity, deform_functional,
+                          star_squares)
 from .qpoly import QPolynomial
 from .rationals import GaussianRational
 from .starspec import (InvalidStarProduct, StarProductSpec,
@@ -54,17 +55,9 @@ class ConfigurationError(ValueError):
     """Malformed or inconsistent scenario content."""
 
 
-@dataclass
-class Scenario:
-    name: str
-    n: int
-    K: int
-    N: int
-    star_product: dict
-    functional: dict
-    tau_source: str = "solver"
-    tests: dict = field(default_factory=dict)
-    commands: list = field(default_factory=lambda: list(DEFAULT_COMMANDS))
+class Scenario(namedtuple("Scenario", "name n K N star_product functional "
+                                     "tau_source tests commands")):
+    __slots__ = ()
 
     @classmethod
     def from_json(cls, data: dict) -> "Scenario":
@@ -374,6 +367,7 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
     tau = None
     tau_report = None
     deformed = None
+    squares = None  # of the test set, made by the first check-pos
     state = build_functional(scenario)
 
     def record(op, outcome, detail, t0):
@@ -415,9 +409,11 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
                 functional = deformed
             else:
                 functional = UndeformedExtension(state, scenario.K)
-            tests, labels = generate_tests(scenario, seed_override)
+            if squares is None:
+                tests, labels = generate_tests(scenario, seed_override)
+                squares = star_squares(spec, tests)
             try:
-                verdict = check_positivity(functional, spec, tests, labels=labels)
+                verdict = check_positivity(functional, squares, labels)
             except NonRealSeries as e:
                 record(op, "fail", {"error": str(e)}, t0)
                 break

@@ -18,7 +18,7 @@ witness argument tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .cobsolver import solve_classical_coboundary
@@ -34,23 +34,24 @@ class InvalidStarProduct(ValueError):
     """A star product failed validation where a valid one is required."""
 
 
-@dataclass(frozen=True)
-class StarProductSpec:
-    n: int
-    order: int
-    hermitian: bool
-    cochains: tuple            # C_1..C_order as MultiDiffCochain (arity 2)
-    theta: tuple | None = None  # constant antisymmetric matrix, when known
+class StarProductSpec(namedtuple("StarProductSpec", "n order hermitian cochains theta",
+                                 defaults=(None,))):
+    """C_1..C_order as arity-2 MultiDiffCochains, and the constant
+    antisymmetric bracket matrix theta when known."""
 
-    def __post_init__(self):
-        if len(self.cochains) != self.order:
+    __slots__ = ()
+
+    def __new__(cls, n: int, order: int, hermitian: bool, cochains: tuple,
+                theta: tuple | None = None):
+        if len(cochains) != order:
             raise ValueError("need exactly `order` cochains")
-        for r, c in enumerate(self.cochains, start=1):
-            if c.arity != 2 or c.n != self.n:
+        for r, c in enumerate(cochains, start=1):
+            if c.arity != 2 or c.n != n:
                 raise DimensionMismatch(f"cochain {r} has wrong shape")
             for (a, idx, _j) in c.terms:
                 if a or any(idx):
                     raise ValueError(f"cochain {r} must be p- and lam-free")
+        return super().__new__(cls, n, order, hermitian, cochains, theta)
 
     def cochain(self, r: int) -> MultiDiffCochain:
         """C_r for r in 1..order (zero cochain beyond the stored list)."""
@@ -91,19 +92,6 @@ class StarProductSpec:
             if not theta_poly.is_real():
                 raise InvalidStarProduct("bracket coefficients are not real")
             out[k][l] = out[k][l] + theta_poly
-        return out
-
-    def poisson_bracket(self, f: QPolynomial, g: QPolynomial) -> QPolynomial:
-        theta = self.poisson_matrix()
-        out = QPolynomial.zero(self.n)
-        for k in range(self.n):
-            fk = f.diff(k)
-            if fk.is_zero():
-                continue
-            for l in range(self.n):
-                if theta[k][l].is_zero():
-                    continue
-                out = out + theta[k][l] * fk * g.diff(l)
         return out
 
     # ---- canonical JSON (schema is part of the external interface) ----
@@ -273,12 +261,9 @@ def perturb_cochain(spec: StarProductSpec, r: int,
 # validation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ValidationCheck:
-    name: str
-    ok: bool
-    order: int | None = None
-    witness: str | None = None
+class ValidationCheck(namedtuple("ValidationCheck", "name ok order witness",
+                                 defaults=(None, None))):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         out = {"name": self.name, "ok": self.ok}
@@ -289,10 +274,8 @@ class ValidationCheck:
         return out
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    checks: list = field(default_factory=list)
+class ValidationReport(namedtuple("ValidationReport", "ok checks")):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {"ok": self.ok, "checks": [c.to_json() for c in self.checks]}

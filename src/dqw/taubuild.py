@@ -41,7 +41,7 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from typing import NoReturn
 
@@ -62,25 +62,32 @@ class BuildAborted(RuntimeError):
     """A structural assertion failed during the staged construction."""
 
 
-@dataclass
-class StageReport:
-    stage: int
-    stage_term: dict | None       # R_k, which is also the degree-k error of
-                                  # the previous prefix (no tau_k added yet)
-    solver: dict | None           # None when R_k = 0 and tau_k = 0
+class StageReport(namedtuple("StageReport", "stage stage_term solver")):
+    """One build stage: its number k, R_k as JSON, which is also the
+    degree-k error of the previous prefix (None when R_k = 0), and the
+    solver's report (None when R_k = 0 and tau_k = 0)."""
 
-    to_json = asdict
+    __slots__ = ()
+
+    def to_json(self) -> dict:
+        return {"stage": self.stage, "stage_term": self.stage_term,
+                "solver": self.solver}
 
 
-@dataclass
 class BuildReport:
-    n: int
-    K: int
-    hermitian: bool
-    spec_digest: str
-    stages: list = field(default_factory=list)
+    __slots__ = ("n", "K", "hermitian", "spec_digest", "stages")
 
-    to_json = asdict
+    def __init__(self, n: int, K: int, hermitian: bool, spec_digest: str):
+        self.n = n
+        self.K = K
+        self.hermitian = hermitian
+        self.spec_digest = spec_digest
+        self.stages = []
+
+    def to_json(self) -> dict:
+        return {"n": self.n, "K": self.K, "hermitian": self.hermitian,
+                "spec_digest": self.spec_digest,
+                "stages": [s.to_json() for s in self.stages]}
 
 
 def spec_digest(spec: StarProductSpec) -> str:
@@ -284,13 +291,13 @@ def build_tau(spec: StarProductSpec, K: int):
 # bracket realization check
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RealizationReport:
-    ok: bool
-    checked_pairs: int
-    violation: str | None = None
+class RealizationReport(namedtuple("RealizationReport", "ok checked_pairs violation",
+                                   defaults=(None,))):
+    __slots__ = ()
 
-    to_json = asdict
+    def to_json(self) -> dict:
+        return {"ok": self.ok, "checked_pairs": self.checked_pairs,
+                "violation": self.violation}
 
 
 def check_poisson_realization(tau: TauMap, spec: StarProductSpec,

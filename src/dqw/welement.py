@@ -223,9 +223,6 @@ class LambdaPoly(TermMap):
 
     __rmul__ = __mul__
 
-    def shift_lam(self, r: int) -> "LambdaPoly":
-        return LambdaPoly(self.n, self.K, {s + r: p for s, p in self.terms.items()})
-
     def coefficient(self, r: int) -> QPolynomial:
         return self.terms.get(r, QPolynomial.zero(self.n))
 

@@ -13,8 +13,8 @@ from fractions import Fraction
 from dqw.cobsolver import solve_coboundary
 from dqw.cochain import MultiDiffCochain, coboundary
 from dqw.functionals import (GluedFunctional, MatrixLambdaPoly, StateFunctional,
-                             UndeformedExtension, check_positivity,
-                             deform_functional, wick_positivity_certificate)
+                             UndeformedExtension, deform_functional,
+                             wick_positivity_certificate)
 from dqw.koszul import KoszulForm, d_p
 from dqw.qpoly import QPolynomial
 from dqw.rationals import I, gr
@@ -25,7 +25,7 @@ from dqw.taubuild import build_tau, check_poisson_realization, epsilon_cochain
 from dqw.welement import LambdaPoly, SeriesSign, WElement
 from dqw.weyl import MatrixWElement, _exp_laplace, weyl_product
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, positivity_verdict
 from oracles import check_sign_on_pair, monomial_basis, poincare_homotopy
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -253,7 +253,7 @@ def _counterexample(K=4):
 def test_criterion_06_counterexample(moyal_r2):
     delta = StateFunctional(2, 1, [((0, 0), (1,))])
     omega = UndeformedExtension(delta, 4)
-    verdict = check_positivity(omega, moyal_r2, [_counterexample()])
+    verdict = positivity_verdict(omega, moyal_r2, [_counterexample()])
     t = verdict.tests[0]
     ok = (t.coefficients == ["0", "-1"] and
           t.classification == SeriesSign.NEGATIVE)
@@ -268,7 +268,7 @@ def test_criterion_07_positivity_deformation(moyal_r2, tau_moyal_r2,
     delta = StateFunctional(2, 1, [((0, 0), (1,))])
     omega_fix = deform_functional(delta, fixture_tau_r2, K=K)
 
-    verdict = check_positivity(omega_fix, moyal_r2, [_counterexample()])
+    verdict = positivity_verdict(omega_fix, moyal_r2, [_counterexample()])
     t = verdict.tests[0]
     # exact pipeline value, forced by multiplicativity: tau maps
     # fbar * f = fbar f - lam to g~ g - lam with g = tau(f), and the
@@ -300,7 +300,7 @@ def test_criterion_07_positivity_deformation(moyal_r2, tau_moyal_r2,
                     tests.append(MatrixLambdaPoly(
                         [[random_lambda_poly(rng, 2, K, 2, 2, True)
                           for _ in range(2)] for _ in range(2)]))
-            verdict = check_positivity(omega, moyal_r2, tests)
+            verdict = positivity_verdict(omega, moyal_r2, tests)
             total += len(tests)
             negatives += [f"{kind}/N={N}/{t.label}" for t in verdict.negatives]
     ok = value_ok and total >= 200 and not negatives
@@ -365,7 +365,7 @@ def test_criterion_09_gluing(moyal_r2, fixture_tau_r2):
     rng = random.Random(909)
     tests = [_counterexample()] + [
         random_lambda_poly(rng, 2, K, 3, 3, True) for _ in range(20)]
-    verdict = check_positivity(glued, moyal_r2, tests)
+    verdict = positivity_verdict(glued, moyal_r2, tests)
     ok = combo_ok and not verdict.negatives
     _report(9, "constant-weight quadratic partitions reproduce the convex "
                "combination and keep verdicts non-negative", ok,

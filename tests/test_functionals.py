@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from dqw.functionals import (GluedFunctional, MatrixLambdaPoly, PartitionError,
-                             StateFunctional, UndeformedExtension, check_positivity,
-                             deform_functional, wick_positivity_certificate)
+                             StateFunctional, UndeformedExtension, deform_functional,
+                             star_squares, wick_positivity_certificate)
 from dqw.qpoly import QPolynomial
 from dqw.rationals import I, gr
 from dqw.scenario import (Scenario, build_functional, build_star_product,
@@ -14,7 +14,7 @@ from dqw.scenario import (Scenario, build_functional, build_star_product,
 from dqw.welement import LambdaPoly, NonRealSeries, SeriesSign, WElement
 from dqw.weyl import MatrixWElement, exp_laplace_exact, iota_star, resolve_fock_sign
 
-from conftest import SCENARIO_DIR
+from conftest import SCENARIO_DIR, positivity_verdict
 from test_taubuild import _substitution_reference, seeded_theta
 
 N_DIM, K = 2, 4
@@ -182,8 +182,7 @@ class TestClosedFormSeries:
         omega = deform_functional(state, tau, K=scenario.K)
         sigma = resolve_fock_sign()["sigma"]
         tests, labels = generate_tests(scenario)
-        for m, label in zip(tests, labels):
-            g = m.involution().star_mul(spec, m)
+        for g, label in zip(star_squares(spec, tests), labels):
             pushed = [[iota_star(exp_laplace_exact(
                 _substitution_reference(spec.theta, x), -sigma)) for x in row]
                 for row in g.entries]
@@ -211,7 +210,7 @@ class TestClosedFormSeries:
 class TestCheckPositivity:
     def test_undeformed_counterexample_negative(self, moyal_r2, delta0):
         omega = UndeformedExtension(delta0, K)
-        verdict = check_positivity(omega, moyal_r2, [counterexample_test()])
+        verdict = positivity_verdict(omega, moyal_r2, [counterexample_test()])
         t = verdict.tests[0]
         assert t.coefficients == ["0", "-1"]
         assert t.classification == SeriesSign.NEGATIVE
@@ -219,7 +218,7 @@ class TestCheckPositivity:
 
     def test_deformed_counterexample_positive(self, moyal_r2, fixture_tau_r2, delta0):
         omega = deform_functional(delta0, fixture_tau_r2, K=K)
-        verdict = check_positivity(omega, moyal_r2, [counterexample_test()])
+        verdict = positivity_verdict(omega, moyal_r2, [counterexample_test()])
         t = verdict.tests[0]
         assert t.coefficients == ["0", "1/4"]
         assert t.classification == SeriesSign.POSITIVE
@@ -227,7 +226,7 @@ class TestCheckPositivity:
 
     def test_zero_test_inconclusive(self, moyal_r2, fixture_tau_r2, delta0):
         omega = deform_functional(delta0, fixture_tau_r2, K=K)
-        verdict = check_positivity(omega, moyal_r2, [LambdaPoly.zero(N_DIM, K)])
+        verdict = positivity_verdict(omega, moyal_r2, [LambdaPoly.zero(N_DIM, K)])
         assert verdict.tests[0].classification == SeriesSign.ZERO_UP_TO_K
         assert verdict.aggregate == "inconclusive"
         assert verdict.inconclusive
@@ -240,7 +239,7 @@ class TestCheckPositivity:
             [f, LambdaPoly.constant(N_DIM, K, 1)],
             [LambdaPoly.zero(N_DIM, K), f],
         ])
-        verdict = check_positivity(omega, moyal_r2, [m])
+        verdict = positivity_verdict(omega, moyal_r2, [m])
         assert verdict.tests[0].classification != SeriesSign.NEGATIVE
 
     def test_reality_enforced(self, moyal_r2, delta0):
@@ -257,7 +256,7 @@ class TestCheckPositivity:
                 return (gr(0, 1),)
 
         with pytest.raises(NonRealSeries):
-            check_positivity(Broken(), moyal_r2, [counterexample_test()])
+            positivity_verdict(Broken(), moyal_r2, [counterexample_test()])
 
 
 class TestGlue:
@@ -292,8 +291,7 @@ class TestGlue:
         chi1 = LambdaPoly.constant(N_DIM, K, Fraction(3, 5))
         chi2 = LambdaPoly.constant(N_DIM, K, Fraction(4, 5))
         glued = GluedFunctional([(chi1, omega), (chi2, omega)], moyal_r2)
-        verdict = check_positivity(
-            glued, moyal_r2, [counterexample_test()])
+        verdict = positivity_verdict(glued, moyal_r2, [counterexample_test()])
         t = verdict.tests[0]
         assert t.classification == SeriesSign.POSITIVE
         assert t.coefficients == ["0", "1/4"]

@@ -24,7 +24,7 @@ from dqw.welement import LambdaPoly, WElement
 from dqw.weyl import ConsistencyError, canonical_bracket, weyl_product
 
 from conftest import SCENARIO_DIR
-from oracles import realization_per_pair
+from oracles import poisson_bracket, realization_per_pair
 
 N = 2
 ZERO_IDX = (0, 0)
@@ -564,7 +564,7 @@ def _first_ordered_violation(tau, spec, max_q_degree=2):
              for t in range(1, max_q_degree + 1) for e in exponents(tau.n, t)]
     for f in basis:
         for g in basis:
-            diff = cl.evaluate([spec.poisson_bracket(f, g)]) - \
+            diff = cl.evaluate([poisson_bracket(spec, f, g)]) - \
                 canonical_bracket(cl.evaluate([f]), cl.evaluate([g]))
             bad = {key: p for key, p in diff.terms.items()
                    if key[0] == 0 and sum(key[1]) <= tau.K - 1}
