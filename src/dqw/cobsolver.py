@@ -35,6 +35,7 @@ from fractions import Fraction
 
 from .cochain import MultiDiffCochain, alt, coboundary, find_witness
 from .koszul import KoszulForm, axial_potential
+from .qpoly import QPolynomial
 from .rationals import GaussianRational, ONE
 from .terms import accumulate, add, exponents, factorial, shift, unit
 from .weyl import ConsistencyError
@@ -174,11 +175,11 @@ def solve_classical_coboundary(target: MultiDiffCochain):
     obstruction is an antisymmetric class).
     """
     if target.arity != 3 or any(
-            not any(j) for (_a, _i, jvec) in target.terms for j in jvec):
+            not any(j) for (_a, _i, jvec, _e) in target.terms for j in jvec):
         raise ValueError("target must be a normalized arity-3 cochain")
     n = target.n
     blocks: dict = {}
-    for (a, idx, jvec, exp), c in target.flat_terms():
+    for (a, idx, jvec, exp), c in target.terms.items():
         t = sum(sum(j) for j in jvec)
         blocks.setdefault((a, idx, exp, t), {})[jvec] = c * math.prod(map(factorial, jvec))
     flat: dict = {}
@@ -189,7 +190,7 @@ def solve_classical_coboundary(target: MultiDiffCochain):
                     c = _value(phi, j1, j2)
                     if c:
                         flat[(a, idx, (j1, j2), exp)] = c / (factorial(j1) * factorial(j2))
-    psi = MultiDiffCochain.from_flat(flat, n, target.K, 2)
+    psi = MultiDiffCochain._trusted((n, target.K, 2), flat)
     return psi if coboundary(psi, deformed=False) == target else None
 
 
@@ -239,8 +240,7 @@ def check_solvability_preconditions(phi: MultiDiffCochain):
 
 
 def _level(phi: MultiDiffCochain, a: int) -> MultiDiffCochain:
-    return MultiDiffCochain(phi.n, phi.K, phi.arity,
-                            {k: p for k, p in phi.terms.items() if k[0] == a})
+    return phi._new({k: c for k, c in phi.terms.items() if k[0] == a})
 
 
 _MINUS_TWO_I = GaussianRational(0, -2)
@@ -251,17 +251,18 @@ def _potential_term(antisym: MultiDiffCochain, a: int) -> MultiDiffCochain:
     is the antisymmetric biderivation antisym: d_p X = omega, the 2-form
     of antisym's coefficients on the slots (D_k, D_l), k < l."""
     n = antisym.n
-    omega = {}
-    for (_a, idx, (j1, j2)), poly in antisym.terms.items():
+    omega: dict = {}
+    for (_a, idx, (j1, j2), exp), c in antisym.terms.items():
         if a == 0 or sum(j1) != 1 or sum(j2) != 1:
             raise ConsistencyError(
                 f"antisymmetric part at lam-level {a} is not a lam multiple "
                 "of a biderivation")
         k, l = j1.index(1), j2.index(1)
         if k < l:
-            omega[(idx, (k, l))] = poly
+            omega.setdefault((idx, (k, l)), {})[exp] = c
     try:
-        potential = axial_potential(KoszulForm(n, 2, omega))
+        potential = axial_potential(KoszulForm(n, 2, {
+            key: QPolynomial(n, t) for key, t in omega.items()}))
     except ValueError:
         raise ConsistencyError(
             f"antisymmetric part at lam-level {a} is not closed") from None
@@ -275,14 +276,13 @@ def _polarized_term(part: MultiDiffCochain) -> MultiDiffCochain:
     """The 1-cochain sigma whose classical coboundary is the symmetric
     classical cocycle part: sigma_m(xi) = part_m(xi, xi) / (2 - 2^m)."""
     out: dict = {}
-    for (a, idx, (j1, j2)), poly in part.terms.items():
+    for (a, idx, (j1, j2), exp), c in part.terms.items():
         m = sum(j1) + sum(j2)
         if m == 1:
             raise ConsistencyError(
                 f"symmetric part at lam-level {a} has a first-order term")
-        accumulate(out, (a, idx, (add(j1, j2),)),
-                   poly.scale(Fraction(1, 2 - 2 ** m)))
-    return MultiDiffCochain(part.n, part.K, 1, out)
+        accumulate(out, (a, idx, (add(j1, j2),), exp), c * Fraction(1, 2 - 2 ** m))
+    return MultiDiffCochain._trusted((part.n, part.K, 1), out)
 
 
 def solve_coboundary(phi: MultiDiffCochain):

@@ -4,9 +4,10 @@ An arity-k cochain acts on k base polynomials f_1..f_k as
 
     phi(f_1,..,f_k) = sum  c(q) * lam^a * p^I * D^{J_1}f_1 ... D^{J_k}f_k,
 
-stored in the canonical normal form mapping (a, I, (J_1..J_k)) to the
-polynomial coefficient c(q).  Two cochains are equal exactly when their
-normal forms coincide.  The combined degree a + |I| grades cochains the
+stored flat, in the canonical normal form mapping (a, I, (J_1..J_k), E)
+to the scalar coefficient of the monomial q^E in c(q); every kernel reads
+and writes this form.  Two cochains are equal exactly when their normal
+forms coincide.  The combined degree a + |I| grades cochains the
 same way it grades algebra elements, and values are truncated at the
 element order K.
 
@@ -34,34 +35,34 @@ import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .qpoly import DimensionMismatch, PolyTermMap, QPolynomial
-from .rationals import I
-from .terms import (accumulate, add, below, binom, exponents, factorial, falling,
-                    shift, sub, unit, zeros)
+from .qpoly import DimensionMismatch, QPolynomial
+from .rationals import I, _coerce
+from .terms import (GradedTermMap, accumulate, add, below, binom, exponents, factorial,
+                    falling, shift, sub, unit, zeros)
 from .welement import WElement
 from .weyl import WEYL_PAIRING, propagate
 
 
-class MultiDiffCochain(PolyTermMap):
+class MultiDiffCochain(GradedTermMap):
     __slots__ = ("n", "K", "arity")
     _SHAPE = ("n", "K", "arity")
 
     def __init__(self, n: int, K: int, arity: int,
                  terms: Mapping | None = None):
+        """terms maps (a, I, J, E) to the scalar coefficient of q^E, as
+        `.terms` holds it; a key (a, I, J) may carry a QPolynomial
+        coefficient instead, which is expanded into its monomials."""
         if arity < 0:
             raise ValueError("arity must be non-negative")
-        clean = {}
-        if terms:
-            for (a, idx, jvec), poly in terms.items():
-                jvec = tuple(tuple(j) for j in jvec)
-                if len(jvec) != arity:
-                    raise ValueError("derivative tuple has wrong arity")
-                if len(idx) != n or any(len(j) != n for j in jvec):
-                    raise DimensionMismatch("index length mismatch")
-                if a + sum(idx) > K:
-                    continue
-                if poly:
-                    clean[(a, tuple(idx), jvec)] = poly
+        clean: dict = {}
+        for (a, idx, jvec, exp), c in _flat_items(terms or {}):
+            jvec = tuple(tuple(j) for j in jvec)
+            if len(jvec) != arity:
+                raise ValueError("derivative tuple has wrong arity")
+            if any(len(x) != n for x in (idx, exp) + jvec):
+                raise DimensionMismatch("index length mismatch")
+            if a + sum(idx) <= K:
+                accumulate(clean, (a, tuple(idx), jvec, tuple(exp)), _coerce(c))
         self._init((n, K, arity), clean)
 
     # ---- constructors ----
@@ -70,25 +71,29 @@ class MultiDiffCochain(PolyTermMap):
     def zero(cls, n: int, K: int, arity: int) -> "MultiDiffCochain":
         return cls(n, K, arity)
 
+    def polynomials(self) -> dict:
+        """(a, I, J) -> its QPolynomial coefficient, in sorted key order."""
+        grouped: dict = {}
+        for key in sorted(self.terms):
+            grouped.setdefault(key[:3], {})[key[3]] = self.terms[key]
+        return {head: QPolynomial._trusted((self.n,), t) for head, t in grouped.items()}
+
     # ---- grading, conjugation, restriction ----
 
     def degrees(self) -> set:
-        return {a + sum(idx) for (a, idx, _j) in self.terms}
+        return {k[0] + sum(k[1]) for k in self.terms}
 
     def is_homogeneous(self, d: int) -> bool:
-        return all(a + sum(idx) == d for (a, idx, _j) in self.terms)
+        return all(k[0] + sum(k[1]) == d for k in self.terms)
 
     def classical_limit(self) -> "MultiDiffCochain":
         """Keep only the lam-power-zero part."""
-        out = {k: p for k, p in self.terms.items() if k[0] == 0}
-        return MultiDiffCochain(self.n, self.K, self.arity, out)
+        return self._new({k: c for k, c in self.terms.items() if k[0] == 0})
 
     def involution(self) -> "MultiDiffCochain":
         """phi*(f_1,..,f_k) = conj(phi(conj f_k,..,conj f_1))."""
-        out = {}
-        for (a, idx, jvec), poly in self.terms.items():
-            out[(a, idx, tuple(reversed(jvec)))] = poly.conjugate()
-        return MultiDiffCochain(self.n, self.K, self.arity, out)
+        return self._new({(a, idx, jvec[::-1], exp): c.conjugate()
+                          for (a, idx, jvec, exp), c in self.terms.items()})
 
     def hermitian_part(self) -> "MultiDiffCochain":
         """(phi + phi*) / 2; phi itself, the same object, when it is
@@ -110,19 +115,28 @@ class MultiDiffCochain(PolyTermMap):
         # D^j of an argument vanishes unless j <= its componentwise top exponent
         tops = [tuple(map(max, zip(*f.terms))) for f in args]
         derivs: dict = {}  # (slot, j) -> D^j of that slot's argument, or False
-        for (a, idx, jvec), poly in self.terms.items():
-            val = poly
-            for si, j in enumerate(jvec):
-                d = derivs.get((si, j))
-                if d is None:
-                    d = derivs[(si, j)] = (all(map(operator.le, j, tops[si]))
-                                           and args[si].derivative(j))
-                if not d:
-                    break
-                val = val * d
-            else:
-                accumulate(out, (a, idx), val)
-        return WElement(self.n, self.K, out)
+        products: dict = {}  # J -> the product of the slots' D^{J_s}, or False
+        one = QPolynomial.constant(self.n, 1)
+        for (a, idx, jvec, exp), c in self.terms.items():
+            prod = products.get(jvec)
+            if prod is None:
+                prod = one
+                for si, j in enumerate(jvec):
+                    d = derivs.get((si, j))
+                    if d is None:
+                        d = derivs[(si, j)] = (all(map(operator.le, j, tops[si]))
+                                               and args[si].derivative(j))
+                    if not d:
+                        prod = False
+                        break
+                    prod = d if prod is one else prod * d
+                products[jvec] = prod
+            if prod:
+                value = out.setdefault((a, idx), {})
+                for e, v in prod.terms.items():
+                    accumulate(value, add(e, exp) if any(exp) else e, v * c)
+        return WElement._trusted((self.n, self.K), {
+            key: QPolynomial._trusted((self.n,), t) for key, t in out.items() if t})
 
     # ---- structure ----
 
@@ -134,8 +148,7 @@ class MultiDiffCochain(PolyTermMap):
         if not self.terms:
             return "0"
         parts = []
-        for (a, idx, jvec) in sorted(self.terms):
-            poly = self.terms[(a, idx, jvec)]
+        for (a, idx, jvec), poly in self.polynomials().items():
             factors = []
             if a:
                 factors.append("lam" + (f"^{a}" if a > 1 else ""))
@@ -156,15 +169,22 @@ class MultiDiffCochain(PolyTermMap):
             "max_degree": self.K,
             "arity": self.arity,
             "terms": [
-                {
-                    "lam": a,
-                    "p": list(idx),
-                    "derivs": [list(j) for j in jvec],
-                    "poly": self.terms[(a, idx, jvec)].to_json()["terms"],
-                }
-                for (a, idx, jvec) in sorted(self.terms)
+                {"lam": a, "p": list(idx), "derivs": [list(j) for j in jvec],
+                 "poly": poly.to_json()["terms"]}
+                for (a, idx, jvec), poly in self.polynomials().items()
             ],
         }
+
+
+def _flat_items(terms: Mapping):
+    """The (a, I, J, E) items of terms: a key (a, I, J) with a QPolynomial
+    coefficient gives one item per monomial."""
+    for key, c in terms.items():
+        if len(key) == 3:
+            for exp, v in c.terms.items():
+                yield key + (exp,), v
+        else:
+            yield key, c
 
 
 # ---------------------------------------------------------------------------
@@ -174,25 +194,20 @@ class MultiDiffCochain(PolyTermMap):
 def identity_cochain(n: int, K: int) -> MultiDiffCochain:
     """The arity-1 cochain f -> f (the p-independent embedding)."""
     z = zeros(n)
-    return MultiDiffCochain(n, K, 1, {(0, z, (z,)): QPolynomial.constant(n, 1)})
+    return MultiDiffCochain(n, K, 1, {(0, z, (z,), z): 1})
 
 
 def mu_cochain(n: int, K: int) -> MultiDiffCochain:
     """The arity-2 cochain (f, g) -> f g."""
     z = zeros(n)
-    return MultiDiffCochain(n, K, 2, {(0, z, (z, z)): QPolynomial.constant(n, 1)})
+    return MultiDiffCochain(n, K, 2, {(0, z, (z, z), z): 1})
 
 
 def biderivation_cochain(n: int, K: int, coeffs) -> MultiDiffCochain:
     """sum_{k,l} coeffs[k][l] * D_k (x) D_l with QPolynomial coefficients."""
     z = zeros(n)
-    terms: dict = {}
-    for k in range(n):
-        for l in range(n):
-            c = coeffs[k][l]
-            if c:
-                accumulate(terms, (0, z, (unit(n, k), unit(n, l))), c)
-    return MultiDiffCochain(n, K, 2, terms)
+    return MultiDiffCochain(n, K, 2, {
+        (0, z, (unit(n, k), unit(n, l))): coeffs[k][l] for k in range(n) for l in range(n)})
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +234,7 @@ def coboundary(phi: MultiDiffCochain, deformed: bool = True) -> MultiDiffCochain
     """The bar-complex coboundary for the chosen bimodule action."""
     n, K, k = phi.n, phi.K, phi.arity
     out: dict = {}
-    for (a, idx, jvec, exp), c in phi.flat_terms():
+    for (a, idx, jvec, exp), c in phi.terms.items():
         # left outer action: new argument in slot 0
         for (a2, idx2, jnew, exp2, c2) in _outer_action_terms(a, idx, exp, c, deformed, True):
             accumulate(out, (a2, idx2, (jnew,) + jvec, exp2), c2)
@@ -236,15 +251,13 @@ def coboundary(phi: MultiDiffCochain, deformed: bool = True) -> MultiDiffCochain
         tail_sign = 1 if (k + 1) % 2 == 0 else -1
         for (a2, idx2, jnew, exp2, c2) in _outer_action_terms(a, idx, exp, c, deformed, False):
             accumulate(out, (a2, idx2, jvec + (jnew,), exp2), c2 * tail_sign)
-    return MultiDiffCochain.from_flat(out, n, K, k + 1)
+    return MultiDiffCochain._trusted((n, K, k + 1), out)
 
 
 def swap(phi: MultiDiffCochain) -> MultiDiffCochain:
     """The 2-cochain with its arguments exchanged: (f, g) -> phi(g, f)."""
-    out = {}
-    for (a, idx, (j1, j2)), poly in phi.terms.items():
-        accumulate(out, (a, idx, (j2, j1)), poly)
-    return MultiDiffCochain(phi.n, phi.K, 2, out)
+    return phi._new({(a, idx, (j2, j1), exp): c
+                     for (a, idx, (j1, j2), exp), c in phi.terms.items()})
 
 
 def alt(phi: MultiDiffCochain) -> MultiDiffCochain:
@@ -283,9 +296,9 @@ def cochain_weyl_product(phi: MultiDiffCochain, psi: MultiDiffCochain) -> MultiD
     """
     if phi.n != psi.n or phi.K != psi.K:
         raise DimensionMismatch("cochain base mismatch")
-    flat = propagate(phi.flat_terms(), psi.flat_terms(), WEYL_PAIRING,
+    flat = propagate(phi.terms.items(), psi.terms.items(), WEYL_PAIRING,
                      _cochain_dq, _cochain_join, phi.K)
-    return MultiDiffCochain.from_flat(flat, phi.n, phi.K, phi.arity + psi.arity)
+    return MultiDiffCochain._trusted((phi.n, phi.K, phi.arity + psi.arity), flat)
 
 
 @functools.lru_cache(maxsize=None)
@@ -311,7 +324,7 @@ def compose_slot(phi: MultiDiffCochain, slot: int, inner: MultiDiffCochain) -> M
     slot of phi, expanding derivatives of products into normal form."""
     if inner.n != phi.n or inner.K != phi.K:
         raise DimensionMismatch("cochain base mismatch")
-    for (a, idx, _j) in inner.terms:
+    for (a, idx, _j, _e) in inner.terms:
         if a or any(idx):
             raise ValueError("inner cochain must have p- and lam-free values")
     if not 0 <= slot < phi.arity:
@@ -319,12 +332,12 @@ def compose_slot(phi: MultiDiffCochain, slot: int, inner: MultiDiffCochain) -> M
     n, K = phi.n, phi.K
     m = inner.arity
     out: dict = {}
-    inner_flat = [(avec, fexp, ic) for (_, _, avec, fexp), ic in inner.flat_terms()]
+    inner_flat = [(avec, fexp, ic) for (_, _, avec, fexp), ic in inner.terms.items()]
     # (inner derivative tuple, rest) -> the inner slots D^{avec_s + piece_s}
     # of each splitting of rest, with its multinomial; kept for one call
     # only, since a process-wide table of them raises the peak memory
     slot_cache: dict = {}
-    for (a, idx, jvec, exp), c in phi.flat_terms():
+    for (a, idx, jvec, exp), c in phi.terms.items():
         j = jvec[slot]
         head, tail = jvec[:slot], jvec[slot + 1:]
         for avec, fexp, ic in inner_flat:
@@ -343,19 +356,16 @@ def compose_slot(phi: MultiDiffCochain, slot: int, inner: MultiDiffCochain) -> M
                 for new_slots, mult in slots:
                     accumulate(out, (a, idx, head + new_slots + tail, new_exp),
                                cc * (weight * mult))
-    return MultiDiffCochain.from_flat(out, n, K, phi.arity + m - 1)
+    return MultiDiffCochain._trusted((n, K, phi.arity + m - 1), out)
 
 
 def plug_constant(phi: MultiDiffCochain, slot: int) -> MultiDiffCochain:
     """Evaluate one argument slot at the constant function 1."""
     if not 0 <= slot < phi.arity:
         raise IndexError("slot out of range")
-    out: dict = {}
-    for (a, idx, jvec), poly in phi.terms.items():
-        if any(jvec[slot]):
-            continue
-        accumulate(out, (a, idx, jvec[:slot] + jvec[slot + 1:]), poly)
-    return MultiDiffCochain(phi.n, phi.K, phi.arity - 1, out)
+    return MultiDiffCochain._trusted((phi.n, phi.K, phi.arity - 1), {
+        (a, idx, jvec[:slot] + jvec[slot + 1:], exp): c
+        for (a, idx, jvec, exp), c in phi.terms.items() if not any(jvec[slot])})
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +383,7 @@ def find_witness(phi: MultiDiffCochain):
     if phi.is_zero():
         return None
     supports = sorted(
-        {jvec for (_a, _i, jvec) in phi.terms},
+        {key[2] for key in phi.terms},
         key=lambda jv: (sum(sum(j) for j in jv), jv),
     )
     for jvec in supports:

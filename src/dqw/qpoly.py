@@ -144,45 +144,3 @@ class QPolynomial(TermMap):
             raise ValueError("exponents must be non-negative integers")
         return cls(data["n"], terms)
 
-
-class PolyTermMap(TermMap):
-    """A term map whose values are QPolynomials in the same n coordinates,
-    under keys (a, I, ...) of combined degree a + |I| truncated at K, the
-    second shape entry.  Its flat form maps key + (q-exponent,) to the
-    scalar coefficient of that monomial; the kernels and solvers use it.
-    """
-
-    __slots__ = ()
-
-    def flat_terms(self):
-        """Yield (key + (q-exponent,), coefficient) across all monomials."""
-        for key, poly in self.terms.items():
-            for exp, c in poly.terms.items():
-                yield key + (exp,), c
-
-    def component(self, d: int) -> "PolyTermMap":
-        """The homogeneous part of combined degree d."""
-        return self._new({k: p for k, p in self.terms.items() if k[0] + sum(k[1]) == d})
-
-    def retruncate(self, K: int) -> "PolyTermMap":
-        """The same terms at truncation order K, dropping those above it."""
-        terms = {k: p for k, p in self.terms.items() if k[0] + sum(k[1]) <= K}
-        return self._trusted(self._shape_tuple[:1] + (K,) + self._shape_tuple[2:], terms)
-
-    def scale_lambda(self, r: int) -> "PolyTermMap":
-        """Multiply by lam^r, dropping terms beyond the truncation."""
-        low = self.retruncate(self._shape_tuple[1] - r).terms
-        return self._new({(k[0] + r,) + k[1:]: p for k, p in low.items()})
-
-    @classmethod
-    def from_flat(cls, flat: Mapping, *shape) -> "PolyTermMap":
-        """Assemble from a flat mapping; shape as for the constructor.
-        The kernels hand in nonzero coefficients under well-formed keys, so
-        nothing is re-validated; only the truncation at K is applied."""
-        grouped: dict = {}
-        for key, c in flat.items():
-            grouped.setdefault(key[:-1], {})[key[-1]] = c
-        poly_shape, K = shape[:1], shape[1]
-        return cls._trusted(shape, {
-            head: QPolynomial._trusted(poly_shape, t) for head, t in grouped.items()
-            if head[0] + sum(head[1]) <= K})

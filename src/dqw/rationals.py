@@ -73,7 +73,9 @@ class GaussianRational:
 
     def __mul__(self, other):
         a, b, d = self._t
-        c, e, f = other._t if type(other) is GaussianRational else _parts(other)
+        # an int is a kernel's Leibniz or multinomial weight
+        c, e, f = other._t if type(other) is GaussianRational else (
+            (other, 0, 1) if type(other) is int else _parts(other))
         return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__

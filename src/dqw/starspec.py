@@ -18,6 +18,7 @@ witness argument tuple.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from .cobsolver import solve_classical_coboundary
 from .cochain import (MultiDiffCochain, biderivation_cochain, coboundary, compose_slot,
                       find_witness, mu_cochain, plug_constant, swap)
 from .qpoly import DimensionMismatch, QPolynomial
-from .rationals import GaussianRational, I
+from .rationals import HALF_I, I
 from .terms import accumulate, shift, zeros
 from .welement import LambdaPoly
 
@@ -48,7 +49,7 @@ class StarProductSpec(namedtuple("StarProductSpec", "n order hermitian cochains 
         for r, c in enumerate(cochains, start=1):
             if c.arity != 2 or c.n != n:
                 raise DimensionMismatch(f"cochain {r} has wrong shape")
-            for (a, idx, _j) in c.terms:
+            for (a, idx, _j, _e) in c.terms:
                 if a or any(idx):
                     raise ValueError(f"cochain {r} must be p- and lam-free")
         return super().__new__(cls, n, order, hermitian, cochains, theta)
@@ -76,23 +77,18 @@ class StarProductSpec(namedtuple("StarProductSpec", "n order hermitian cochains 
                 [QPolynomial.constant(n, self.theta[k][l]) for l in range(n)]
                 for k in range(n)
             ]
-        out = [[QPolynomial.zero(n) for _ in range(n)] for _ in range(n)]
-        if self.order == 0:
-            return out
+        out = [[{} for _ in range(n)] for _ in range(n)]
         anti = self.cochain(1) - swap(self.cochain(1))
-        for (a, idx, jvec), poly in anti.terms.items():
-            j1, j2 = jvec
+        for (a, idx, (j1, j2), exp), c in anti.terms.items():
             if sum(j1) != 1 or sum(j2) != 1:
                 raise InvalidStarProduct(
                     "antisymmetric part of the first cochain is not a biderivation"
                 )
-            k = j1.index(1)
-            l = j2.index(1)
-            theta_poly = poly.scale(-I)  # divide by i
-            if not theta_poly.is_real():
+            theta_c = c * -I  # divide by i
+            if not theta_c.is_real():
                 raise InvalidStarProduct("bracket coefficients are not real")
-            out[k][l] = out[k][l] + theta_poly
-        return out
+            out[j1.index(1)][j2.index(1)][exp] = theta_c
+        return [[QPolynomial(n, t) for t in row] for row in out]
 
     # ---- canonical JSON (schema is part of the external interface) ----
 
@@ -108,11 +104,8 @@ class StarProductSpec(namedtuple("StarProductSpec", "n order hermitian cochains 
                 {
                     "lambda_power": r,
                     "terms": [
-                        {
-                            "coeff_poly": self.cochains[r - 1].terms[key].to_json(),
-                            "derivs": [list(j) for j in key[2]],
-                        }
-                        for key in sorted(self.cochains[r - 1].terms)
+                        {"coeff_poly": poly.to_json(), "derivs": [list(j) for j in key[2]]}
+                        for key, poly in self.cochains[r - 1].polynomials().items()
                     ],
                 }
                 for r in range(1, self.order + 1)
@@ -187,17 +180,10 @@ def make_constant_theta_star(theta, K: int) -> StarProductSpec:
     n = len(theta)
     z = zeros(n)
     cochains = []
-    half_i = I * Fraction(1, 2)
     for r, power in enumerate(theta_powers(theta, K), start=1):
-        scale = half_i ** r
-        fact = Fraction(1)
-        for i in range(2, r + 1):
-            fact /= i
-        terms = {
-            (0, z, (A, B)): QPolynomial.constant(n, GaussianRational(v) * scale * GaussianRational(fact))
-            for (A, B), v in power.items()
-        }
-        cochains.append(MultiDiffCochain(n, K, 2, terms))
+        scale = HALF_I ** r * Fraction(1, math.factorial(r))
+        cochains.append(MultiDiffCochain(n, K, 2, {
+            (0, z, (A, B), z): scale * v for (A, B), v in power.items()}))
     return StarProductSpec(n=n, order=K, hermitian=True,
                            cochains=tuple(cochains), theta=theta)
 
@@ -213,24 +199,20 @@ def make_linear_poisson_2d_star(K: int) -> StarProductSpec:
     closed-form solve of the order-r associativity constraint (a
     normalized classical arity-3 equation, always solvable in two
     dimensions, where no antisymmetric obstruction exists), then
-    replaced by its Hermitian part, which solves the same equation.
+    replaced by its Hermitian part, certified to solve the same
+    equation.  So every C_i is Hermitian, and the constraint's defect is
+    A - A* with A the sum of the compositions C_i(C_j(f, g), h).
     """
     n = 2
     z = zeros(n)
-    q1 = QPolynomial.coordinate(n, 0)
-    half_i = I * Fraction(1, 2)
-    c1 = MultiDiffCochain(
-        n, K, 2,
-        {(0, z, ((1, 0), (0, 1))): q1.scale(half_i),
-         (0, z, ((0, 1), (1, 0))): q1.scale(-half_i)},
-    )
+    c1 = MultiDiffCochain(n, K, 2, {(0, z, ((1, 0), (0, 1)), (1, 0)): HALF_I,
+                                    (0, z, ((0, 1), (1, 0)), (1, 0)): -HALF_I})
     cochains = [c1]
     for r in range(2, K + 1):
-        defect = MultiDiffCochain.zero(n, K, 3)
+        left = MultiDiffCochain.zero(n, K, 3)
         for i in range(1, r):
-            j = r - i
-            ci, cj = cochains[i - 1], cochains[j - 1]
-            defect = defect + compose_slot(ci, 0, cj) - compose_slot(ci, 1, cj)
+            left = left + compose_slot(cochains[i - 1], 0, cochains[r - i - 1])
+        defect = left - left.involution()
         cr = solve_classical_coboundary(defect)
         if cr is None:
             raise InvalidStarProduct(
@@ -239,11 +221,11 @@ def make_linear_poisson_2d_star(K: int) -> StarProductSpec:
         herm = cr.hermitian_part()
         # hermitian_part returns cr itself when it is Hermitian, and the
         # solver has certified d0(cr) = defect
-        if herm is cr or coboundary(herm, deformed=False) == defect:
-            cr = herm
-        elif defect.involution() != -defect:
-            raise InvalidStarProduct("associativity defect lost Hermitian symmetry")
-        cochains.append(cr)
+        if herm is not cr and coboundary(herm, deformed=False) != defect:
+            raise InvalidStarProduct(
+                f"order-{r} associativity constraint: the Hermitian part of "
+                "its solution does not solve it")
+        cochains.append(herm)
     return StarProductSpec(n=n, order=K, hermitian=True,
                            cochains=tuple(cochains), theta=None)
 
@@ -299,25 +281,34 @@ def _first_failure(name: str, cases) -> ValidationCheck:
     return ValidationCheck(name, True)
 
 
-def _associator(spec: StarProductSpec, mu: MultiDiffCochain, m: int) -> MultiDiffCochain:
-    """sum_{i+j=m} C_i(C_j(f,g),h) - C_i(f,C_j(g,h)) with C_0 = mu."""
+def _associator(spec: StarProductSpec, mu: MultiDiffCochain, m: int,
+                hermitian: bool) -> MultiDiffCochain:
+    """A - B with A = sum_{i+j=m} C_i(C_j(f,g),h), B = sum C_i(f,C_j(g,h))
+    and C_0 = mu.  For Hermitian C_0..C_m, B = A*: C_i(f, C_j(g,h)) =
+    conj C_i(C_j(h~,g~), f~), so each pair (i, j) is composed once."""
     def cr(r):
         return mu if r == 0 else spec.cochain(r)
 
-    out = MultiDiffCochain.zero(spec.n, spec.order, 3)
+    left = right = MultiDiffCochain.zero(spec.n, spec.order, 3)
     for i in range(0, m + 1):
-        j = m - i
-        out = out + compose_slot(cr(i), 0, cr(j)) - compose_slot(cr(i), 1, cr(j))
-    return out
+        left = left + compose_slot(cr(i), 0, cr(m - i))
+        if not hermitian:
+            right = right + compose_slot(cr(i), 1, cr(m - i))
+    return left - (left.involution() if hermitian else right)
 
 
 def validate_star(spec: StarProductSpec, K: int | None = None) -> ValidationReport:
-    """Run all symbolic checks up to order K (default: the spec order)."""
+    """Run all symbolic checks up to order K (default: the spec order).
+    The Hermitian defects are computed first; when the product is
+    Hermitian through K, the associator takes one composition per pair."""
     K = spec.order if K is None else min(K, spec.order)
     mu = mu_cochain(spec.n, spec.order)
     orders = range(1, K + 1)
+    defects = [(r, spec.cochain(r).involution() - spec.cochain(r), "")
+               for r in orders] if spec.hermitian else []
+    hermitian = spec.hermitian and all(d.is_zero() for _r, d, _p in defects)
     checks = [_first_failure("associativity", (
-        (m, _associator(spec, mu, m), "") for m in orders))]
+        (m, _associator(spec, mu, m, hermitian), "") for m in orders))]
 
     if spec.order >= 1:
         c1 = spec.cochain(1)
@@ -330,8 +321,7 @@ def validate_star(spec: StarProductSpec, K: int | None = None) -> ValidationRepo
                                           witness=str(e)))
 
     if spec.hermitian:
-        checks.append(_first_failure("hermitian", (
-            (r, spec.cochain(r).involution() - spec.cochain(r), "") for r in orders)))
+        checks.append(_first_failure("hermitian", defects))
 
     checks.append(_first_failure("unitality", (
         (r, plug_constant(spec.cochain(r), slot), f"slot {slot}: ")

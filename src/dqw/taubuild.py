@@ -53,7 +53,7 @@ from .cochain import (MultiDiffCochain, biderivation_cochain, coboundary,
 from .qpoly import DimensionMismatch, QPolynomial
 from .starspec import (InvalidStarProduct, StarProductSpec, antisymmetric_matrix,
                        theta_powers)
-from .terms import exponents
+from .terms import exponents, zeros
 from .welement import LambdaPoly, WElement
 from .weyl import ConsistencyError
 
@@ -166,11 +166,11 @@ class ClosedFormTau(TauMap):
         theta = antisymmetric_matrix(theta)
         n = len(theta)
         components = [identity_cochain(n, K)]
+        z = zeros(n)
         for k, power in enumerate(theta_powers(theta, K), start=1):
             scale = Fraction((-1) ** k, 2 ** k * math.factorial(k))
             components.append(MultiDiffCochain(n, K, 1, {
-                (0, B, (A,)): QPolynomial.constant(n, v * scale)
-                for (A, B), v in power.items()}))
+                (0, B, (A,), z): v * scale for (A, B), v in power.items()}))
         super().__init__(n, K, components, hermitian=True)
 
     # perfbench/tracer.py wraps the `apply` found in each class's own dict

@@ -1,7 +1,7 @@
 """The sparse core shared by every algebraic container.
 
 A term map is an immutable mapping from hashable keys to nonzero values
-(exact scalars, or polynomials for the graded containers) together with
+(exact scalars, or polynomials for elements and lam-series) together with
 a shape, such as the dimension, the truncation order or the arity, that
 the operands of every linear operation must share.  Zero values are
 never stored, so equal maps have identical term dictionaries and
@@ -183,6 +183,27 @@ class TermMap:
 
     def __hash__(self):
         return hash((self._shape_tuple, frozenset(self.terms.items())))
+
+
+class GradedTermMap(TermMap):
+    """A term map under keys (a, I, ...) of combined degree a + |I|,
+    truncated at K, the second shape entry."""
+
+    __slots__ = ()
+
+    def component(self, d: int) -> "GradedTermMap":
+        """The homogeneous part of combined degree d."""
+        return self._new({k: v for k, v in self.terms.items() if k[0] + sum(k[1]) == d})
+
+    def retruncate(self, K: int) -> "GradedTermMap":
+        """The same terms at truncation order K, dropping those above it."""
+        terms = {k: v for k, v in self.terms.items() if k[0] + sum(k[1]) <= K}
+        return self._trusted(self._shape_tuple[:1] + (K,) + self._shape_tuple[2:], terms)
+
+    def scale_lambda(self, r: int) -> "GradedTermMap":
+        """Multiply by lam^r, dropping terms beyond the truncation."""
+        low = self.retruncate(self._shape_tuple[1] - r).terms
+        return self._new({(k[0] + r,) + k[1:]: v for k, v in low.items()})
 
 
 class SquareMatrix:

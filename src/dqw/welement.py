@@ -21,12 +21,12 @@ import enum
 from fractions import Fraction
 from typing import Mapping
 
-from .qpoly import DimensionMismatch, PolyTermMap, QPolynomial
+from .qpoly import DimensionMismatch, QPolynomial
 from .rationals import GaussianRational, ZERO
-from .terms import TermMap, accumulate, add, shift, unit, zeros
+from .terms import GradedTermMap, TermMap, accumulate, add, shift, unit, zeros
 
 
-class WElement(PolyTermMap):
+class WElement(GradedTermMap):
     __slots__ = ("n", "K")
     _SHAPE = ("n", "K")
 
@@ -81,6 +81,24 @@ class WElement(PolyTermMap):
     def monomial(cls, n: int, K: int, a: int, p_exp, q_exp, c=1) -> "WElement":
         poly = QPolynomial.monomial(n, q_exp, c)
         return cls(n, K, {(a, tuple(p_exp)): poly})
+
+    # ---- flat form: (a, I, q-exponent) -> scalar, as the kernels use it ----
+
+    def flat_terms(self):
+        for (a, idx), poly in self.terms.items():
+            for exp, c in poly.terms.items():
+                yield (a, idx, exp), c
+
+    @classmethod
+    def from_flat(cls, flat: Mapping, n: int, K: int) -> "WElement":
+        """Assemble from nonzero coefficients under well-formed keys, as
+        the kernels hand them in; only the truncation at K is applied."""
+        grouped: dict = {}
+        for (a, idx, exp), c in flat.items():
+            if a + sum(idx) <= K:
+                grouped.setdefault((a, idx), {})[exp] = c
+        return cls._trusted((n, K), {
+            key: QPolynomial._trusted((n,), t) for key, t in grouped.items()})
 
     # ---- commutative product ----
 

@@ -10,6 +10,9 @@
   `taubuild.check_poisson_realization` shares the basis images, their
   gradients and the monomial images instead.
 * The lam-shift of a base lam-series.
+* The associativity check with both sides of every associator composed;
+  `starspec.validate_star` takes the second side as the involution of
+  the first when the product is Hermitian.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from dqw.cochain import MultiDiffCochain, compose_slot, find_witness, mu_cochain
 from dqw.koszul import KoszulForm
 from dqw.qpoly import QPolynomial
+from dqw.starspec import ValidationCheck
 from dqw.taubuild import RealizationReport
 from dqw.terms import accumulate, exponents, shift
 from dqw.welement import LambdaPoly, WElement
@@ -128,3 +133,28 @@ def realization_per_pair(tau, spec, K=None) -> RealizationReport:
                 violation=f"pair ({f}, {g}): p-exponent {key[1]} "
                           f"differs by {bad[key]}")
     return RealizationReport(ok=True, checked_pairs=checked)
+
+
+def two_sided_associator(spec, m: int) -> MultiDiffCochain:
+    """sum_{i+j=m} C_i(C_j(f,g),h) - C_i(f,C_j(g,h)) with C_0 the
+    pointwise product, composing both sides of every pair."""
+    def cr(r):
+        return mu_cochain(spec.n, spec.order) if r == 0 else spec.cochain(r)
+
+    out = MultiDiffCochain.zero(spec.n, spec.order, 3)
+    for i in range(m + 1):
+        out = out + compose_slot(cr(i), 0, cr(m - i)) - compose_slot(cr(i), 1, cr(m - i))
+    return out
+
+
+def associativity_two_sided(spec, K=None) -> ValidationCheck:
+    """The associativity entry of `validate_star` from the two-sided
+    associator: the first failing order and its witness."""
+    K = spec.order if K is None else min(K, spec.order)
+    for m in range(1, K + 1):
+        got = find_witness(two_sided_associator(spec, m))
+        if got is not None:
+            args, val = got
+            return ValidationCheck("associativity", False, order=m,
+                                   witness=f"args ({', '.join(map(str, args))}) -> {val}")
+    return ValidationCheck("associativity", True)

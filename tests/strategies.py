@@ -81,9 +81,8 @@ def cochains(n=2, K=4, arity=1, max_terms=3, max_deriv=2):
         for (a, idx, jvec, exp, c) in entries:
             if a + sum(idx) > K:
                 continue
-            key = (a, idx, jvec)
-            poly = QPolynomial(n, {exp: c})
-            terms[key] = terms[key] + poly if key in terms else poly
+            key = (a, idx, jvec, exp)
+            terms[key] = terms[key] + c if key in terms else c
         return MultiDiffCochain(n, K, arity, terms)
 
     entry = st.tuples(

@@ -152,7 +152,7 @@ def _eliminator_reference(target):
     normalized columns: the reference for `solve_classical_coboundary`."""
     n, K = target.n, target.K
     blocks = {}
-    for (a, idx, jvec, exp), c in target.flat_terms():
+    for (a, idx, jvec, exp), c in target.terms.items():
         t = sum(sum(j) for j in jvec)
         blocks.setdefault((a, idx, exp, t), {})[jvec] = c
     flat = {}
@@ -165,7 +165,7 @@ def _eliminator_reference(target):
         for jv in unknowns:
             basis = MultiDiffCochain(n, K, 2, {(a, idx, jv): QPolynomial.constant(n, 1)})
             image = coboundary(basis, deformed=False)
-            columns[jv] = [(key[:3], c2) for key, c2 in image.flat_terms()]
+            columns[jv] = [(key[:3], c2) for key, c2 in image.terms.items()]
         rhs_map = {(a, idx, jv): c for jv, c in rhs.items()}
         order = sorted(unknowns, key=lambda jv: (max(sum(j) for j in jv), jv))
         sol = solve_sparse_system(columns, rhs_map, order)
@@ -173,7 +173,7 @@ def _eliminator_reference(target):
             return None
         for jv, c in sol.items():
             flat[(a, idx, jv, exp)] = c
-    return MultiDiffCochain.from_flat(flat, n, K, 2)
+    return MultiDiffCochain(n, K, 2, flat)
 
 
 def random_normalized_arity2(rng, n, terms=3, max_order=2):

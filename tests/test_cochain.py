@@ -5,7 +5,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dqw.cochain import (MultiDiffCochain, _splittings, alt, biderivation_cochain,
@@ -14,7 +14,7 @@ from dqw.cochain import (MultiDiffCochain, _splittings, alt, biderivation_cochai
                          plug_constant)
 from dqw.qpoly import QPolynomial
 from dqw.rationals import I, gr
-from dqw.terms import accumulate
+from dqw.terms import accumulate, zeros
 from dqw.welement import WElement
 from dqw.weyl import weyl_product
 
@@ -72,8 +72,8 @@ class TestCoboundary:
 def _evaluate_by_repeated_diff(phi, args):
     """The evaluation that builds each D^j by |j| one-coordinate diffs."""
     out = {}
-    for (a, idx, jvec), poly in phi.terms.items():
-        val = poly
+    for (a, idx, jvec, exp), c in phi.terms.items():
+        val = QPolynomial.monomial(phi.n, exp, c)
         for f, j in zip(args, jvec):
             d = f
             for k, e in enumerate(j):
@@ -224,9 +224,9 @@ def _reference_compose_slot(phi, slot, inner):
     every split whose first piece differentiates q^fexp too often."""
     m = inner.arity
     out = {}
-    for (a, idx, jvec, exp), c in phi.flat_terms():
+    for (a, idx, jvec, exp), c in phi.terms.items():
         j = jvec[slot]
-        for (_, _, avec, fexp), ic in inner.flat_terms():
+        for (_, _, avec, fexp), ic in inner.terms.items():
             for pieces in _ordered_splits(j, m + 1):
                 j0 = pieces[0]
                 if any(x > f for x, f in zip(j0, fexp)):
@@ -243,7 +243,7 @@ def _reference_compose_slot(phi, slot, inner):
                 key = (a, idx, jvec[:slot] + new_slots + jvec[slot + 1:], new_exp)
                 out[key] = out[key] + c * ic * mult if key in out else c * ic * mult
     out = {k: v for k, v in out.items() if v}
-    return MultiDiffCochain.from_flat(out, phi.n, phi.K, phi.arity + m - 1)
+    return MultiDiffCochain(phi.n, phi.K, phi.arity + m - 1, out)
 
 
 @st.composite
@@ -273,6 +273,25 @@ class TestComposeSlotOracle:
         outer, slot, inner = case
         assert compose_slot(outer, slot, inner) == \
             _reference_compose_slot(outer, slot, inner)
+
+
+def _hermitian_classical(phi):
+    """The Hermitian part of phi with its lam-powers and p-exponents set
+    to zero."""
+    terms = {}
+    for (_a, _idx, jvec, exp), c in phi.terms.items():
+        accumulate(terms, (0, zeros(phi.n), jvec, exp), c)
+    return MultiDiffCochain(phi.n, phi.K, phi.arity, terms).hermitian_part()
+
+
+class TestHermitianComposition:
+    @settings(max_examples=40, deadline=None)
+    @given(cochains(arity=2, max_terms=4), cochains(arity=2, max_terms=4))
+    def test_slot_one_is_the_involution_of_slot_zero(self, outer, inner):
+        # C_i(f, C_j(g, h)) = conj C_i(C_j(h~, g~), f~) for Hermitian C_i, C_j
+        outer, inner = _hermitian_classical(outer), _hermitian_classical(inner)
+        assume(outer and inner)
+        assert compose_slot(outer, 1, inner) == compose_slot(outer, 0, inner).involution()
 
 
 @st.composite

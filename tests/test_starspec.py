@@ -3,15 +3,17 @@ from fractions import Fraction
 
 import pytest
 
+from dqw import starspec
 from dqw.cochain import MultiDiffCochain
 from dqw.qpoly import QPolynomial
 from dqw.rationals import gr
-from dqw.starspec import (StarProductSpec, make_constant_theta_star, make_zero_star,
-                          perturb_cochain, star_apply, validate_star)
+from dqw.starspec import (InvalidStarProduct, StarProductSpec, make_constant_theta_star,
+                          make_linear_poisson_2d_star, make_zero_star, perturb_cochain,
+                          star_apply, validate_star)
 from dqw.terms import zeros
 from dqw.welement import LambdaPoly
 
-from oracles import shift_lam
+from oracles import associativity_two_sided, shift_lam
 
 N = 2
 
@@ -150,6 +152,86 @@ class TestLinearPoisson:
         # [x, y] = i lam {x, y} = i lam x
         expect = LambdaPoly(N, 3, {1: QPolynomial.coordinate(N, 0).scale(gr(0, 1))})
         assert comm == expect
+
+
+    @staticmethod
+    def _patched_solve(monkeypatch, extra):
+        """Make the classical solve return its solution plus `extra`."""
+        solve = starspec.solve_classical_coboundary
+        monkeypatch.setattr(starspec, "solve_classical_coboundary", lambda target: (
+            solve(target) + MultiDiffCochain(N, target.K, 2, extra)))
+
+    def test_non_hermitian_solution_gives_the_same_product(self, monkeypatch):
+        # i D_1 (x) D_1 is an anti-Hermitian classical cocycle, so the
+        # patched solution still solves the constraint and its Hermitian
+        # part is the unpatched C_r
+        expect = make_linear_poisson_2d_star(K=4)
+        self._patched_solve(monkeypatch, {
+            (0, zeros(N), ((1, 0), (1, 0)), zeros(N)): gr(0, 1)})
+        assert make_linear_poisson_2d_star(K=4) == expect
+
+    def test_hermitian_part_that_does_not_solve_is_refused(self, monkeypatch):
+        # the Hermitian part of (1 + i) D^(2,0) (x) D^(2,0) is not a cocycle
+        self._patched_solve(monkeypatch, {
+            (0, zeros(N), ((2, 0), (2, 0)), zeros(N)): gr(1, 1)})
+        with pytest.raises(InvalidStarProduct, match="order-2"):
+            make_linear_poisson_2d_star(K=3)
+
+
+# (derivative tuple, coefficient, Hermitian) of the C_2 bumps of TestValidator
+BUMPS = {
+    "biderivation": (((1, 0), (1, 0)), 1, True),
+    "non_cocycle": (((2, 0), (1, 0)), 1, False),
+    "unitality": (((0, 0), (1, 0)), 1, False),
+    "imaginary": (((1, 0), (1, 0)), gr(0, 1), False),
+}
+
+
+class TestOneCompositionPerPair:
+    """For a Hermitian product the validator composes each order pair
+    once and reads the other side as its involution; otherwise it
+    composes both.  Either way its associativity entry (ok, order,
+    witness) is the two-sided reference's."""
+
+    @staticmethod
+    def _validate(monkeypatch, spec, K=None):
+        slots = set()
+        compose = starspec.compose_slot
+
+        def recorded(phi, slot, inner):
+            slots.add(slot)
+            return compose(phi, slot, inner)
+
+        monkeypatch.setattr(starspec, "compose_slot", recorded)
+        report = validate_star(spec, K)
+        monkeypatch.setattr(starspec, "compose_slot", compose)
+        entry = next(c for c in report.checks if c.name == "associativity")
+        assert entry == associativity_two_sided(spec, K)
+        return entry, slots
+
+    def test_moyal_at_order_six(self, monkeypatch, moyal_r2_k6):
+        entry, slots = self._validate(monkeypatch, moyal_r2_k6)
+        assert entry.ok and slots == {0}
+
+    def test_linear_generator_at_order_five(self, monkeypatch):
+        entry, slots = self._validate(monkeypatch, make_linear_poisson_2d_star(K=5))
+        assert entry.ok and slots == {0}
+
+    def test_unflagged_product_takes_both_sides(self, monkeypatch, moyal_r2):
+        spec = StarProductSpec(n=N, order=4, hermitian=False,
+                               cochains=moyal_r2.cochains, theta=moyal_r2.theta)
+        entry, slots = self._validate(monkeypatch, spec, K=3)
+        assert entry.ok and slots == {0, 1}
+
+    @pytest.mark.parametrize("name", sorted(BUMPS))
+    def test_perturbations(self, monkeypatch, moyal_r2, name):
+        jvec, c, hermitian = BUMPS[name]
+        bump = MultiDiffCochain(N, 4, 2, {(0, zeros(N), jvec, zeros(N)): c})
+        bad = perturb_cochain(moyal_r2, 2, bump)
+        entry, slots = self._validate(monkeypatch, bad)
+        assert slots == ({0} if hermitian else {0, 1})
+        if name in ("biderivation", "non_cocycle"):
+            assert not entry.ok and entry.witness
 
 
 class TestJsonSchema:
