@@ -1,0 +1,85 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on the benchmark in alternating pairs of runs.
+
+    python3 scripts/ab_pairs.py PARENT CHANGE --workload W --pairs N --seconds S
+
+Each pair runs the benchmark command of BENCHMARK.json (`perfbench/run.py`)
+once in each checkout, from that checkout's directory and with its own
+files, on the same seed; the checkout that goes first alternates from
+pair to pair, so a drift in the machine's load falls on both alike.
+Every run's end-to-end metrics are printed as they come.  Then, for each
+end-to-end metric of BENCHMARK.json, one line gives the median and the
+quartiles of both sides, the number of pairs the change won, and the
+gap of the medians in the metric's worse direction against its bound
+(read in the metric's unit).  A run that fails, or whose benchmark
+reports incorrect results or failed operations, stops the script with
+exit 1.  The script writes no file; the benchmark makes its scratch
+directory inside each checkout and removes it.
+"""
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, command: list, workload: str, seed: int,
+             seconds: float) -> dict:
+    argv = [*command, "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    result = json.loads(lines[-1]) if done.returncode == 0 and lines else None
+    if result is None or not result["correct"] or result["failed"]:
+        sys.exit(f"benchmark run failed in {checkout} (exit {done.returncode}):\n"
+                 f"{done.stdout[-2000:]}{done.stderr[-2000:]}")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def summary(values: list) -> str:
+    med = statistics.median(values)
+    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (med, med, med)
+    return f"{med:.4f} [{q1:.4f}, {q3:.4f}]"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--seed", type=int, default=1,
+                        help="seed of the first pair; pair i uses seed + i")
+    args = parser.parse_args(argv)
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    metrics = bench["end_to_end"]
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            got = run_once(sides[side], bench["command"], args.workload,
+                           args.seed + i, args.seconds)
+            runs[side].append(got)
+            print(f"pair {i + 1} {side}: " + " ".join(
+                f"{m['name']}={got[m['name']]:.4f}" for m in metrics), flush=True)
+
+    print(f"workload {args.workload}, {args.pairs} pairs, {args.seconds} s per run")
+    for m in metrics:
+        name, bound = m["name"], m["bound"]
+        sign = 1 if m["better"] == "lower" else -1
+        before = [r[name] for r in runs["parent"]]
+        after = [r[name] for r in runs["change"]]
+        won = sum(sign * (a - b) < 0 for a, b in zip(after, before))
+        gap = sign * (statistics.median(after) - statistics.median(before))
+        print(f"{name}: parent {summary(before)}  change {summary(after)}  "
+              f"won {won}/{args.pairs}  worse by {gap:+.4f} {m['unit']} "
+              f"(bound {bound}): {'EXCEEDS BOUND' if gap > bound else 'within bound'}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -35,7 +35,6 @@ from fractions import Fraction
 
 from .cochain import MultiDiffCochain, alt, coboundary, find_witness
 from .koszul import KoszulForm, axial_potential
-from .qpoly import QPolynomial
 from .rationals import GaussianRational, ONE
 from .terms import accumulate, add, exponents, factorial, shift, unit
 from .weyl import ConsistencyError
@@ -259,16 +258,15 @@ def _potential_term(antisym: MultiDiffCochain, a: int) -> MultiDiffCochain:
                 "of a biderivation")
         k, l = j1.index(1), j2.index(1)
         if k < l:
-            omega.setdefault((idx, (k, l)), {})[exp] = c
+            omega[(idx, (k, l), exp)] = c
     try:
-        potential = axial_potential(KoszulForm(n, 2, {
-            key: QPolynomial(n, t) for key, t in omega.items()}))
+        potential = axial_potential(KoszulForm(n, 2, omega))
     except ValueError:
         raise ConsistencyError(
             f"antisymmetric part at lam-level {a} is not closed") from None
     return MultiDiffCochain(n, antisym.K, 1, {
-        (a - 1, idx, (unit(n, l),)): poly.scale(_MINUS_TWO_I)
-        for (idx, (l,)), poly in potential.terms.items()
+        (a - 1, idx, (unit(n, l),), exp): c * _MINUS_TWO_I
+        for (idx, (l,), exp), c in potential.terms.items()
     })
 
 

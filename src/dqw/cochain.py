@@ -35,7 +35,7 @@ import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .qpoly import DimensionMismatch, QPolynomial
+from .qpoly import DimensionMismatch, QPolynomial, expand_terms, group_terms
 from .rationals import I, _coerce
 from .terms import (GradedTermMap, accumulate, add, below, binom, exponents, factorial,
                     falling, shift, sub, unit, zeros)
@@ -49,13 +49,12 @@ class MultiDiffCochain(GradedTermMap):
 
     def __init__(self, n: int, K: int, arity: int,
                  terms: Mapping | None = None):
-        """terms maps (a, I, J, E) to the scalar coefficient of q^E, as
-        `.terms` holds it; a key (a, I, J) may carry a QPolynomial
-        coefficient instead, which is expanded into its monomials."""
+        """terms maps (a, I, J, E) to the coefficient of q^E, or (a, I, J) to
+        a QPolynomial that stands for its monomials (`expand_terms`)."""
         if arity < 0:
             raise ValueError("arity must be non-negative")
         clean: dict = {}
-        for (a, idx, jvec, exp), c in _flat_items(terms or {}):
+        for (a, idx, jvec, exp), c in expand_terms(terms or {}):
             jvec = tuple(tuple(j) for j in jvec)
             if len(jvec) != arity:
                 raise ValueError("derivative tuple has wrong arity")
@@ -70,13 +69,6 @@ class MultiDiffCochain(GradedTermMap):
     @classmethod
     def zero(cls, n: int, K: int, arity: int) -> "MultiDiffCochain":
         return cls(n, K, arity)
-
-    def polynomials(self) -> dict:
-        """(a, I, J) -> its QPolynomial coefficient, in sorted key order."""
-        grouped: dict = {}
-        for key in sorted(self.terms):
-            grouped.setdefault(key[:3], {})[key[3]] = self.terms[key]
-        return {head: QPolynomial._trusted((self.n,), t) for head, t in grouped.items()}
 
     # ---- grading, conjugation, restriction ----
 
@@ -132,11 +124,9 @@ class MultiDiffCochain(GradedTermMap):
                     prod = d if prod is one else prod * d
                 products[jvec] = prod
             if prod:
-                value = out.setdefault((a, idx), {})
                 for e, v in prod.terms.items():
-                    accumulate(value, add(e, exp) if any(exp) else e, v * c)
-        return WElement._trusted((self.n, self.K), {
-            key: QPolynomial._trusted((self.n,), t) for key, t in out.items() if t})
+                    accumulate(out, (a, idx, add(e, exp) if any(exp) else e), v * c)
+        return WElement._trusted((self.n, self.K), out)
 
     # ---- structure ----
 
@@ -148,7 +138,7 @@ class MultiDiffCochain(GradedTermMap):
         if not self.terms:
             return "0"
         parts = []
-        for (a, idx, jvec), poly in self.polynomials().items():
+        for (a, idx, jvec), poly in group_terms(self.terms, self.n).items():
             factors = []
             if a:
                 factors.append("lam" + (f"^{a}" if a > 1 else ""))
@@ -171,20 +161,9 @@ class MultiDiffCochain(GradedTermMap):
             "terms": [
                 {"lam": a, "p": list(idx), "derivs": [list(j) for j in jvec],
                  "poly": poly.to_json()["terms"]}
-                for (a, idx, jvec), poly in self.polynomials().items()
+                for (a, idx, jvec), poly in group_terms(self.terms, self.n).items()
             ],
         }
-
-
-def _flat_items(terms: Mapping):
-    """The (a, I, J, E) items of terms: a key (a, I, J) with a QPolynomial
-    coefficient gives one item per monomial."""
-    for key, c in terms.items():
-        if len(key) == 3:
-            for exp, v in c.terms.items():
-                yield key + (exp,), v
-        else:
-            yield key, c
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .qpoly import DimensionMismatch
-from .rationals import GaussianRational, ZERO, _coerce, parse_scalar
+from .rationals import GaussianRational, ZERO, _coerce, parse_fraction, parse_scalar
 from .starspec import StarProductSpec, star_apply
 from .terms import SquareMatrix, factorial, shift, zeros
 from .welement import LambdaPoly, NonRealSeries, SeriesSign, real_series_from_complex
@@ -137,7 +137,7 @@ class StateFunctional:
     @classmethod
     def from_json(cls, data: dict) -> "StateFunctional":
         atoms = [
-            ([Fraction(x) for x in a["point"]],
+            ([parse_fraction(x) for x in a["point"]],
              [parse_scalar(v) for v in a["vector"]])
             for a in data["atoms"]
         ]
@@ -264,11 +264,8 @@ def wick_positivity_certificate(state: StateFunctional, A: MatrixWElement) -> Wi
     """
     if A.N != state.N or A.n != state.n:
         raise DimensionMismatch("matrix element has wrong shape")
-    for row in A.entries:
-        for x in row:
-            for (a, _i) in x.terms:
-                if a:
-                    raise ValueError("certificate requires a lam-free matrix element")
+    if any(key[0] for row in A.entries for x in row for key in x.terms):
+        raise ValueError("certificate requires a lam-free matrix element")
     K = A.K
     n = A.n
 

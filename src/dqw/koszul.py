@@ -1,8 +1,9 @@
 """Forms in the momentum differentials dp_i with polynomial-in-(q, p)
 coefficients and the axial potential of a closed 2-form.
 
-A degree-k form is a sum of terms c(q) * p^I * dp_{i_1} ^ ... ^ dp_{i_k}
-with i_1 < ... < i_k; antisymmetry is structural (index sets are kept
+A degree-k form is a sum of terms c * p^I * q^E * dp_{i_1} ^ ... ^ dp_{i_k}
+with i_1 < ... < i_k, stored as the scalar c under the key
+(I, (i_1, .., i_k), E); antisymmetry is structural (index sets are kept
 sorted, signs normalized away).  The exterior derivative d_p acts in the
 p variables only.  The coboundary solver inverts d_p on closed 2-forms
 in the axial gauge, whose potentials have far fewer terms than those of
@@ -14,7 +15,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .qpoly import DimensionMismatch
+from .qpoly import DimensionMismatch, expand_terms
+from .rationals import _coerce
 from .terms import TermMap, accumulate, shift
 
 
@@ -23,20 +25,20 @@ class KoszulForm(TermMap):
     _SHAPE = ("n", "degree")
 
     def __init__(self, n: int, degree: int, terms: Mapping | None = None):
+        """terms maps (I, sel, E) to a scalar, or (I, sel) to a QPolynomial
+        that stands for its monomials (`expand_terms`)."""
         if degree < 0:
             raise ValueError("form degree must be non-negative")
         if degree > n and terms:
             raise ValueError(f"nonzero form of degree {degree} impossible for n={n}")
-        clean = {}
-        if terms:
-            for (idx, sel), poly in terms.items():
-                sel = tuple(sel)
-                if len(sel) != degree or list(sel) != sorted(set(sel)):
-                    raise ValueError(f"index set {sel} must be strictly increasing")
-                if any(not 0 <= i < n for i in sel) or len(idx) != n:
-                    raise DimensionMismatch("bad index data")
-                if poly:
-                    clean[(tuple(idx), sel)] = poly
+        clean: dict = {}
+        for (idx, sel, exp), c in expand_terms(terms or {}):
+            sel = tuple(sel)
+            if len(sel) != degree or list(sel) != sorted(set(sel)):
+                raise ValueError(f"index set {sel} must be strictly increasing")
+            if any(not 0 <= i < n for i in sel) or len(idx) != n or len(exp) != n:
+                raise DimensionMismatch("bad index data")
+            accumulate(clean, (tuple(idx), sel, tuple(exp)), _coerce(c))
         self._init((n, degree), clean)
 
     @classmethod
@@ -51,15 +53,15 @@ def d_p(omega: KoszulForm) -> KoszulForm:
     """Exterior derivative in the p variables."""
     n = omega.n
     out: dict = {}
-    for (idx, sel), poly in omega.terms.items():
+    for (idx, sel, exp), c in omega.terms.items():
         for j in range(n):
             if not idx[j] or j in sel:
                 continue
             pos = sum(1 for i in sel if i < j)
             sign = -1 if pos % 2 else 1
             newsel = tuple(sorted(sel + (j,)))
-            accumulate(out, (shift(idx, j, -1), newsel), poly.scale(Fraction(sign * idx[j])))
-    return KoszulForm(n, omega.degree + 1, out)
+            accumulate(out, (shift(idx, j, -1), newsel, exp), c * (sign * idx[j]))
+    return KoszulForm._trusted((n, omega.degree + 1), out)
 
 
 def axial_potential(omega: KoszulForm) -> KoszulForm:
@@ -80,10 +82,10 @@ def axial_potential(omega: KoszulForm) -> KoszulForm:
     potential = KoszulForm.zero(n, 1)
     for m in range(n - 1, 0, -1):
         step: dict = {}
-        for (idx, (k, l)), poly in rest.terms.items():
+        for (idx, (k, l), exp), c in rest.terms.items():
             if l == m:
-                accumulate(step, (shift(idx, m, 1), (k,)), poly.scale(Fraction(-1, idx[m] + 1)))
-        y = KoszulForm(n, 1, step)
+                accumulate(step, (shift(idx, m, 1), (k,), exp), c * Fraction(-1, idx[m] + 1))
+        y = KoszulForm._trusted((n, 1), step)
         potential = potential + y
         rest = rest - d_p(y)
     if not rest.is_zero():

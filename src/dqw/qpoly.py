@@ -4,6 +4,11 @@ Terms are stored as a mapping from exponent multi-indices (tuples of
 non-negative ints, one slot per coordinate) to nonzero GaussianRational
 coefficients.  The representation is canonical: equal polynomials have
 identical term mappings, and zero coefficients are never stored.
+
+The graded containers (elements, cochains, forms) store flat terms whose
+key ends in the q-exponent.  `expand_terms` and `group_terms` convert
+between that form and the grouped one, key[:-1] -> QPolynomial, that
+builders and printed output use.
 """
 
 from __future__ import annotations
@@ -144,3 +149,22 @@ class QPolynomial(TermMap):
             raise ValueError("exponents must be non-negative integers")
         return cls(data["n"], terms)
 
+
+def expand_terms(terms: Mapping):
+    """The items of terms with full keys: a QPolynomial value stands for
+    its monomials, under its key extended by each q-exponent."""
+    for key, c in terms.items():
+        if isinstance(c, QPolynomial):
+            for exp, v in c.terms.items():
+                yield key + (exp,), v
+        else:
+            yield key, c
+
+
+def group_terms(terms: Mapping, n: int) -> dict:
+    """key[:-1] -> the QPolynomial of the q-exponents key[-1] under it,
+    for flat terms over n coordinates, in sorted key order."""
+    grouped: dict = {}
+    for key in sorted(terms):
+        grouped.setdefault(key[:-1], {})[key[-1]] = terms[key]
+    return {head: QPolynomial._trusted((n,), t) for head, t in grouped.items()}

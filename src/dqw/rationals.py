@@ -213,17 +213,25 @@ def format_scalar(x: GaussianRational) -> str:
     return f"{x.re}{sign}{abs(x.im)} i"
 
 
+def parse_fraction(x) -> Fraction:
+    """Fraction(x), raising ValueError for a zero denominator too."""
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
+
+
 def parse_scalar(s: str) -> GaussianRational:
     m = _FULL_RE.match(s)
     if m:
-        im = Fraction(m.group("im"))
+        im = parse_fraction(m.group("im"))
         if m.group("sign") == "-":
             im = -im
-        return GaussianRational(Fraction(m.group("re")), im)
+        return GaussianRational(parse_fraction(m.group("re")), im)
     m = _IMAG_RE.match(s)
     if m:
-        return GaussianRational(0, Fraction(m.group("im")))
+        return GaussianRational(0, parse_fraction(m.group("im")))
     m = _REAL_RE.match(s)
     if m:
-        return GaussianRational(Fraction(m.group("re")), 0)
+        return GaussianRational(parse_fraction(m.group("re")), 0)
     raise ValueError(f"not a valid scalar string: {s!r}")

@@ -26,7 +26,7 @@ from .functionals import (MatrixLambdaPoly, StateFunctional, UndeformedExtension
                           as_matrix, check_positivity, deform_functional,
                           star_squares)
 from .qpoly import QPolynomial
-from .rationals import GaussianRational
+from .rationals import GaussianRational, parse_fraction
 from .starspec import (InvalidStarProduct, StarProductSpec,
                        make_constant_theta_star, make_linear_poisson_2d_star,
                        make_zero_star, validate_star)
@@ -206,7 +206,7 @@ def build_star_product(scenario: Scenario) -> StarProductSpec:
     kind = cfg.get("generator")
     if kind == "constant_theta":
         try:
-            theta = [[Fraction(x) for x in row] for row in cfg["theta"]]
+            theta = [[parse_fraction(x) for x in row] for row in cfg["theta"]]
             if len(theta) != scenario.n:
                 raise ValueError("size differs from scenario dimension")
             return make_constant_theta_star(theta, scenario.K)

@@ -25,8 +25,8 @@ from fractions import Fraction
 from .cobsolver import solve_classical_coboundary
 from .cochain import (MultiDiffCochain, biderivation_cochain, coboundary, compose_slot,
                       find_witness, mu_cochain, plug_constant, swap)
-from .qpoly import DimensionMismatch, QPolynomial
-from .rationals import HALF_I, I
+from .qpoly import DimensionMismatch, QPolynomial, group_terms
+from .rationals import HALF_I, I, parse_fraction
 from .terms import accumulate, shift, zeros
 from .welement import LambdaPoly
 
@@ -105,7 +105,7 @@ class StarProductSpec(namedtuple("StarProductSpec", "n order hermitian cochains 
                     "lambda_power": r,
                     "terms": [
                         {"coeff_poly": poly.to_json(), "derivs": [list(j) for j in key[2]]}
-                        for key, poly in self.cochains[r - 1].polynomials().items()
+                        for key, poly in group_terms(self.cochains[r - 1].terms, self.n).items()
                     ],
                 }
                 for r in range(1, self.order + 1)
@@ -115,21 +115,27 @@ class StarProductSpec(namedtuple("StarProductSpec", "n order hermitian cochains 
     @classmethod
     def from_json(cls, data: dict) -> "StarProductSpec":
         n = data["n"]
-        entries = sorted(data["cochains"], key=lambda e: e["lambda_power"])
-        order = max((e["lambda_power"] for e in entries), default=0)
+        by_power = {}
+        for i, entry in enumerate(data["cochains"]):
+            r = entry["lambda_power"]
+            if type(r) is not int or r < 1 or r in by_power:
+                raise ValueError(f"cochains[{i}].lambda_power {r!r} is not a new integer >= 1")
+            by_power[r] = entry["terms"]
+        order = max(by_power, default=0)
         z = zeros(n)
         cochains = []
-        by_power = {e["lambda_power"]: e for e in entries}
         for r in range(1, order + 1):
             terms = {}
-            for t in by_power.get(r, {"terms": []})["terms"]:
+            for t in by_power.get(r, ()):
                 jvec = tuple(tuple(j) for j in t["derivs"])
-                poly = QPolynomial.from_json(t["coeff_poly"])
-                accumulate(terms, (0, z, jvec), poly)
+                if not all(type(e) is int and e >= 0 for j in jvec for e in j):
+                    raise ValueError(f"lambda_power {r}: bad derivs {t['derivs']}")
+                for exp, c in QPolynomial.from_json(t["coeff_poly"]).terms.items():
+                    accumulate(terms, (0, z, jvec, exp), c)
             cochains.append(MultiDiffCochain(n, order, 2, terms))
         theta = data.get("theta")
         if theta is not None:
-            theta = tuple(tuple(Fraction(x) for x in row) for row in theta)
+            theta = tuple(tuple(parse_fraction(x) for x in row) for row in theta)
         return cls(n=n, order=order, hermitian=data["hermitian"],
                    cochains=tuple(cochains), theta=theta)
 
@@ -336,12 +342,9 @@ def validate_star(spec: StarProductSpec, K: int | None = None) -> ValidationRepo
 
 def _evaluate_base(cochain: MultiDiffCochain, f: QPolynomial, g: QPolynomial) -> QPolynomial:
     w = cochain.evaluate([f, g])
-    out = QPolynomial.zero(cochain.n)
-    for (a, idx), poly in w.terms.items():
-        if a or any(idx):
-            raise ValueError("cochain value unexpectedly leaves the base algebra")
-        out = out + poly
-    return out
+    if any(a or any(idx) for a, idx, _e in w.terms):
+        raise ValueError("cochain value unexpectedly leaves the base algebra")
+    return QPolynomial._trusted((cochain.n,), {e: c for (_a, _i, e), c in w.terms.items()})
 
 
 def star_apply(spec: StarProductSpec, f: LambdaPoly, g: LambdaPoly) -> LambdaPoly:

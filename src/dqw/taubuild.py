@@ -50,7 +50,7 @@ from .cobsolver import (CocyclePrecondition, check_solvability_preconditions,
 from .cochain import (MultiDiffCochain, biderivation_cochain, coboundary,
                       cochain_weyl_product, compose_slot, identity_cochain,
                       mu_cochain, plug_constant)
-from .qpoly import DimensionMismatch, QPolynomial
+from .qpoly import DimensionMismatch, QPolynomial, group_terms
 from .starspec import (InvalidStarProduct, StarProductSpec, antisymmetric_matrix,
                        theta_powers)
 from .terms import exponents, zeros
@@ -335,21 +335,18 @@ def check_poisson_realization(tau: TauMap, spec: StarProductSpec,
     checked = 0
     for (f, (fq, fp)), (g, (gq, gp)) in itertools.combinations(zip(basis, grads), 2):
         lhs = zero
-        for (_a, _i, e), c in bracket.evaluate([f, g]).flat_terms():
+        for (_a, _i, e), c in bracket.evaluate([f, g]).terms.items():
             lhs = lhs + image(e).scale(c)
         rhs = zero  # the canonical bracket of cl(f) and cl(g)
         for k in range(n):
             rhs = rhs + fq[k] * gp[k] - fp[k] * gq[k]
         diff = lhs - rhs
-        bad = {
-            key: p for key, p in diff.terms.items()
-            if key[0] == 0 and sum(key[1]) <= K - 1
-        }
+        bad = group_terms({key: c for key, c in diff.terms.items()
+                           if key[0] == 0 and sum(key[1]) <= K - 1}, n)
         checked += 1
         if bad:
-            key = sorted(bad)[0]
+            (_a, idx), poly = next(iter(bad.items()))
             return RealizationReport(
                 ok=False, checked_pairs=checked,
-                violation=f"pair ({f}, {g}): p-exponent {key[1]} "
-                          f"differs by {bad[key]}")
+                violation=f"pair ({f}, {g}): p-exponent {idx} differs by {poly}")
     return RealizationReport(ok=True, checked_pairs=checked)

@@ -1,9 +1,9 @@
 """The sparse core shared by every algebraic container.
 
 A term map is an immutable mapping from hashable keys to nonzero values
-(exact scalars, or polynomials for elements and lam-series) together with
-a shape, such as the dimension, the truncation order or the arity, that
-the operands of every linear operation must share.  Zero values are
+(exact scalars; polynomials only for the lam-series of the base algebra)
+together with a shape, such as the dimension, the truncation order or
+the arity, that the operands of every linear operation must share.  Zero values are
 never stored, so equal maps have identical term dictionaries and
 equality is structural.
 

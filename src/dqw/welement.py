@@ -1,11 +1,11 @@
 """Truncated elements of the formal algebra C[q][[p, lam]] and lam-series.
 
-A WElement stores, per pair (lam-power a, p-exponent multi-index I), a
-polynomial coefficient in q.  Elements are graded by the combined degree
-deg = a + |I| (the eigenvalue of the grading operator
-sum_i p_i d/dp_i + lam d/dlam), and every element carries a truncation
-order K: only terms with a + |I| <= K are tracked.  The q-degree is never
-truncated.
+A WElement stores one scalar per key (lam-power a, p-exponent I,
+q-exponent E): the coefficient of lam^a p^I q^E.  Elements are graded by
+the combined degree deg = a + |I| (the eigenvalue of the grading
+operator sum_i p_i d/dp_i + lam d/dlam), and every element carries a
+truncation order K: only terms with a + |I| <= K are tracked.  The
+q-degree is never truncated.
 
 Also provided here:
 
@@ -21,8 +21,8 @@ import enum
 from fractions import Fraction
 from typing import Mapping
 
-from .qpoly import DimensionMismatch, QPolynomial
-from .rationals import GaussianRational, ZERO
+from .qpoly import DimensionMismatch, QPolynomial, expand_terms, group_terms
+from .rationals import GaussianRational, ZERO, _coerce
 from .terms import GradedTermMap, TermMap, accumulate, add, shift, unit, zeros
 
 
@@ -31,22 +31,20 @@ class WElement(GradedTermMap):
     _SHAPE = ("n", "K")
 
     def __init__(self, n: int, K: int, terms: Mapping | None = None):
+        """terms maps (a, I, E) to the coefficient of lam^a p^I q^E, or (a, I)
+        to a QPolynomial that stands for its monomials (`expand_terms`)."""
         if n < 1:
             raise ValueError("dimension must be positive")
         if K < 0:
             raise ValueError("truncation order must be non-negative")
-        clean = {}
-        if terms:
-            for (a, idx), poly in terms.items():
-                idx = tuple(idx)
-                if len(idx) != n:
-                    raise DimensionMismatch("p-exponent has wrong length")
-                if a < 0:
-                    raise ValueError("negative lam-power")
-                if a + sum(idx) > K:
-                    continue
-                if poly:
-                    clean[(a, idx)] = poly
+        clean: dict = {}
+        for (a, idx, exp), c in expand_terms(terms or {}):
+            if len(idx) != n or len(exp) != n:
+                raise DimensionMismatch("exponent has wrong length")
+            if a < 0:
+                raise ValueError("negative lam-power")
+            if a + sum(idx) <= K:
+                accumulate(clean, (a, tuple(idx), tuple(exp)), _coerce(c))
         self._init((n, K), clean)
 
     # ---- constructors ----
@@ -61,7 +59,7 @@ class WElement(GradedTermMap):
 
     @classmethod
     def constant(cls, n: int, K: int, c) -> "WElement":
-        return cls.from_poly(QPolynomial.constant(n, c), K)
+        return cls.monomial(n, K, 0, zeros(n), zeros(n), c)
 
     @classmethod
     def coordinate_q(cls, n: int, K: int, k: int) -> "WElement":
@@ -71,34 +69,15 @@ class WElement(GradedTermMap):
     def coordinate_p(cls, n: int, K: int, k: int) -> "WElement":
         if not 0 <= k < n:
             raise IndexError(f"momentum index {k} out of range for n={n}")
-        return cls(n, K, {(0, unit(n, k)): QPolynomial.constant(n, 1)})
+        return cls.monomial(n, K, 0, unit(n, k), zeros(n))
 
     @classmethod
     def lam(cls, n: int, K: int, power: int = 1) -> "WElement":
-        return cls(n, K, {(power, zeros(n)): QPolynomial.constant(n, 1)})
+        return cls.monomial(n, K, power, zeros(n), zeros(n))
 
     @classmethod
     def monomial(cls, n: int, K: int, a: int, p_exp, q_exp, c=1) -> "WElement":
-        poly = QPolynomial.monomial(n, q_exp, c)
-        return cls(n, K, {(a, tuple(p_exp)): poly})
-
-    # ---- flat form: (a, I, q-exponent) -> scalar, as the kernels use it ----
-
-    def flat_terms(self):
-        for (a, idx), poly in self.terms.items():
-            for exp, c in poly.terms.items():
-                yield (a, idx, exp), c
-
-    @classmethod
-    def from_flat(cls, flat: Mapping, n: int, K: int) -> "WElement":
-        """Assemble from nonzero coefficients under well-formed keys, as
-        the kernels hand them in; only the truncation at K is applied."""
-        grouped: dict = {}
-        for (a, idx, exp), c in flat.items():
-            if a + sum(idx) <= K:
-                grouped.setdefault((a, idx), {})[exp] = c
-        return cls._trusted((n, K), {
-            key: QPolynomial._trusted((n,), t) for key, t in grouped.items()})
+        return cls(n, K, {(a, tuple(p_exp), tuple(q_exp)): c})
 
     # ---- commutative product ----
 
@@ -108,12 +87,12 @@ class WElement(GradedTermMap):
         self._check(other)
         out: dict = {}
         K = self.K
-        for (a1, i1), f1 in self.terms.items():
+        for (a1, i1, e1), c1 in self.terms.items():
             d1 = a1 + sum(i1)
-            for (a2, i2), f2 in other.terms.items():
+            for (a2, i2, e2), c2 in other.terms.items():
                 if d1 + a2 + sum(i2) <= K:
-                    accumulate(out, (a1 + a2, add(i1, i2)), f1 * f2)
-        return WElement(self.n, self.K, out)
+                    accumulate(out, (a1 + a2, add(i1, i2), add(e1, e2)), c1 * c2)
+        return self._new(out)
 
     __rmul__ = __mul__
 
@@ -122,35 +101,22 @@ class WElement(GradedTermMap):
     def diff_q(self, k: int) -> "WElement":
         if not 0 <= k < self.n:
             raise IndexError(f"coordinate index {k} out of range")
-        out = {}
-        for key, poly in self.terms.items():
-            d = poly.diff(k)
-            if d:
-                out[key] = d
-        return WElement(self.n, self.K, out)
+        return self._new({(a, idx, shift(exp, k, -1)): c * exp[k]
+                          for (a, idx, exp), c in self.terms.items() if exp[k]})
 
     def diff_p(self, k: int) -> "WElement":
         if not 0 <= k < self.n:
             raise IndexError(f"momentum index {k} out of range")
-        out: dict = {}
-        for (a, idx), poly in self.terms.items():
-            if idx[k]:
-                accumulate(out, (a, shift(idx, k, -1)), poly.scale(idx[k]))
-        return WElement(self.n, self.K, out)
+        return self._new({(a, shift(idx, k, -1), exp): c * idx[k]
+                          for (a, idx, exp), c in self.terms.items() if idx[k]})
 
     def degree_image(self) -> "WElement":
         """Apply the grading operator sum_i p_i d/dp_i + lam d/dlam."""
-        out = {}
-        for (a, idx), poly in self.terms.items():
-            d = a + sum(idx)
-            if d:
-                out[(a, idx)] = poly.scale(d)
-        return WElement(self.n, self.K, out)
+        return self._new({(a, idx, exp): c * (a + sum(idx))
+                          for (a, idx, exp), c in self.terms.items() if a + sum(idx)})
 
     def max_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(a + sum(i) for a, i in self.terms)
+        return max((a + sum(idx) for a, idx, _e in self.terms), default=-1)
 
     def evaluate(self, q_point, p_point) -> tuple:
         """Substitute numeric q and p, leaving lam formal.
@@ -159,14 +125,13 @@ class WElement(GradedTermMap):
         """
         if len(q_point) != self.n or len(p_point) != self.n:
             raise DimensionMismatch("evaluation point has wrong dimension")
-        ppt = [Fraction(x) for x in p_point]
+        point = [_coerce(x) for x in p_point] + [_coerce(x) for x in q_point]
         coeffs = [ZERO] * (self.K + 1)
-        for (a, idx), poly in self.terms.items():
-            v = poly.evaluate(q_point)
-            for x, e in zip(ppt, idx):
+        for (a, idx, exp), c in self.terms.items():
+            for x, e in zip(point, idx + exp):
                 if e:
-                    v = v * (x ** e)
-            coeffs[a] = coeffs[a] + v
+                    c = c * (x ** e)
+            coeffs[a] = coeffs[a] + c
         return tuple(coeffs)
 
     # ---- structure ----
@@ -178,8 +143,7 @@ class WElement(GradedTermMap):
         if not self.terms:
             return "0"
         parts = []
-        for (a, idx) in sorted(self.terms):
-            poly = self.terms[(a, idx)]
+        for (a, idx), poly in group_terms(self.terms, self.n).items():
             factors = []
             if a:
                 factors.append("lam" + (f"^{a}" if a > 1 else ""))

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qpoly import DimensionMismatch
+from .qpoly import DimensionMismatch, group_terms
 from .rationals import GaussianRational, HALF_I, ONE, ZERO, _coerce
 from .terms import SquareMatrix, accumulate, add, shift, zeros
 from .welement import LambdaPoly, WElement
@@ -121,9 +121,9 @@ def _element_join(t1: tuple, t2: tuple, r: int) -> tuple:
 
 
 def _pair_product(a: WElement, b: WElement, pairing, K: int) -> WElement:
-    flat = propagate(a.flat_terms(), b.flat_terms(), pairing,
+    flat = propagate(a.terms.items(), b.terms.items(), pairing,
                      _element_dq, _element_join, K)
-    return WElement.from_flat(flat, a.n, K)
+    return WElement._trusted((a.n, K), flat)
 
 
 # Lap = sum_k sum_(u, w) w d^2/d(u^k)^2; the operator and the sign
@@ -148,7 +148,7 @@ def _laplace_image(flat: dict, n: int) -> dict:
 def _exp_laplace(x: WElement, sign: int, K: int) -> WElement:
     """Apply exp(sign * lam * Lap), exactly on polynomial data."""
     n = x.n
-    state = dict(x.flat_terms())
+    state = x.terms
     out: dict = {}
     m = 0
     factor = ONE  # sign^m / m!
@@ -159,7 +159,7 @@ def _exp_laplace(x: WElement, sign: int, K: int) -> WElement:
         state = _laplace_image(state, n)
         m += 1
         factor = factor * Fraction(sign, m)
-    return WElement.from_flat(out, n, K)
+    return WElement._trusted((n, K), out)
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +222,8 @@ def pi_star(f: LambdaPoly, K: int | None = None) -> WElement:
 
 def iota_star(a: WElement) -> LambdaPoly:
     """Set all momenta to zero, keeping the lam-series of q-polynomials."""
-    n = a.n
-    zero_idx = zeros(n)
-    coeffs = {r: poly for (r, idx), poly in a.terms.items() if idx == zero_idx}
-    return LambdaPoly(n, a.K, coeffs)
+    low = {(r, exp): c for (r, idx, exp), c in a.terms.items() if not any(idx)}
+    return LambdaPoly(a.n, a.K, {r: poly for (r,), poly in group_terms(low, a.n).items()})
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +289,7 @@ def fock_equivalence(a, direction: str = "forward"):
 def exp_laplace_exact(x: WElement, sign: int) -> WElement:
     """exp(sign lam Lap) at a lifted truncation where nothing is dropped."""
     bound = 0
-    for (a, idx), poly in x.terms.items():
-        qd = max((sum(e) for e in poly.terms), default=0)
-        bound = max(bound, a + sum(idx) + (sum(idx) + qd + 1) // 2 + 1)
+    for a, idx, exp in x.terms:
+        bound = max(bound, a + sum(idx) + (sum(idx) + sum(exp) + 1) // 2 + 1)
     K = max(x.K, bound)
     return _exp_laplace(x.retruncate(K), sign, K)

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from dqw.cochain import MultiDiffCochain, compose_slot, find_witness, mu_cochain
 from dqw.koszul import KoszulForm
-from dqw.qpoly import QPolynomial
+from dqw.qpoly import QPolynomial, group_terms
 from dqw.starspec import ValidationCheck
 from dqw.taubuild import RealizationReport
 from dqw.terms import accumulate, exponents, shift
@@ -47,9 +47,8 @@ def exact_order_for_pair(a: WElement, b: WElement) -> int:
     intertwining check are computed without dropping any term."""
     def budget(x):
         m = 0
-        for (la, idx), poly in x.terms.items():
-            qd = max((sum(e) for e in poly.terms), default=0)
-            m = max(m, la + 2 * (sum(idx) + qd))
+        for la, idx, exp in x.terms:
+            m = max(m, la + 2 * (sum(idx) + sum(exp)))
         return m
     return budget(a) + budget(b) + 2
 
@@ -66,11 +65,10 @@ def check_sign_on_pair(sign: int, a: WElement, b: WElement) -> bool:
 def euler_contraction(omega: KoszulForm) -> KoszulForm:
     """Interior product with the Euler field sum_i p_i d/dp_i."""
     out: dict = {}
-    for (idx, sel), poly in omega.terms.items():
+    for (idx, sel, exp), c in omega.terms.items():
         for m, i in enumerate(sel):
             sign = -1 if m % 2 else 1
-            accumulate(out, (shift(idx, i, 1), sel[:m] + sel[m + 1:]),
-                       poly.scale(Fraction(sign)))
+            accumulate(out, (shift(idx, i, 1), sel[:m] + sel[m + 1:], exp), c * sign)
     return KoszulForm(omega.n, omega.degree - 1, out)
 
 
@@ -82,8 +80,9 @@ def poincare_homotopy(omega: KoszulForm) -> KoszulForm:
         raise ValueError("homotopy requires form degree >= 1")
     k = omega.degree
     out = KoszulForm.zero(omega.n, k - 1)
-    for (idx, sel), poly in omega.terms.items():
-        piece = KoszulForm(omega.n, k, {(idx, sel): poly})
+    for key, c in omega.terms.items():
+        idx = key[0]
+        piece = KoszulForm(omega.n, k, {key: c})
         w = sum(idx) + k
         contracted = euler_contraction(piece)
         out = out + contracted.scale(Fraction(1, w))
@@ -123,15 +122,14 @@ def realization_per_pair(tau, spec, K=None) -> RealizationReport:
     checked = 0
     for (f, f_image), (g, g_image) in itertools.combinations(zip(basis, images), 2):
         diff = cl.evaluate([poisson_bracket(spec, f, g)]) - canonical_bracket(f_image, g_image)
-        bad = {key: p for key, p in diff.terms.items()
-               if key[0] == 0 and sum(key[1]) <= K - 1}
+        bad = group_terms({key: c for key, c in diff.terms.items()
+                           if key[0] == 0 and sum(key[1]) <= K - 1}, tau.n)
         checked += 1
         if bad:
-            key = sorted(bad)[0]
+            (_a, idx), poly = next(iter(bad.items()))
             return RealizationReport(
                 ok=False, checked_pairs=checked,
-                violation=f"pair ({f}, {g}): p-exponent {key[1]} "
-                          f"differs by {bad[key]}")
+                violation=f"pair ({f}, {g}): p-exponent {idx} differs by {poly}")
     return RealizationReport(ok=True, checked_pairs=checked)
 
 

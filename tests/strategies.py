@@ -39,9 +39,8 @@ def welements(n=2, K=4, max_terms=3):
         for (a, idx, exp, c) in entries:
             if a + sum(idx) > K:
                 continue
-            key = (a, idx)
-            poly = QPolynomial(n, {exp: c})
-            terms[key] = terms[key] + poly if key in terms else poly
+            key = (a, idx, exp)
+            terms[key] = terms[key] + c if key in terms else c
         return WElement(n, K, terms)
 
     entry = st.tuples(

@@ -5,6 +5,7 @@ import pytest
 
 from dqw.koszul import KoszulForm, axial_potential, d_p
 from dqw.qpoly import QPolynomial
+from dqw.terms import accumulate
 
 from oracles import euler_contraction, poincare_homotopy
 
@@ -18,9 +19,7 @@ def random_form(rng, degree, n=N, terms=3):
         idx = tuple(rng.randint(0, 2) for _ in range(n))
         sel = tuple(sorted(rng.sample(range(n), degree)))
         exp = tuple(rng.randint(0, 1) for _ in range(n))
-        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-        poly = QPolynomial.monomial(n, exp, c)
-        data[(idx, sel)] = data[(idx, sel)] + poly if (idx, sel) in data else poly
+        accumulate(data, (idx, sel, exp), Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
     return KoszulForm(n, degree, data)
 
 
@@ -89,7 +88,7 @@ def test_axial_potential_of_exact_forms(n):
         w = d_p(random_form(rng, 1, n=n))
         x = axial_potential(w)
         assert d_p(x) == w == d_p(poincare_homotopy(w))
-        assert all(sel != (n - 1,) for (_idx, sel) in x.terms)
+        assert all(sel != (n - 1,) for (_idx, sel, _exp) in x.terms)
         nonzero += bool(w)
     assert nonzero >= 5
 

@@ -23,6 +23,16 @@ class Replace:
         self.document = document
 
 
+def _inline_star(change):
+    """A mutation that gives the scenario perturbed-c2's inline star
+    product, changed by change(inline)."""
+    def mutate(d):
+        inline = json.loads((SCENARIO_DIR / "perturbed-c2.json").read_text())
+        change(inline["star_product"]["inline"])
+        d["star_product"] = inline["star_product"]
+    return mutate
+
+
 def load(name):
     return load_scenario(str(SCENARIO_DIR / f"{name}.json"))
 
@@ -278,6 +288,29 @@ class TestCli:
         ("'tests.explicit[0].entries[0][0].max_order'",
          lambda d: d["tests"]["explicit"].__setitem__(
              0, {"entries": [[{**d["tests"]["explicit"][0], "max_order": -1}]]})),
+        # a zero denominator is malformed input, wherever an exact scalar is read
+        ("star_product.theta: zero denominator",
+         lambda d: d["star_product"]["theta"][0].__setitem__(1, "1/0")),
+        ("functional description: zero denominator",
+         lambda d: d["functional"]["atoms"][0]["point"].__setitem__(0, "1/0")),
+        ("functional description: zero denominator",
+         lambda d: d["functional"]["atoms"][0]["vector"].__setitem__(0, "1/0")),
+        ("tests.explicit[0]: zero denominator",
+         lambda d: d["tests"]["explicit"][0]["coeffs"][0]["poly"][0].__setitem__(1, "1/0")),
+        ("star_product.inline: zero denominator", _inline_star(
+            lambda s: s["cochains"][0]["terms"][0]["coeff_poly"]["terms"][0].__setitem__(
+                1, "1/0"))),
+        # the inline star product's shape: derivative exponents are
+        # non-negative integers, and each lambda_power >= 1 occurs once
+        ("star_product.inline: lambda_power 1: bad derivs",
+         _inline_star(lambda s: s["cochains"][0]["terms"][0]["derivs"][0].__setitem__(0, -1))),
+        ("star_product.inline: lambda_power 1: bad derivs",
+         _inline_star(lambda s: s["cochains"][0]["terms"][0]["derivs"][0].__setitem__(0, 0.5))),
+        ("star_product.inline: cochains[4].lambda_power", _inline_star(
+            lambda s: s["cochains"].append({"lambda_power": 0,
+                                            "terms": s["cochains"][0]["terms"]}))),
+        ("star_product.inline: cochains[4].lambda_power",
+         _inline_star(lambda s: s["cochains"].append(s["cochains"][1]))),
     ])
     def test_malformed_scenario_exit_two(self, tmp_path, capsys, field, mutate):
         data = json.loads((SCENARIO_DIR / "moyal-r2-delta.json").read_text())

@@ -10,7 +10,7 @@ from dqw import cobsolver, cochain, starspec, taubuild
 from dqw.cobsolver import CocyclePrecondition
 from dqw.cochain import (MultiDiffCochain, coboundary, identity_cochain,
                          plug_constant)
-from dqw.qpoly import QPolynomial
+from dqw.qpoly import QPolynomial, group_terms
 from dqw.rationals import GaussianRational, I, gr
 from dqw.scenario import (build_star_product, build_tau_map, load_scenario,
                           random_lambda_poly)
@@ -357,10 +357,9 @@ class TestTrustedKernelOutput:
                          "solve_classical_coboundary", "solve_coboundary"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, recorded(getattr(module, name)))
-        # the element kernels assemble through from_flat
-        from_flat = WElement.from_flat.__func__
-        monkeypatch.setattr(WElement, "from_flat",
-                            classmethod(recorded(from_flat)))
+        # the element kernels assemble through _trusted
+        trusted = WElement._trusted.__func__
+        monkeypatch.setattr(WElement, "_trusted", classmethod(recorded(trusted)))
         for _name, spec, tau, K in _shipped_builds():
             assert check_poisson_realization(tau, spec, K=K).ok
             x = [tau.apply(LambdaPoly.from_poly(QPolynomial.coordinate(tau.n, k), tau.K))
@@ -383,24 +382,18 @@ def _nonnegative_indices(indices):
 def _assert_validated(x):
     """x equals its rebuild through the validating constructors, and its
     keys and coefficients are well formed."""
-    if isinstance(x, MultiDiffCochain):
-        rebuilt = MultiDiffCochain(*x._shape(), dict(x.terms))
-        assert rebuilt == x
-        for (a, idx, jvec, exp), c in x.terms.items():
-            assert type(c) is GaussianRational and c
-            assert a >= 0 and a + sum(idx) <= x.K and len(jvec) == x.arity
-            assert all(len(j) == x.n for j in (idx, exp) + jvec)
-            assert _nonnegative_indices((idx, exp) + jvec)
-        return
-    rebuilt = type(x)(*x._shape(), {
-        key: QPolynomial(x.n, dict(poly.terms)) for key, poly in x.terms.items()})
+    rebuilt = type(x)(*x._shape(), dict(x.terms))
     assert rebuilt == x
-    for (a, idx), poly in x.terms.items():
-        assert type(poly) is QPolynomial and poly.n == x.n and poly.terms
-        assert a >= 0 and a + sum(idx) <= x.K and _nonnegative_indices((idx,))
-        for exp, c in poly.terms.items():
-            assert type(c) is GaussianRational and c
-            assert len(exp) == x.n and _nonnegative_indices((exp,))
+    for key, c in x.terms.items():
+        assert type(c) is GaussianRational and c
+        if isinstance(x, MultiDiffCochain):
+            a, idx, jvec, exp = key
+            assert len(jvec) == x.arity
+        else:
+            (a, idx, exp), jvec = key, ()
+        assert a >= 0 and a + sum(idx) <= x.K
+        assert all(len(j) == x.n for j in (idx, exp) + jvec)
+        assert _nonnegative_indices((idx, exp) + jvec)
 
 
 class TestApply:
@@ -581,12 +574,11 @@ def _first_ordered_violation(tau, spec, max_q_degree=2):
         for g in basis:
             diff = cl.evaluate([poisson_bracket(spec, f, g)]) - \
                 canonical_bracket(cl.evaluate([f]), cl.evaluate([g]))
-            bad = {key: p for key, p in diff.terms.items()
-                   if key[0] == 0 and sum(key[1]) <= tau.K - 1}
+            bad = group_terms({key: c for key, c in diff.terms.items()
+                               if key[0] == 0 and sum(key[1]) <= tau.K - 1}, tau.n)
             if bad:
-                key = sorted(bad)[0]
-                return (f"pair ({f}, {g}): p-exponent {key[1]} "
-                        f"differs by {bad[key]}")
+                (_a, idx), poly = next(iter(bad.items()))
+                return f"pair ({f}, {g}): p-exponent {idx} differs by {poly}"
     return None
 
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dqw.cochain import MultiDiffCochain
 from dqw.koszul import KoszulForm
-from dqw.qpoly import QPolynomial
+from dqw.qpoly import QPolynomial, expand_terms, group_terms
 from dqw.terms import (DimensionMismatch, add, below, binom, factorial, falling,
                        shift, sub, unit, zeros)
 from dqw.welement import LambdaPoly, WElement
@@ -21,9 +21,8 @@ def koszul_forms(n=3, degree=1, max_terms=3):
     def build(entries):
         terms = {}
         for idx, sel, exp, c in entries:
-            key = (idx, tuple(sorted(sel)))
-            poly = QPolynomial(n, {exp: c})
-            terms[key] = terms[key] + poly if key in terms else poly
+            key = (idx, tuple(sorted(sel)), exp)
+            terms[key] = terms[key] + c if key in terms else c
         return KoszulForm(n, degree, terms)
 
     entry = st.tuples(
@@ -67,6 +66,22 @@ def test_results_match_validating_constructor(kind, data):
         assert type(r) is type(x) and r._shape() == x._shape()
         _assert_canonical(r)
     assert (x - x).is_zero() and x.scale(0).is_zero()
+
+
+@pytest.mark.parametrize("kind", ["KoszulForm", "MultiDiffCochain", "WElement"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_grouped_and_flat_forms_agree(kind, data):
+    """A graded container stores flat terms; its grouped form, one
+    QPolynomial per key without the q-exponent, builds the same map, and
+    group_terms and expand_terms undo each other."""
+    x = data.draw(KINDS[kind])
+    grouped = group_terms(x.terms, x.n)
+    assert list(grouped) == sorted(grouped)
+    assert all(type(p) is QPolynomial and p for p in grouped.values())
+    assert type(x)(*x._shape(), grouped) == x
+    assert dict(expand_terms(grouped)) == x.terms
+    assert group_terms(dict(expand_terms(grouped)), x.n) == grouped
 
 
 def test_shape_mismatch_still_raises():
