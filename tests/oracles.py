@@ -80,9 +80,8 @@ def poincare_homotopy(omega: KoszulForm) -> KoszulForm:
         raise ValueError("homotopy requires form degree >= 1")
     k = omega.degree
     out = KoszulForm.zero(omega.n, k - 1)
-    for key, c in omega.terms.items():
-        idx = key[0]
-        piece = KoszulForm(omega.n, k, {key: c})
+    for (idx, sel, exp), c in omega.terms.items():
+        piece = KoszulForm(omega.n, k, {(idx, sel, exp): c})
         w = sum(idx) + k
         contracted = euler_contraction(piece)
         out = out + contracted.scale(Fraction(1, w))
