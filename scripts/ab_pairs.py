@@ -11,7 +11,10 @@ Every run's end-to-end metrics are printed as they come.  Then, for each
 end-to-end metric of BENCHMARK.json, one line gives the median and the
 quartiles of both sides, the number of pairs the change won, and the
 gap of the medians in the metric's worse direction against its bound
-(read in the metric's unit).  A run that fails, or whose benchmark
+(read in the metric's unit).  A second line says whether a gain claim
+would hold: the change wins at least nine tenths of all pairs, ties
+counting for neither side, and its median is better than the parent's
+by more than the distance between the parent's quartiles.  A run that fails, or whose benchmark
 reports incorrect results or failed operations, stops the script with
 exit 1.  The script writes no file; the benchmark makes its scratch
 directory inside each checkout and removes it.
@@ -38,10 +41,27 @@ def run_once(checkout: Path, command: list, workload: str, seed: int,
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def summary(values: list) -> str:
+def quartiles(values: list) -> tuple:
     med = statistics.median(values)
-    q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (med, med, med)
+    return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else (med, med, med)
+
+
+def summary(values: list) -> str:
+    q1, med, q3 = quartiles(values)
     return f"{med:.4f} [{q1:.4f}, {q3:.4f}]"
+
+
+def gain_claim(before: list, after: list, sign: int) -> tuple:
+    """(whether a gain claim holds, the line that says so) for the paired
+    runs of the parent (before) and the change (after); sign is 1 when
+    lower is better, -1 when higher is.  A tie counts for neither side."""
+    won = sum(sign * (a - b) < 0 for a, b in zip(after, before))
+    gain = sign * (statistics.median(before) - statistics.median(after))
+    q1, _, q3 = quartiles(before)
+    holds = 10 * won >= 9 * len(before) and gain > q3 - q1
+    return holds, (f"  gain claim {'holds' if holds else 'not met'}: won {won}/{len(before)} "
+                   f"(needs 9/10), median gain {gain:+.4f} against the parent's "
+                   f"quartile spread {q3 - q1:.4f}")
 
 
 def main(argv=None) -> int:
@@ -78,6 +98,7 @@ def main(argv=None) -> int:
         print(f"{name}: parent {summary(before)}  change {summary(after)}  "
               f"won {won}/{args.pairs}  worse by {gap:+.4f} {m['unit']} "
               f"(bound {bound}): {'EXCEEDS BOUND' if gap > bound else 'within bound'}")
+        print(gain_claim(before, after, sign)[1])
     return 0
 
 

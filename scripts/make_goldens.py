@@ -15,7 +15,8 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from dqw.scenario import load_scenario, report_to_json_text, run_scenario, strip_timings
+from dqw.cli import report_to_json_text, run_scenario, strip_timings
+from dqw.scenario import load_scenario
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "scenarios"

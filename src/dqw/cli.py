@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end and scenario runner.
 
 Verbs map to pipeline stages: `validate` checks the star product,
 `build-tau` additionally constructs the embedding, `deform` builds the
@@ -6,16 +6,202 @@ corrected functional, `check-pos` also classifies the test set, and
 `run` executes the scenario's own command list.  Every verb takes
 --scenario; --max-order and --seed override the scenario's truncation
 order and random-test seed; --out and --format control report output.
+
+`run_scenario` executes the commands.  Its report is deterministic, but
+for the wall-clock figures of its "timings" section, which comparisons
+are expected to strip.
+
+Exit codes: 0 all pass; 1 a mathematical violation or negative verdict;
+2 configuration or parse error; 3 verdict-bearing steps ran but every
+one was inconclusive.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
+import json
 import sys
+import time
 
-from .scenario import (ConfigurationError, EXIT_CONFIG, Scenario, emit_report,
-                       load_scenario, run_scenario)
+from .functionals import UndeformedExtension, check_positivity, deform_functional, star_squares
+from .scenario import ConfigurationError, Scenario, generate_tests, load_scenario
+from .starspec import (InvalidStarProduct, StarProductSpec, make_constant_theta_star,
+                       make_linear_poisson_2d_star, validate_star)
+from .taubuild import BuildAborted, ClosedFormTau, build_tau, check_poisson_realization
+from .welement import NonRealSeries
+from .weyl import ConsistencyError
+
+
+EXIT_PASS = 0
+EXIT_FAIL = 1
+EXIT_CONFIG = 2
+EXIT_INCONCLUSIVE = 3
+
+
+# ---------------------------------------------------------------------------
+# scenario materialization
+# ---------------------------------------------------------------------------
+
+def build_star_product(scenario: Scenario) -> StarProductSpec:
+    if scenario.inline is not None:
+        return scenario.inline
+    if scenario.theta is None:
+        return make_linear_poisson_2d_star(scenario.K)
+    return make_constant_theta_star(scenario.theta, scenario.K)
+
+
+def build_tau_map(scenario: Scenario, spec: StarProductSpec):
+    if scenario.tau_source == "solver":
+        return build_tau(spec, scenario.K)
+    # lam^K of the deformed series is exact once tau is known to degree 2K
+    return ClosedFormTau(spec.theta, 2 * scenario.K), None
+
+
+# ---------------------------------------------------------------------------
+# the runner
+# ---------------------------------------------------------------------------
+
+def run_scenario(scenario: Scenario, seed_override: int | None = None,
+                 max_order_override: int | None = None) -> tuple:
+    """Execute the scenario.  Returns (report_dict, exit_code)."""
+    if max_order_override is not None:
+        scenario = scenario.with_fields(K=max_order_override)
+    t_start = time.perf_counter()
+    timings = {}
+    results = []
+    verdict_outcomes = []
+
+    spec = None
+    tau = None
+    tau_report = None
+    deformed = None
+    squares = None  # of the test set, made by the first check-pos
+
+    def record(op, outcome, detail, t0):
+        results.append({"op": op, "outcome": outcome, "detail": detail})
+        timings[f"{len(results) - 1}:{op}"] = round(time.perf_counter() - t0, 6)
+
+    for cmd in scenario.ops:
+        op = cmd["op"]
+        t0 = time.perf_counter()
+        if op == "validate":
+            spec = spec or build_star_product(scenario)
+            report = validate_star(spec, scenario.K)
+            record(op, "pass" if report.ok else "fail", report.to_json(), t0)
+            if not report.ok:
+                break
+        elif op == "build-tau":
+            spec = spec or build_star_product(scenario)
+            try:
+                tau, tau_report = build_tau_map(scenario, spec)
+            except (BuildAborted, ConsistencyError, InvalidStarProduct) as e:
+                record(op, "fail", {"error": str(e)}, t0)
+                break
+            realization = check_poisson_realization(tau, spec, K=scenario.K)
+            detail = {
+                "tau": scenario.tau_source,
+                "report": tau_report.to_json() if tau_report else None,
+                "poisson_realization": realization.to_json(),
+            }
+            record(op, "pass" if realization.ok else "fail", detail, t0)
+            if not realization.ok:
+                break
+        elif op == "deform":
+            deformed = deform_functional(scenario.state, tau, K=scenario.K)
+            record(op, "pass", deformed.describe(), t0)
+        else:  # check-pos
+            spec = spec or build_star_product(scenario)
+            expect = cmd.get("expect", "nonnegative")
+            if cmd.get("functional", "deformed") == "deformed":
+                functional = deformed
+            else:
+                functional = UndeformedExtension(scenario.state, scenario.K)
+            if squares is None:
+                tests, labels = generate_tests(scenario, seed_override)
+                squares = star_squares(spec, tests)
+            try:
+                verdict = check_positivity(functional, squares, labels)
+            except NonRealSeries as e:
+                record(op, "fail", {"error": str(e)}, t0)
+                break
+            detail = verdict.to_json()
+            detail["expect"] = expect
+            if expect == "negative":
+                outcome = "pass" if verdict.aggregate == "fail" else "fail"
+            else:
+                outcome = verdict.aggregate
+            record(op, outcome, detail, t0)
+            verdict_outcomes.append(outcome)
+
+    outcomes = [r["outcome"] for r in results]
+    if any(o == "fail" for o in outcomes):
+        exit_code = EXIT_FAIL
+        overall = "fail"
+    elif verdict_outcomes and all(o == "inconclusive" for o in verdict_outcomes):
+        exit_code = EXIT_INCONCLUSIVE
+        overall = "inconclusive"
+    else:
+        exit_code = EXIT_PASS
+        overall = "pass"
+
+    timings["total"] = round(time.perf_counter() - t_start, 6)
+    report = {
+        "scenario": {
+            "name": scenario.name,
+            "digest": scenario.digest(),
+            "n": scenario.n,
+            "K": scenario.K,
+            "N": scenario.N,
+            "seed_override": seed_override,
+        },
+        "commands": results,
+        "overall": {"outcome": overall, "exit_code": exit_code},
+        "timings": timings,
+    }
+    return report, exit_code
+
+
+# ---------------------------------------------------------------------------
+# report emission
+# ---------------------------------------------------------------------------
+
+def report_to_json_text(report: dict) -> str:
+    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def strip_timings(report: dict) -> dict:
+    return {k: v for k, v in report.items() if k != "timings"}
+
+
+def report_to_text(report: dict) -> str:
+    lines = []
+    sc = report["scenario"]
+    lines.append(f"scenario {sc['name']} (n={sc['n']}, K={sc['K']}, N={sc['N']})")
+    lines.append(f"digest {sc['digest']}")
+    for r in report["commands"]:
+        lines.append(f"  [{r['outcome'].upper():12s}] {r['op']}")
+        detail = r.get("detail") or {}
+        if r["op"] == "check-pos" and "tests" in detail:
+            for t in detail["tests"]:
+                lines.append(
+                    f"      {t['label']}: {t['classification']} "
+                    f"coefficients {t['coefficients']}"
+                )
+        if "error" in detail:
+            lines.append(f"      error: {detail['error']}")
+    ov = report["overall"]
+    lines.append(f"overall: {ov['outcome']} (exit {ov['exit_code']})")
+    return "\n".join(lines) + "\n"
+
+
+def emit_report(report: dict, fmt: str = "json") -> str:
+    if fmt == "json":
+        return report_to_json_text(report)
+    if fmt == "text":
+        return report_to_text(report)
+    raise ConfigurationError(f"unknown report format {fmt!r}")
+
 
 _STAGE_PREFIX = {
     "validate": ["validate"],
@@ -51,9 +237,7 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         prefix = _STAGE_PREFIX[args.verb]
         if prefix is not None:
-            scenario = Scenario.from_json(
-                {**scenario.to_json(), "commands": prefix}
-            )
+            scenario = scenario.with_fields(commands=prefix)
         report, code = run_scenario(
             scenario,
             seed_override=args.seed,

@@ -30,7 +30,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .qpoly import DimensionMismatch
-from .rationals import GaussianRational, ZERO, _coerce, parse_fraction, parse_scalar
+from .rationals import GaussianRational, ZERO, _coerce
 from .starspec import StarProductSpec, star_apply
 from .terms import SquareMatrix, factorial, shift, zeros
 from .welement import LambdaPoly, NonRealSeries, SeriesSign, real_series_from_complex
@@ -55,10 +55,6 @@ class MatrixLambdaPoly(SquareMatrix):
 
     def star_mul(self, spec: StarProductSpec, other: "MatrixLambdaPoly") -> "MatrixLambdaPoly":
         return self._product(other, lambda x, y: star_apply(spec, x, y))
-
-    @classmethod
-    def from_json(cls, data: dict) -> "MatrixLambdaPoly":
-        return cls([[LambdaPoly.from_json(x) for x in row] for row in data["entries"]])
 
 
 def as_matrix(f) -> MatrixLambdaPoly:
@@ -133,15 +129,6 @@ class StateFunctional:
 
     def __repr__(self):
         return f"StateFunctional(n={self.n}, N={self.N}, {len(self.atoms)} atoms)"
-
-    @classmethod
-    def from_json(cls, data: dict) -> "StateFunctional":
-        atoms = [
-            ([parse_fraction(x) for x in a["point"]],
-             [parse_scalar(v) for v in a["vector"]])
-            for a in data["atoms"]
-        ]
-        return cls(data["n"], data["N"], atoms)
 
 
 # ---------------------------------------------------------------------------

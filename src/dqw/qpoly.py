@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .rationals import GaussianRational, ZERO, ONE, _coerce, format_scalar, parse_scalar
+from .rationals import GaussianRational, ZERO, ONE, _coerce, format_scalar
 from .terms import (DimensionMismatch, TermMap, accumulate, add, falling, shift, sub,
                     unit, zeros)
 
@@ -141,13 +141,6 @@ class QPolynomial(TermMap):
                 for exp in sorted(self.terms)
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QPolynomial":
-        terms = {tuple(exp): parse_scalar(cs) for exp, cs in data["terms"]}
-        if not all(type(e) is int and e >= 0 for exp in terms for e in exp):
-            raise ValueError("exponents must be non-negative integers")
-        return cls(data["n"], terms)
 
 
 def expand_terms(terms: Mapping):

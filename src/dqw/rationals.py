@@ -219,6 +219,8 @@ def parse_fraction(x) -> Fraction:
         return Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {x!r}") from None
+    except ValueError:
+        raise ValueError(f"not a rational number: {x!r}") from None
 
 
 def parse_scalar(s: str) -> GaussianRational:

@@ -1,16 +1,11 @@
-"""Scenario-driven runs: load a JSON description, execute the requested
-pipeline stages, and emit a deterministic report.
+"""The scenario format: the JSON description of a run, read once.
 
 A scenario fixes the dimension, truncation order, star product (inline
 cochains or a named generator), the classical functional, the embedding
 source, a test set (explicit elements and/or seeded random generation),
-and the command list.  Replaying a scenario with the same seed
-reproduces the report byte for byte; wall-clock data lives in a separate
-"timings" section that comparisons are expected to strip.
-
-Exit codes: 0 all pass; 1 a mathematical violation or negative verdict;
-2 configuration or parse error; 3 verdict-bearing steps ran but every
-one was inconclusive.
+and the command list.  One reader per object checks and converts each
+field once and refuses any key that nothing reads: a malformed scenario
+raises ConfigurationError, naming the field's full path, at load.
 """
 
 from __future__ import annotations
@@ -18,36 +13,25 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import time
 from collections import namedtuple
 from fractions import Fraction
 
-from .functionals import (MatrixLambdaPoly, StateFunctional, UndeformedExtension,
-                          as_matrix, check_positivity, deform_functional,
-                          star_squares)
+from .cochain import MultiDiffCochain
+from .functionals import MatrixLambdaPoly, StateFunctional
 from .qpoly import QPolynomial
-from .rationals import GaussianRational, parse_fraction
-from .starspec import (InvalidStarProduct, StarProductSpec,
-                       make_constant_theta_star, make_linear_poisson_2d_star,
-                       make_zero_star, validate_star)
-from .taubuild import (BuildAborted, ClosedFormTau, build_tau,
-                       check_poisson_realization)
+from .rationals import GaussianRational, parse_fraction, parse_scalar
+from .starspec import StarProductSpec
 from .terms import accumulate, shift, zeros
-from .welement import LambdaPoly, NonRealSeries
-from .weyl import ConsistencyError
+from .welement import LambdaPoly
 
-
-EXIT_PASS = 0
-EXIT_FAIL = 1
-EXIT_CONFIG = 2
-EXIT_INCONCLUSIVE = 3
 
 DEFAULT_COMMANDS = ("validate", "build-tau", "deform", "check-pos")  # every op
 CHECK_POS_FIELDS = {"functional": ("deformed", "undeformed"),
                     "expect": ("nonnegative", "negative")}
-SCENARIO_KEYS = ("name", "n", "K", "N", "star_product", "functional", "tau", "tests",
-                 "commands")
-RANDOM_TEST_LOWS = {"seed": 0, "count": 0, "max_q_degree": 0, "max_coeff": 1}
+GENERATORS = ("constant_theta", "zero", "linear_poisson_2d")
+# tests.random integer field -> (lowest value, default)
+RANDOM_TEST_INTS = {"seed": (0, None), "count": (0, 20), "max_q_degree": (0, 3),
+                    "max_coeff": (1, 4)}
 _KINDS = {dict: "an object", list: "a list", str: "a string", bool: "a boolean"}
 
 
@@ -55,52 +39,43 @@ class ConfigurationError(ValueError):
     """Malformed or inconsistent scenario content."""
 
 
-class Scenario(namedtuple("Scenario", "name n K N star_product functional "
-                                     "tau_source tests commands")):
+class Scenario(namedtuple("Scenario", "name n K N star_product functional tau_source "
+                                     "tests commands inline theta state explicit random_tests ops")):
+    """A scenario as written, defaults filled in (what `to_json` returns),
+    and as read: the inline product or the generator's bracket, the
+    functional, the explicit tests at order K, the random-test settings
+    and the commands as objects."""
+
     __slots__ = ()
 
     @classmethod
     def from_json(cls, data: dict) -> "Scenario":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"a scenario must be a JSON object, got {type(data).__name__}")
-        _check_keys("", data, SCENARIO_KEYS)
-        for key, kind in (("name", str), ("star_product", dict), ("functional", dict),
-                          ("tau", dict), ("tests", dict), ("commands", list)):
-            if key in data:
-                _check_type(key, data[key], kind)
-        _check_keys("tau.", data.get("tau", {}), ("source",))
-        try:
-            scenario = cls(
-                name=data["name"],
-                n=data["n"],
-                K=data["K"],
-                N=data.get("N", 1),
-                star_product=data["star_product"],
-                functional=data["functional"],
-                tau_source=data.get("tau", {}).get("source", "solver"),
-                tests=data.get("tests", {}),
-                commands=data.get("commands", list(DEFAULT_COMMANDS)),
-            )
-        except KeyError as e:
-            raise ConfigurationError(f"scenario misses required key {e}")
-        for name, low in (("n", 1), ("K", 0), ("N", 1)):
-            _check_int(name, getattr(scenario, name), low)
-        if scenario.tau_source not in ("solver", "closed_form"):
-            raise ConfigurationError(f"unknown tau.source {scenario.tau_source!r}")
-        _check_keys("tests.", scenario.tests, ("explicit", "random"))
-        _check_type("tests.explicit", scenario.tests.get("explicit", []), list)
-        randcfg = scenario.tests.get("random", {})
-        _check_type("tests.random", randcfg, dict)
-        _check_keys("tests.random.", randcfg, (*RANDOM_TEST_LOWS, "lambda_corrections"))
-        for key, low in RANDOM_TEST_LOWS.items():
-            if key in randcfg:
-                _check_int(f"tests.random.{key}", randcfg[key], low)
-        _check_type("tests.random.lambda_corrections",
-                    randcfg.get("lambda_corrections", True), bool)
-        _normalize_commands(scenario.commands)
-        _check_data(scenario)
-        return scenario
+        """Read every field of the document once, refusing any key that
+        nothing reads; every error names the field's full path."""
+        _read_object("", data, ("name", "n", "K", "star_product", "functional"),
+                     ("N", "tau", "tests", "commands"))
+        _check_type("name", data["name"], str)
+        n, K = _check_int("n", data["n"], 1), _check_int("K", data["K"], 0)
+        N = _check_int("N", data.get("N", 1), 1)
+        tau = _read_object("tau", data.get("tau", {}), (), ("source",)).get("source", "solver")
+        if tau not in ("solver", "closed_form"):
+            raise ConfigurationError(f"unknown tau.source {tau!r}")
+        tests = _read_object("tests", data.get("tests", {}), (), ("explicit", "random"))
+        random_tests = _read_random_tests(tests.get("random", {}))
+        commands = data.get("commands", list(DEFAULT_COMMANDS))
+        ops = _read_commands(commands)
+        state = read_functional("functional", data["functional"], n, N)
+        inline, theta = _read_star_product(data["star_product"], n, K)
+        if tau == "closed_form" and (inline.theta if inline is not None else theta) is None:
+            raise ConfigurationError("tau.source 'closed_form' needs a constant bracket matrix")
+        explicit = tuple(_read_explicit(at, entry, n, K, N)
+                         for at, entry in _read_list("tests.explicit", tests.get("explicit", [])))
+        return cls(data["name"], n, K, N, data["star_product"], data["functional"], tau,
+                   tests, commands, inline, theta, state, explicit, random_tests, ops)
+
+    def with_fields(self, **fields) -> "Scenario":
+        """The scenario whose document has `fields` replaced, read again."""
+        return Scenario.from_json({**self.to_json(), **fields})
 
     def to_json(self) -> dict:
         return {
@@ -120,70 +95,6 @@ class Scenario(namedtuple("Scenario", "name n K N star_product functional "
         return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _check_type(field: str, value, kind: type) -> None:
-    if not isinstance(value, kind):
-        raise ConfigurationError(
-            f"scenario field {field!r} must be {_KINDS[kind]}, got {type(value).__name__}")
-
-
-def _check_keys(prefix: str, obj: dict, known) -> None:
-    """Every key of obj is one that the runner reads: an unread key, such
-    as a misspelt one, would otherwise leave its default in force."""
-    for key in obj:
-        if key not in known:
-            raise ConfigurationError(
-                f"unknown scenario field {prefix + key!r}, expected one of {sorted(known)}")
-
-
-def _check_int(field: str, value, low: int) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < low:
-        raise ConfigurationError(
-            f"scenario field {field!r} must be an integer >= {low}, got {value!r}")
-
-
-def _check_scalars(field: str, value, depth: int = 1) -> None:
-    """A list, nested depth deep, of exact scalars written as strings or
-    integers; a float such as 0.1 is not the rational it looks like."""
-    if depth:
-        _check_type(field, value, list)
-        for i, x in enumerate(value):
-            _check_scalars(f"{field}[{i}]", x, depth - 1)
-    elif isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise ConfigurationError(
-            f"scenario field {field!r} must be a string or an integer, got {value!r}")
-
-
-def _check_explicit(field: str, node) -> None:
-    """Every `entries`, `coeffs` and `poly` below node is a list, every `n`
-    an integer >= 1 and every `max_order` an integer >= 0."""
-    if isinstance(node, dict):
-        for key, value in node.items():
-            if key in ("entries", "coeffs", "poly"):
-                _check_type(f"{field}.{key}", value, list)
-            elif key in ("n", "max_order"):
-                _check_int(f"{field}.{key}", value, 1 if key == "n" else 0)
-            _check_explicit(f"{field}.{key}", value)
-    elif isinstance(node, list):
-        for i, value in enumerate(node):
-            _check_explicit(f"{field}[{i}]", value)
-
-
-def _check_data(scenario: Scenario) -> None:
-    """Points, vectors and theta are lists of scalars written as strings or
-    integers, and the terms of explicit tests are lists: a string in place
-    of a list would be read as its characters.  The `n` and `max_order` of
-    an explicit test are integers in range."""
-    if "theta" in scenario.star_product:
-        _check_scalars("star_product.theta", scenario.star_product["theta"], 2)
-    atoms = scenario.functional.get("atoms")
-    for i, atom in enumerate(atoms if isinstance(atoms, list) else []):
-        for key in ("point", "vector"):
-            if isinstance(atom, dict) and key in atom:
-                _check_scalars(f"functional.atoms[{i}].{key}", atom[key])
-    for i, entry in enumerate(scenario.tests.get("explicit", [])):
-        _check_explicit(f"tests.explicit[{i}]", entry)
-
-
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
@@ -198,59 +109,224 @@ def load_scenario(path: str) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# scenario materialization
+# the scenario format: one reader per object, each field checked once
 # ---------------------------------------------------------------------------
 
-def build_star_product(scenario: Scenario) -> StarProductSpec:
-    cfg = scenario.star_product
-    kind = cfg.get("generator")
-    if kind == "constant_theta":
-        try:
-            theta = [[parse_fraction(x) for x in row] for row in cfg["theta"]]
-            if len(theta) != scenario.n:
-                raise ValueError("size differs from scenario dimension")
-            return make_constant_theta_star(theta, scenario.K)
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigurationError(f"bad star_product.theta: {e}") from None
-    if kind == "zero":
-        return make_zero_star(scenario.n, scenario.K)
-    if kind == "linear_poisson_2d":
-        if scenario.n != 2:
-            raise ConfigurationError("linear_poisson_2d requires n = 2")
-        return make_linear_poisson_2d_star(scenario.K)
-    if "inline" in cfg:
-        try:
-            spec = StarProductSpec.from_json(cfg["inline"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ConfigurationError(f"bad star_product.inline: {e}") from None
-        if spec.n != scenario.n:
-            raise ConfigurationError("inline star product has wrong dimension")
-        if spec.order < scenario.K:
-            raise ConfigurationError(
-                f"inline star product order {spec.order} below scenario K={scenario.K}"
-            )
-        return spec
-    raise ConfigurationError(f"unknown star_product directive: {cfg}")
-
-
-def build_functional(scenario: Scenario) -> StateFunctional:
-    try:
-        _check_type("functional.atoms", scenario.functional["atoms"], list)
-        return StateFunctional.from_json(
-            {**scenario.functional, "n": scenario.n, "N": scenario.N})
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigurationError(f"bad functional description: {e}") from None
-
-
-def build_tau_map(scenario: Scenario, spec: StarProductSpec):
-    if scenario.tau_source == "solver":
-        return build_tau(spec, scenario.K)
-    if spec.theta is None:
+def _check_type(field: str, value, kind: type):
+    if not isinstance(value, kind):
         raise ConfigurationError(
-            "closed_form embedding requires a constant bracket matrix"
-        )
-    # lam^K of the deformed series is exact once tau is known to degree 2K
-    return ClosedFormTau(spec.theta, 2 * scenario.K), None
+            f"scenario field {field!r} must be {_KINDS[kind]}, got {type(value).__name__}")
+    return value
+
+
+def _check_int(field: str, value, low: int, high: int | None = None) -> int:
+    """value, an integer >= low (and <= high, when given)."""
+    if (not isinstance(value, int) or isinstance(value, bool) or value < low
+            or high is not None and value > high):
+        bound = f"equal to {low}" if low == high else f">= {low}"
+        raise ConfigurationError(
+            f"scenario field {field!r} must be an integer {bound}, got {value!r}")
+    return value
+
+
+def _read_object(field: str, value, required, optional=()) -> dict:
+    """value, an object with every required key and no other key than the
+    optional ones: an unread key, such as a misspelt one, would otherwise
+    leave its default in force."""
+    where = f"scenario field {field!r}" if field else "the scenario"
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{where} must be an object, got {type(value).__name__}")
+    for key in required:
+        if key not in value:
+            raise ConfigurationError(f"{where} misses required key {key!r}")
+    known = (*required, *optional)
+    for key in value:
+        if key not in known:
+            path = f"{field}.{key}" if field else key
+            raise ConfigurationError(
+                f"unknown scenario field {path!r}, expected one of {sorted(known)}")
+    return value
+
+
+def _read_list(field: str, value, length: int | None = None) -> list:
+    """(path, entry) for each entry of the list value."""
+    _check_type(field, value, list)
+    if length not in (None, len(value)):
+        raise ConfigurationError(
+            f"scenario field {field!r} must have {length} entries, got {len(value)}")
+    return [(f"{field}[{i}]", x) for i, x in enumerate(value)]
+
+
+def _read_exact(field: str, value, parse=parse_fraction):
+    """parse(value) for an exact scalar written as a string, or for a
+    rational (parse_fraction) also as an integer; a float such as 0.1 is
+    not the rational it looks like."""
+    if isinstance(value, bool) or not isinstance(
+            value, (str, int) if parse is parse_fraction else str):
+        raise ConfigurationError(
+            f"scenario field {field!r} must be an exact scalar such as '1/2', got {value!r}")
+    try:
+        return parse(value)
+    except ValueError as e:
+        raise ConfigurationError(f"scenario field {field!r}: {e}") from None
+
+
+def _read_matrix(field: str, value, n: int) -> tuple:
+    """An n x n matrix of rationals as a tuple of rows."""
+    return tuple(tuple(_read_exact(at, x) for at, x in _read_list(row_at, row, n))
+                 for row_at, row in _read_list(field, value, n))
+
+
+def _read_exponents(field: str, value, n: int) -> tuple:
+    return tuple(_check_int(at, e, 0) for at, e in _read_list(field, value, n))
+
+
+def _read_terms(field: str, value, n: int) -> dict:
+    """The monomials [exponents, coefficient] of a polynomial in n
+    coordinates as {exponents: scalar}; a repeated exponent adds up."""
+    terms: dict = {}
+    for at, term in _read_list(field, value):
+        (exp_at, exp), (c_at, c) = _read_list(at, term, 2)
+        accumulate(terms, _read_exponents(exp_at, exp, n), _read_exact(c_at, c, parse_scalar))
+    return terms
+
+
+def read_qpolynomial(field: str, data, n: int) -> QPolynomial:
+    """A polynomial {"n", "terms"}, as `QPolynomial.to_json` writes it."""
+    _check_int(f"{field}.n", _read_object(field, data, ("n", "terms"))["n"], n, n)
+    return QPolynomial(n, _read_terms(f"{field}.terms", data["terms"], n))
+
+
+def read_lambda_poly(field: str, data, n: int) -> LambdaPoly:
+    """A lam-series {"n", "max_order", "coeffs": [{"lam", "poly"}, ..]},
+    poly being the monomial list of the lam^lam coefficient."""
+    _check_int(f"{field}.n", _read_object(field, data, ("n", "max_order", "coeffs"))["n"], n, n)
+    coeffs: dict = {}
+    for at, entry in _read_list(f"{field}.coeffs", data["coeffs"]):
+        lam = _check_int(f"{at}.lam", _read_object(at, entry, ("lam", "poly"))["lam"], 0)
+        accumulate(coeffs, lam, QPolynomial(n, _read_terms(f"{at}.poly", entry["poly"], n)))
+    return LambdaPoly(n, _check_int(f"{field}.max_order", data["max_order"], 0), coeffs)
+
+
+def read_star_product_spec(field: str, data, n: int) -> StarProductSpec:
+    """An inline star product {"n", "hermitian", "theta", "cochains"}, as
+    `StarProductSpec.to_json` writes it: C_r for each lambda_power r >= 1
+    given in at most one cochains entry, as its terms {"coeff_poly",
+    "derivs"}; the order is the largest lambda_power."""
+    _read_object(field, data, ("n", "hermitian", "cochains"), ("theta",))
+    _check_int(f"{field}.n", data["n"], n, n)
+    _check_type(f"{field}.hermitian", data["hermitian"], bool)
+    theta = data.get("theta")
+    z = zeros(n)
+    by_power: dict = {}
+    for at, entry in _read_list(f"{field}.cochains", data["cochains"]):
+        _read_object(at, entry, ("lambda_power", "terms"))
+        r = _check_int(f"{at}.lambda_power", entry["lambda_power"], 1)
+        if r in by_power:
+            raise ConfigurationError(
+                f"scenario field '{at}.lambda_power' repeats lambda_power {r}")
+        terms = by_power[r] = {}
+        for term_at, term in _read_list(f"{at}.terms", entry["terms"]):
+            _read_object(term_at, term, ("coeff_poly", "derivs"))
+            jvec = tuple(_read_exponents(j_at, j, n)
+                         for j_at, j in _read_list(f"{term_at}.derivs", term["derivs"], 2))
+            poly = read_qpolynomial(f"{term_at}.coeff_poly", term["coeff_poly"], n)
+            for exp, c in poly.terms.items():
+                accumulate(terms, (0, z, jvec, exp), c)
+    order = max(by_power, default=0)
+    return StarProductSpec(
+        n, order, data["hermitian"],
+        tuple(MultiDiffCochain(n, order, 2, by_power.get(r)) for r in range(1, order + 1)),
+        None if theta is None else _read_matrix(f"{field}.theta", theta, n))
+
+
+def _read_star_product(cfg, n: int, K: int) -> tuple:
+    """(inline product, None) for an inline star product, else (None, the
+    generator's constant bracket matrix, None for linear_poisson_2d)."""
+    if "inline" in _check_type("star_product", cfg, dict):
+        inline = _read_object("star_product", cfg, ("inline",))["inline"]
+        spec = read_star_product_spec("star_product.inline", inline, n)
+        if spec.order < K:
+            raise ConfigurationError(
+                f"scenario field 'star_product.inline.cochains' reaches order "
+                f"{spec.order}, below the scenario's K = {K}")
+        return spec, None
+    kind = _read_object("star_product", cfg, ("generator",), ("theta",))["generator"]
+    if kind not in GENERATORS:
+        raise ConfigurationError(f"scenario field 'star_product.generator' must be one of "
+                                 f"{GENERATORS}, got {kind!r}")
+    if kind == "constant_theta":
+        theta = _read_object("star_product", cfg, ("generator", "theta"))["theta"]
+        theta = _read_matrix("star_product.theta", theta, n)
+        if any(theta[k][l] != -theta[l][k] for k in range(n) for l in range(n)):
+            raise ConfigurationError("scenario field 'star_product.theta' must be antisymmetric")
+        return None, theta
+    _read_object("star_product", cfg, ("generator",))
+    if kind == "linear_poisson_2d" and n != 2:
+        raise ConfigurationError(
+            "scenario field 'star_product.generator': linear_poisson_2d requires n = 2")
+    return None, ((Fraction(0),) * n,) * n if kind == "zero" else None
+
+
+def read_functional(field: str, data, n: int, N: int) -> StateFunctional:
+    """Atoms {"point": n rationals, "vector": N complex scalars}."""
+    atoms = []
+    for at, atom in _read_list(f"{field}.atoms", _read_object(field, data, ("atoms",))["atoms"]):
+        _read_object(at, atom, ("point", "vector"))
+        atoms.append(([_read_exact(*x) for x in _read_list(f"{at}.point", atom["point"], n)],
+                      [_read_exact(*v, parse_scalar)
+                       for v in _read_list(f"{at}.vector", atom["vector"], N)]))
+    return StateFunctional(n, N, atoms)
+
+
+def _read_random_tests(randcfg) -> dict | None:
+    """tests.random with its defaults filled in, or None when it is empty."""
+    _read_object("tests.random", randcfg, ("seed",) if randcfg else (),
+                 (*RANDOM_TEST_INTS, "lambda_corrections"))
+    settings = {key: _check_int(f"tests.random.{key}", randcfg[key], low)
+                if key in randcfg else default
+                for key, (low, default) in RANDOM_TEST_INTS.items()}
+    settings["lambda_corrections"] = _check_type(
+        "tests.random.lambda_corrections", randcfg.get("lambda_corrections", True), bool)
+    return settings if randcfg else None
+
+
+def _read_explicit(field: str, entry, n: int, K: int, N: int) -> MatrixLambdaPoly:
+    """An explicit test, {"entries": N x N lam-series} or, for N = 1, one
+    lam-series, read at the scenario's order K."""
+    cells = [[(field, _check_type(field, entry, dict))]]
+    if "entries" in entry or N != 1:
+        entries = _read_object(field, entry, ("entries",))["entries"]
+        cells = [_read_list(at, row, N) for at, row in _read_list(f"{field}.entries", entries, N)]
+    return MatrixLambdaPoly([[LambdaPoly(n, K, read_lambda_poly(at, x, n).terms)
+                              for at, x in row] for row in cells])
+
+
+def _read_commands(commands) -> list:
+    """The commands as dicts, after checking each op, its fields and their
+    values and that every command comes after the one whose result it uses."""
+    out, seen = [], set()
+    for at, cmd in _read_list("commands", commands):
+        cmd = {"op": cmd} if isinstance(cmd, str) else cmd
+        if not isinstance(cmd, dict) or cmd.get("op") not in DEFAULT_COMMANDS:
+            raise ConfigurationError(f"bad command entry {at}: {cmd!r}")
+        op = cmd["op"]
+        _read_object(at, cmd, ("op",), tuple(CHECK_POS_FIELDS) if op == "check-pos" else ())
+        for key, allowed in CHECK_POS_FIELDS.items():
+            if key in cmd and cmd[key] not in allowed:
+                raise ConfigurationError(f"{at}: check-pos field {key!r} must be one of "
+                                         f"{allowed}, got {cmd[key]!r}")
+        if op == "deform":
+            needs = "build-tau"
+        elif op == "check-pos" and cmd.get("functional", "deformed") == "deformed":
+            needs = "deform"
+        else:
+            needs = None
+        if needs is not None and needs not in seen:
+            raise ConfigurationError(f"{at}: {op} needs an earlier {needs} command")
+        seen.add(op)
+        out.append(dict(cmd))
+    return out
 
 
 def random_lambda_poly(rng: random.Random, n: int, K: int, max_q_degree: int,
@@ -281,215 +357,15 @@ def generate_tests(scenario: Scenario, seed_override: int | None = None):
     """The scenario's test elements as N x N matrices, explicit first, then
     seeded random."""
     n, K, N = scenario.n, scenario.K, scenario.N
-    tests = []
-    labels = []
-    for i, entry in enumerate(scenario.tests.get("explicit", [])):
-        try:
-            if "entries" in entry:
-                element = MatrixLambdaPoly.from_json(entry)
-            else:
-                element = as_matrix(LambdaPoly.from_json(entry))
-        except KeyError as e:
-            raise ConfigurationError(f"tests.explicit[{i}] misses required key {e}")
-        except (TypeError, ValueError) as e:
-            raise ConfigurationError(f"bad tests.explicit[{i}]: {e}") from None
-        if element.N != N or element.n != n:
-            raise ConfigurationError(f"explicit test {i} has wrong matrix size or n")
-        # a test element is read at the scenario's order
-        tests.append(element.map_entries(lambda x: LambdaPoly(n, K, x.terms)))
-        labels.append(f"explicit_{i}")
-    randcfg = scenario.tests.get("random")
-    if randcfg:
-        if seed_override is None and "seed" not in randcfg:
-            raise ConfigurationError("tests.random misses required key 'seed'")
-        seed = seed_override if seed_override is not None else randcfg["seed"]
-        rng = random.Random(seed)
-        count = randcfg.get("count", 20)
-        max_q = randcfg.get("max_q_degree", 3)
-        max_c = randcfg.get("max_coeff", 4)
-        lam = randcfg.get("lambda_corrections", True)
-        for i in range(count):
+    tests = list(scenario.explicit)
+    labels = [f"explicit_{i}" for i in range(len(tests))]
+    settings = scenario.random_tests
+    if settings:
+        rng = random.Random(settings["seed"] if seed_override is None else seed_override)
+        for i in range(settings["count"]):
             tests.append(MatrixLambdaPoly(
-                [[random_lambda_poly(rng, n, K, max_q, max_c, lam)
-                  for _ in range(N)] for _ in range(N)]
-            ))
+                [[random_lambda_poly(rng, n, K, settings["max_q_degree"], settings["max_coeff"],
+                                     settings["lambda_corrections"])
+                  for _ in range(N)] for _ in range(N)]))
             labels.append(f"random_{i}")
     return tests, labels
-
-
-# ---------------------------------------------------------------------------
-# the runner
-# ---------------------------------------------------------------------------
-
-def _normalize_commands(commands: list) -> list:
-    """The commands as dicts, after checking each op, its fields and their
-    values and that every command comes after the one whose result it uses."""
-    out, seen = [], set()
-    for i, cmd in enumerate(commands):
-        cmd = {"op": cmd} if isinstance(cmd, str) else cmd
-        if not isinstance(cmd, dict) or cmd.get("op") not in DEFAULT_COMMANDS:
-            raise ConfigurationError(f"bad command entry commands[{i}]: {cmd!r}")
-        op = cmd["op"]
-        known = ("op", *CHECK_POS_FIELDS) if op == "check-pos" else ("op",)
-        _check_keys(f"commands[{i}].", cmd, known)
-        for key, allowed in CHECK_POS_FIELDS.items():
-            if key in cmd and cmd[key] not in allowed:
-                raise ConfigurationError(
-                    f"check-pos field {key!r} must be one of {allowed}, got {cmd[key]!r}")
-        if op == "deform":
-            needs = "build-tau"
-        elif op == "check-pos" and cmd.get("functional", "deformed") == "deformed":
-            needs = "deform"
-        else:
-            needs = None
-        if needs is not None and needs not in seen:
-            raise ConfigurationError(
-                f"commands[{i}]: {op} needs an earlier {needs} command")
-        seen.add(op)
-        out.append(dict(cmd))
-    return out
-
-
-def run_scenario(scenario: Scenario, seed_override: int | None = None,
-                 max_order_override: int | None = None) -> tuple:
-    """Execute the scenario.  Returns (report_dict, exit_code)."""
-    if max_order_override is not None:
-        scenario = Scenario.from_json(
-            {**scenario.to_json(), "K": max_order_override}
-        )
-    t_start = time.perf_counter()
-    timings = {}
-    commands = _normalize_commands(scenario.commands)
-    results = []
-    verdict_outcomes = []
-
-    spec = None
-    tau = None
-    tau_report = None
-    deformed = None
-    squares = None  # of the test set, made by the first check-pos
-    state = build_functional(scenario)
-
-    def record(op, outcome, detail, t0):
-        results.append({"op": op, "outcome": outcome, "detail": detail})
-        timings[f"{len(results) - 1}:{op}"] = round(time.perf_counter() - t0, 6)
-
-    for cmd in commands:
-        op = cmd["op"]
-        t0 = time.perf_counter()
-        if op == "validate":
-            spec = spec or build_star_product(scenario)
-            report = validate_star(spec, scenario.K)
-            record(op, "pass" if report.ok else "fail", report.to_json(), t0)
-            if not report.ok:
-                break
-        elif op == "build-tau":
-            spec = spec or build_star_product(scenario)
-            try:
-                tau, tau_report = build_tau_map(scenario, spec)
-            except (BuildAborted, ConsistencyError, InvalidStarProduct) as e:
-                record(op, "fail", {"error": str(e)}, t0)
-                break
-            realization = check_poisson_realization(tau, spec, K=scenario.K)
-            detail = {
-                "tau": scenario.tau_source,
-                "report": tau_report.to_json() if tau_report else None,
-                "poisson_realization": realization.to_json(),
-            }
-            record(op, "pass" if realization.ok else "fail", detail, t0)
-            if not realization.ok:
-                break
-        elif op == "deform":
-            deformed = deform_functional(state, tau, K=scenario.K)
-            record(op, "pass", deformed.describe(), t0)
-        else:  # check-pos
-            spec = spec or build_star_product(scenario)
-            expect = cmd.get("expect", "nonnegative")
-            if cmd.get("functional", "deformed") == "deformed":
-                functional = deformed
-            else:
-                functional = UndeformedExtension(state, scenario.K)
-            if squares is None:
-                tests, labels = generate_tests(scenario, seed_override)
-                squares = star_squares(spec, tests)
-            try:
-                verdict = check_positivity(functional, squares, labels)
-            except NonRealSeries as e:
-                record(op, "fail", {"error": str(e)}, t0)
-                break
-            detail = verdict.to_json()
-            detail["expect"] = expect
-            if expect == "negative":
-                outcome = "pass" if verdict.aggregate == "fail" else "fail"
-            else:
-                outcome = verdict.aggregate
-            record(op, outcome, detail, t0)
-            verdict_outcomes.append(outcome)
-
-    outcomes = [r["outcome"] for r in results]
-    if any(o == "fail" for o in outcomes):
-        exit_code = EXIT_FAIL
-        overall = "fail"
-    elif verdict_outcomes and all(o == "inconclusive" for o in verdict_outcomes):
-        exit_code = EXIT_INCONCLUSIVE
-        overall = "inconclusive"
-    else:
-        exit_code = EXIT_PASS
-        overall = "pass"
-
-    timings["total"] = round(time.perf_counter() - t_start, 6)
-    report = {
-        "scenario": {
-            "name": scenario.name,
-            "digest": scenario.digest(),
-            "n": scenario.n,
-            "K": scenario.K,
-            "N": scenario.N,
-            "seed_override": seed_override,
-        },
-        "commands": results,
-        "overall": {"outcome": overall, "exit_code": exit_code},
-        "timings": timings,
-    }
-    return report, exit_code
-
-
-# ---------------------------------------------------------------------------
-# report emission
-# ---------------------------------------------------------------------------
-
-def report_to_json_text(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
-def strip_timings(report: dict) -> dict:
-    return {k: v for k, v in report.items() if k != "timings"}
-
-
-def report_to_text(report: dict) -> str:
-    lines = []
-    sc = report["scenario"]
-    lines.append(f"scenario {sc['name']} (n={sc['n']}, K={sc['K']}, N={sc['N']})")
-    lines.append(f"digest {sc['digest']}")
-    for r in report["commands"]:
-        lines.append(f"  [{r['outcome'].upper():12s}] {r['op']}")
-        detail = r.get("detail") or {}
-        if r["op"] == "check-pos" and "tests" in detail:
-            for t in detail["tests"]:
-                lines.append(
-                    f"      {t['label']}: {t['classification']} "
-                    f"coefficients {t['coefficients']}"
-                )
-        if "error" in detail:
-            lines.append(f"      error: {detail['error']}")
-    ov = report["overall"]
-    lines.append(f"overall: {ov['outcome']} (exit {ov['exit_code']})")
-    return "\n".join(lines) + "\n"
-
-
-def emit_report(report: dict, fmt: str = "json") -> str:
-    if fmt == "json":
-        return report_to_json_text(report)
-    if fmt == "text":
-        return report_to_text(report)
-    raise ConfigurationError(f"unknown report format {fmt!r}")

@@ -26,7 +26,7 @@ from .cobsolver import solve_classical_coboundary
 from .cochain import (MultiDiffCochain, biderivation_cochain, coboundary, compose_slot,
                       find_witness, mu_cochain, plug_constant, swap)
 from .qpoly import DimensionMismatch, QPolynomial, group_terms
-from .rationals import HALF_I, I, parse_fraction
+from .rationals import HALF_I, I
 from .terms import accumulate, shift, zeros
 from .welement import LambdaPoly
 
@@ -111,33 +111,6 @@ class StarProductSpec(namedtuple("StarProductSpec", "n order hermitian cochains 
                 for r in range(1, self.order + 1)
             ],
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "StarProductSpec":
-        n = data["n"]
-        by_power = {}
-        for i, entry in enumerate(data["cochains"]):
-            r = entry["lambda_power"]
-            if type(r) is not int or r < 1 or r in by_power:
-                raise ValueError(f"cochains[{i}].lambda_power {r!r} is not a new integer >= 1")
-            by_power[r] = entry["terms"]
-        order = max(by_power, default=0)
-        z = zeros(n)
-        cochains = []
-        for r in range(1, order + 1):
-            terms = {}
-            for t in by_power.get(r, ()):
-                jvec = tuple(tuple(j) for j in t["derivs"])
-                if not all(type(e) is int and e >= 0 for j in jvec for e in j):
-                    raise ValueError(f"lambda_power {r}: bad derivs {t['derivs']}")
-                for exp, c in QPolynomial.from_json(t["coeff_poly"]).terms.items():
-                    accumulate(terms, (0, z, jvec, exp), c)
-            cochains.append(MultiDiffCochain(n, order, 2, terms))
-        theta = data.get("theta")
-        if theta is not None:
-            theta = tuple(tuple(parse_fraction(x) for x in row) for row in theta)
-        return cls(n=n, order=order, hermitian=data["hermitian"],
-                   cochains=tuple(cochains), theta=theta)
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +268,14 @@ def _associator(spec: StarProductSpec, mu: MultiDiffCochain, m: int,
     def cr(r):
         return mu if r == 0 else spec.cochain(r)
 
-    left = right = MultiDiffCochain.zero(spec.n, spec.order, 3)
+    zero = left = right = MultiDiffCochain.zero(spec.n, spec.order, 3)
     for i in range(0, m + 1):
         left = left + compose_slot(cr(i), 0, cr(m - i))
         if not hermitian:
             right = right + compose_slot(cr(i), 1, cr(m - i))
-    return left - (left.involution() if hermitian else right)
+    right = left.involution() if hermitian else right
+    # A = B for an associative product, so A - B is formed only on failure
+    return zero if left == right else left - right
 
 
 def validate_star(spec: StarProductSpec, K: int | None = None) -> ValidationReport:

@@ -227,17 +227,6 @@ class LambdaPoly(TermMap):
             parts.append(f"{head}({self.terms[r]})")
         return " + ".join(parts)
 
-    @classmethod
-    def from_json(cls, data: dict) -> "LambdaPoly":
-        n = data["n"]
-        coeffs = {
-            entry["lam"]: QPolynomial.from_json({"n": n, "terms": entry["poly"]})
-            for entry in data["coeffs"]
-        }
-        if not all(type(r) is int for r in coeffs):
-            raise ValueError("lam-powers must be integers")
-        return cls(n, data["max_order"], coeffs)
-
 
 class SeriesSign(enum.Enum):
     POSITIVE = "positive"

@@ -18,8 +18,8 @@ from dqw.functionals import (GluedFunctional, MatrixLambdaPoly, StateFunctional,
 from dqw.koszul import KoszulForm, d_p
 from dqw.qpoly import QPolynomial
 from dqw.rationals import I, gr
-from dqw.scenario import (load_scenario, random_lambda_poly, report_to_json_text,
-                          run_scenario, strip_timings)
+from dqw.cli import report_to_json_text, run_scenario, strip_timings
+from dqw.scenario import load_scenario, random_lambda_poly
 from dqw.starspec import star_apply
 from dqw.taubuild import build_tau, check_poisson_realization, epsilon_cochain
 from dqw.welement import LambdaPoly, SeriesSign, WElement

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 from dqw.functionals import MatrixLambdaPoly
-from dqw.scenario import load_scenario, report_to_json_text, run_scenario, strip_timings
+from dqw.cli import report_to_json_text, run_scenario, strip_timings
+from dqw.scenario import load_scenario
 
 from conftest import SCENARIO_DIR
 

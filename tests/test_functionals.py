@@ -8,9 +8,9 @@ from dqw.functionals import (GluedFunctional, MatrixLambdaPoly, PartitionError,
                              star_squares, wick_positivity_certificate)
 from dqw.qpoly import QPolynomial
 from dqw.rationals import I, gr
-from dqw.scenario import (Scenario, build_functional, build_star_product,
-                          build_tau_map, generate_tests, load_scenario,
-                          random_lambda_poly)
+from dqw.cli import build_star_product, build_tau_map
+from dqw.scenario import (Scenario, generate_tests, load_scenario, random_lambda_poly,
+                          read_functional)
 from dqw.welement import LambdaPoly, NonRealSeries, SeriesSign, WElement
 from dqw.weyl import MatrixWElement, exp_laplace_exact, iota_star, resolve_fock_sign
 
@@ -72,11 +72,10 @@ class TestStateFunctional:
 
     def test_json_roundtrip(self):
         """A scenario's atom literal parses to the functional it names."""
-        data = {"n": N_DIM, "N": 2,
-                "atoms": [{"point": ["1/2", "-1"], "vector": ["1", "1/3 i"]}]}
+        data = {"atoms": [{"point": ["1/2", "-1"], "vector": ["1", "1/3 i"]}]}
         st = StateFunctional(
             N_DIM, 2, [((Fraction(1, 2), -1), (gr(1), gr(0, Fraction(1, 3))))])
-        assert StateFunctional.from_json(data) == st
+        assert read_functional("functional", data, N_DIM, 2) == st
 
 
 class TestWickCertificate:
@@ -178,7 +177,7 @@ class TestClosedFormSeries:
     def _check(scenario):
         spec = build_star_product(scenario)
         tau, _ = build_tau_map(scenario, spec)
-        state = build_functional(scenario)
+        state = scenario.state
         omega = deform_functional(state, tau, K=scenario.K)
         sigma = resolve_fock_sign()["sigma"]
         tests, labels = generate_tests(scenario)

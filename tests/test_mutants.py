@@ -13,13 +13,17 @@ from fractions import Fraction
 
 import pytest
 
+import dqw.cli
+import dqw.cobsolver
 import dqw.cochain
 import dqw.functionals
 import dqw.taubuild
 from dqw.cochain import MultiDiffCochain
 from dqw.rationals import I
-from dqw.scenario import load_scenario, run_scenario
-from dqw.terms import unit, zeros
+from dqw.cli import run_scenario
+from dqw.scenario import load_scenario
+from dqw.starspec import perturb_cochain
+from dqw.terms import shift, unit, zeros
 
 from conftest import SCENARIO_DIR
 
@@ -58,6 +62,66 @@ def _non_hermitian_tau_top(monkeypatch):
     _wrap_stage(monkeypatch, change)
 
 
+def _non_cocycle_tau_top(monkeypatch):
+    # lam^K D_1^2 is Hermitian and vanishes on constants, but its classical
+    # coboundary -2 lam^K D_1 (x) D_1 is not zero; tau_K feeds no later
+    # stage, so only the final all-degree error check sees it
+    def change(t, k, K):
+        if k != K:
+            return t
+        z = zeros(t.n)
+        return t + MultiDiffCochain(t.n, K, 1, {(K, z, (shift(z, 0, 2),), z): 1})
+    _wrap_stage(monkeypatch, change)
+
+
+def _corrupted_polarization(monkeypatch):
+    # D_1^2, lam- and p-free, added to every polarized term: the loop's
+    # later levels do not see its coboundary, so only the solver's own
+    # certificate d(psi) = phi catches it (a doubled term is caught
+    # earlier, by the next level's potential check)
+    polarized = dqw.cobsolver._polarized_term
+
+    def corrupted(part):
+        z = zeros(part.n)
+        extra = MultiDiffCochain(part.n, part.K, 1, {(0, z, (shift(z, 0, 2),), z): 1})
+        return polarized(part) + extra if part else polarized(part)
+    monkeypatch.setattr(dqw.cobsolver, "_polarized_term", corrupted)
+
+
+def _wrap_generator(monkeypatch, change):
+    """Replace each constant-bracket product by change(product)."""
+    make = dqw.cli.make_constant_theta_star
+    monkeypatch.setattr(dqw.cli, "make_constant_theta_star",
+                        lambda theta, K: change(make(theta, K)))
+
+
+def _transposed_bracket(monkeypatch):
+    # the cochains stay right, so only the first-order bracket check sees
+    # the stored bracket matrix -theta
+    _wrap_generator(monkeypatch, lambda spec: spec._replace(theta=tuple(zip(*spec.theta))))
+
+
+def _bump_top_cochain(monkeypatch, jvec, c):
+    """Add c D^j1 (x) D^j2 to C_K.  The bump is a classical coboundary and
+    associativity through K sees C_K only through its coboundary, so the
+    product stays associative."""
+    def bump(spec):
+        z = zeros(spec.n)
+        extra = MultiDiffCochain(spec.n, spec.order, 2, {(0, z, jvec(spec.n), z): c})
+        return perturb_cochain(spec, spec.order, extra)
+    _wrap_generator(monkeypatch, bump)
+
+
+def _anti_hermitian_top(monkeypatch):
+    # i D_1 (x) D_1 = d(-i D_1^2 / 2) is minus its own involution
+    _bump_top_cochain(monkeypatch, lambda n: (unit(n, 0), unit(n, 0)), I)
+
+
+def _non_unital_top(monkeypatch):
+    # fg = d(id) is Hermitian, but does not vanish on constants
+    _bump_top_cochain(monkeypatch, lambda n: (zeros(n), zeros(n)), 1)
+
+
 def _flipped_pairing(monkeypatch):
     propagate = dqw.cochain.propagate
 
@@ -93,7 +157,17 @@ MUTANTS = [
      "error check failed in degree 1 at stage 1"),
     (_zero_tau_2, "moyal-r2-delta", "build-tau",
      "stage-3 term: target is not a cocycle; witness arguments"),
+    (_non_cocycle_tau_top, "moyal-r2-delta", "build-tau",
+     "final error check failed in degree 4"),
+    (_corrupted_polarization, "moyal-r2-delta", "build-tau",
+     "solver certificate failed: d(psi) != phi"),
     (_unpatched, "perturbed-c2", "validate", '"name": "associativity", "ok": false'),
+    (_transposed_bracket, "moyal-r2-delta", "validate",
+     '"name": "first_order_bracket", "ok": false, "order": 1, "witness": "args ('),
+    (_anti_hermitian_top, "moyal-r2-delta", "validate",
+     '"name": "hermitian", "ok": false, "order": 4, "witness": "args ('),
+    (_non_unital_top, "moyal-r2-delta", "validate",
+     '"name": "unitality", "ok": false, "order": 4, "witness": "slot 0: args ('),
     (_non_hermitian_tau_top, "moyal-r2-delta", "build-tau",
      "component 4 is not Hermitian after build"),
     (_flipped_pairing, "moyal-r2-delta", "build-tau",

@@ -7,6 +7,7 @@ from hypothesis import given
 
 from dqw.qpoly import DimensionMismatch, QPolynomial
 from dqw.rationals import gr
+from dqw.scenario import read_qpolynomial
 from dqw.terms import exponents
 
 from strategies import qpolynomials
@@ -96,6 +97,6 @@ def test_conjugation_is_ring_involution(a, b):
 @given(qpolynomials())
 def test_json_roundtrip_bit_exact(p):
     blob = json.dumps(p.to_json(), sort_keys=True)
-    again = QPolynomial.from_json(json.loads(blob))
+    again = read_qpolynomial("poly", json.loads(blob), p.n)
     assert again == p
     assert json.dumps(again.to_json(), sort_keys=True) == blob

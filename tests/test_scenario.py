@@ -8,10 +8,10 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from dqw.cli import emit_report, run_scenario, strip_timings
 from dqw.cli import main as cli_main
 from dqw.rationals import parse_scalar
-from dqw.scenario import (ConfigurationError, Scenario, emit_report,
-                          load_scenario, run_scenario, strip_timings)
+from dqw.scenario import ConfigurationError, Scenario, load_scenario
 
 from conftest import SCENARIO_DIR
 
@@ -31,6 +31,27 @@ def _inline_star(change):
         change(inline["star_product"]["inline"])
         d["star_product"] = inline["star_product"]
     return mutate
+
+
+def _under_validate(mutate):
+    """The mutation, with the malformed scenario run through `dqw validate`."""
+    mutate.verb = "validate"
+    return mutate
+
+
+def _inline_key(*path):
+    """A mutation that gives the scenario perturbed-c2's star product and
+    adds an unread key to the object at path in it."""
+    def mutate(d):
+        _inline_star(lambda s: None)(d)
+        _walk(d["star_product"], path).update(bogus=1)
+    return mutate
+
+
+def _walk(node, path):
+    for key in path:
+        node = node[key]
+    return node
 
 
 def load(name):
@@ -289,28 +310,52 @@ class TestCli:
          lambda d: d["tests"]["explicit"].__setitem__(
              0, {"entries": [[{**d["tests"]["explicit"][0], "max_order": -1}]]})),
         # a zero denominator is malformed input, wherever an exact scalar is read
-        ("star_product.theta: zero denominator",
+        ("'star_product.theta[0][1]': zero denominator",
          lambda d: d["star_product"]["theta"][0].__setitem__(1, "1/0")),
-        ("functional description: zero denominator",
+        ("'functional.atoms[0].point[0]': zero denominator",
          lambda d: d["functional"]["atoms"][0]["point"].__setitem__(0, "1/0")),
-        ("functional description: zero denominator",
+        ("'functional.atoms[0].vector[0]': zero denominator",
          lambda d: d["functional"]["atoms"][0]["vector"].__setitem__(0, "1/0")),
-        ("tests.explicit[0]: zero denominator",
+        ("'tests.explicit[0].coeffs[0].poly[0][1]': zero denominator",
          lambda d: d["tests"]["explicit"][0]["coeffs"][0]["poly"][0].__setitem__(1, "1/0")),
-        ("star_product.inline: zero denominator", _inline_star(
-            lambda s: s["cochains"][0]["terms"][0]["coeff_poly"]["terms"][0].__setitem__(
-                1, "1/0"))),
+        ("'star_product.inline.cochains[0].terms[0].coeff_poly.terms[0][1]': zero denominator",
+         _inline_star(lambda s: s["cochains"][0]["terms"][0]["coeff_poly"]["terms"][0]
+                      .__setitem__(1, "1/0"))),
         # the inline star product's shape: derivative exponents are
         # non-negative integers, and each lambda_power >= 1 occurs once
-        ("star_product.inline: lambda_power 1: bad derivs",
+        ("'star_product.inline.cochains[0].terms[0].derivs[0][0]' must be an integer >= 0, "
+         "got -1",
          _inline_star(lambda s: s["cochains"][0]["terms"][0]["derivs"][0].__setitem__(0, -1))),
-        ("star_product.inline: lambda_power 1: bad derivs",
+        ("'star_product.inline.cochains[0].terms[0].derivs[0][0]' must be an integer >= 0, "
+         "got 0.5",
          _inline_star(lambda s: s["cochains"][0]["terms"][0]["derivs"][0].__setitem__(0, 0.5))),
-        ("star_product.inline: cochains[4].lambda_power", _inline_star(
-            lambda s: s["cochains"].append({"lambda_power": 0,
-                                            "terms": s["cochains"][0]["terms"]}))),
-        ("star_product.inline: cochains[4].lambda_power",
+        ("'star_product.inline.cochains[4].lambda_power' must be an integer >= 1",
+         _inline_star(lambda s: s["cochains"].append({"lambda_power": 0,
+                                                      "terms": s["cochains"][0]["terms"]}))),
+        ("'star_product.inline.cochains[4].lambda_power' repeats lambda_power 2",
          _inline_star(lambda s: s["cochains"].append(s["cochains"][1]))),
+        # the Hermitian flag is a boolean: the string "no" would read as true
+        ("'star_product.inline.hermitian' must be a boolean",
+         _inline_star(lambda s: s.update(hermitian="no"))),
+        ("'star_product.inline.hermitian' must be a boolean",
+         _under_validate(_inline_star(lambda s: s.update(hermitian="no")))),
+        # an unread key is refused in every object of the scenario
+        ("'star_product.bogus'", _inline_key()),
+        ("'star_product.inline.bogus'", _inline_key("inline")),
+        ("'star_product.inline.cochains[1].bogus'", _inline_key("inline", "cochains", 1)),
+        ("'star_product.inline.cochains[1].terms[0].bogus'",
+         _inline_key("inline", "cochains", 1, "terms", 0)),
+        ("'star_product.inline.cochains[0].terms[1].coeff_poly.bogus'",
+         _inline_key("inline", "cochains", 0, "terms", 1, "coeff_poly")),
+        ("'star_product.bogus'", lambda d: d["star_product"].update(bogus=1)),
+        ("'functional.bogus'", lambda d: d["functional"].update(bogus=1)),
+        ("'functional.atoms[0].bogus'", lambda d: d["functional"]["atoms"][0].update(bogus=1)),
+        ("'tests.explicit[0].bogus'", lambda d: d["tests"]["explicit"][0].update(bogus=1)),
+        ("'tests.explicit[0].coeffs[0].bogus'",
+         lambda d: d["tests"]["explicit"][0]["coeffs"][0].update(bogus=1)),
+        # each term of a polynomial is an [exponents, coefficient] pair
+        ("'tests.explicit[0].coeffs[0].poly[0]' must have 2 entries, got 3",
+         lambda d: d["tests"]["explicit"][0]["coeffs"][0]["poly"][0].append("2")),
     ])
     def test_malformed_scenario_exit_two(self, tmp_path, capsys, field, mutate):
         data = json.loads((SCENARIO_DIR / "moyal-r2-delta.json").read_text())
@@ -319,10 +364,10 @@ class TestCli:
             data = result.document
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(data))
-        code = cli_main(["run", "--scenario", str(path)])
+        code = cli_main([getattr(mutate, "verb", "run"), "--scenario", str(path)])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error:") and field in err
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("configuration error:") and field in err
 
     def test_max_order_override(self, capsys):
         code = cli_main(["run", "--scenario",
@@ -333,13 +378,20 @@ class TestCli:
         assert report["scenario"]["K"] == 2
 
 
-# The fuzzed document is k0-degenerate with one random test added, so
-# that every config field of a scenario occurs.
-def _fuzz_base() -> dict:
+# The fuzzed documents are k0-degenerate with one random test added, and
+# a copy whose star product is perturbed-c2's C_1 inline and whose
+# explicit test is also given as a 1 x 1 matrix, so that every config
+# field of a scenario occurs.
+def _fuzz_bases() -> tuple:
     data = json.loads((SCENARIO_DIR / "k0-degenerate.json").read_text())
     data["tests"]["random"] = {"seed": 0, "count": 1, "max_q_degree": 1,
                                "max_coeff": 1, "lambda_corrections": True}
-    return data
+    inline = json.loads(json.dumps(data))
+    inline["star_product"] = json.loads(
+        (SCENARIO_DIR / "perturbed-c2.json").read_text())["star_product"]
+    del inline["star_product"]["inline"]["cochains"][1:]
+    inline["tests"]["explicit"].append({"entries": [[data["tests"]["explicit"][0]]]})
+    return data, inline
 
 
 def _paths(x, path=()):
@@ -386,9 +438,53 @@ def _is(kind):
     return lambda v: isinstance(v, kind)
 
 
-def _object(*keys):
-    """An object with no key outside `keys`: a key nothing reads is refused."""
-    return lambda v: isinstance(v, dict) and set(v) <= set(keys)
+def _object(*keys, required=()):
+    """An object with every required key and no key outside keys and
+    required: a key nothing reads is refused."""
+    return lambda v: isinstance(v, dict) and set(required) <= set(v) <= {*keys, *required}
+
+
+def _equal(n):
+    return lambda v: type(v) is int and v == n
+
+
+def _list_of(length, valid):
+    return lambda v: isinstance(v, list) and len(v) == length and all(map(valid, v))
+
+
+_exponents = _list_of(2, _int_at_least(0))          # of a monomial in n = 2
+
+
+def _monomial(v):
+    return isinstance(v, list) and len(v) == 2 and _exponents(v[0]) and _scalar_string(v[1])
+
+
+def _monomial_fields(path):
+    """The fields of a monomial list at path: [[exponents, coefficient], ..]."""
+    return {
+        path: (True, _is(list)),
+        path + ("*",): (False, _monomial),
+        # list indices are all "*": the exponents and the coefficient
+        path + ("*", "*"): (True, lambda v: _exponents(v) or _scalar_string(v)),
+        path + ("*", "*", "*"): (True, _int_at_least(0)),
+    }
+
+
+def _lambda_poly_fields(path):
+    """The fields of a lam-series {"n", "max_order", "coeffs"} at path."""
+    return {
+        path + ("n",): (True, _equal(2)),
+        path + ("max_order",): (True, _int_at_least(0)),
+        path + ("coeffs",): (True, _is(list)),
+        path + ("coeffs", "*"): (False, _object(required=("lam", "poly"))),
+        path + ("coeffs", "*", "lam"): (True, _int_at_least(0)),
+        **_monomial_fields(path + ("coeffs", "*", "poly")),
+    }
+
+
+INLINE = ("star_product", "inline")
+COCHAIN_TERM = INLINE + ("cochains", "*", "terms", "*")
+ENTRY = ("tests", "explicit", "*", "entries", "*", "*")
 
 
 # config field (list indices as "*") -> (required, which values are valid)
@@ -402,20 +498,41 @@ CONFIG_FIELDS = {
     ("star_product",): (True, _is(dict)),
     ("star_product", "generator"):
         (True, lambda v: v in ("constant_theta", "zero", "linear_poisson_2d")),
+    INLINE: (True, _object("theta", required=("n", "hermitian", "cochains"))),
+    INLINE + ("n",): (True, _equal(2)),
+    INLINE + ("hermitian",): (True, _is(bool)),
+    INLINE + ("theta",): (False, lambda v: v is None or _list_of(2, _list_of(2, _exact))(v)),
+    INLINE + ("theta", "*"): (True, _list_of(2, _exact)),
+    INLINE + ("theta", "*", "*"): (True, _exact),
+    INLINE + ("cochains",): (True, _is(list)),
+    INLINE + ("cochains", "*"): (False, _object(required=("lambda_power", "terms"))),
+    INLINE + ("cochains", "*", "lambda_power"): (True, _int_at_least(1)),
+    INLINE + ("cochains", "*", "terms"): (True, _is(list)),
+    COCHAIN_TERM: (False, _object(required=("coeff_poly", "derivs"))),
+    COCHAIN_TERM + ("coeff_poly",): (True, _object(required=("n", "terms"))),
+    COCHAIN_TERM + ("coeff_poly", "n"): (True, _equal(2)),
+    **_monomial_fields(COCHAIN_TERM + ("coeff_poly", "terms")),
+    COCHAIN_TERM + ("derivs",): (True, _list_of(2, _exponents)),
+    COCHAIN_TERM + ("derivs", "*"): (True, _exponents),
+    COCHAIN_TERM + ("derivs", "*", "*"): (True, _int_at_least(0)),
     ("tau",): (False, _object("source")),
     ("tau", "source"): (False, lambda v: v in ("solver", "closed_form")),
     ("functional",): (True, _is(dict)),
     ("functional", "atoms"): (True, _is(list)),
+    ("functional", "atoms", "*"): (False, _object(required=("point", "vector"))),
     ("functional", "atoms", "*", "point"): (True, _is(list)),
     ("functional", "atoms", "*", "point", "*"): (True, _exact),
     ("functional", "atoms", "*", "vector"): (True, _is(list)),
     ("functional", "atoms", "*", "vector", "*"): (True, _scalar_string),
     ("tests",): (False, _object("explicit", "random")),
     ("tests", "explicit"): (False, _is(list)),
-    ("tests", "explicit", "*", "n"): (True, _int_at_least(1)),
-    ("tests", "explicit", "*", "max_order"): (True, _int_at_least(0)),
-    ("tests", "explicit", "*", "coeffs"): (True, _is(list)),
-    ("tests", "explicit", "*", "coeffs", "*", "poly"): (True, _is(list)),
+    ("tests", "explicit", "*"): (False, lambda v: _object(required=("entries",))(v) or
+                                 _object(required=("n", "max_order", "coeffs"))(v)),
+    **_lambda_poly_fields(("tests", "explicit", "*")),
+    ("tests", "explicit", "*", "entries"): (True, _list_of(1, _is(list))),
+    ("tests", "explicit", "*", "entries", "*"): (True, _list_of(1, _is(dict))),
+    ENTRY: (True, _object(required=("n", "max_order", "coeffs"))),
+    **_lambda_poly_fields(ENTRY),
     ("tests", "random"): (False, _object("seed", "count", "max_q_degree", "max_coeff",
                                          "lambda_corrections")),
     ("tests", "random", "seed"): (True, _int_at_least(0)),
@@ -452,15 +569,17 @@ class TestScenarioFuzz:
     codes and raises nothing, and a config field given a value of the wrong
     type or range, or deleted when required, exits 2."""
 
-    BASE = _fuzz_base()
+    BASES = _fuzz_bases()
 
     @settings(max_examples=400, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(path=st.sampled_from(list(_paths(BASE))), value=st.sampled_from(FUZZ_VALUES))
-    def test_mutated_scenario_keeps_exit_contract(self, tmp_path, path, value):
+    @given(where=st.sampled_from([(base, path) for base in BASES for path in _paths(base)]),
+           value=st.sampled_from(FUZZ_VALUES))
+    def test_mutated_scenario_keeps_exit_contract(self, tmp_path, where, value):
+        base, path = where
         assume(path or value != DELETE)
         scenario = tmp_path / "fuzz.json"
-        scenario.write_text(json.dumps(_mutated(self.BASE, path, value)))
+        scenario.write_text(json.dumps(_mutated(base, path, value)))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli_main(["run", "--scenario", str(scenario)])
@@ -471,6 +590,40 @@ class TestScenarioFuzz:
             if required if value == DELETE else not valid(value):
                 assert code == 2
                 assert err.getvalue().startswith("configuration error:")
+
+
+# every key that some reader reads, in some object
+READ_KEYS = {key for field in CONFIG_FIELDS for key in field if key != "*"}
+
+
+def _dotted(path):
+    """A path of keys and list indices as the reader names it."""
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)[1:]
+
+
+class TestUnreadKeys:
+    """A key that nothing reads, inserted into any object of a scenario,
+    exits 2 before any command runs, and the message names its full path."""
+
+    OBJECTS = [(base, path) for base in TestScenarioFuzz.BASES for path in _paths(base)
+               if isinstance(_walk(base, path), dict)]
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(where=st.sampled_from(OBJECTS),
+           key=st.from_regex(r"[a-z_]{1,8}", fullmatch=True).filter(
+               lambda k: k not in READ_KEYS))
+    def test_unread_key_is_refused_by_its_path(self, tmp_path, where, key):
+        base, path = where
+        data = json.loads(json.dumps(base))
+        _walk(data, path)[key] = 1
+        scenario = tmp_path / "unread.json"
+        scenario.write_text(json.dumps(data))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(["run", "--scenario", str(scenario)])
+        assert code == 2 and out.getvalue() == ""
+        assert f"unknown scenario field {_dotted(path + (key,))!r}" in err.getvalue()
 
 
 def test_committed_fixtures_match_the_generator():

@@ -7,6 +7,7 @@ from dqw import starspec
 from dqw.cochain import MultiDiffCochain
 from dqw.qpoly import QPolynomial
 from dqw.rationals import gr
+from dqw.scenario import read_star_product_spec
 from dqw.starspec import (InvalidStarProduct, StarProductSpec, make_constant_theta_star,
                           make_linear_poisson_2d_star, make_zero_star, perturb_cochain,
                           star_apply, validate_star)
@@ -237,14 +238,14 @@ class TestOneCompositionPerPair:
 class TestJsonSchema:
     def test_roundtrip_constant_theta(self, moyal_r2):
         blob = json.dumps(moyal_r2.to_json(), sort_keys=True)
-        again = StarProductSpec.from_json(json.loads(blob))
+        again = read_star_product_spec("inline", json.loads(blob), N)
         assert again.cochains == moyal_r2.cochains
         assert again.theta == moyal_r2.theta
         assert json.dumps(again.to_json(), sort_keys=True) == blob
 
     def test_roundtrip_linear(self, linear_2d):
         blob = json.dumps(linear_2d.to_json(), sort_keys=True)
-        again = StarProductSpec.from_json(json.loads(blob))
+        again = read_star_product_spec("inline", json.loads(blob), N)
         assert again.cochains == linear_2d.cochains
         assert again.theta is None
 

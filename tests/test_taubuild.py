@@ -12,10 +12,9 @@ from dqw.cochain import (MultiDiffCochain, coboundary, identity_cochain,
                          plug_constant)
 from dqw.qpoly import QPolynomial, group_terms
 from dqw.rationals import GaussianRational, I, gr
-from dqw.scenario import (build_star_product, build_tau_map, load_scenario,
-                          random_lambda_poly)
-from dqw.starspec import (StarProductSpec, make_constant_theta_star, star_apply,
-                          validate_star)
+from dqw.cli import build_star_product, build_tau_map
+from dqw.scenario import load_scenario, random_lambda_poly, read_star_product_spec
+from dqw.starspec import make_constant_theta_star, star_apply, validate_star
 from dqw.taubuild import (BuildAborted, ClosedFormTau, TauMap, build_tau,
                           check_poisson_realization, compute_Rk,
                           epsilon_cochain)
@@ -64,7 +63,8 @@ class TestComputeRk:
         # build, which does not validate, meets a stage-3 term that is not
         # a cocycle
         data = json.loads((SCENARIO_DIR / "perturbed-c2.json").read_text())
-        spec = StarProductSpec.from_json(data["star_product"]["inline"])
+        spec = read_star_product_spec("star_product.inline",
+                                      data["star_product"]["inline"], data["n"])
         with pytest.raises(BuildAborted,
                            match="^stage-3 term: target is not a cocycle; "
                                  "witness arguments") as exc:

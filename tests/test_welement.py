@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from dqw.qpoly import DimensionMismatch, QPolynomial
 from dqw.rationals import gr
+from dqw.scenario import read_lambda_poly
 from dqw.welement import (LambdaPoly, RealLambdaSeries, SeriesSign, WElement,
                           real_series_from_complex)
 
@@ -155,4 +156,4 @@ def test_lambda_poly_json_roundtrip():
                        {"lam": 2, "poly": [[[0, 0], "1-2 i"]]}]}
     f = LambdaPoly(N, K, {0: QPolynomial.coordinate(N, 0),
                           2: QPolynomial.constant(N, gr(1, -2))})
-    assert LambdaPoly.from_json(data) == f
+    assert read_lambda_poly("f", data, N) == f
