@@ -318,17 +318,23 @@ class TestCli:
          lambda d: d["functional"]["atoms"][0]["vector"].__setitem__(0, "1/0")),
         ("'tests.explicit[0].coeffs[0].poly[0][1]': zero denominator",
          lambda d: d["tests"]["explicit"][0]["coeffs"][0]["poly"][0].__setitem__(1, "1/0")),
-        ("'star_product.inline.cochains[0].terms[0].coeff_poly.terms[0][1]': zero denominator",
-         _inline_star(lambda s: s["cochains"][0]["terms"][0]["coeff_poly"]["terms"][0]
-                      .__setitem__(1, "1/0"))),
+        pytest.param(
+            "'star_product.inline.cochains[0].terms[0].coeff_poly.terms[0][1]': zero denominator",
+            _inline_star(lambda s: s["cochains"][0]["terms"][0]["coeff_poly"]["terms"][0]
+                         .__setitem__(1, "1/0")),
+            id="star_product.inline: zero denominator-mutate"),
         # the inline star product's shape: derivative exponents are
         # non-negative integers, and each lambda_power >= 1 occurs once
-        ("'star_product.inline.cochains[0].terms[0].derivs[0][0]' must be an integer >= 0, "
-         "got -1",
-         _inline_star(lambda s: s["cochains"][0]["terms"][0]["derivs"][0].__setitem__(0, -1))),
-        ("'star_product.inline.cochains[0].terms[0].derivs[0][0]' must be an integer >= 0, "
-         "got 0.5",
-         _inline_star(lambda s: s["cochains"][0]["terms"][0]["derivs"][0].__setitem__(0, 0.5))),
+        pytest.param(
+            "'star_product.inline.cochains[0].terms[0].derivs[0][0]' must be an integer >= 0, "
+            "got -1",
+            _inline_star(lambda s: s["cochains"][0]["terms"][0]["derivs"][0].__setitem__(0, -1)),
+            id="star_product.inline: lambda_power 1: bad derivs-mutate0"),
+        pytest.param(
+            "'star_product.inline.cochains[0].terms[0].derivs[0][0]' must be an integer >= 0, "
+            "got 0.5",
+            _inline_star(lambda s: s["cochains"][0]["terms"][0]["derivs"][0].__setitem__(0, 0.5)),
+            id="star_product.inline: lambda_power 1: bad derivs-mutate1"),
         ("'star_product.inline.cochains[4].lambda_power' must be an integer >= 1",
          _inline_star(lambda s: s["cochains"].append({"lambda_power": 0,
                                                       "terms": s["cochains"][0]["terms"]}))),
