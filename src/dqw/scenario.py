@@ -10,7 +10,6 @@ raises ConfigurationError, naming the field's full path, at load.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
 from collections import namedtuple
@@ -20,7 +19,7 @@ from .cochain import MultiDiffCochain
 from .functionals import MatrixLambdaPoly, StateFunctional
 from .qpoly import QPolynomial
 from .rationals import GaussianRational, parse_fraction, parse_scalar
-from .starspec import StarProductSpec
+from .starspec import StarProductSpec, digest_json
 from .terms import accumulate, shift, zeros
 from .welement import LambdaPoly
 
@@ -91,8 +90,7 @@ class Scenario(namedtuple("Scenario", "name n K N star_product functional tau_so
         }
 
     def digest(self) -> str:
-        blob = json.dumps(self.to_json(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return digest_json(self.to_json())
 
 
 def load_scenario(path: str) -> Scenario:
@@ -123,7 +121,8 @@ def _check_int(field: str, value, low: int, high: int | None = None) -> int:
     """value, an integer >= low (and <= high, when given)."""
     if (not isinstance(value, int) or isinstance(value, bool) or value < low
             or high is not None and value > high):
-        bound = f"equal to {low}" if low == high else f">= {low}"
+        bound = (f">= {low}" if high is None else f"equal to {low}" if low == high
+                 else f"between {low} and {high}")
         raise ConfigurationError(
             f"scenario field {field!r} must be an integer {bound}, got {value!r}")
     return value
@@ -199,13 +198,16 @@ def read_qpolynomial(field: str, data, n: int) -> QPolynomial:
 
 def read_lambda_poly(field: str, data, n: int) -> LambdaPoly:
     """A lam-series {"n", "max_order", "coeffs": [{"lam", "poly"}, ..]},
-    poly being the monomial list of the lam^lam coefficient."""
+    poly being the monomial list of the lam^lam coefficient, 0 <= lam <=
+    max_order: a term beyond max_order would be dropped unread."""
     _check_int(f"{field}.n", _read_object(field, data, ("n", "max_order", "coeffs"))["n"], n, n)
+    max_order = _check_int(f"{field}.max_order", data["max_order"], 0)
     coeffs: dict = {}
     for at, entry in _read_list(f"{field}.coeffs", data["coeffs"]):
-        lam = _check_int(f"{at}.lam", _read_object(at, entry, ("lam", "poly"))["lam"], 0)
+        lam = _check_int(f"{at}.lam", _read_object(at, entry, ("lam", "poly"))["lam"],
+                         0, max_order)
         accumulate(coeffs, lam, QPolynomial(n, _read_terms(f"{at}.poly", entry["poly"], n)))
-    return LambdaPoly(n, _check_int(f"{field}.max_order", data["max_order"], 0), coeffs)
+    return LambdaPoly(n, max_order, coeffs)
 
 
 def read_star_product_spec(field: str, data, n: int) -> StarProductSpec:

@@ -18,9 +18,21 @@ witness argument tuple.
 
 from __future__ import annotations
 
+import json
 import math
 from collections import namedtuple
 from fractions import Fraction
+
+try:
+    # importing hashlib maps and initializes OpenSSL's libcrypto, the largest
+    # part of a process's import-time memory, so take CPython's own SHA-256
+    # first, as random.py does for _sha512
+    from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+except ImportError:
+    try:
+        from _sha2 import sha256 as _sha256  # Python 3.12+
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 from .cobsolver import solve_classical_coboundary
 from .cochain import (MultiDiffCochain, biderivation_cochain, coboundary, compose_slot,
@@ -111,6 +123,13 @@ class StarProductSpec(namedtuple("StarProductSpec", "n order hermitian cochains 
                 for r in range(1, self.order + 1)
             ],
         }
+
+
+def digest_json(obj) -> str:
+    """The SHA-256 hex digest of obj as compact JSON with sorted keys:
+    a report's scenario `digest` and build `spec_digest`."""
+    blob = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _sha256(blob.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

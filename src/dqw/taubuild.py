@@ -37,9 +37,7 @@ the error is recomputed from the whole truncated tau in every degree
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -52,7 +50,7 @@ from .cochain import (MultiDiffCochain, biderivation_cochain, coboundary,
                       mu_cochain, plug_constant)
 from .qpoly import DimensionMismatch, QPolynomial, group_terms
 from .starspec import (InvalidStarProduct, StarProductSpec, antisymmetric_matrix,
-                       theta_powers)
+                       digest_json, theta_powers)
 from .terms import exponents, zeros
 from .welement import LambdaPoly, WElement
 from .weyl import ConsistencyError
@@ -88,11 +86,6 @@ class BuildReport:
         return {"n": self.n, "K": self.K, "hermitian": self.hermitian,
                 "spec_digest": self.spec_digest,
                 "stages": [s.to_json() for s in self.stages]}
-
-
-def spec_digest(spec: StarProductSpec) -> str:
-    blob = json.dumps(spec.to_json(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 class TauMap:
@@ -266,7 +259,7 @@ def build_tau(spec: StarProductSpec, K: int):
         )
     hermitian = spec.hermitian
     n = spec.n
-    report = BuildReport(n=n, K=K, hermitian=hermitian, spec_digest=spec_digest(spec))
+    report = BuildReport(n=n, K=K, hermitian=hermitian, spec_digest=digest_json(spec.to_json()))
     taus = [identity_cochain(n, K)]
     for k in range(1, K + 1):
         rk = compute_Rk(spec, taus, k)

@@ -2,7 +2,9 @@
 modules need is public in the module that owns it (multi-index
 arithmetic in `terms`).  `rationals._coerce` is the one exception.
 No module of `dqw` or of the tests imports a name it does not use;
-the re-exports of an `__init__.py` are exempt."""
+the re-exports of an `__init__.py` are exempt.  No module of `dqw`
+imports `hashlib`, which maps OpenSSL's libcrypto into every process,
+other than as the fallback of an `except ImportError` clause."""
 
 import ast
 import pathlib
@@ -48,4 +50,26 @@ def test_no_unused_imports():
     paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
     found = [line for path in paths if path.name != "__init__.py"
              for line in _unused_imports(path)]
+    assert found == []
+
+
+def _hashlib_imports(path):
+    tree = ast.parse(path.read_text())
+    fallback = {id(node) for handler in ast.walk(tree)
+                if isinstance(handler, ast.ExceptHandler)
+                and isinstance(handler.type, ast.Name) and handler.type.id == "ImportError"
+                for node in ast.walk(handler)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if "hashlib" in names and id(node) not in fallback:
+            yield f"{path.name}:{node.lineno}: import hashlib"
+
+
+def test_no_hashlib_imports():
+    found = [line for path in sorted(SRC.glob("*.py")) for line in _hashlib_imports(path)]
     assert found == []

@@ -362,6 +362,25 @@ class TestCli:
         # each term of a polynomial is an [exponents, coefficient] pair
         ("'tests.explicit[0].coeffs[0].poly[0]' must have 2 entries, got 3",
          lambda d: d["tests"]["explicit"][0]["coeffs"][0]["poly"][0].append("2")),
+        # a lam-series term beyond its max_order is refused, not dropped
+        pytest.param(
+            "'tests.explicit[0].coeffs[1].lam' must be an integer between 0 and 4, got 5",
+            lambda d: d["tests"]["explicit"][0]["coeffs"].append(
+                {"lam": 5, "poly": [[[0, 0], "1"]]}),
+            id="explicit lam above max_order"),
+        pytest.param(
+            "'tests.explicit[0].coeffs[1].lam' must be an integer equal to 0, got 3",
+            lambda d: d["tests"]["explicit"][0].update(
+                max_order=0, coeffs=[*d["tests"]["explicit"][0]["coeffs"],
+                                     {"lam": 3, "poly": [[[0, 0], "1"]]}]),
+            id="explicit lam above max_order 0"),
+        pytest.param(
+            "'tests.explicit[0].entries[0][0].coeffs[0].lam' must be an integer "
+            "between 0 and 2, got 3",
+            lambda d: d["tests"]["explicit"].__setitem__(0, {"entries": [[{
+                **d["tests"]["explicit"][0], "max_order": 2,
+                "coeffs": [{"lam": 3, "poly": [[[0, 0], "1"]]}]}]]}),
+            id="entries lam above max_order"),
     ])
     def test_malformed_scenario_exit_two(self, tmp_path, capsys, field, mutate):
         data = json.loads((SCENARIO_DIR / "moyal-r2-delta.json").read_text())
