@@ -248,8 +248,12 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     rendered = emit_report(report, args.format)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(rendered)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(rendered)
+        except OSError as e:
+            print(f"configuration error: cannot write report: {e}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         sys.stdout.write(rendered)
     return code

@@ -1,6 +1,6 @@
 """Multidifferential cochains with values in the formal phase-space algebra.
 
-An arity-k cochain acts on k base polynomials f_1..f_k as
+An arity-k cochain acts on k base lam-series f_1..f_k as
 
     phi(f_1,..,f_k) = sum  c(q) * lam^a * p^I * D^{J_1}f_1 ... D^{J_k}f_k,
 
@@ -8,8 +8,9 @@ stored flat, in the canonical normal form mapping (a, I, (J_1..J_k), E)
 to the scalar coefficient of the monomial q^E in c(q); every kernel reads
 and writes this form.  Two cochains are equal exactly when their normal
 forms coincide.  The combined degree a + |I| grades cochains the
-same way it grades algebra elements, and values are truncated at the
-element order K.
+same way it grades algebra elements; the action is lam-multilinear, so
+the lam-powers of the arguments add to a, and values are truncated at
+the cochain's order K.
 
 Coboundary conventions.  The base algebra acts on values either through
 the undeformed pointwise product (classical mode) or through the deformed
@@ -35,11 +36,11 @@ import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .qpoly import DimensionMismatch, QPolynomial, expand_terms, group_terms
+from .qpoly import DimensionMismatch, expand_terms, group_terms
 from .rationals import I, _coerce
 from .terms import (GradedTermMap, accumulate, add, below, binom, exponents, factorial,
                     falling, shift, sub, unit, zeros)
-from .welement import WElement
+from .welement import LambdaPoly, WElement
 from .weyl import WEYL_PAIRING, propagate
 
 
@@ -97,18 +98,27 @@ class MultiDiffCochain(GradedTermMap):
 
     # ---- evaluation ----
 
-    def evaluate(self, args: Sequence[QPolynomial]) -> WElement:
+    def evaluate(self, args: Sequence[LambdaPoly]) -> WElement:
+        """phi(f_1,..,f_k) for base lam-series f_s, extended lam-multilinearly:
+        the lam-powers of the arguments add to the term's own, and the
+        value is truncated at the cochain's order K, whatever the
+        arguments' orders."""
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments")
         for f in args:
             if f.n != self.n:
                 raise DimensionMismatch("argument dimension mismatch")
+        K = self.K
+        # the arguments at order K, so that their products are truncated there
+        args = [LambdaPoly._trusted((self.n, K), {key: v for key, v in f.terms.items()
+                                                  if key[0] <= K}) for f in args]
         out: dict = {}
         # D^j of an argument vanishes unless j <= its componentwise top exponent
-        tops = [tuple(map(max, zip(*f.terms))) for f in args]
+        tops = [tuple(map(max, zip(*(e for _r, e in f.terms)))) for f in args]
         derivs: dict = {}  # (slot, j) -> D^j of that slot's argument, or False
         products: dict = {}  # J -> the product of the slots' D^{J_s}, or False
-        one = QPolynomial.constant(self.n, 1)
+        # the product over no slots is the constant 1
+        one = LambdaPoly.constant(self.n, K, 1)
         for (a, idx, jvec, exp), c in self.terms.items():
             prod = products.get(jvec)
             if prod is None:
@@ -124,9 +134,11 @@ class MultiDiffCochain(GradedTermMap):
                     prod = d if prod is one else prod * d
                 products[jvec] = prod
             if prod:
-                for e, v in prod.terms.items():
-                    accumulate(out, (a, idx, add(e, exp) if any(exp) else e), v * c)
-        return WElement._trusted((self.n, self.K), out)
+                top = K - a - sum(idx)
+                for (r, e), v in prod.terms.items():
+                    if r <= top:
+                        accumulate(out, (a + r, idx, add(e, exp) if any(exp) else e), v * c)
+        return WElement._trusted((self.n, K), out)
 
     # ---- structure ----
 
@@ -366,7 +378,7 @@ def find_witness(phi: MultiDiffCochain):
         key=lambda jv: (sum(sum(j) for j in jv), jv),
     )
     for jvec in supports:
-        args = [QPolynomial.monomial(phi.n, j) for j in jvec]
+        args = [LambdaPoly(phi.n, 0, {(0, j): 1}) for j in jvec]
         val = phi.evaluate(args)
         if not val.is_zero():
             return args, val

@@ -5,10 +5,11 @@ non-negative ints, one slot per coordinate) to nonzero GaussianRational
 coefficients.  The representation is canonical: equal polynomials have
 identical term mappings, and zero coefficients are never stored.
 
-The graded containers (elements, cochains, forms) store flat terms whose
-key ends in the q-exponent.  `expand_terms` and `group_terms` convert
-between that form and the grouped one, key[:-1] -> QPolynomial, that
-builders and printed output use.
+No kernel computes with polynomials: the containers (elements,
+lam-series, cochains, forms) store flat scalar terms whose key ends in
+the q-exponent.  `expand_terms` and `group_terms` convert between that
+form and the grouped one, key[:-1] -> QPolynomial, that builders,
+scenario files and printed output use.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .rationals import GaussianRational, ZERO, ONE, _coerce, format_scalar
-from .terms import (DimensionMismatch, TermMap, accumulate, add, falling, shift, sub,
-                    unit, zeros)
+from .rationals import GaussianRational, ONE, _coerce, format_scalar
+from .terms import DimensionMismatch, TermMap, accumulate, add, unit, zeros
 
 
 class QPolynomial(TermMap):
@@ -72,44 +72,7 @@ class QPolynomial(TermMap):
 
     __rmul__ = __mul__
 
-    # ---- calculus and structure ----
-
-    def diff(self, k: int) -> "QPolynomial":
-        """Formal partial derivative with respect to q^{k+1}."""
-        out = {}
-        for exp, c in self.terms.items():
-            if exp[k]:
-                out[shift(exp, k, -1)] = c * exp[k]
-        return self._new(out)
-
-    def derivative(self, j: tuple) -> "QPolynomial":
-        """The partial derivative D^j, in one pass over the monomials."""
-        out = {}
-        for exp, c in self.terms.items():
-            w = falling(exp, j)
-            if w:
-                out[sub(exp, j)] = c * w
-        return self._new(out)
-
-    def evaluate(self, point) -> GaussianRational:
-        """Substitute exact rational (or Gaussian rational) coordinates."""
-        if len(point) != self.n:
-            raise DimensionMismatch("evaluation point has wrong dimension")
-        pt = [_coerce(x) if not isinstance(x, GaussianRational) else x for x in point]
-        total = ZERO
-        for exp, c in self.terms.items():
-            v = c
-            for x, e in zip(pt, exp):
-                if e:
-                    v = v * (x ** e)
-            total = total + v
-        return total
-
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+    # ---- structure ----
 
     def __repr__(self):
         return f"QPolynomial({self.n}, {self.terms!r})"

@@ -95,10 +95,14 @@ class Scenario(namedtuple("Scenario", "name n K N star_product functional tau_so
 
 def load_scenario(path: str) -> Scenario:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as e:
         raise ConfigurationError(f"cannot read scenario: {e}")
+    except UnicodeDecodeError as e:
+        raise ConfigurationError(f"scenario {path} is not UTF-8: byte {e.start}: {e.reason}")
+    except RecursionError:
+        raise ConfigurationError(f"malformed JSON in {path}: nested too deeply")
     except json.JSONDecodeError as e:
         raise ConfigurationError(
             f"malformed JSON in {path}: line {e.lineno} column {e.colno}: {e.msg}"
@@ -202,12 +206,13 @@ def read_lambda_poly(field: str, data, n: int) -> LambdaPoly:
     max_order: a term beyond max_order would be dropped unread."""
     _check_int(f"{field}.n", _read_object(field, data, ("n", "max_order", "coeffs"))["n"], n, n)
     max_order = _check_int(f"{field}.max_order", data["max_order"], 0)
-    coeffs: dict = {}
+    terms: dict = {}
     for at, entry in _read_list(f"{field}.coeffs", data["coeffs"]):
         lam = _check_int(f"{at}.lam", _read_object(at, entry, ("lam", "poly"))["lam"],
                          0, max_order)
-        accumulate(coeffs, lam, QPolynomial(n, _read_terms(f"{at}.poly", entry["poly"], n)))
-    return LambdaPoly(n, max_order, coeffs)
+        for exp, c in _read_terms(f"{at}.poly", entry["poly"], n).items():
+            accumulate(terms, (lam, exp), c)
+    return LambdaPoly(n, max_order, terms)
 
 
 def read_star_product_spec(field: str, data, n: int) -> StarProductSpec:
@@ -333,12 +338,11 @@ def _read_commands(commands) -> list:
 
 def random_lambda_poly(rng: random.Random, n: int, K: int, max_q_degree: int,
                        max_coeff: int, lambda_corrections: bool) -> LambdaPoly:
-    coeffs = {}
+    terms: dict = {}
     orders = [0]
     if lambda_corrections and K >= 1:
         orders += sorted(rng.sample(range(1, K + 1), k=min(2, K)))
     for r in orders:
-        terms = {}
         for _ in range(rng.randint(1, 3)):
             exp = zeros(n)
             budget = rng.randint(0, max_q_degree)
@@ -348,11 +352,8 @@ def random_lambda_poly(rng: random.Random, n: int, K: int, max_q_degree: int,
                 Fraction(rng.randint(-max_coeff, max_coeff), rng.randint(1, max_coeff)),
                 Fraction(rng.randint(-max_coeff, max_coeff), rng.randint(1, max_coeff)),
             )
-            accumulate(terms, exp, c)
-        poly = QPolynomial(n, terms)
-        if poly:
-            coeffs[r] = poly
-    return LambdaPoly(n, K, coeffs)
+            accumulate(terms, (r, exp), c)
+    return LambdaPoly(n, K, terms)
 
 
 def generate_tests(scenario: Scenario, seed_override: int | None = None):

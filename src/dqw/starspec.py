@@ -334,13 +334,6 @@ def validate_star(spec: StarProductSpec, K: int | None = None) -> ValidationRepo
 # applying a star product to base lam-series
 # ---------------------------------------------------------------------------
 
-def _evaluate_base(cochain: MultiDiffCochain, f: QPolynomial, g: QPolynomial) -> QPolynomial:
-    w = cochain.evaluate([f, g])
-    if any(a or any(idx) for a, idx, _e in w.terms):
-        raise ValueError("cochain value unexpectedly leaves the base algebra")
-    return QPolynomial._trusted((cochain.n,), {e: c for (_a, _i, e), c in w.terms.items()})
-
-
 def star_apply(spec: StarProductSpec, f: LambdaPoly, g: LambdaPoly) -> LambdaPoly:
     """f * g = fg + sum_r lam^r C_r(f, g), extended lam-bilinearly."""
     if f.n != spec.n or g.n != spec.n:
@@ -348,12 +341,10 @@ def star_apply(spec: StarProductSpec, f: LambdaPoly, g: LambdaPoly) -> LambdaPol
     if f.K != g.K:
         raise DimensionMismatch("operand truncation mismatch")
     K = f.K
-    out: dict = {}
-    for r1, fp in f.terms.items():
-        for r2, gp in g.terms.items():
-            if r1 + r2 > K:
-                continue
-            accumulate(out, r1 + r2, fp * gp)
-            for r in range(1, min(spec.order, K - r1 - r2) + 1):
-                accumulate(out, r1 + r2 + r, _evaluate_base(spec.cochain(r), fp, gp))
-    return LambdaPoly(spec.n, K, out)
+    out = dict((f * g).terms)
+    for r in range(1, min(spec.order, K) + 1):
+        for (a, idx, e), c in spec.cochain(r).retruncate(K - r).evaluate([f, g]).terms.items():
+            if any(idx):
+                raise ValueError("cochain value unexpectedly leaves the base algebra")
+            accumulate(out, (a + r, e), c)
+    return f._new(out)

@@ -48,7 +48,7 @@ from .cobsolver import (CocyclePrecondition, check_solvability_preconditions,
 from .cochain import (MultiDiffCochain, biderivation_cochain, coboundary,
                       cochain_weyl_product, compose_slot, identity_cochain,
                       mu_cochain, plug_constant)
-from .qpoly import DimensionMismatch, QPolynomial, group_terms
+from .qpoly import DimensionMismatch, group_terms
 from .starspec import (InvalidStarProduct, StarProductSpec, antisymmetric_matrix,
                        digest_json, theta_powers)
 from .terms import exponents, zeros
@@ -118,16 +118,7 @@ class TauMap:
 
     def apply(self, f: LambdaPoly) -> WElement:
         """lam-linear application, truncated at combined degree K."""
-        if f.n != self.n:
-            raise DimensionMismatch("argument dimension mismatch")
-        total = self.total_cochain()
-        out = WElement.zero(self.n, self.K)
-        for r, poly in f.terms.items():
-            if r > self.K:
-                continue
-            val = total.evaluate([poly])
-            out = out + val.scale_lambda(r)
-        return out
+        return self.total_cochain().evaluate([f])
 
     def classical_part(self) -> MultiDiffCochain:
         out = MultiDiffCochain.zero(self.n, self.K, 1)
@@ -317,11 +308,11 @@ def check_poisson_realization(tau: TauMap, spec: StarProductSpec,
     def image(e):
         img = images.get(e)
         if img is None:
-            img = images[e] = cl.evaluate([QPolynomial.monomial(n, e)])
+            img = images[e] = cl.evaluate([LambdaPoly(n, 0, {(0, e): 1})])
         return img
 
     exps = [e for t in (1, 2) for e in exponents(n, t)]
-    basis = [QPolynomial.monomial(n, e) for e in exps]
+    basis = [LambdaPoly(n, 0, {(0, e): 1}) for e in exps]
     grads = [([image(e).diff_q(k) for k in range(n)],
               [image(e).diff_p(k) for k in range(n)]) for e in exps]
     zero = WElement.zero(n, tau.K)

@@ -1,11 +1,10 @@
 """The sparse core shared by every algebraic container.
 
-A term map is an immutable mapping from hashable keys to nonzero values
-(exact scalars; polynomials only for the lam-series of the base algebra)
-together with a shape, such as the dimension, the truncation order or
-the arity, that the operands of every linear operation must share.  Zero values are
-never stored, so equal maps have identical term dictionaries and
-equality is structural.
+A term map is an immutable mapping from hashable keys to nonzero exact
+scalars together with a shape, such as the dimension, the truncation
+order or the arity, that the operands of every linear operation must
+share.  Zero values are never stored, so equal maps have identical term
+dictionaries and equality is structural.
 
 The keys are built from multi-indices: tuples of n non-negative ints
 for q-exponents, p-exponents and derivative orders D^j.  Their

@@ -10,7 +10,8 @@ q-degree is never truncated.
 Also provided here:
 
 * LambdaPoly, a polynomial lam-series over the base coordinates only,
-  i.e. an element of C[q][[lam]] truncated at lam^K;
+  i.e. an element of C[q][[lam]] truncated at lam^K, stored the same
+  way: one scalar per key (lam-power r, q-exponent E);
 * RealLambdaSeries with the leading-coefficient sign classification of
   the ordered ring R[[lam]].
 """
@@ -23,7 +24,8 @@ from typing import Mapping
 
 from .qpoly import DimensionMismatch, QPolynomial, expand_terms, group_terms
 from .rationals import GaussianRational, ZERO, _coerce
-from .terms import GradedTermMap, TermMap, accumulate, add, shift, unit, zeros
+from .terms import (GradedTermMap, TermMap, accumulate, add, falling, shift, sub, unit,
+                    zeros)
 
 
 class WElement(GradedTermMap):
@@ -159,24 +161,24 @@ class WElement(GradedTermMap):
 class LambdaPoly(TermMap):
     """A polynomial lam-series over the base coordinates, truncated at lam^K.
 
-    Terms map the lam-power r to its QPolynomial coefficient.
+    Terms map (r, E) to the coefficient of lam^r q^E, for r <= K.  This
+    is a plain term map, not a graded one: its keys hold no p-exponent.
     """
 
     __slots__ = ("n", "K")
     _SHAPE = ("n", "K")
 
-    def __init__(self, n: int, K: int, terms: Mapping[int, QPolynomial] | None = None):
-        clean = {}
-        if terms:
-            for r, poly in terms.items():
-                if r < 0:
-                    raise ValueError("negative lam-power")
-                if r > K:
-                    continue
-                if poly:
-                    if poly.n != n:
-                        raise DimensionMismatch("coefficient dimension mismatch")
-                    clean[r] = poly
+    def __init__(self, n: int, K: int, terms: Mapping | None = None):
+        """terms maps (r, E) to the coefficient of lam^r q^E, or (r,) to a
+        QPolynomial that stands for its monomials (`expand_terms`)."""
+        clean: dict = {}
+        for (r, exp), c in expand_terms(terms or {}):
+            if r < 0:
+                raise ValueError("negative lam-power")
+            if len(exp) != n:
+                raise DimensionMismatch("exponent has wrong length")
+            if r <= K:
+                accumulate(clean, (r, tuple(exp)), _coerce(c))
         self._init((n, K), clean)
 
     @classmethod
@@ -185,11 +187,11 @@ class LambdaPoly(TermMap):
 
     @classmethod
     def from_poly(cls, poly: QPolynomial, K: int) -> "LambdaPoly":
-        return cls(poly.n, K, {0: poly})
+        return cls(poly.n, K, {(0,): poly})
 
     @classmethod
     def constant(cls, n: int, K: int, c) -> "LambdaPoly":
-        return cls.from_poly(QPolynomial.constant(n, c), K)
+        return cls(n, K, {(0, zeros(n)): c})
 
     def __mul__(self, other) -> "LambdaPoly":
         """Pointwise (undeformed) product, truncated at lam^K."""
@@ -197,35 +199,49 @@ class LambdaPoly(TermMap):
             return self.scale(other)
         self._check(other)
         out: dict = {}
-        for r1, f1 in self.terms.items():
-            for r2, f2 in other.terms.items():
-                if r1 + r2 <= self.K:
-                    accumulate(out, r1 + r2, f1 * f2)
-        return LambdaPoly(self.n, self.K, out)
+        K = self.K
+        for (r1, e1), c1 in self.terms.items():
+            for (r2, e2), c2 in other.terms.items():
+                if r1 + r2 <= K:
+                    accumulate(out, (r1 + r2, add(e1, e2)), c1 * c2)
+        return self._new(out)
 
     __rmul__ = __mul__
 
-    def coefficient(self, r: int) -> QPolynomial:
-        return self.terms.get(r, QPolynomial.zero(self.n))
+    def derivative(self, j: tuple) -> "LambdaPoly":
+        """The partial derivative D^j of every lam-coefficient, in one pass."""
+        out = {}
+        for (r, exp), c in self.terms.items():
+            w = falling(exp, j)
+            if w:
+                out[(r, sub(exp, j))] = c * w
+        return self._new(out)
 
     def evaluate(self, point) -> tuple:
-        """Evaluate every lam-coefficient at a base point."""
-        return tuple(
-            self.terms[r].evaluate(point) if r in self.terms else ZERO
-            for r in range(self.K + 1)
-        )
+        """Substitute exact coordinates; the tuple of lam-coefficients
+        (length K + 1)."""
+        if len(point) != self.n:
+            raise DimensionMismatch("evaluation point has wrong dimension")
+        point = [_coerce(x) for x in point]
+        coeffs = [ZERO] * (self.K + 1)
+        for (r, exp), c in self.terms.items():
+            for x, e in zip(point, exp):
+                if e:
+                    c = c * (x ** e)
+            coeffs[r] = coeffs[r] + c
+        return tuple(coeffs)
 
     def __repr__(self):
-        return f"LambdaPoly(n={self.n}, K={self.K}, {len(self.terms)} orders)"
+        return f"LambdaPoly(n={self.n}, K={self.K}, {len(self.terms)} terms)"
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for r in sorted(self.terms):
-            head = "" if r == 0 else ("lam" if r == 1 else f"lam^{r}") + "*"
-            parts.append(f"{head}({self.terms[r]})")
-        return " + ".join(parts)
+        """A lam-free series prints as its polynomial, the others as
+        sum_r lam^r*(coefficient)."""
+        grouped = group_terms(self.terms, self.n)
+        if not any(r for (r,) in grouped):
+            return str(grouped.get((0,), "0"))
+        return " + ".join(("" if r == 0 else ("lam" if r == 1 else f"lam^{r}") + "*")
+                          + f"({poly})" for (r,), poly in grouped.items())
 
 
 class SeriesSign(enum.Enum):

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .qpoly import DimensionMismatch, group_terms
+from .qpoly import DimensionMismatch
 from .rationals import GaussianRational, HALF_I, ONE, ZERO, _coerce
 from .terms import SquareMatrix, accumulate, add, shift, zeros
 from .welement import LambdaPoly, WElement
@@ -216,14 +216,14 @@ def canonical_bracket(a: WElement, b: WElement) -> WElement:
 def pi_star(f: LambdaPoly, K: int | None = None) -> WElement:
     """Embed a base lam-series as a p-independent element."""
     K = f.K if K is None else K
-    n = f.n
-    return WElement(n, K, {(r, zeros(n)): poly for r, poly in f.terms.items()})
+    z = zeros(f.n)
+    return WElement(f.n, K, {(r, z, e): c for (r, e), c in f.terms.items()})
 
 
 def iota_star(a: WElement) -> LambdaPoly:
     """Set all momenta to zero, keeping the lam-series of q-polynomials."""
-    low = {(r, exp): c for (r, idx, exp), c in a.terms.items() if not any(idx)}
-    return LambdaPoly(a.n, a.K, {r: poly for (r,), poly in group_terms(low, a.n).items()})
+    return LambdaPoly._trusted((a.n, a.K), {(r, exp): c for (r, idx, exp), c in a.terms.items()
+                                             if not any(idx)})
 
 
 # ---------------------------------------------------------------------------

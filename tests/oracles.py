@@ -10,6 +10,11 @@
   `taubuild.check_poisson_realization` shares the basis images, their
   gradients and the monomial images instead.
 * The lam-shift of a base lam-series.
+* The lam-linear extensions written out one lam-power at a time:
+  a cochain's value, the star product and the embedding's application
+  as sums over the lam-coefficients of their arguments, each evaluated
+  lam-free and shifted by its lam-power; `MultiDiffCochain.evaluate`
+  takes lam-series arguments in one pass instead.
 * The associativity check with both sides of every associator composed;
   `starspec.validate_star` takes the second side as the involution of
   the first when the product is Hermitian.
@@ -22,10 +27,10 @@ from fractions import Fraction
 
 from dqw.cochain import MultiDiffCochain, compose_slot, find_witness, mu_cochain
 from dqw.koszul import KoszulForm
-from dqw.qpoly import QPolynomial, group_terms
+from dqw.qpoly import group_terms
 from dqw.starspec import ValidationCheck
 from dqw.taubuild import RealizationReport
-from dqw.terms import accumulate, exponents, shift
+from dqw.terms import accumulate, exponents, shift, unit
 from dqw.welement import LambdaPoly, WElement
 from dqw.weyl import _exp_laplace, canonical_bracket, weyl_product, wick_product
 
@@ -88,24 +93,73 @@ def poincare_homotopy(omega: KoszulForm) -> KoszulForm:
     return out
 
 
-def poisson_bracket(spec, f: QPolynomial, g: QPolynomial) -> QPolynomial:
+def poisson_bracket(spec, f: LambdaPoly, g: LambdaPoly) -> LambdaPoly:
     """{f, g} = sum_{k,l} theta^{kl} D_k f D_l g for the spec's bracket."""
     theta = spec.poisson_matrix()
-    out = QPolynomial.zero(spec.n)
+    out = LambdaPoly.zero(spec.n, f.K)
     for k in range(spec.n):
-        fk = f.diff(k)
+        fk = f.derivative(unit(spec.n, k))
         if fk.is_zero():
             continue
         for l in range(spec.n):
             if theta[k][l].is_zero():
                 continue
-            out = out + theta[k][l] * fk * g.diff(l)
+            out = out + LambdaPoly.from_poly(theta[k][l], f.K) * fk * \
+                g.derivative(unit(spec.n, l))
     return out
 
 
 def shift_lam(f: LambdaPoly, r: int) -> LambdaPoly:
     """lam^r f, truncated at f's order."""
-    return LambdaPoly(f.n, f.K, {s + r: p for s, p in f.terms.items()})
+    return LambdaPoly(f.n, f.K, {(s + r, e): c for (s, e), c in f.terms.items()})
+
+
+def lam_coefficients(f: LambdaPoly) -> dict:
+    """r -> the lam^r coefficient of f, as a lam-free series."""
+    out: dict = {}
+    for (r, e), c in f.terms.items():
+        out.setdefault(r, {})[(0, e)] = c
+    return {r: LambdaPoly(f.n, f.K, t) for r, t in sorted(out.items())}
+
+
+def evaluate_per_order(phi: MultiDiffCochain, args) -> WElement:
+    """phi(f_1..f_k) summed over one lam-coefficient per argument: phi on
+    those lam-free coefficients, shifted by the sum of their lam-powers."""
+    out = WElement.zero(phi.n, phi.K)
+    for combo in itertools.product(*(lam_coefficients(f).items() for f in args)):
+        r = sum(s for s, _ in combo)
+        if r <= phi.K:
+            out = out + phi.evaluate([x for _, x in combo]).scale_lambda(r)
+    return out
+
+
+def star_apply_by_lam_pairs(spec, f: LambdaPoly, g: LambdaPoly) -> LambdaPoly:
+    """f * g = fg + sum_r lam^r C_r(f, g) over the pairs of lam-coefficients
+    of f and g, each C_r evaluated on a lam-free pair."""
+    K = f.K
+    out: dict = {}
+    for r1, fp in lam_coefficients(f).items():
+        for r2, gp in lam_coefficients(g).items():
+            if r1 + r2 > K:
+                continue
+            for (_s, e), c in (fp * gp).terms.items():
+                accumulate(out, (r1 + r2, e), c)
+            for r in range(1, min(spec.order, K - r1 - r2) + 1):
+                for (a, idx, e), c in spec.cochain(r).evaluate([fp, gp]).terms.items():
+                    assert a == 0 and not any(idx)
+                    accumulate(out, (r1 + r2 + r, e), c)
+    return LambdaPoly(spec.n, K, out)
+
+
+def tau_apply_per_order(tau, f: LambdaPoly) -> WElement:
+    """tau(f) as sum_r lam^r tau(f_r) over the lam-coefficients f_r of f,
+    truncated at combined degree tau.K."""
+    total = tau.total_cochain()
+    out = WElement.zero(tau.n, tau.K)
+    for r, fr in lam_coefficients(f).items():
+        if r <= tau.K:
+            out = out + total.evaluate([fr]).scale_lambda(r)
+    return out
 
 
 def realization_per_pair(tau, spec, K=None) -> RealizationReport:
@@ -115,7 +169,7 @@ def realization_per_pair(tau, spec, K=None) -> RealizationReport:
     and cl(g), through momentum degree K - 1."""
     K = tau.K if K is None else K
     cl = tau.classical_part()
-    basis = [QPolynomial.monomial(tau.n, e)
+    basis = [LambdaPoly(tau.n, 0, {(0, e): 1})
              for t in (1, 2) for e in exponents(tau.n, t)]
     images = [cl.evaluate([f]) for f in basis]
     checked = 0

@@ -54,13 +54,11 @@ def welements(n=2, K=4, max_terms=3):
 
 def lambda_polys(n=2, K=4, max_terms=3):
     def build(entries):
-        coeffs = {}
+        terms = {}
         for (r, exp, c) in entries:
-            if r > K:
-                continue
-            poly = QPolynomial(n, {exp: c})
-            coeffs[r] = coeffs[r] + poly if r in coeffs else poly
-        return LambdaPoly(n, K, coeffs)
+            key = (r, exp)
+            terms[key] = terms[key] + c if key in terms else c
+        return LambdaPoly(n, K, terms)
 
     entry = st.tuples(
         st.integers(min_value=0, max_value=K),

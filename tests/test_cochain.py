@@ -14,11 +14,13 @@ from dqw.cochain import (MultiDiffCochain, _splittings, alt, biderivation_cochai
                          plug_constant)
 from dqw.qpoly import QPolynomial
 from dqw.rationals import I, gr
-from dqw.terms import accumulate, zeros
-from dqw.welement import WElement
+from dqw.starspec import star_apply
+from dqw.terms import accumulate, shift, zeros
+from dqw.welement import LambdaPoly, WElement
 from dqw.weyl import weyl_product
 
-from strategies import cochains, exponents, gaussian_rationals, qpolynomials
+from oracles import evaluate_per_order, star_apply_by_lam_pairs, tau_apply_per_order
+from strategies import cochains, exponents, gaussian_rationals, lambda_polys
 
 N, K = 2, 4
 ZERO_IDX = (0, 0)
@@ -69,24 +71,40 @@ class TestCoboundary:
             coboundary(phi.classical_limit(), False)
 
 
+def _diff(f, k):
+    """d/dq^k of a base lam-series, one coordinate at a time."""
+    return LambdaPoly(f.n, f.K, {(r, shift(e, k, -1)): c * e[k]
+                                 for (r, e), c in f.terms.items() if e[k]})
+
+
 def _evaluate_by_repeated_diff(phi, args):
-    """The evaluation that builds each D^j by |j| one-coordinate diffs."""
+    """The evaluation that builds each D^j by |j| one-coordinate diffs,
+    with the arguments read at the cochain's order."""
     out = {}
     for (a, idx, jvec, exp), c in phi.terms.items():
-        val = QPolynomial.monomial(phi.n, exp, c)
+        val = LambdaPoly(phi.n, phi.K, {(0, exp): c})
         for f, j in zip(args, jvec):
-            d = f
+            d = LambdaPoly(f.n, phi.K, f.terms)
             for k, e in enumerate(j):
                 for _ in range(e):
-                    d = d.diff(k)
+                    d = _diff(d, k)
             val = val * d
-        accumulate(out, (a, idx), val)
+        for (r, e), v in val.terms.items():
+            accumulate(out, (a + r, idx, e), v)
     return WElement(phi.n, phi.K, out)
 
 
 def _seeded_poly(rng, terms=3, max_exp=3):
     return QPolynomial(N, {
         tuple(rng.randint(0, max_exp) for _ in range(N)):
+            gr(rng.randint(-4, 4), rng.randint(-2, 2))
+        for _ in range(terms)})
+
+
+def _seeded_series(rng, terms=3, max_exp=3):
+    """A seeded lam-series of order 2, 4 or 6 (the cochains' order is 4)."""
+    return LambdaPoly(N, rng.choice((2, 4, 6)), {
+        (rng.randint(0, 2), tuple(rng.randint(0, max_exp) for _ in range(N))):
             gr(rng.randint(-4, 4), rng.randint(-2, 2))
         for _ in range(terms)})
 
@@ -107,15 +125,22 @@ def test_evaluate_takes_each_derivative_in_one_pass(monkeypatch):
     for arity in range(4):
         for _ in range(8):
             phi = _seeded_cochain(rng, arity)
-            args = [_seeded_poly(rng) for _ in range(arity)]
+            args = [_seeded_series(rng) for _ in range(arity)]
             cases.append((phi, args, _evaluate_by_repeated_diff(phi, args)))
 
-    def no_diff(self, k):
-        raise AssertionError("evaluate chained a one-coordinate diff")
+    taken = []
+    derivative = LambdaPoly.derivative
 
-    monkeypatch.setattr(QPolynomial, "diff", no_diff)
+    def counted(self, j):
+        taken.append(j)
+        return derivative(self, j)
+
+    monkeypatch.setattr(LambdaPoly, "derivative", counted)
     for phi, args, expected in cases:
+        taken.clear()
         assert phi.evaluate(args) == expected
+        # one D^j per slot and derivative index, never a chain of them
+        assert len(taken) <= len({(s, j) for key in phi.terms for s, j in enumerate(key[2])})
 
 
 class TestAlt:
@@ -185,7 +210,7 @@ class TestInvolution:
 
 class TestProductsAndComposition:
     @settings(max_examples=20)
-    @given(cochains(arity=1), cochains(arity=1), qpolynomials(), qpolynomials())
+    @given(cochains(arity=1), cochains(arity=1), lambda_polys(), lambda_polys())
     def test_star_product_matches_values(self, phi, psi, f, g):
         prod = cochain_weyl_product(phi, psi)
         lhs = prod.evaluate([f, g])
@@ -197,7 +222,7 @@ class TestProductsAndComposition:
         assert compose_slot(tau, 0, mu_cochain(N, K)) == mu_cochain(N, K)
 
     @settings(max_examples=20)
-    @given(cochains(arity=1), qpolynomials(), qpolynomials())
+    @given(cochains(arity=1), lambda_polys(), lambda_polys())
     def test_compose_matches_values(self, phi, f, g):
         comp = compose_slot(phi, 0, mu_cochain(N, K))
         assert comp.evaluate([f, g]) == phi.evaluate([f * g])
@@ -336,6 +361,37 @@ class TestSplittingMemo:
         phi = simple({(0, ZERO_IDX, ((2, 1),)): ONE})
         compose_slot(phi, 0, mu_cochain(N, K))
         assert list(_splittings((2, 1), 2)) == snapshot
+
+
+class TestLamLinearExtension:
+    """The one-pass kernels on lam-series arguments against the per-order
+    references: the lam-powers of the arguments add, and values are
+    truncated at the order of the cochain, the product or the map, which
+    the arguments' order may exceed or fall short of."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_evaluate_matches_per_order(self, data):
+        arity = data.draw(st.integers(min_value=0, max_value=3))
+        phi = data.draw(cochains(arity=arity, max_deriv=1 if arity == 3 else 2))
+        args = [data.draw(lambda_polys(K=data.draw(st.sampled_from((2, 4, 6)))))
+                for _ in range(arity)]
+        assert phi.evaluate(args) == evaluate_per_order(phi, args)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_star_apply_matches_lam_pairs(self, moyal_r2, linear_2d, data):
+        spec = data.draw(st.sampled_from((moyal_r2, linear_2d)))
+        K = data.draw(st.sampled_from((2, 3, 5)))
+        f, g = data.draw(lambda_polys(K=K)), data.draw(lambda_polys(K=K))
+        assert star_apply(spec, f, g) == star_apply_by_lam_pairs(spec, f, g)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_tau_apply_matches_per_order(self, tau_linear, fixture_tau_r2, data):
+        tau = data.draw(st.sampled_from((tau_linear, fixture_tau_r2)))
+        f = data.draw(lambda_polys(K=data.draw(st.sampled_from((2, 4, 8)))))
+        assert tau.apply(f) == tau_apply_per_order(tau, f)
 
 
 class TestWitness:

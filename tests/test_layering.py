@@ -4,7 +4,9 @@ arithmetic in `terms`).  `rationals._coerce` is the one exception.
 No module of `dqw` or of the tests imports a name it does not use;
 the re-exports of an `__init__.py` are exempt.  No module of `dqw`
 imports `hashlib`, which maps OpenSSL's libcrypto into every process,
-other than as the fallback of an `except ImportError` clause."""
+other than as the fallback of an `except ImportError` clause.  The
+kernels compute on flat scalar terms only: their code never names
+`QPolynomial` (a docstring may)."""
 
 import ast
 import pathlib
@@ -14,6 +16,7 @@ import dqw
 SRC = pathlib.Path(dqw.__file__).parent
 TESTS = pathlib.Path(__file__).parent
 SHARED_PRIVATE = {"rationals"}
+KERNELS = ("cochain", "weyl", "taubuild", "functionals", "cobsolver", "koszul")
 
 
 def _private_imports(path):
@@ -72,4 +75,17 @@ def _hashlib_imports(path):
 
 def test_no_hashlib_imports():
     found = [line for path in sorted(SRC.glob("*.py")) for line in _hashlib_imports(path)]
+    assert found == []
+
+
+def _qpolynomial_names(path):
+    """Code that names QPolynomial: a name, an attribute, an import or a
+    definition; docstrings are constants and do not count."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if "QPolynomial" in {getattr(node, key, None) for key in ("id", "attr", "name")}:
+            yield f"{path.name}:{node.lineno}"
+
+
+def test_kernels_do_not_name_qpolynomial():
+    found = [line for module in KERNELS for line in _qpolynomial_names(SRC / f"{module}.py")]
     assert found == []

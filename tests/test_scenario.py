@@ -234,6 +234,25 @@ class TestCli:
         code = cli_main(["run", "--scenario", "/nonexistent.json"])
         assert code == 2
 
+    @pytest.mark.parametrize("content, out", [
+        pytest.param(b'{"name": "caf\xe9"}', None, id="scenario not utf-8"),
+        pytest.param(b"[" * 10000 + b"]" * 10000, None, id="json nested 10000 deep"),
+        pytest.param((SCENARIO_DIR / "k0-degenerate.json").read_bytes(), "missing/report.json",
+                     id="out into a missing directory"),
+    ])
+    def test_unreadable_or_unwritable_file_exit_two(self, tmp_path, capsys, content, out):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_bytes(content)
+        argv = ["run", "--scenario", str(scenario)]
+        if out is not None:
+            out = tmp_path / out
+            argv += ["--out", str(out)]
+        code = cli_main(argv)
+        assert code == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("configuration error:")
+        assert str(out or scenario) in err
+
     def test_out_and_text_format(self, tmp_path, capsys):
         out = tmp_path / "report.txt"
         code = cli_main(["run", "--scenario",

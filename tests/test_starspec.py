@@ -105,7 +105,7 @@ class TestStarApply:
         f = lp(QPolynomial.coordinate(N, 0))
         g = lp(QPolynomial.coordinate(N, 1))
         out = star_apply(moyal_r2, f, g)
-        expect = f * g + LambdaPoly(N, 4, {1: QPolynomial.constant(N, gr(0, Fraction(1, 2)))})
+        expect = f * g + LambdaPoly(N, 4, {(1,): QPolynomial.constant(N, gr(0, Fraction(1, 2)))})
         assert out == expect
 
     def test_unital(self, moyal_r2):
@@ -151,7 +151,7 @@ class TestLinearPoisson:
         g = lp(QPolynomial.coordinate(N, 1), K=3)
         comm = star_apply(linear_2d, f, g) - star_apply(linear_2d, g, f)
         # [x, y] = i lam {x, y} = i lam x
-        expect = LambdaPoly(N, 3, {1: QPolynomial.coordinate(N, 0).scale(gr(0, 1))})
+        expect = LambdaPoly(N, 3, {(1,): QPolynomial.coordinate(N, 0).scale(gr(0, 1))})
         assert comm == expect
 
 

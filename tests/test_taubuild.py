@@ -426,7 +426,7 @@ def _substitution_reference(theta, f: LambdaPoly, K: int | None = None) -> WElem
     images, computed with nothing dropped and then truncated at K (not at
     all when K is None)."""
     n = len(theta)
-    KK = max([K or 0] + [r + sum(e) for r, poly in f.terms.items() for e in poly.terms])
+    KK = max([K or 0] + [r + sum(e) for r, e in f.terms])
     images = []
     for i in range(n):
         img = WElement.coordinate_q(n, KK, i)
@@ -436,13 +436,12 @@ def _substitution_reference(theta, f: LambdaPoly, K: int | None = None) -> WElem
                     Fraction(theta[i][j]) / 2)
         images.append(img)
     out = WElement.zero(n, KK)
-    for r, poly in f.terms.items():
-        for exp, c in poly.terms.items():
-            term = WElement.monomial(n, KK, r, (0,) * n, (0,) * n, c)
-            for i, e in enumerate(exp):
-                for _ in range(e):
-                    term = term * images[i]
-            out = out + term
+    for (r, exp), c in f.terms.items():
+        term = WElement.monomial(n, KK, r, (0,) * n, (0,) * n, c)
+        for i, e in enumerate(exp):
+            for _ in range(e):
+                term = term * images[i]
+        out = out + term
     return out if K is None else WElement(n, K, out.terms)
 
 
@@ -481,14 +480,14 @@ class TestClosedForm:
         theta = [[0, 1], [-1, 0]]
         tau = ClosedFormTau(theta, 8)
         f = lp(QPolynomial.monomial(N, (1, 1)) + QPolynomial.monomial(N, (2, 0)), 8)
-        derivative = QPolynomial.derivative
+        derivative = LambdaPoly.derivative
 
-        def checked(poly, j):
-            top = tuple(map(max, zip(*poly.terms)))
-            assert all(x <= t for x, t in zip(j, top)), f"D^{j} of {poly}"
-            return derivative(poly, j)
+        def checked(series, j):
+            top = tuple(map(max, zip(*(e for _r, e in series.terms))))
+            assert all(x <= t for x, t in zip(j, top)), f"D^{j} of {series}"
+            return derivative(series, j)
 
-        monkeypatch.setattr(QPolynomial, "derivative", checked)
+        monkeypatch.setattr(LambdaPoly, "derivative", checked)
         assert tau.apply(f) == _substitution_reference(theta, f, 8)
 
     def test_rejects_non_antisymmetric_theta(self):
@@ -568,7 +567,7 @@ def _first_ordered_violation(tau, spec, max_q_degree=2):
     """The realization check over every ordered pair, diagonal included:
     the violation text of the first failing pair, or None."""
     cl = tau.classical_part()
-    basis = [QPolynomial.monomial(tau.n, e)
+    basis = [LambdaPoly(tau.n, 0, {(0, e): 1})
              for t in range(1, max_q_degree + 1) for e in exponents(tau.n, t)]
     for f in basis:
         for g in basis:

@@ -142,8 +142,8 @@ class TestAlgebraLaws:
 def test_lambda_poly_arithmetic():
     f = LambdaPoly.from_poly(QPolynomial.coordinate(N, 0), K)
     g = shift_lam(LambdaPoly.constant(N, K, 2), K)
-    assert (f + g).coefficient(K) == QPolynomial.constant(N, 2)
-    assert (f * f).coefficient(0) == QPolynomial.monomial(N, (2, 0))
+    assert {k: c for k, c in (f + g).terms.items() if k[0] == K} == {(K, (0, 0)): gr(2)}
+    assert {k: c for k, c in (f * f).terms.items() if k[0] == 0} == {(0, (2, 0)): gr(1)}
     # truncation in the pointwise product
     h = shift_lam(LambdaPoly.constant(N, K, 1), 3)
     assert (h * h).is_zero()
@@ -154,6 +154,6 @@ def test_lambda_poly_json_roundtrip():
     data = {"n": N, "max_order": K,
             "coeffs": [{"lam": 0, "poly": [[[1, 0], "1"]]},
                        {"lam": 2, "poly": [[[0, 0], "1-2 i"]]}]}
-    f = LambdaPoly(N, K, {0: QPolynomial.coordinate(N, 0),
-                          2: QPolynomial.constant(N, gr(1, -2))})
+    f = LambdaPoly(N, K, {(0,): QPolynomial.coordinate(N, 0),
+                          (2,): QPolynomial.constant(N, gr(1, -2))})
     assert read_lambda_poly("f", data, N) == f

@@ -179,8 +179,8 @@ class TestChartMaps:
         x = q(0) * q(0) + p(0) * p(0) - lam()
         f = iota_star(x)
         assert f == LambdaPoly(N, K, {
-            0: QPolynomial.monomial(N, (2, 0)),
-            1: QPolynomial.constant(N, -1),
+            (0,): QPolynomial.monomial(N, (2, 0)),
+            (1,): QPolynomial.constant(N, -1),
         })
 
     def test_section_property(self):
