@@ -1,19 +1,27 @@
-"""Positive functionals and their deformation along the embedding.
+"""Positive functionals, their deformation along the embedding, and the
+positivity verdicts of a run.
 
-The implemented classical functionals are finite positive atomic
-measures with matrix compression: Omega_0(A) = sum_a v_a* A(x_a) v_a for
-rational points x_a and vectors v_a.  These are exactly representable,
-positive on squares by construction, and include the point-evaluation
-functional that witnesses failure of naive positivity.
+The classical functionals are finite positive atomic measures with
+matrix compression: Omega_0(A) = sum_a v_a* A(x_a) v_a for rational
+points x_a and vectors v_a.  These are exactly representable, positive
+on squares by construction, and include the point-evaluation functional
+that witnesses failure of naive positivity.
 
-The quantum-corrected functional is the composite
+The deformed functional is the composite
 
     f  ->  Omega_0( at p = 0 )( U( tau(f) ) ),
 
 where tau is the multiplicative embedding and U is the inverse of the
-runtime-verified operator carrying the z/zbar-pairing product to the
+runtime-certified operator carrying the z/zbar-pairing product to the
 q/p-pairing product.  Positivity of each value then reduces to the
-automatic positivity of atomic functionals for the z/zbar product.
+positivity of atomic functionals for the z/zbar product, which holds
+coefficientwise (the Wick certificate in `tests/oracles.py` exhibits
+it).
+
+Every functional acts on a `MatrixLambdaPoly`; a scalar test element is
+a 1 x 1 matrix.  A run squares its tests once (`star_squares`) and
+classifies omega(f~ * f) of each by its leading lam-coefficient
+(`check_positivity`).
 
 Truncation honesty: U contracts two momentum degrees into one
 lam-power, so the unknown components of tau above its order tau.K can
@@ -32,10 +40,9 @@ from fractions import Fraction
 from .qpoly import DimensionMismatch
 from .rationals import GaussianRational, ZERO, _coerce
 from .starspec import StarProductSpec, star_apply
-from .terms import SquareMatrix, factorial, shift, zeros
-from .welement import LambdaPoly, NonRealSeries, SeriesSign, real_series_from_complex
-from .weyl import (MatrixWElement, exp_laplace_exact, iota_star,
-                   resolve_fock_sign, wick_product)
+from .terms import SquareMatrix
+from .welement import LambdaPoly, SeriesSign, real_series_from_complex
+from .weyl import exp_laplace_exact, iota_star, resolve_fock_sign
 
 
 class PartitionError(ValueError):
@@ -47,18 +54,14 @@ class PartitionError(ValueError):
 # ---------------------------------------------------------------------------
 
 class MatrixLambdaPoly(SquareMatrix):
-    """A square matrix of base lam-series.  Used for the matrix
-    amplifications of positivity tests."""
+    """A square matrix of base lam-series: a test element, with the
+    matrix amplifications of positivity tests as its larger sizes."""
 
     __slots__ = ()
     _ENTRY = LambdaPoly
 
     def star_mul(self, spec: StarProductSpec, other: "MatrixLambdaPoly") -> "MatrixLambdaPoly":
         return self._product(other, lambda x, y: star_apply(spec, x, y))
-
-
-def as_matrix(f) -> MatrixLambdaPoly:
-    return f if isinstance(f, MatrixLambdaPoly) else MatrixLambdaPoly.scalar(f)
 
 
 # ---------------------------------------------------------------------------
@@ -90,14 +93,6 @@ class StateFunctional:
 
     def __setattr__(self, name, value):
         raise AttributeError("StateFunctional is immutable")
-
-    def mass(self) -> Fraction:
-        """Value on the identity: sum of squared vector norms."""
-        total = Fraction(0)
-        for _pt, v in self.atoms:
-            for x in v:
-                total += x.re * x.re + x.im * x.im
-        return total
 
     def eval_matrix_series(self, entries, K: int) -> tuple:
         """sum_a v_a* M(x_a) v_a for a matrix of LambdaPoly entries.
@@ -149,19 +144,10 @@ class UndeformedExtension:
         raise AttributeError("UndeformedExtension is immutable")
 
     @property
-    def n(self):
-        return self.base.n
-
-    @property
-    def N(self):
-        return self.base.N
-
-    @property
     def sound_order(self):
         return self.K
 
-    def action(self, f) -> tuple:
-        m = as_matrix(f)
+    def action(self, m: MatrixLambdaPoly) -> tuple:
         if m.N != self.base.N or m.n != self.base.n:
             raise DimensionMismatch("test element has wrong shape")
         return self.base.eval_matrix_series(m.entries, self.K)
@@ -190,14 +176,6 @@ class DeformedFunctional:
         raise AttributeError("DeformedFunctional is immutable")
 
     @property
-    def n(self):
-        return self.base.n
-
-    @property
-    def N(self):
-        return self.base.N
-
-    @property
     def sound_order(self) -> int:
         """Highest lam-order of the output that is exact.
 
@@ -212,8 +190,7 @@ class DeformedFunctional:
         u = exp_laplace_exact(w, -self.sigma)
         return iota_star(u)
 
-    def action(self, f) -> tuple:
-        m = as_matrix(f)
+    def action(self, m: MatrixLambdaPoly) -> tuple:
         if m.N != self.base.N or m.n != self.base.n:
             raise DimensionMismatch("test element has wrong shape")
         pushed = [[self._push_entry(x) for x in row] for row in m.entries]
@@ -232,91 +209,6 @@ class DeformedFunctional:
 
 def deform_functional(base: StateFunctional, tau, K: int | None = None) -> DeformedFunctional:
     return DeformedFunctional(base, tau, tau.K if K is None else K)
-
-
-# ---------------------------------------------------------------------------
-# automatic positivity certificate for the z/zbar product
-# ---------------------------------------------------------------------------
-
-# coefficients: the Fraction per lam-power; entries: the decomposition
-# entries per lam-power
-WickCertificate = namedtuple("WickCertificate",
-                             "coefficients entries all_nonnegative")
-
-
-def wick_positivity_certificate(state: StateFunctional, A: MatrixWElement) -> WickCertificate:
-    """Certify Omega_0(A~ . A) >= 0 coefficientwise for the z/zbar
-    product, for lam-free A, by exhibiting each lam^r coefficient as
-    (2^r / M!) sums of squared moduli of zbar-derivative evaluations.
-    """
-    if A.N != state.N or A.n != state.n:
-        raise DimensionMismatch("matrix element has wrong shape")
-    if any(key[0] for row in A.entries for x in row for key in x.terms):
-        raise ValueError("certificate requires a lam-free matrix element")
-    K = A.K
-    n = A.n
-
-    def dzbar(m: MatrixWElement, k: int) -> MatrixWElement:
-        half = Fraction(1, 2)
-        return m.map_entries(
-            lambda x: x.diff_q(k).scale(half) + x.diff_p(k).scale(GaussianRational(0, half))
-        )
-
-    # value = Omega_0( (A~ . A) at p=0 ), computed independently
-    prod = wick_product(A.involution(), A)
-    pushed = [[iota_star(x) for x in row] for row in prod.entries]
-    value = state.eval_matrix_series(pushed, K)
-    for r, c in enumerate(value):
-        if c.im:
-            raise NonRealSeries(f"lam^{r} coefficient is not real: {c}")
-
-    # decomposition: level r collects all zbar-derivative multi-indices
-    coefficients = [Fraction(0)] * (K + 1)
-    entries = []
-    level = {zeros(n): A}
-    for r in range(K + 1):
-        for M, dA in sorted(level.items()):
-            factor = Fraction(2 ** r, factorial(M))
-            at_zero = [[iota_star(x) for x in row] for row in dA.entries]
-            for ai, (point, vector) in enumerate(state.atoms):
-                norm_sq = Fraction(0)
-                for i in range(state.N):
-                    w = ZERO
-                    for j in range(state.N):
-                        series = at_zero[i][j].evaluate(point)
-                        w = w + series[0] * vector[j]
-                    norm_sq += w.re * w.re + w.im * w.im
-                if norm_sq:
-                    coefficients[r] += factor * norm_sq
-                    entries.append({
-                        "lambda_power": r,
-                        "atom": ai,
-                        "multi_index": list(M),
-                        "factor": str(factor),
-                        "norm_sq": str(norm_sq),
-                    })
-        # next derivative level
-        nxt: dict = {}
-        for M, dA in level.items():
-            for k in range(n):
-                key = shift(M, k, 1)
-                if key not in nxt:
-                    nxt[key] = dzbar(dA, k)
-        level = {k: v for k, v in nxt.items() if not v.is_zero()}
-        if not level:
-            break
-
-    for r in range(K + 1):
-        if coefficients[r] != value[r].re:
-            raise NonRealSeries(
-                f"certificate reconstruction mismatch at lam^{r}: "
-                f"{coefficients[r]} vs {value[r].re}"
-            )
-    return WickCertificate(
-        coefficients=coefficients,
-        entries=entries,
-        all_nonnegative=all(c >= 0 for c in coefficients),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +264,7 @@ def star_squares(spec: StarProductSpec, tests) -> list:
     """f~ * f, as a matrix, for every test element f.  A run squares its
     test set once and every check-pos reads the same squares."""
     squares = []
-    for f in tests:
-        m = as_matrix(f)
+    for m in tests:
         squares.append(m.involution().star_mul(spec, m))
     return squares
 
@@ -425,19 +316,10 @@ class GluedFunctional:
         raise AttributeError("GluedFunctional is immutable")
 
     @property
-    def n(self):
-        return self.spec.n
-
-    @property
-    def N(self):
-        return self.parts[0][1].N
-
-    @property
     def sound_order(self):
         return min(om.sound_order for _chi, om in self.parts)
 
-    def action(self, f) -> tuple:
-        m = as_matrix(f)
+    def action(self, m: MatrixLambdaPoly) -> tuple:
         L = self.sound_order
         out = [ZERO] * (L + 1)
         for chi, omega in self.parts:

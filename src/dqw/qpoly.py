@@ -15,10 +15,10 @@ scenario files and printed output use.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .rationals import GaussianRational, ONE, _coerce, format_scalar
-from .terms import DimensionMismatch, TermMap, accumulate, add, unit, zeros
+from .rationals import GaussianRational, _coerce, format_scalar
+from .terms import DimensionMismatch, TermMap, accumulate, add, zeros
 
 
 class QPolynomial(TermMap):
@@ -40,23 +40,8 @@ class QPolynomial(TermMap):
     # ---- constructors ----
 
     @classmethod
-    def zero(cls, n: int) -> "QPolynomial":
-        return cls(n)
-
-    @classmethod
     def constant(cls, n: int, c) -> "QPolynomial":
         return cls(n, {zeros(n): _coerce(c)})
-
-    @classmethod
-    def coordinate(cls, n: int, k: int) -> "QPolynomial":
-        """The polynomial q^{k+1} (0-based k)."""
-        if not 0 <= k < n:
-            raise IndexError(f"coordinate index {k} out of range for n={n}")
-        return cls(n, {unit(n, k): ONE})
-
-    @classmethod
-    def monomial(cls, n: int, exp: Iterable[int], c=1) -> "QPolynomial":
-        return cls(n, {tuple(exp): _coerce(c)})
 
     # ---- ring operations ----
 

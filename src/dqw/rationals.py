@@ -184,11 +184,6 @@ I = GaussianRational(0, 1)
 HALF_I = GaussianRational(0, Fraction(1, 2))
 
 
-def gr(re=0, im=0) -> GaussianRational:
-    """Shorthand constructor; accepts ints, Fractions or 'a/b' strings."""
-    return GaussianRational(Fraction(re), Fraction(im))
-
-
 # ---- canonical string form ----
 #
 # The canonical serialization of a scalar is "a/b", "a/b i" or "a/b+c/d i"

@@ -199,13 +199,15 @@ def make_linear_poisson_2d_star(K: int) -> StarProductSpec:
     dimensions, where no antisymmetric obstruction exists), then
     replaced by its Hermitian part, certified to solve the same
     equation.  So every C_i is Hermitian, and the constraint's defect is
-    A - A* with A the sum of the compositions C_i(C_j(f, g), h).
+    A - A* with A the sum of the compositions C_i(C_j(f, g), h).  At
+    K = 0 the product has no cochains.
     """
     n = 2
     z = zeros(n)
-    c1 = MultiDiffCochain(n, K, 2, {(0, z, ((1, 0), (0, 1)), (1, 0)): HALF_I,
-                                    (0, z, ((0, 1), (1, 0)), (1, 0)): -HALF_I})
-    cochains = [c1]
+    cochains = []
+    if K >= 1:
+        cochains.append(MultiDiffCochain(n, K, 2, {(0, z, ((1, 0), (0, 1)), (1, 0)): HALF_I,
+                                                   (0, z, ((0, 1), (1, 0)), (1, 0)): -HALF_I}))
     for r in range(2, K + 1):
         left = MultiDiffCochain.zero(n, K, 3)
         for i in range(1, r):

@@ -91,7 +91,7 @@ class BuildReport:
 class TauMap:
     """The built embedding: its components tau_0..tau_K."""
 
-    __slots__ = ("n", "K", "components", "hermitian")
+    __slots__ = ("n", "K", "components", "hermitian", "_total")
 
     def __init__(self, n, K, components, hermitian):
         components = tuple(components)
@@ -106,15 +106,20 @@ class TauMap:
         object.__setattr__(self, "K", K)
         object.__setattr__(self, "components", components)
         object.__setattr__(self, "hermitian", hermitian)
+        object.__setattr__(self, "_total", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TauMap is immutable")
 
     def total_cochain(self) -> MultiDiffCochain:
-        out = MultiDiffCochain.zero(self.n, self.K, 1)
-        for c in self.components:
-            out = out + c
-        return out
+        """sum_k tau_k, built on first use and then kept, since the map is
+        immutable; a run that never applies the map never builds it."""
+        if self._total is None:
+            out = MultiDiffCochain.zero(self.n, self.K, 1)
+            for c in self.components:
+                out = out + c
+            object.__setattr__(self, "_total", out)
+        return self._total
 
     def apply(self, f: LambdaPoly) -> WElement:
         """lam-linear application, truncated at combined degree K."""

@@ -166,9 +166,6 @@ class TermMap:
         """Complex conjugation of every coefficient."""
         return self._new({k: v.conjugate() for k, v in self.terms.items()})
 
-    def is_real(self) -> bool:
-        return all(v.is_real() for v in self.terms.values())
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -231,34 +228,9 @@ class SquareMatrix:
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
-    @classmethod
-    def identity(cls, N: int, n: int, K: int):
-        one = cls._ENTRY.constant(n, K, 1)
-        zero = cls._ENTRY.zero(n, K)
-        return cls([[one if i == j else zero for j in range(N)] for i in range(N)])
-
-    @classmethod
-    def scalar(cls, x):
-        return cls([[x]])
-
-    def map_entries(self, f):
-        return type(self)([[f(x) for x in row] for row in self.entries])
-
     def _check(self, other: "SquareMatrix"):
         if self.N != other.N or self.n != other.n or self.K != other.K:
             raise DimensionMismatch("matrix shape or base mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return type(self)(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return type(self)(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
 
     def _product(self, other, mul):
         """The matrix product with entry products mul(x, y)."""
@@ -280,9 +252,6 @@ class SquareMatrix:
         return type(self)(
             [[self.entries[j][i].conjugate() for j in range(self.N)] for i in range(self.N)]
         )
-
-    def is_zero(self) -> bool:
-        return all(x.is_zero() for row in self.entries for x in row)
 
     def __eq__(self, other):
         if not isinstance(other, type(self)):

@@ -22,10 +22,9 @@ import enum
 from fractions import Fraction
 from typing import Mapping
 
-from .qpoly import DimensionMismatch, QPolynomial, expand_terms, group_terms
-from .rationals import GaussianRational, ZERO, _coerce
-from .terms import (GradedTermMap, TermMap, accumulate, add, falling, shift, sub, unit,
-                    zeros)
+from .qpoly import DimensionMismatch, expand_terms, group_terms
+from .rationals import GaussianRational, ONE, ZERO, _coerce
+from .terms import GradedTermMap, TermMap, accumulate, add, falling, shift, sub, zeros
 
 
 class WElement(GradedTermMap):
@@ -54,32 +53,6 @@ class WElement(GradedTermMap):
     @classmethod
     def zero(cls, n: int, K: int) -> "WElement":
         return cls(n, K)
-
-    @classmethod
-    def from_poly(cls, poly: QPolynomial, K: int) -> "WElement":
-        return cls(poly.n, K, {(0, zeros(poly.n)): poly})
-
-    @classmethod
-    def constant(cls, n: int, K: int, c) -> "WElement":
-        return cls.monomial(n, K, 0, zeros(n), zeros(n), c)
-
-    @classmethod
-    def coordinate_q(cls, n: int, K: int, k: int) -> "WElement":
-        return cls.from_poly(QPolynomial.coordinate(n, k), K)
-
-    @classmethod
-    def coordinate_p(cls, n: int, K: int, k: int) -> "WElement":
-        if not 0 <= k < n:
-            raise IndexError(f"momentum index {k} out of range for n={n}")
-        return cls.monomial(n, K, 0, unit(n, k), zeros(n))
-
-    @classmethod
-    def lam(cls, n: int, K: int, power: int = 1) -> "WElement":
-        return cls.monomial(n, K, power, zeros(n), zeros(n))
-
-    @classmethod
-    def monomial(cls, n: int, K: int, a: int, p_exp, q_exp, c=1) -> "WElement":
-        return cls(n, K, {(a, tuple(p_exp), tuple(q_exp)): c})
 
     # ---- commutative product ----
 
@@ -111,30 +84,6 @@ class WElement(GradedTermMap):
             raise IndexError(f"momentum index {k} out of range")
         return self._new({(a, shift(idx, k, -1), exp): c * idx[k]
                           for (a, idx, exp), c in self.terms.items() if idx[k]})
-
-    def degree_image(self) -> "WElement":
-        """Apply the grading operator sum_i p_i d/dp_i + lam d/dlam."""
-        return self._new({(a, idx, exp): c * (a + sum(idx))
-                          for (a, idx, exp), c in self.terms.items() if a + sum(idx)})
-
-    def max_degree(self) -> int:
-        return max((a + sum(idx) for a, idx, _e in self.terms), default=-1)
-
-    def evaluate(self, q_point, p_point) -> tuple:
-        """Substitute numeric q and p, leaving lam formal.
-
-        Returns the tuple of lam-coefficients (length K + 1).
-        """
-        if len(q_point) != self.n or len(p_point) != self.n:
-            raise DimensionMismatch("evaluation point has wrong dimension")
-        point = [_coerce(x) for x in p_point] + [_coerce(x) for x in q_point]
-        coeffs = [ZERO] * (self.K + 1)
-        for (a, idx, exp), c in self.terms.items():
-            for x, e in zip(point, idx + exp):
-                if e:
-                    c = c * (x ** e)
-            coeffs[a] = coeffs[a] + c
-        return tuple(coeffs)
 
     # ---- structure ----
 
@@ -186,10 +135,6 @@ class LambdaPoly(TermMap):
         return cls(n, K)
 
     @classmethod
-    def from_poly(cls, poly: QPolynomial, K: int) -> "LambdaPoly":
-        return cls(poly.n, K, {(0,): poly})
-
-    @classmethod
     def constant(cls, n: int, K: int, c) -> "LambdaPoly":
         return cls(n, K, {(0, zeros(n)): c})
 
@@ -219,15 +164,23 @@ class LambdaPoly(TermMap):
 
     def evaluate(self, point) -> tuple:
         """Substitute exact coordinates; the tuple of lam-coefficients
-        (length K + 1)."""
+        (length K + 1).  Each coordinate's powers are taken once, up to
+        its top exponent, and shared by every term."""
         if len(point) != self.n:
             raise DimensionMismatch("evaluation point has wrong dimension")
-        point = [_coerce(x) for x in point]
+        tops = [max(column) for column in zip(*(exp for _r, exp in self.terms))]
+        powers = []
+        for x, top in zip(point, tops):
+            x = _coerce(x)
+            row = [ONE]
+            for _ in range(top):
+                row.append(row[-1] * x)
+            powers.append(row)
         coeffs = [ZERO] * (self.K + 1)
         for (r, exp), c in self.terms.items():
-            for x, e in zip(point, exp):
+            for row, e in zip(powers, exp):
                 if e:
-                    c = c * (x ** e)
+                    c = c * row[e]
             coeffs[r] = coeffs[r] + c
         return tuple(coeffs)
 
@@ -272,22 +225,6 @@ class RealLambdaSeries:
             if c < 0:
                 return SeriesSign.NEGATIVE
         return SeriesSign.ZERO_UP_TO_K
-
-    def __mul__(self, other: "RealLambdaSeries") -> "RealLambdaSeries":
-        K = min(self.K, other.K)
-        out = [Fraction(0)] * (K + 1)
-        for i, a in enumerate(self.coeffs[: K + 1]):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs[: K + 1 - i]):
-                out[i + j] += a * b
-        return RealLambdaSeries(out)
-
-    def __add__(self, other: "RealLambdaSeries") -> "RealLambdaSeries":
-        K = min(self.K, other.K)
-        return RealLambdaSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(K + 1)]
-        )
 
     def __eq__(self, other):
         if not isinstance(other, RealLambdaSeries):

@@ -1,34 +1,36 @@
-"""Deformed products on the formal phase-space algebra.
+"""The phase-space side of the deformation: the pairing kernel, the
+Laplacian equivalence and the chart map at zero momentum.
 
-The two products implemented here act on WElement values over n base
-coordinates q^1..q^n with conjugate momenta p_1..p_n:
+Over n base coordinates q^1..q^n with conjugate momenta p_1..p_n, two
+deformed products are given as pairing tables:
 
-* the exponential-form product pairing d/dq^k with d/dp_k
-  antisymmetrically, with r-th order coefficient (i*lam/2)^r / r!;
-* the holomorphic/antiholomorphic pairing product in the complex
-  combinations z^k = q^k + i p_k, with coefficient (2*lam)^r / r!
-  and Wirtinger derivatives d/dz = (d/dq - i d/dp)/2,
-  d/dzbar = (d/dq + i d/dp)/2.
+* the q/p pairing of d/dq^k with d/dp_k, antisymmetric, with r-th
+  order coefficient (i*lam/2)^r / r!;
+* the z/zbar pairing in the complex combinations z^k = q^k + i p_k,
+  with coefficient (2*lam)^r / r! and Wirtinger derivatives
+  d/dz = (d/dq - i d/dp)/2, d/dzbar = (d/dq + i d/dp)/2.
 
-Both products are computed exactly: on polynomial data the series
-terminate, and truncation only drops terms whose combined degree
-exceeds the element's order K.
+`propagate` computes the product of a table exactly on flat terms; the
+pipeline runs it with the q/p table on cochain values
+(`cochain.cochain_weyl_product`), the tests also on elements
+(`tests/oracles.py`).
 
 The operator family E_sigma = exp(sigma * lam * Lap) with
 Lap = sum_k d^2/dz^k dzbar^k = (1/4) sum_k (d^2/d(q^k)^2 + d^2/d(p_k)^2)
-conjugates one product into the other.  The sign sigma that actually
-intertwines them under the conventions above is not hard-coded: it is
-certified at runtime on the quadratic symbols read from the same pairing
-and Laplacian tables that the products and Lap apply.
+conjugates the z/zbar product into the q/p product.  The sign sigma
+that intertwines them under the conventions above is not hard-coded:
+it is certified at runtime on the quadratic symbols read from the same
+pairing and Laplacian tables that `propagate` and Lap apply.  The
+deformed functional applies the inverse operator (`exp_laplace_exact`)
+and then sets the momenta to zero (`iota_star`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .qpoly import DimensionMismatch
 from .rationals import GaussianRational, HALF_I, ONE, ZERO, _coerce
-from .terms import SquareMatrix, accumulate, add, shift, zeros
+from .terms import accumulate, shift
 from .welement import LambdaPoly, WElement
 
 
@@ -110,22 +112,6 @@ def propagate(left, right, pairing, dq, join, K: int) -> dict:
     return out
 
 
-def _element_dq(term: tuple, k: int):
-    a, idx, exp = term
-    m = exp[k]
-    return (((a, idx, shift(exp, k, -1)), m),) if m else ()
-
-
-def _element_join(t1: tuple, t2: tuple, r: int) -> tuple:
-    return (t1[0] + t2[0] + r, add(t1[1], t2[1]), add(t1[2], t2[2]))
-
-
-def _pair_product(a: WElement, b: WElement, pairing, K: int) -> WElement:
-    flat = propagate(a.terms.items(), b.terms.items(), pairing,
-                     _element_dq, _element_join, K)
-    return WElement._trusted((a.n, K), flat)
-
-
 # Lap = sum_k sum_(u, w) w d^2/d(u^k)^2; the operator and the sign
 # certificate both read this table.
 LAPLACIAN = tuple((u, Fraction(1, 4)) for u in "qp")
@@ -163,62 +149,8 @@ def _exp_laplace(x: WElement, sign: int, K: int) -> WElement:
 
 
 # ---------------------------------------------------------------------------
-# matrices
-# ---------------------------------------------------------------------------
-
-class MatrixWElement(SquareMatrix):
-    """A square matrix with WElement entries."""
-
-    __slots__ = ()
-    _ENTRY = WElement
-
-
-# ---------------------------------------------------------------------------
-# public products
-# ---------------------------------------------------------------------------
-
-def _product(a, b, pairing):
-    if isinstance(a, MatrixWElement):
-        if not isinstance(b, MatrixWElement):
-            raise DimensionMismatch("cannot mix matrix and scalar operands")
-        return a._product(b, lambda x, y: _pair_product(x, y, pairing, a.K))
-    a._check(b)
-    return _pair_product(a, b, pairing, a.K)
-
-
-def weyl_product(a, b):
-    """The deformed product with antisymmetric q/p derivative pairing.
-
-    Graded inputs of degree j and k multiply to degree j + k, so the
-    truncation at order K is exact.
-    """
-    return _product(a, b, WEYL_PAIRING)
-
-
-def wick_product(a, b):
-    """The deformed product pairing d/dz with d/dzbar, z^k = q^k + i p_k."""
-    return _product(a, b, WICK_PAIRING)
-
-
-def canonical_bracket(a: WElement, b: WElement) -> WElement:
-    """The canonical bracket sum_k (dq^k a * dp_k b - dp_k a * dq^k b)."""
-    a._check(b)
-    out = WElement.zero(a.n, a.K)
-    for k in range(a.n):
-        out = out + a.diff_q(k) * b.diff_p(k) - a.diff_p(k) * b.diff_q(k)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # chart maps
 # ---------------------------------------------------------------------------
-
-def pi_star(f: LambdaPoly, K: int | None = None) -> WElement:
-    """Embed a base lam-series as a p-independent element."""
-    K = f.K if K is None else K
-    z = zeros(f.n)
-    return WElement(f.n, K, {(r, z, e): c for (r, e), c in f.terms.items()})
-
 
 def iota_star(a: WElement) -> LambdaPoly:
     """Set all momenta to zero, keeping the lam-series of q-polynomials."""
@@ -269,21 +201,6 @@ def resolve_fock_sign() -> dict:
         raise ConsistencyError("equivalence sign resolution failed: "
                                f"passing signs {list(signs)}")
     return {"sigma": signs[0], "basis_size": len(_SYMBOL_KEYS)}
-
-
-def fock_equivalence(a, direction: str = "forward"):
-    """Apply the product-intertwining operator E = exp(sigma lam Lap).
-
-    direction "forward" maps the z/zbar product side into the q/p side;
-    "inverse" applies the inverse operator.  Returns (result, sigma).
-    """
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"unknown direction {direction!r}")
-    sigma = resolve_fock_sign()["sigma"]
-    s = sigma if direction == "forward" else -sigma
-    if isinstance(a, MatrixWElement):
-        return a.map_entries(lambda x: _exp_laplace(x, s, x.K)), sigma
-    return _exp_laplace(a, s, a.K), sigma
 
 
 def exp_laplace_exact(x: WElement, sign: int) -> WElement:

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from dqw.functionals import check_positivity, star_squares
+from dqw.functionals import MatrixLambdaPoly, check_positivity, star_squares
 from dqw.starspec import (make_constant_theta_star, make_linear_poisson_2d_star,
                           make_zero_star)
 from dqw.taubuild import ClosedFormTau, build_tau
@@ -14,7 +14,10 @@ SCENARIO_DIR = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def positivity_verdict(functional, spec, tests):
-    """The positivity verdict on `tests`, labelled test_0, test_1, ..."""
+    """The positivity verdict on `tests`, labelled test_0, test_1, ...; a
+    lam-series test is taken as a 1 x 1 matrix."""
+    tests = [f if isinstance(f, MatrixLambdaPoly) else MatrixLambdaPoly([[f]])
+             for f in tests]
     return check_positivity(functional, star_squares(spec, tests),
                             [f"test_{i}" for i in range(len(tests))])
 

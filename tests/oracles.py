@@ -18,21 +18,34 @@
 * The associativity check with both sides of every associator composed;
   `starspec.validate_star` takes the second side as the involution of
   the first when the product is Hermitian.
+* The deformed products of phase-space elements and of element
+  matrices, the q/p- and z/zbar-pairing products through the shared
+  `weyl.propagate` kernel; the pipeline multiplies cochain values only
+  (`cochain.cochain_weyl_product`).  With them: the canonical bracket,
+  the lift `pi_star` of a base series, the operator exp(sigma lam Lap)
+  on elements and matrices (`fock_equivalence`) and the grading
+  operator (`degree_image`).
+* The Wick positivity certificate: Omega_0(A~ . A) for the z/zbar
+  product and a lam-free matrix A, exhibited coefficientwise as sums of
+  squared moduli of zbar-derivative evaluations.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 
 from dqw.cochain import MultiDiffCochain, compose_slot, find_witness, mu_cochain
 from dqw.koszul import KoszulForm
-from dqw.qpoly import group_terms
+from dqw.qpoly import DimensionMismatch, group_terms
+from dqw.rationals import ZERO, GaussianRational
 from dqw.starspec import ValidationCheck
 from dqw.taubuild import RealizationReport
-from dqw.terms import accumulate, exponents, shift, unit
-from dqw.welement import LambdaPoly, WElement
-from dqw.weyl import _exp_laplace, canonical_bracket, weyl_product, wick_product
+from dqw.terms import SquareMatrix, accumulate, add, exponents, factorial, shift, unit, zeros
+from dqw.welement import LambdaPoly, NonRealSeries, WElement
+from dqw.weyl import (WEYL_PAIRING, WICK_PAIRING, _exp_laplace, iota_star, propagate,
+                      resolve_fock_sign)
 
 
 def monomial_basis(n: int, total_degree: int):
@@ -104,7 +117,7 @@ def poisson_bracket(spec, f: LambdaPoly, g: LambdaPoly) -> LambdaPoly:
         for l in range(spec.n):
             if theta[k][l].is_zero():
                 continue
-            out = out + LambdaPoly.from_poly(theta[k][l], f.K) * fk * \
+            out = out + LambdaPoly(spec.n, f.K, {(0,): theta[k][l]}) * fk * \
                 g.derivative(unit(spec.n, l))
     return out
 
@@ -209,3 +222,183 @@ def associativity_two_sided(spec, K=None) -> ValidationCheck:
             return ValidationCheck("associativity", False, order=m,
                                    witness=f"args ({', '.join(map(str, args))}) -> {val}")
     return ValidationCheck("associativity", True)
+
+
+# ---------------------------------------------------------------------------
+# products of phase-space elements
+# ---------------------------------------------------------------------------
+
+class MatrixWElement(SquareMatrix):
+    """A square matrix with WElement entries."""
+
+    __slots__ = ()
+    _ENTRY = WElement
+
+    @classmethod
+    def identity(cls, N: int, n: int, K: int) -> "MatrixWElement":
+        one = WElement(n, K, {(0, zeros(n), zeros(n)): 1})
+        zero = WElement.zero(n, K)
+        return cls([[one if i == j else zero for j in range(N)] for i in range(N)])
+
+    def map_entries(self, f) -> "MatrixWElement":
+        return type(self)([[f(x) for x in row] for row in self.entries])
+
+    def __add__(self, other: "MatrixWElement") -> "MatrixWElement":
+        self._check(other)
+        return type(self)([[a + b for a, b in zip(r1, r2)]
+                           for r1, r2 in zip(self.entries, other.entries)])
+
+    def is_zero(self) -> bool:
+        return all(x.is_zero() for row in self.entries for x in row)
+
+
+def _element_dq(term: tuple, k: int):
+    a, idx, exp = term
+    m = exp[k]
+    return (((a, idx, shift(exp, k, -1)), m),) if m else ()
+
+
+def _element_join(t1: tuple, t2: tuple, r: int) -> tuple:
+    return (t1[0] + t2[0] + r, add(t1[1], t2[1]), add(t1[2], t2[2]))
+
+
+def _pair_product(a, b, pairing):
+    if isinstance(a, MatrixWElement):
+        if not isinstance(b, MatrixWElement):
+            raise DimensionMismatch("cannot mix matrix and scalar operands")
+        return a._product(b, lambda x, y: _pair_product(x, y, pairing))
+    a._check(b)
+    flat = propagate(a.terms.items(), b.terms.items(), pairing,
+                     _element_dq, _element_join, a.K)
+    return WElement._trusted((a.n, a.K), flat)
+
+
+def weyl_product(a, b):
+    """The q/p-pairing product of two elements or two element matrices.
+    Graded inputs of degree j and k multiply to degree j + k, so the
+    truncation at order K is exact."""
+    return _pair_product(a, b, WEYL_PAIRING)
+
+
+def wick_product(a, b):
+    """The z/zbar-pairing product, z^k = q^k + i p_k."""
+    return _pair_product(a, b, WICK_PAIRING)
+
+
+def canonical_bracket(a: WElement, b: WElement) -> WElement:
+    """sum_k (dq^k a * dp_k b - dp_k a * dq^k b)."""
+    a._check(b)
+    out = WElement.zero(a.n, a.K)
+    for k in range(a.n):
+        out = out + a.diff_q(k) * b.diff_p(k) - a.diff_p(k) * b.diff_q(k)
+    return out
+
+
+def pi_star(f: LambdaPoly) -> WElement:
+    """A base lam-series as a p-independent element."""
+    z = zeros(f.n)
+    return WElement(f.n, f.K, {(r, z, e): c for (r, e), c in f.terms.items()})
+
+
+def fock_equivalence(a, direction: str = "forward"):
+    """exp(sigma lam Lap) on an element or element matrix, mapping the
+    z/zbar product side into the q/p side ("forward") or back
+    ("inverse"), truncated at the operand's order.  Returns (result,
+    sigma)."""
+    if direction not in ("forward", "inverse"):
+        raise ValueError(f"unknown direction {direction!r}")
+    sigma = resolve_fock_sign()["sigma"]
+    s = sigma if direction == "forward" else -sigma
+    if isinstance(a, MatrixWElement):
+        return a.map_entries(lambda x: _exp_laplace(x, s, x.K)), sigma
+    return _exp_laplace(a, s, a.K), sigma
+
+
+def degree_image(x: WElement) -> WElement:
+    """The grading operator sum_i p_i d/dp_i + lam d/dlam applied to x."""
+    return WElement(x.n, x.K, {(a, idx, exp): c * (a + sum(idx))
+                               for (a, idx, exp), c in x.terms.items()})
+
+
+# ---------------------------------------------------------------------------
+# the Wick positivity certificate
+# ---------------------------------------------------------------------------
+
+# coefficients: the Fraction per lam-power; entries: the decomposition
+# entries per lam-power
+WickCertificate = namedtuple("WickCertificate",
+                             "coefficients entries all_nonnegative")
+
+
+def wick_positivity_certificate(state, A: MatrixWElement) -> WickCertificate:
+    """Certify Omega_0(A~ . A) >= 0 coefficientwise for the z/zbar
+    product, for lam-free A, by exhibiting each lam^r coefficient as
+    (2^r / M!) sums of squared moduli of zbar-derivative evaluations."""
+    if A.N != state.N or A.n != state.n:
+        raise DimensionMismatch("matrix element has wrong shape")
+    if any(key[0] for row in A.entries for x in row for key in x.terms):
+        raise ValueError("certificate requires a lam-free matrix element")
+    K = A.K
+    n = A.n
+
+    def dzbar(m: MatrixWElement, k: int) -> MatrixWElement:
+        half = Fraction(1, 2)
+        return m.map_entries(
+            lambda x: x.diff_q(k).scale(half) + x.diff_p(k).scale(GaussianRational(0, half))
+        )
+
+    # value = Omega_0( (A~ . A) at p=0 ), computed independently
+    prod = wick_product(A.involution(), A)
+    pushed = [[iota_star(x) for x in row] for row in prod.entries]
+    value = state.eval_matrix_series(pushed, K)
+    for r, c in enumerate(value):
+        if c.im:
+            raise NonRealSeries(f"lam^{r} coefficient is not real: {c}")
+
+    # decomposition: level r collects all zbar-derivative multi-indices
+    coefficients = [Fraction(0)] * (K + 1)
+    entries = []
+    level = {zeros(n): A}
+    for r in range(K + 1):
+        for M, dA in sorted(level.items()):
+            factor = Fraction(2 ** r, factorial(M))
+            at_zero = [[iota_star(x) for x in row] for row in dA.entries]
+            for ai, (point, vector) in enumerate(state.atoms):
+                norm_sq = Fraction(0)
+                for i in range(state.N):
+                    w = ZERO
+                    for j in range(state.N):
+                        series = at_zero[i][j].evaluate(point)
+                        w = w + series[0] * vector[j]
+                    norm_sq += w.re * w.re + w.im * w.im
+                if norm_sq:
+                    coefficients[r] += factor * norm_sq
+                    entries.append({
+                        "lambda_power": r,
+                        "atom": ai,
+                        "multi_index": list(M),
+                        "factor": str(factor),
+                        "norm_sq": str(norm_sq),
+                    })
+        # next derivative level
+        nxt: dict = {}
+        for M, dA in level.items():
+            for k in range(n):
+                key = shift(M, k, 1)
+                if key not in nxt:
+                    nxt[key] = dzbar(dA, k)
+        level = {k: v for k, v in nxt.items() if not v.is_zero()}
+        if not level:
+            break
+
+    for r in range(K + 1):
+        if coefficients[r] != value[r].re:
+            raise NonRealSeries(
+                f"certificate reconstruction mismatch at lam^{r}: "
+                f"{coefficients[r]} vs {value[r].re}"
+            )
+    return WickCertificate(
+        coefficients=coefficients,
+        entries=entries,
+        all_nonnegative=all(c >= 0 for c in coefficients),
+    )

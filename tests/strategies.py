@@ -1,5 +1,6 @@
 """Hypothesis strategies for the exact-arithmetic types (kept small so
-the symbolic property tests stay fast)."""
+the symbolic property tests stay fast), and the shorthand builders the
+tests write their literals with."""
 
 from fractions import Fraction
 
@@ -7,8 +8,41 @@ import hypothesis.strategies as st
 
 from dqw.qpoly import QPolynomial
 from dqw.rationals import GaussianRational
+from dqw.terms import unit, zeros
 from dqw.welement import LambdaPoly, RealLambdaSeries, WElement
 from dqw.cochain import MultiDiffCochain
+
+# a scalar from ints, Fractions or 'a/b' strings: gr(re, im)
+gr = GaussianRational
+
+
+def coordinate(n: int, k: int) -> QPolynomial:
+    """The polynomial q^(k+1) (0-based k)."""
+    return QPolynomial(n, {unit(n, k): 1})
+
+
+def monomial(n: int, exp, c=1) -> QPolynomial:
+    return QPolynomial(n, {tuple(exp): c})
+
+
+def series(poly: QPolynomial, K: int) -> LambdaPoly:
+    """The lam-free base series of a polynomial."""
+    return LambdaPoly(poly.n, K, {(0,): poly})
+
+
+def element(poly: QPolynomial, K: int) -> WElement:
+    """The lam- and momentum-free element of a polynomial."""
+    return WElement(poly.n, K, {(0, zeros(poly.n)): poly})
+
+
+def momentum(n: int, K: int, k: int) -> WElement:
+    """The element p_(k+1) (0-based k)."""
+    return WElement(n, K, {(0, unit(n, k), zeros(n)): 1})
+
+
+def lam_power(n: int, K: int, power: int = 1) -> WElement:
+    """The element lam^power."""
+    return WElement(n, K, {(power, zeros(n), zeros(n)): 1})
 
 
 def fractions(max_num=6, max_den=4):

@@ -9,10 +9,11 @@ from dqw.cobsolver import (CocyclePrecondition, check_solvability_preconditions,
                            solve_sparse_system)
 from dqw.cochain import MultiDiffCochain, coboundary
 from dqw.qpoly import QPolynomial
-from dqw.rationals import gr
 from dqw.starspec import make_linear_poisson_2d_star
 from dqw.terms import exponents
 from dqw.weyl import ConsistencyError
+
+from strategies import gr, monomial
 
 N, K = 2, 4
 ZERO_IDX = (0, 0)
@@ -32,7 +33,7 @@ def random_arity1(rng, degree, terms=3, max_deriv=2, max_qdeg=1, n=N):
         exp = tuple(rng.randint(0, max_qdeg) for _ in range(n))
         c = gr(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-2, 2)))
         key = (a, tuple(idx), (j,))
-        poly = QPolynomial.monomial(n, exp, c)
+        poly = monomial(n, exp, c)
         if key in data:
             data[key] = data[key] + poly
         else:
@@ -90,7 +91,7 @@ class TestRoundTrips:
         assert solved >= 20 and with_potential >= 3
 
     def test_lambda_biderivation_with_polynomial_coefficients(self):
-        c = QPolynomial.monomial(N, (2, 1))
+        c = monomial(N, (2, 1))
         phi = MultiDiffCochain(N, K, 2, {
             (1, ZERO_IDX, ((1, 0), (0, 1))): c,
             (1, ZERO_IDX, ((0, 1), (1, 0))): -c,
@@ -187,7 +188,7 @@ def random_normalized_arity2(rng, n, terms=3, max_order=2):
         exp = tuple(rng.randint(0, 1) for _ in range(n))
         c = gr(Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-2, 2))
         key = (a, idx, jvec)
-        poly = QPolynomial.monomial(n, exp, c)
+        poly = monomial(n, exp, c)
         data[key] = data[key] + poly if key in data else poly
     return MultiDiffCochain(n, K, 2, data)
 

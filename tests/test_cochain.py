@@ -13,14 +13,14 @@ from dqw.cochain import (MultiDiffCochain, _splittings, alt, biderivation_cochai
                          find_witness, identity_cochain, mu_cochain,
                          plug_constant)
 from dqw.qpoly import QPolynomial
-from dqw.rationals import I, gr
+from dqw.rationals import I
 from dqw.starspec import star_apply
 from dqw.terms import accumulate, shift, zeros
 from dqw.welement import LambdaPoly, WElement
-from dqw.weyl import weyl_product
 
-from oracles import evaluate_per_order, star_apply_by_lam_pairs, tau_apply_per_order
-from strategies import cochains, exponents, gaussian_rationals, lambda_polys
+from oracles import (evaluate_per_order, star_apply_by_lam_pairs, tau_apply_per_order,
+                     weyl_product)
+from strategies import cochains, coordinate, exponents, gaussian_rationals, gr, lambda_polys
 
 N, K = 2, 4
 ZERO_IDX = (0, 0)
@@ -411,8 +411,8 @@ class TestWitness:
 
 
 def test_biderivation_is_cocycle():
-    theta = [[QPolynomial.zero(N), QPolynomial.coordinate(N, 0)],
-             [-QPolynomial.coordinate(N, 0), QPolynomial.zero(N)]]
+    theta = [[QPolynomial(N), coordinate(N, 0)],
+             [-coordinate(N, 0), QPolynomial(N)]]
     bid = biderivation_cochain(N, K, theta)
     assert coboundary(bid, True).is_zero()
     assert coboundary(bid, False).is_zero()

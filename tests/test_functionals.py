@@ -5,28 +5,35 @@ import pytest
 
 from dqw.functionals import (GluedFunctional, MatrixLambdaPoly, PartitionError,
                              StateFunctional, UndeformedExtension, deform_functional,
-                             star_squares, wick_positivity_certificate)
+                             star_squares)
 from dqw.qpoly import QPolynomial
-from dqw.rationals import I, gr
+from dqw.rationals import I
 from dqw.cli import build_star_product, build_tau_map
 from dqw.scenario import (Scenario, generate_tests, load_scenario, random_lambda_poly,
                           read_functional)
 from dqw.welement import LambdaPoly, NonRealSeries, SeriesSign, WElement
-from dqw.weyl import MatrixWElement, exp_laplace_exact, iota_star, resolve_fock_sign
+from dqw.weyl import exp_laplace_exact, iota_star, resolve_fock_sign
 
 from conftest import SCENARIO_DIR, positivity_verdict
+from oracles import MatrixWElement, wick_positivity_certificate
+from strategies import coordinate, element, gr, lam_power, momentum, monomial, series
 from test_taubuild import _substitution_reference, seeded_theta
 
 N_DIM, K = 2, 4
 
 
 def lp(poly, KK=K):
-    return LambdaPoly.from_poly(poly, KK)
+    return series(poly, KK)
+
+
+def scalar(f):
+    """A lam-series as the 1 x 1 matrix every functional acts on."""
+    return MatrixLambdaPoly([[f]])
 
 
 def counterexample_test():
-    return lp(QPolynomial.coordinate(N_DIM, 0) +
-              QPolynomial.coordinate(N_DIM, 1).scale(I))
+    return lp(coordinate(N_DIM, 0) +
+              coordinate(N_DIM, 1).scale(I))
 
 
 @pytest.fixture(scope="module")
@@ -36,13 +43,11 @@ def delta0():
 
 class TestStateFunctional:
     def test_delta_functional(self, delta0):
-        assert delta0.mass() == 1
-        f = [[lp(QPolynomial.monomial(N_DIM, (2, 0), 3))]]
+        f = [[lp(monomial(N_DIM, (2, 0), 3))]]
         assert str(delta0.eval_matrix_series(f, K)[0]) == "0"
 
     def test_empty_atom_list_is_zero(self):
         zero = StateFunctional(N_DIM, 1, [])
-        assert zero.mass() == 0
         f = [[lp(QPolynomial.constant(N_DIM, 5))]]
         assert all(not c for c in zero.eval_matrix_series(f, K))
 
@@ -80,18 +85,18 @@ class TestStateFunctional:
 
 class TestWickCertificate:
     def _z(self, k=0):
-        return WElement.coordinate_q(N_DIM, K, k) + \
-            WElement.coordinate_p(N_DIM, K, k).scale(I)
+        return element(coordinate(N_DIM, k), K) + \
+            momentum(N_DIM, K, k).scale(I)
 
     def test_antiholomorphic_coordinate(self, delta0):
         cert = wick_positivity_certificate(
-            delta0, MatrixWElement.scalar(self._z().conjugate()))
+            delta0, MatrixWElement([[self._z().conjugate()]]))
         assert [str(c) for c in cert.coefficients] == ["0", "2", "0", "0", "0"]
         assert cert.all_nonnegative
         assert any(e["lambda_power"] == 1 for e in cert.entries)
 
     def test_holomorphic_coordinate_vanishes(self, delta0):
-        cert = wick_positivity_certificate(delta0, MatrixWElement.scalar(self._z()))
+        cert = wick_positivity_certificate(delta0, MatrixWElement([[self._z()]]))
         assert all(c == 0 for c in cert.coefficients)
 
     def test_identity_matrix(self, delta0):
@@ -102,7 +107,7 @@ class TestWickCertificate:
     def test_rejects_lambda_content(self, delta0):
         with pytest.raises(ValueError):
             wick_positivity_certificate(
-                delta0, MatrixWElement.scalar(WElement.lam(N_DIM, K)))
+                delta0, MatrixWElement([[lam_power(N_DIM, K)]]))
 
     def test_seeded_random_matrices_nonnegative(self):
         rng = random.Random(99)
@@ -127,8 +132,7 @@ class TestWickCertificate:
                             pidx[rng.randrange(N_DIM)] += 1
                         qexp = tuple(rng.randint(0, 1) for _ in range(N_DIM))
                         key = (0, tuple(pidx))
-                        poly = QPolynomial.monomial(
-                            N_DIM, qexp, gr(rng.randint(-2, 2), rng.randint(-2, 2)))
+                        poly = monomial(N_DIM, qexp, gr(rng.randint(-2, 2), rng.randint(-2, 2)))
                         if key in terms:
                             terms[key] = terms[key] + poly
                         else:
@@ -142,7 +146,7 @@ class TestWickCertificate:
 class TestDeformedFunctional:
     def test_unital(self, moyal_r2, fixture_tau_r2, delta0):
         omega = deform_functional(delta0, fixture_tau_r2, K=K)
-        out = omega.action(LambdaPoly.constant(N_DIM, K, 1))
+        out = omega.action(scalar(LambdaPoly.constant(N_DIM, K, 1)))
         assert str(out[0]) == "1"
         assert all(not c for c in out[1:])
 
@@ -151,7 +155,7 @@ class TestDeformedFunctional:
         omega = deform_functional(delta0, fixture_tau_r2, K=K)
         f = counterexample_test()
         g = star_apply(moyal_r2, f.conjugate(), f)
-        out = omega.action(g)
+        out = omega.action(scalar(g))
         assert [str(c) for c in out] == ["0", "1/4", "0", "0", "0"]
 
     def test_classical_limit_property(self, fixture_tau_r2, delta0):
@@ -159,7 +163,7 @@ class TestDeformedFunctional:
         omega = deform_functional(delta0, fixture_tau_r2, K=K)
         for _ in range(10):
             f = random_lambda_poly(rng, N_DIM, K, 3, 3, True)
-            out = omega.action(f)
+            out = omega.action(scalar(f))
             assert out[0] == f.evaluate((0, 0))[0]
 
     def test_sound_order(self, tau_moyal_r2, fixture_tau_r2, delta0):
@@ -263,7 +267,7 @@ class TestGlue:
         omega = UndeformedExtension(delta0, K)
         glued = GluedFunctional(
             [(LambdaPoly.constant(N_DIM, K, 1), omega)], moyal_r2)
-        f = lp(QPolynomial.monomial(N_DIM, (1, 1), gr(2, 1)))
+        f = scalar(lp(monomial(N_DIM, (1, 1), gr(2, 1))))
         assert glued.action(f) == omega.action(f)[: glued.sound_order + 1]
 
     def test_convex_combination(self, moyal_r2):
@@ -274,8 +278,7 @@ class TestGlue:
         chi1 = LambdaPoly.constant(N_DIM, K, Fraction(3, 5))
         chi2 = LambdaPoly.constant(N_DIM, K, Fraction(4, 5))
         glued = GluedFunctional([(chi1, d1), (chi2, d2)], moyal_r2)
-        f = lp(QPolynomial.coordinate(N_DIM, 0))
-        out = glued.action(f)
+        out = glued.action(scalar(lp(coordinate(N_DIM, 0))))
         # (9/25) f(1,0) + (16/25) f(0,1)
         assert str(out[0]) == "9/25"
 

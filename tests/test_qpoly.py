@@ -6,16 +6,15 @@ import pytest
 from hypothesis import given
 
 from dqw.qpoly import DimensionMismatch, QPolynomial
-from dqw.rationals import gr
 from dqw.scenario import read_qpolynomial
 from dqw.terms import exponents, shift
 from dqw.welement import LambdaPoly
 
-from strategies import qpolynomials
+from strategies import coordinate, gr, qpolynomials
 
 
 def q(k, n=2):
-    return QPolynomial.coordinate(n, k)
+    return coordinate(n, k)
 
 
 def test_canonical_no_zero_terms():
@@ -89,7 +88,7 @@ def test_evaluate():
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        q(0, 2) * QPolynomial.coordinate(3, 0)
+        q(0, 2) * coordinate(3, 0)
 
 
 @given(qpolynomials(), qpolynomials(), qpolynomials())
@@ -97,7 +96,7 @@ def test_ring_axioms(a, b, c):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert a * b == b * a
-    assert a - a == QPolynomial.zero(2)
+    assert a - a == QPolynomial(2)
 
 
 @given(qpolynomials(), qpolynomials())

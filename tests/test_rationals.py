@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dqw.rationals import ZERO, GaussianRational, format_scalar, gr, parse_scalar
+from dqw.rationals import ZERO, GaussianRational, format_scalar, parse_scalar
 
-from strategies import fractions, gaussian_rationals
+from strategies import fractions, gaussian_rationals, gr
 
 
 def test_exact_add_sub():

@@ -253,6 +253,24 @@ class TestCli:
         assert stdout == "" and err.startswith("configuration error:")
         assert str(out or scenario) in err
 
+    @pytest.mark.parametrize("K, extra", [
+        pytest.param(3, ["--max-order", "0"], id="linear bracket at max-order 0"),
+        pytest.param(0, [], id="linear bracket scenario with K 0"),
+    ])
+    def test_linear_bracket_at_order_zero(self, tmp_path, capsys, K, extra):
+        # the generator has no C_1 at K = 0; every step runs and passes
+        data = json.loads((SCENARIO_DIR / "linear-poisson-2d.json").read_text())
+        data["K"] = K
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(data))
+        code = cli_main(["run", "--scenario", str(scenario), *extra])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["scenario"]["K"] == 0
+        assert [(r["op"], r["outcome"]) for r in report["commands"]] == [
+            ("validate", "pass"), ("build-tau", "pass"), ("deform", "pass"),
+            ("check-pos", "pass")]
+
     def test_out_and_text_format(self, tmp_path, capsys):
         out = tmp_path / "report.txt"
         code = cli_main(["run", "--scenario",

@@ -6,7 +6,6 @@ import pytest
 from dqw import starspec
 from dqw.cochain import MultiDiffCochain
 from dqw.qpoly import QPolynomial
-from dqw.rationals import gr
 from dqw.scenario import read_star_product_spec
 from dqw.starspec import (InvalidStarProduct, StarProductSpec, make_constant_theta_star,
                           make_linear_poisson_2d_star, make_zero_star, perturb_cochain,
@@ -15,12 +14,13 @@ from dqw.terms import zeros
 from dqw.welement import LambdaPoly
 
 from oracles import associativity_two_sided, shift_lam
+from strategies import coordinate, gr, monomial, series
 
 N = 2
 
 
 def lp(poly, K=4):
-    return LambdaPoly.from_poly(poly, K)
+    return series(poly, K)
 
 
 class TestConstantThetaGenerator:
@@ -102,32 +102,32 @@ class TestValidator:
 
 class TestStarApply:
     def test_coordinates(self, moyal_r2):
-        f = lp(QPolynomial.coordinate(N, 0))
-        g = lp(QPolynomial.coordinate(N, 1))
+        f = lp(coordinate(N, 0))
+        g = lp(coordinate(N, 1))
         out = star_apply(moyal_r2, f, g)
         expect = f * g + LambdaPoly(N, 4, {(1,): QPolynomial.constant(N, gr(0, Fraction(1, 2)))})
         assert out == expect
 
     def test_unital(self, moyal_r2):
         one = LambdaPoly.constant(N, 4, 1)
-        f = lp(QPolynomial.monomial(N, (2, 1)))
+        f = lp(monomial(N, (2, 1)))
         assert star_apply(moyal_r2, one, f) == f
         assert star_apply(moyal_r2, f, one) == f
 
     def test_zero_poisson_is_pointwise(self, zero_star):
-        f = lp(QPolynomial.coordinate(N, 0), K=3)
-        g = lp(QPolynomial.monomial(N, (1, 2)), K=3)
+        f = lp(coordinate(N, 0), K=3)
+        g = lp(monomial(N, (1, 2)), K=3)
         assert star_apply(zero_star, f, g) == f * g
 
     def test_lambda_bilinear(self, moyal_r2):
-        f = lp(QPolynomial.coordinate(N, 0))
-        g = lp(QPolynomial.coordinate(N, 1))
+        f = lp(coordinate(N, 0))
+        g = lp(coordinate(N, 1))
         assert star_apply(moyal_r2, shift_lam(f, 1), g) == \
             shift_lam(star_apply(moyal_r2, f, g), 1)
 
     def test_hermitian_compatibility(self, moyal_r2):
-        f = lp(QPolynomial.coordinate(N, 0) + QPolynomial.coordinate(N, 1).scale(gr(0, 1)))
-        g = lp(QPolynomial.monomial(N, (1, 1), gr(1, 1)))
+        f = lp(coordinate(N, 0) + coordinate(N, 1).scale(gr(0, 1)))
+        g = lp(monomial(N, (1, 1), gr(1, 1)))
         lhs = star_apply(moyal_r2, f, g).conjugate()
         rhs = star_apply(moyal_r2, g.conjugate(), f.conjugate())
         assert lhs == rhs
@@ -139,19 +139,19 @@ class TestLinearPoisson:
 
     def test_bracket_matrix(self, linear_2d):
         theta = linear_2d.poisson_matrix()
-        assert theta[0][1] == QPolynomial.coordinate(N, 0)
-        assert theta[1][0] == -QPolynomial.coordinate(N, 0)
+        assert theta[0][1] == coordinate(N, 0)
+        assert theta[1][0] == -coordinate(N, 0)
 
     def test_hermitian(self, linear_2d):
         for r in range(1, linear_2d.order + 1):
             assert linear_2d.cochain(r).involution() == linear_2d.cochain(r)
 
     def test_first_order_commutator(self, linear_2d):
-        f = lp(QPolynomial.coordinate(N, 0), K=3)
-        g = lp(QPolynomial.coordinate(N, 1), K=3)
+        f = lp(coordinate(N, 0), K=3)
+        g = lp(coordinate(N, 1), K=3)
         comm = star_apply(linear_2d, f, g) - star_apply(linear_2d, g, f)
         # [x, y] = i lam {x, y} = i lam x
-        expect = LambdaPoly(N, 3, {(1,): QPolynomial.coordinate(N, 0).scale(gr(0, 1))})
+        expect = LambdaPoly(N, 3, {(1,): coordinate(N, 0).scale(gr(0, 1))})
         assert comm == expect
 
 

@@ -11,7 +11,7 @@ from dqw.cobsolver import CocyclePrecondition
 from dqw.cochain import (MultiDiffCochain, coboundary, identity_cochain,
                          plug_constant)
 from dqw.qpoly import QPolynomial, group_terms
-from dqw.rationals import GaussianRational, I, gr
+from dqw.rationals import GaussianRational, I
 from dqw.cli import build_star_product, build_tau_map
 from dqw.scenario import load_scenario, random_lambda_poly, read_star_product_spec
 from dqw.starspec import make_constant_theta_star, star_apply, validate_star
@@ -20,10 +20,11 @@ from dqw.taubuild import (BuildAborted, ClosedFormTau, TauMap, build_tau,
                           epsilon_cochain)
 from dqw.terms import exponents
 from dqw.welement import LambdaPoly, WElement
-from dqw.weyl import ConsistencyError, canonical_bracket, weyl_product
+from dqw.weyl import ConsistencyError
 
 from conftest import SCENARIO_DIR
-from oracles import poisson_bracket, realization_per_pair
+from oracles import canonical_bracket, poisson_bracket, realization_per_pair, weyl_product
+from strategies import coordinate, element, gr, momentum, monomial, series
 
 N = 2
 ZERO_IDX = (0, 0)
@@ -31,7 +32,7 @@ ONE = QPolynomial.constant(N, 1)
 
 
 def lp(poly, K=4):
-    return LambdaPoly.from_poly(poly, K)
+    return series(poly, K)
 
 
 class TestComputeRk:
@@ -362,7 +363,7 @@ class TestTrustedKernelOutput:
         monkeypatch.setattr(WElement, "_trusted", classmethod(recorded(trusted)))
         for _name, spec, tau, K in _shipped_builds():
             assert check_poisson_realization(tau, spec, K=K).ok
-            x = [tau.apply(LambdaPoly.from_poly(QPolynomial.coordinate(tau.n, k), tau.K))
+            x = [tau.apply(series(coordinate(tau.n, k), tau.K))
                  for k in range(tau.n)]
             weyl_product(x[0], x[-1])
         # solve_coboundary returns (psi, report), an unsolvable classical
@@ -399,24 +400,22 @@ def _assert_validated(x):
 class TestApply:
     def test_plain_embedding_case(self, zero_star):
         tau, _ = build_tau(zero_star, 3)
-        f = lp(QPolynomial.monomial(N, (1, 1)), K=3)
+        f = lp(monomial(N, (1, 1)), K=3)
         out = tau.apply(f)
-        assert out == WElement.from_poly(QPolynomial.monomial(N, (1, 1)), 3)
+        assert out == element(monomial(N, (1, 1)), 3)
 
     def test_homomorphism_identity_on_samples(self, moyal_r2, tau_moyal_r2):
         rng = random.Random(5)
         for _ in range(10):
-            fp = QPolynomial.monomial(
-                N, (rng.randint(0, 2), rng.randint(0, 2)), gr(rng.randint(-3, 3)))
-            gp = QPolynomial.monomial(
-                N, (rng.randint(0, 2), rng.randint(0, 2)), gr(1, rng.randint(-2, 2)))
+            fp = monomial(N, (rng.randint(0, 2), rng.randint(0, 2)), gr(rng.randint(-3, 3)))
+            gp = monomial(N, (rng.randint(0, 2), rng.randint(0, 2)), gr(1, rng.randint(-2, 2)))
             f, g = lp(fp), lp(gp)
             lhs = tau_moyal_r2.apply(star_apply(moyal_r2, f, g))
             rhs = weyl_product(tau_moyal_r2.apply(f), tau_moyal_r2.apply(g))
             assert lhs == rhs
 
     def test_conjugation_commutes_for_hermitian_build(self, tau_moyal_r2):
-        f = lp(QPolynomial.monomial(N, (2, 1), gr(1, 3)))
+        f = lp(monomial(N, (2, 1), gr(1, 3)))
         assert tau_moyal_r2.apply(f.conjugate()) == \
             tau_moyal_r2.apply(f).conjugate()
 
@@ -429,15 +428,14 @@ def _substitution_reference(theta, f: LambdaPoly, K: int | None = None) -> WElem
     KK = max([K or 0] + [r + sum(e) for r, e in f.terms])
     images = []
     for i in range(n):
-        img = WElement.coordinate_q(n, KK, i)
+        img = element(coordinate(n, i), KK)
         for j in range(n):
             if theta[i][j]:
-                img = img - WElement.coordinate_p(n, KK, j).scale(
-                    Fraction(theta[i][j]) / 2)
+                img = img - momentum(n, KK, j).scale(Fraction(theta[i][j]) / 2)
         images.append(img)
     out = WElement.zero(n, KK)
     for (r, exp), c in f.terms.items():
-        term = WElement.monomial(n, KK, r, (0,) * n, (0,) * n, c)
+        term = WElement(n, KK, {(r, (0,) * n, (0,) * n): c})
         for i, e in enumerate(exp):
             for _ in range(e):
                 term = term * images[i]
@@ -456,11 +454,10 @@ def seeded_theta(rng, n):
 
 class TestClosedForm:
     def test_coordinate_images(self, fixture_tau_r2):
-        f = lp(QPolynomial.coordinate(N, 0))
+        f = lp(coordinate(N, 0))
         out = fixture_tau_r2.apply(f)
         K = fixture_tau_r2.K
-        expect = WElement.coordinate_q(N, K, 0) - \
-            WElement.coordinate_p(N, K, 1).scale(Fraction(1, 2))
+        expect = element(coordinate(N, 0), K) - momentum(N, K, 1).scale(Fraction(1, 2))
         assert out == expect
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -479,7 +476,7 @@ class TestClosedForm:
         top exponent; every other term of the map vanishes on it."""
         theta = [[0, 1], [-1, 0]]
         tau = ClosedFormTau(theta, 8)
-        f = lp(QPolynomial.monomial(N, (1, 1)) + QPolynomial.monomial(N, (2, 0)), 8)
+        f = lp(monomial(N, (1, 1)) + monomial(N, (2, 0)), 8)
         derivative = LambdaPoly.derivative
 
         def checked(series, j):
@@ -495,8 +492,8 @@ class TestClosedForm:
             ClosedFormTau([[0, 1], [1, 0]], 2)
 
     def test_homomorphism(self, moyal_r2, fixture_tau_r2):
-        f = lp(QPolynomial.monomial(N, (1, 1)))
-        g = lp(QPolynomial.monomial(N, (0, 2), gr(0, 1)))
+        f = lp(monomial(N, (1, 1)))
+        g = lp(monomial(N, (0, 2), gr(0, 1)))
         lhs = fixture_tau_r2.apply(star_apply(moyal_r2, f, g))
         rhs = weyl_product(fixture_tau_r2.apply(f), fixture_tau_r2.apply(g))
         assert lhs == rhs
