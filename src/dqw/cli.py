@@ -24,11 +24,12 @@ import json
 import sys
 import time
 
-from .functionals import UndeformedExtension, check_positivity, deform_functional, star_squares
+from .functionals import DeformedFunctional, UndeformedExtension, check_positivity, star_squares
 from .scenario import ConfigurationError, Scenario, generate_tests, load_scenario
 from .starspec import (InvalidStarProduct, StarProductSpec, make_constant_theta_star,
                        make_linear_poisson_2d_star, validate_star)
-from .taubuild import BuildAborted, ClosedFormTau, build_tau, check_poisson_realization
+from .taubuild import (BuildAborted, ClosedFormTau, build_tau, check_multiplicative,
+                       check_poisson_realization)
 from .welement import NonRealSeries
 from .weyl import ConsistencyError
 
@@ -55,7 +56,9 @@ def build_tau_map(scenario: Scenario, spec: StarProductSpec):
     if scenario.tau_source == "solver":
         return build_tau(spec, scenario.K)
     # lam^K of the deformed series is exact once tau is known to degree 2K
-    return ClosedFormTau(spec.theta, 2 * scenario.K), None
+    tau = ClosedFormTau(spec.theta, 2 * scenario.K)
+    check_multiplicative(spec, tau.components, scenario.K)
+    return tau, None
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +111,7 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
             if not realization.ok:
                 break
         elif op == "deform":
-            deformed = deform_functional(scenario.state, tau, K=scenario.K)
+            deformed = DeformedFunctional(scenario.state, tau, scenario.K)
             record(op, "pass", deformed.describe(), t0)
         else:  # check-pos
             spec = spec or build_star_product(scenario)

@@ -10,9 +10,9 @@ equation is solved one lam-level a = 0..degree at a time, lowest first
 
 * the antisymmetric part of the level-a residual is a biderivation
   sum_{k<l} omega_kl (D_k (x) D_l - D_l (x) D_k) whose coefficients form
-  a closed momentum 2-form omega.  With d_p X = omega (the axial
-  potential of `koszul`), the derivation lam^(a-1) (-2i) X_l(p) D_l has
-  exactly this antisymmetric part as its level-a coboundary;
+  a closed momentum 2-form omega.  With d_p X = omega (its axial
+  potential, `_axial_potential`), the derivation lam^(a-1) (-2i) X_l(p) D_l
+  has exactly this antisymmetric part as its level-a coboundary;
 * what remains at level a is a symmetric classical cocycle, inverted by
   polarization: sigma_m(xi) = phi_m(xi, xi) / (2 - 2^m) for the part of
   total derivative order m, i.e. termwise
@@ -34,7 +34,6 @@ import math
 from fractions import Fraction
 
 from .cochain import MultiDiffCochain, alt, coboundary, find_witness
-from .koszul import KoszulForm, axial_potential
 from .rationals import GaussianRational, ONE
 from .terms import accumulate, add, exponents, factorial, shift, unit
 from .weyl import ConsistencyError
@@ -245,6 +244,32 @@ def _level(phi: MultiDiffCochain, a: int) -> MultiDiffCochain:
 _MINUS_TWO_I = GaussianRational(0, -2)
 
 
+def _axial_potential(omega: dict, n: int, a: int) -> dict:
+    """X = {(l, I, E): X_l} with d_p X = omega for the closed momentum
+    2-form {(k, l, I, E): omega_kl}, k < l, of lam-level a, with no dp_{n-1}
+    component (the axial gauge).  For m = n-1 down to 1, the step
+    Y_k = -int_0^{p_m} omega_km dp_m (termwise p^I -> p^(I + e_m) / (I_m + 1))
+    leaves omega - d_p(sum_k Y_k dp_k) free of dp_m; anything left at the
+    end means omega was not closed."""
+    rest = dict(omega)
+    potential: dict = {}
+    for m in range(n - 1, 0, -1):
+        step: dict = {}
+        for (k, l, idx, exp), c in rest.items():
+            if l == m:
+                accumulate(step, (k, shift(idx, m, 1), exp), c * Fraction(-1, idx[m] + 1))
+        for (k, idx, exp), c in step.items():
+            accumulate(potential, (k, idx, exp), c)
+            # rest -= d_p(c p^I dp_k), with dp_j ^ dp_k = -dp_k ^ dp_j
+            for j, e in enumerate(idx):
+                if e and j != k:
+                    key = (j, k) if j < k else (k, j)
+                    accumulate(rest, (*key, shift(idx, j, -1), exp), c * (-e if j < k else e))
+    if rest:
+        raise ConsistencyError(f"antisymmetric part at lam-level {a} is not closed")
+    return potential
+
+
 def _potential_term(antisym: MultiDiffCochain, a: int) -> MultiDiffCochain:
     """The derivation lam^(a-1) (-2i) X_l(p) D_l whose level-a coboundary
     is the antisymmetric biderivation antisym: d_p X = omega, the 2-form
@@ -258,15 +283,10 @@ def _potential_term(antisym: MultiDiffCochain, a: int) -> MultiDiffCochain:
                 "of a biderivation")
         k, l = j1.index(1), j2.index(1)
         if k < l:
-            omega[(idx, (k, l), exp)] = c
-    try:
-        potential = axial_potential(KoszulForm(n, 2, omega))
-    except ValueError:
-        raise ConsistencyError(
-            f"antisymmetric part at lam-level {a} is not closed") from None
+            omega[(k, l, idx, exp)] = c
     return MultiDiffCochain(n, antisym.K, 1, {
         (a - 1, idx, (unit(n, l),), exp): c * _MINUS_TWO_I
-        for (idx, (l,), exp), c in potential.terms.items()
+        for (l, idx, exp), c in _axial_potential(omega, n, a).items()
     })
 
 

@@ -20,8 +20,9 @@ it).
 
 Every functional acts on a `MatrixLambdaPoly`; a scalar test element is
 a 1 x 1 matrix.  A run squares its tests once (`star_squares`) and
-classifies omega(f~ * f) of each by its leading lam-coefficient
-(`check_positivity`).
+classifies omega(f~ * f) of each (`check_positivity`): the series must
+be real, and its sign in the ordered ring R[[lam]] is that of its first
+nonzero coefficient.
 
 Truncation honesty: U contracts two momentum degrees into one
 lam-power, so the unknown components of tau above its order tau.K can
@@ -41,7 +42,7 @@ from .qpoly import DimensionMismatch
 from .rationals import GaussianRational, ZERO, _coerce
 from .starspec import StarProductSpec, star_apply
 from .terms import SquareMatrix
-from .welement import LambdaPoly, SeriesSign, real_series_from_complex
+from .welement import LambdaPoly, NonRealSeries, SeriesSign
 from .weyl import exp_laplace_exact, iota_star, resolve_fock_sign
 
 
@@ -207,10 +208,6 @@ class DeformedFunctional:
         }
 
 
-def deform_functional(base: StateFunctional, tau, K: int | None = None) -> DeformedFunctional:
-    return DeformedFunctional(base, tau, tau.K if K is None else K)
-
-
 # ---------------------------------------------------------------------------
 # verdicts
 # ---------------------------------------------------------------------------
@@ -270,14 +267,21 @@ def star_squares(spec: StarProductSpec, tests) -> list:
 
 
 def check_positivity(functional, squares, labels) -> PositivityVerdict:
-    """Evaluate omega(f~ * f) for every square from `star_squares` and
-    classify the resulting real lam-series by its leading coefficient."""
+    """Evaluate omega(f~ * f) for every square from `star_squares`.  Each
+    series must be real; it is classified by its first nonzero
+    coefficient and reported through its last nonzero one."""
     verdict = PositivityVerdict(functional.describe())
     for label, g in zip(labels, squares, strict=True):
-        series = real_series_from_complex(functional.action(g),
-                                          context=f"omega(f~ * f) for {label}")
-        verdict.tests.append(
-            TestVerdict(label, series.trimmed_strings(), series.sign()))
+        series = functional.action(g)
+        for r, c in enumerate(series):
+            if c.im:
+                raise NonRealSeries(f"omega(f~ * f) for {label}: lam^{r} coefficient "
+                                    f"has nonzero imaginary part {c.im}")
+        nonzero = [r for r, c in enumerate(series) if c]
+        sign = (SeriesSign.ZERO_UP_TO_K if not nonzero else
+                SeriesSign.POSITIVE if series[nonzero[0]].re > 0 else SeriesSign.NEGATIVE)
+        top = nonzero[-1] if nonzero else 0
+        verdict.tests.append(TestVerdict(label, [str(c.re) for c in series[:top + 1]], sign))
     return verdict
 
 

@@ -174,10 +174,14 @@ def _read_exact(field: str, value, parse=parse_fraction):
         raise ConfigurationError(f"scenario field {field!r}: {e}") from None
 
 
-def _read_matrix(field: str, value, n: int) -> tuple:
-    """An n x n matrix of rationals as a tuple of rows."""
-    return tuple(tuple(_read_exact(at, x) for at, x in _read_list(row_at, row, n))
-                 for row_at, row in _read_list(field, value, n))
+def _read_theta(field: str, value, n: int) -> tuple:
+    """A constant bracket matrix: an antisymmetric n x n matrix of
+    rationals, as a tuple of rows."""
+    theta = tuple(tuple(_read_exact(at, x) for at, x in _read_list(row_at, row, n))
+                  for row_at, row in _read_list(field, value, n))
+    if any(theta[k][l] != -theta[l][k] for k in range(n) for l in range(n)):
+        raise ConfigurationError(f"scenario field {field!r} must be antisymmetric")
+    return theta
 
 
 def _read_exponents(field: str, value, n: int) -> tuple:
@@ -244,7 +248,7 @@ def read_star_product_spec(field: str, data, n: int) -> StarProductSpec:
     return StarProductSpec(
         n, order, data["hermitian"],
         tuple(MultiDiffCochain(n, order, 2, by_power.get(r)) for r in range(1, order + 1)),
-        None if theta is None else _read_matrix(f"{field}.theta", theta, n))
+        None if theta is None else _read_theta(f"{field}.theta", theta, n))
 
 
 def _read_star_product(cfg, n: int, K: int) -> tuple:
@@ -264,10 +268,7 @@ def _read_star_product(cfg, n: int, K: int) -> tuple:
                                  f"{GENERATORS}, got {kind!r}")
     if kind == "constant_theta":
         theta = _read_object("star_product", cfg, ("generator", "theta"))["theta"]
-        theta = _read_matrix("star_product.theta", theta, n)
-        if any(theta[k][l] != -theta[l][k] for k in range(n) for l in range(n)):
-            raise ConfigurationError("scenario field 'star_product.theta' must be antisymmetric")
-        return None, theta
+        return None, _read_theta("star_product.theta", theta, n)
     _read_object("star_product", cfg, ("generator",))
     if kind == "linear_poisson_2d" and n != 2:
         raise ConfigurationError(

@@ -32,7 +32,8 @@ limit) follow from a passed stage check, since d o d = 0 and the
 classical part of d(psi) is symmetric; they are run only when a stage
 fails, and then their witness names the reason.  After the last stage
 the error is recomputed from the whole truncated tau in every degree
-<= K, an independent certificate of the total.
+<= K (`check_multiplicative`), an independent certificate of the total;
+the closed-form map of a constant bracket passes the same check.
 """
 
 from __future__ import annotations
@@ -214,6 +215,15 @@ def epsilon_cochain(spec: StarProductSpec, taus, upto: int) -> MultiDiffCochain:
     return out
 
 
+def check_multiplicative(spec: StarProductSpec, taus, K: int) -> None:
+    """The final certificate of an embedding, whichever route built it:
+    the error of tau_0..tau_K vanishes in every degree <= K."""
+    eps = epsilon_cochain(spec, taus[:K + 1], K)
+    for d in range(K + 1):
+        if not eps.component(d).is_zero():
+            raise ConsistencyError(f"final error check failed in degree {d}")
+
+
 def _solve_stage(rk: MultiDiffCochain, k: int, hermitian: bool):
     """tau_k with d(tau_k) = R_k, and the solver's report as JSON (None
     when R_k = 0 and so tau_k = 0).  Every failure exit goes through
@@ -264,11 +274,7 @@ def build_tau(spec: StarProductSpec, K: int):
         report.stages.append(StageReport(
             stage=k, stage_term=None if rk.is_zero() else rk.to_json(), solver=solver))
 
-    # final exactness check of every degree <= K at once
-    eps = epsilon_cochain(spec, taus, K)
-    for d in range(K + 1):
-        if not eps.component(d).is_zero():
-            raise ConsistencyError(f"final error check failed in degree {d}")
+    check_multiplicative(spec, taus, K)
     if hermitian:
         for k, c in enumerate(taus):
             if c.involution() != c:

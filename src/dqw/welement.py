@@ -12,8 +12,8 @@ Also provided here:
 * LambdaPoly, a polynomial lam-series over the base coordinates only,
   i.e. an element of C[q][[lam]] truncated at lam^K, stored the same
   way: one scalar per key (lam-power r, q-exponent E);
-* RealLambdaSeries with the leading-coefficient sign classification of
-  the ordered ring R[[lam]].
+* SeriesSign, the classes of a real lam-series in the ordered ring
+  R[[lam]], and NonRealSeries, raised for a series that should be real.
 """
 
 from __future__ import annotations
@@ -201,58 +201,6 @@ class SeriesSign(enum.Enum):
     POSITIVE = "positive"
     NEGATIVE = "negative"
     ZERO_UP_TO_K = "zero_up_to_K"
-
-
-class RealLambdaSeries:
-    """A truncated real lam-series with the leading-coefficient order."""
-
-    __slots__ = ("K", "coeffs")
-
-    def __init__(self, coeffs):
-        cs = tuple(Fraction(c) for c in coeffs)
-        if not cs:
-            raise ValueError("series needs at least the constant coefficient")
-        object.__setattr__(self, "K", len(cs) - 1)
-        object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RealLambdaSeries is immutable")
-
-    def sign(self) -> SeriesSign:
-        for c in self.coeffs:
-            if c > 0:
-                return SeriesSign.POSITIVE
-            if c < 0:
-                return SeriesSign.NEGATIVE
-        return SeriesSign.ZERO_UP_TO_K
-
-    def __eq__(self, other):
-        if not isinstance(other, RealLambdaSeries):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"RealLambdaSeries({[str(c) for c in self.coeffs]})"
-
-    def trimmed_strings(self) -> list:
-        """Coefficient strings with trailing zeros removed (at least one kept)."""
-        out = [str(c) for c in self.coeffs]
-        while len(out) > 1 and out[-1] == "0":
-            out.pop()
-        return out
-
-
-def real_series_from_complex(coeffs, context: str = "series") -> RealLambdaSeries:
-    """Convert a tuple of GaussianRational lam-coefficients, requiring reality."""
-    for r, c in enumerate(coeffs):
-        if c.im:
-            raise NonRealSeries(
-                f"{context}: lam^{r} coefficient has nonzero imaginary part {c.im}"
-            )
-    return RealLambdaSeries([c.re for c in coeffs])
 
 
 class NonRealSeries(ValueError):

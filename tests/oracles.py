@@ -2,9 +2,12 @@
 
 * The Weyl/Wick intertwining check on an explicit pair of elements,
   independent of the symbol certificate in `dqw.weyl`.
-* The weighted Euler-contraction homotopy h of the momentum Koszul
-  complex, with d_p h + h d_p = id on forms of degree >= 1; the solver
-  uses the axial potential instead.
+* Forms in the momentum differentials dp_i (`KoszulForm`), their
+  exterior derivative d_p and the weighted Euler-contraction homotopy h
+  of the momentum Koszul complex, with d_p h + h d_p = id on forms of
+  degree >= 1.  The solver computes its axial potential on plain term
+  dicts (`cobsolver._axial_potential`); these are the reference it is
+  checked against.
 * The bracket-realization check pair by pair, evaluating both sides of
   every pair from scratch through the spec's Poisson bracket;
   `taubuild.check_poisson_realization` shares the basis images, their
@@ -37,12 +40,12 @@ from collections import namedtuple
 from fractions import Fraction
 
 from dqw.cochain import MultiDiffCochain, compose_slot, find_witness, mu_cochain
-from dqw.koszul import KoszulForm
-from dqw.qpoly import DimensionMismatch, group_terms
-from dqw.rationals import ZERO, GaussianRational
+from dqw.qpoly import DimensionMismatch, expand_terms, group_terms
+from dqw.rationals import ZERO, GaussianRational, _coerce
 from dqw.starspec import ValidationCheck
 from dqw.taubuild import RealizationReport
-from dqw.terms import SquareMatrix, accumulate, add, exponents, factorial, shift, unit, zeros
+from dqw.terms import (SquareMatrix, TermMap, accumulate, add, exponents, factorial, shift,
+                       unit, zeros)
 from dqw.welement import LambdaPoly, NonRealSeries, WElement
 from dqw.weyl import (WEYL_PAIRING, WICK_PAIRING, _exp_laplace, iota_star, propagate,
                       resolve_fock_sign)
@@ -78,6 +81,52 @@ def check_sign_on_pair(sign: int, a: WElement, b: WElement) -> bool:
     lhs = _exp_laplace(wick_product(a, b), sign, K)
     rhs = weyl_product(_exp_laplace(a, sign, K), _exp_laplace(b, sign, K))
     return lhs == rhs
+
+
+class KoszulForm(TermMap):
+    """A degree-k form in the momentum differentials: a sum of terms
+    c * p^I * q^E * dp_{i_1} ^ ... ^ dp_{i_k} with i_1 < ... < i_k, stored
+    as the scalar c under the key (I, (i_1, .., i_k), E).  Antisymmetry
+    is structural: index sets are kept sorted, signs normalized away."""
+
+    __slots__ = ("n", "degree")
+    _SHAPE = ("n", "degree")
+
+    def __init__(self, n: int, degree: int, terms=None):
+        """terms maps (I, sel, E) to a scalar, or (I, sel) to a QPolynomial
+        that stands for its monomials (`expand_terms`)."""
+        if degree < 0:
+            raise ValueError("form degree must be non-negative")
+        if degree > n and terms:
+            raise ValueError(f"nonzero form of degree {degree} impossible for n={n}")
+        clean: dict = {}
+        for (idx, sel, exp), c in expand_terms(terms or {}):
+            sel = tuple(sel)
+            if len(sel) != degree or list(sel) != sorted(set(sel)):
+                raise ValueError(f"index set {sel} must be strictly increasing")
+            if any(not 0 <= i < n for i in sel) or len(idx) != n or len(exp) != n:
+                raise DimensionMismatch("bad index data")
+            accumulate(clean, (tuple(idx), sel, tuple(exp)), _coerce(c))
+        self._init((n, degree), clean)
+
+    @classmethod
+    def zero(cls, n: int, degree: int) -> "KoszulForm":
+        return cls(n, degree)
+
+
+def d_p(omega: KoszulForm) -> KoszulForm:
+    """Exterior derivative in the p variables."""
+    n = omega.n
+    out: dict = {}
+    for (idx, sel, exp), c in omega.terms.items():
+        for j in range(n):
+            if not idx[j] or j in sel:
+                continue
+            pos = sum(1 for i in sel if i < j)
+            sign = -1 if pos % 2 else 1
+            newsel = tuple(sorted(sel + (j,)))
+            accumulate(out, (shift(idx, j, -1), newsel, exp), c * (sign * idx[j]))
+    return KoszulForm(n, omega.degree + 1, out)
 
 
 def euler_contraction(omega: KoszulForm) -> KoszulForm:

@@ -9,7 +9,7 @@ import hypothesis.strategies as st
 from dqw.qpoly import QPolynomial
 from dqw.rationals import GaussianRational
 from dqw.terms import unit, zeros
-from dqw.welement import LambdaPoly, RealLambdaSeries, WElement
+from dqw.welement import LambdaPoly, WElement
 from dqw.cochain import MultiDiffCochain
 
 # a scalar from ints, Fractions or 'a/b' strings: gr(re, im)
@@ -103,7 +103,8 @@ def lambda_polys(n=2, K=4, max_terms=3):
 
 
 def real_series(K=4):
-    return st.lists(fractions(), min_size=K + 1, max_size=K + 1).map(RealLambdaSeries)
+    """The coefficients of a real lam-series through lam^K."""
+    return st.lists(fractions(), min_size=K + 1, max_size=K + 1).map(tuple)
 
 
 def cochains(n=2, K=4, arity=1, max_terms=3, max_deriv=2):

@@ -12,9 +12,8 @@ from fractions import Fraction
 
 from dqw.cobsolver import solve_coboundary
 from dqw.cochain import MultiDiffCochain, coboundary
-from dqw.functionals import (GluedFunctional, MatrixLambdaPoly, StateFunctional,
-                             UndeformedExtension, deform_functional)
-from dqw.koszul import KoszulForm, d_p
+from dqw.functionals import (DeformedFunctional, GluedFunctional, MatrixLambdaPoly,
+                             StateFunctional, UndeformedExtension)
 from dqw.qpoly import QPolynomial
 from dqw.rationals import I
 from dqw.cli import report_to_json_text, run_scenario, strip_timings
@@ -25,8 +24,9 @@ from dqw.welement import LambdaPoly, SeriesSign, WElement
 from dqw.weyl import _exp_laplace
 
 from conftest import SCENARIO_DIR, positivity_verdict
-from oracles import (MatrixWElement, check_sign_on_pair, degree_image, monomial_basis,
-                     poincare_homotopy, weyl_product, wick_positivity_certificate)
+from oracles import (KoszulForm, MatrixWElement, check_sign_on_pair, d_p, degree_image,
+                     monomial_basis, poincare_homotopy, weyl_product,
+                     wick_positivity_certificate)
 from strategies import coordinate, element, gr, monomial, series
 
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
@@ -265,7 +265,7 @@ def test_criterion_07_positivity_deformation(moyal_r2, tau_moyal_r2,
                                              fixture_tau_r2):
     K = 4
     delta = StateFunctional(2, 1, [((0, 0), (1,))])
-    omega_fix = deform_functional(delta, fixture_tau_r2, K=K)
+    omega_fix = DeformedFunctional(delta, fixture_tau_r2, K)
 
     verdict = positivity_verdict(omega_fix, moyal_r2, [_counterexample()])
     t = verdict.tests[0]
@@ -280,10 +280,10 @@ def test_criterion_07_positivity_deformation(moyal_r2, tau_moyal_r2,
     delta2 = StateFunctional(
         2, 2, [((0, 0), (gr(1), gr(0, 1)))])
     functionals = {
-        "fixture": {1: deform_functional(delta, fixture_tau_r2, K=K),
-                    2: deform_functional(delta2, fixture_tau_r2, K=K)},
-        "solver": {1: deform_functional(delta, tau_moyal_r2),
-                   2: deform_functional(delta2, tau_moyal_r2)},
+        "fixture": {1: DeformedFunctional(delta, fixture_tau_r2, K),
+                    2: DeformedFunctional(delta2, fixture_tau_r2, K)},
+        "solver": {1: DeformedFunctional(delta, tau_moyal_r2, tau_moyal_r2.K),
+                   2: DeformedFunctional(delta2, tau_moyal_r2, tau_moyal_r2.K)},
     }
     rng = random.Random(707)
     total = 0
@@ -351,7 +351,7 @@ def test_criterion_08_wick_certificates():
 def test_criterion_09_gluing(moyal_r2, fixture_tau_r2):
     K = 4
     delta = StateFunctional(2, 1, [((0, 0), (1,))])
-    omega = deform_functional(delta, fixture_tau_r2, K=K)
+    omega = DeformedFunctional(delta, fixture_tau_r2, K)
     chi1 = LambdaPoly.constant(2, K, Fraction(3, 5))
     chi2 = LambdaPoly.constant(2, K, Fraction(4, 5))
     glued = GluedFunctional([(chi1, omega), (chi2, omega)], moyal_r2)

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from dqw.functionals import (GluedFunctional, MatrixLambdaPoly, PartitionError,
-                             StateFunctional, UndeformedExtension, deform_functional,
+from dqw.functionals import (DeformedFunctional, GluedFunctional, MatrixLambdaPoly,
+                             PartitionError, StateFunctional, UndeformedExtension,
                              star_squares)
 from dqw.qpoly import QPolynomial
 from dqw.rationals import I
@@ -145,14 +145,14 @@ class TestWickCertificate:
 
 class TestDeformedFunctional:
     def test_unital(self, moyal_r2, fixture_tau_r2, delta0):
-        omega = deform_functional(delta0, fixture_tau_r2, K=K)
+        omega = DeformedFunctional(delta0, fixture_tau_r2, K)
         out = omega.action(scalar(LambdaPoly.constant(N_DIM, K, 1)))
         assert str(out[0]) == "1"
         assert all(not c for c in out[1:])
 
     def test_counterexample_value_closed_form(self, moyal_r2, fixture_tau_r2, delta0):
         from dqw.starspec import star_apply
-        omega = deform_functional(delta0, fixture_tau_r2, K=K)
+        omega = DeformedFunctional(delta0, fixture_tau_r2, K)
         f = counterexample_test()
         g = star_apply(moyal_r2, f.conjugate(), f)
         out = omega.action(scalar(g))
@@ -160,15 +160,15 @@ class TestDeformedFunctional:
 
     def test_classical_limit_property(self, fixture_tau_r2, delta0):
         rng = random.Random(12)
-        omega = deform_functional(delta0, fixture_tau_r2, K=K)
+        omega = DeformedFunctional(delta0, fixture_tau_r2, K)
         for _ in range(10):
             f = random_lambda_poly(rng, N_DIM, K, 3, 3, True)
             out = omega.action(scalar(f))
             assert out[0] == f.evaluate((0, 0))[0]
 
     def test_sound_order(self, tau_moyal_r2, fixture_tau_r2, delta0):
-        built = deform_functional(delta0, tau_moyal_r2)
-        fixt = deform_functional(delta0, fixture_tau_r2, K=K)
+        built = DeformedFunctional(delta0, tau_moyal_r2, tau_moyal_r2.K)
+        fixt = DeformedFunctional(delta0, fixture_tau_r2, K)
         assert built.sound_order == K // 2
         assert fixt.sound_order == K
 
@@ -182,7 +182,7 @@ class TestClosedFormSeries:
         spec = build_star_product(scenario)
         tau, _ = build_tau_map(scenario, spec)
         state = scenario.state
-        omega = deform_functional(state, tau, K=scenario.K)
+        omega = DeformedFunctional(state, tau, scenario.K)
         sigma = resolve_fock_sign()["sigma"]
         tests, labels = generate_tests(scenario)
         for g, label in zip(star_squares(spec, tests), labels):
@@ -220,7 +220,7 @@ class TestCheckPositivity:
         assert verdict.aggregate == "fail"
 
     def test_deformed_counterexample_positive(self, moyal_r2, fixture_tau_r2, delta0):
-        omega = deform_functional(delta0, fixture_tau_r2, K=K)
+        omega = DeformedFunctional(delta0, fixture_tau_r2, K)
         verdict = positivity_verdict(omega, moyal_r2, [counterexample_test()])
         t = verdict.tests[0]
         assert t.coefficients == ["0", "1/4"]
@@ -228,7 +228,7 @@ class TestCheckPositivity:
         assert verdict.aggregate == "pass"
 
     def test_zero_test_inconclusive(self, moyal_r2, fixture_tau_r2, delta0):
-        omega = deform_functional(delta0, fixture_tau_r2, K=K)
+        omega = DeformedFunctional(delta0, fixture_tau_r2, K)
         verdict = positivity_verdict(omega, moyal_r2, [LambdaPoly.zero(N_DIM, K)])
         assert verdict.tests[0].classification == SeriesSign.ZERO_UP_TO_K
         assert verdict.aggregate == "inconclusive"
@@ -236,7 +236,7 @@ class TestCheckPositivity:
 
     def test_matrix_amplification(self, moyal_r2, fixture_tau_r2):
         state = StateFunctional(N_DIM, 2, [((0, 0), (gr(1), gr(0, 1)))])
-        omega = deform_functional(state, fixture_tau_r2, K=K)
+        omega = DeformedFunctional(state, fixture_tau_r2, K)
         f = counterexample_test()
         m = MatrixLambdaPoly([
             [f, LambdaPoly.constant(N_DIM, K, 1)],
@@ -289,7 +289,7 @@ class TestGlue:
                 [(LambdaPoly.constant(N_DIM, K, Fraction(1, 2)), omega)], moyal_r2)
 
     def test_glued_positivity_verdict(self, moyal_r2, fixture_tau_r2, delta0):
-        omega = deform_functional(delta0, fixture_tau_r2, K=K)
+        omega = DeformedFunctional(delta0, fixture_tau_r2, K)
         chi1 = LambdaPoly.constant(N_DIM, K, Fraction(3, 5))
         chi2 = LambdaPoly.constant(N_DIM, K, Fraction(4, 5))
         glued = GluedFunctional([(chi1, omega), (chi2, omega)], moyal_r2)

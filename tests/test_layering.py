@@ -16,7 +16,7 @@ import dqw
 SRC = pathlib.Path(dqw.__file__).parent
 TESTS = pathlib.Path(__file__).parent
 SHARED_PRIVATE = {"rationals"}
-KERNELS = ("cochain", "weyl", "taubuild", "functionals", "cobsolver", "koszul")
+KERNELS = ("cochain", "weyl", "taubuild", "functionals", "cobsolver")
 
 
 def _private_imports(path):

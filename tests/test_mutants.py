@@ -88,6 +88,15 @@ def _corrupted_polarization(monkeypatch):
     monkeypatch.setattr(dqw.cobsolver, "_polarized_term", corrupted)
 
 
+def _doubled_potential(monkeypatch):
+    # twice the axial potential term: the level-a residual keeps minus
+    # the antisymmetric part, which polarizes to zero, so only the
+    # solver's certificate d(psi) = phi catches it
+    potential = dqw.cobsolver._potential_term
+    monkeypatch.setattr(dqw.cobsolver, "_potential_term",
+                        lambda antisym, a: potential(antisym, a).scale(2))
+
+
 def _wrap_generator(monkeypatch, change):
     """Replace each constant-bracket product by change(product)."""
     make = dqw.cli.make_constant_theta_star
@@ -160,6 +169,10 @@ MUTANTS = [
     (_non_cocycle_tau_top, "moyal-r2-delta", "build-tau",
      "final error check failed in degree 4"),
     (_corrupted_polarization, "moyal-r2-delta", "build-tau",
+     "solver certificate failed: d(psi) != phi"),
+    (_doubled_potential, "moyal-r2-delta", "build-tau",
+     "solver certificate failed: d(psi) != phi"),
+    (_doubled_potential, "linear-poisson-2d", "build-tau",
      "solver certificate failed: d(psi) != phi"),
     (_unpatched, "perturbed-c2", "validate", '"name": "associativity", "ok": false'),
     (_transposed_bracket, "moyal-r2-delta", "validate",

@@ -33,6 +33,16 @@ def _inline_star(change):
     return mutate
 
 
+def _inline_theta(theta):
+    """A mutation that gives the scenario perturbed-c2's inline star
+    product with the bracket matrix theta, and the closed-form embedding,
+    which reads it."""
+    def mutate(d):
+        _inline_star(lambda s: s.update(theta=theta))(d)
+        d.update(tau={"source": "closed_form"}, commands=["build-tau", "deform", "check-pos"])
+    return mutate
+
+
 def _under_validate(mutate):
     """The mutation, with the malformed scenario run through `dqw validate`."""
     mutate.verb = "validate"
@@ -382,6 +392,10 @@ class TestCli:
          _inline_star(lambda s: s.update(hermitian="no"))),
         ("'star_product.inline.hermitian' must be a boolean",
          _under_validate(_inline_star(lambda s: s.update(hermitian="no")))),
+        # an inline bracket matrix is antisymmetric, like a generator's
+        pytest.param("'star_product.inline.theta' must be antisymmetric",
+                     _inline_theta([["0", "1"], ["1", "0"]]),
+                     id="star_product.inline: symmetric theta"),
         # an unread key is refused in every object of the scenario
         ("'star_product.bogus'", _inline_key()),
         ("'star_product.inline.bogus'", _inline_key("inline")),

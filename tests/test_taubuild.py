@@ -12,13 +12,13 @@ from dqw.cochain import (MultiDiffCochain, coboundary, identity_cochain,
                          plug_constant)
 from dqw.qpoly import QPolynomial, group_terms
 from dqw.rationals import GaussianRational, I
-from dqw.cli import build_star_product, build_tau_map
-from dqw.scenario import load_scenario, random_lambda_poly, read_star_product_spec
-from dqw.starspec import make_constant_theta_star, star_apply, validate_star
+from dqw.cli import build_star_product, build_tau_map, run_scenario
+from dqw.scenario import Scenario, load_scenario, random_lambda_poly, read_star_product_spec
+from dqw.starspec import make_constant_theta_star, perturb_cochain, star_apply, validate_star
 from dqw.taubuild import (BuildAborted, ClosedFormTau, TauMap, build_tau,
                           check_poisson_realization, compute_Rk,
                           epsilon_cochain)
-from dqw.terms import exponents
+from dqw.terms import exponents, shift, zeros
 from dqw.welement import LambdaPoly, WElement
 from dqw.weyl import ConsistencyError
 
@@ -490,6 +490,27 @@ class TestClosedForm:
     def test_rejects_non_antisymmetric_theta(self):
         with pytest.raises(ValueError, match="antisymmetric"):
             ClosedFormTau([[0, 1], [1, 0]], 2)
+
+    def test_route_runs_the_final_error_check(self):
+        """C_2 shifted by the classical coboundary of D_1^2 gives a product
+        that validates (Hermitian, associative, unital) and has the same
+        bracket matrix, but the substitution map is not multiplicative
+        for it: the closed-form route fails build-tau like the solver's."""
+        spec = make_constant_theta_star([[0, 1], [-1, 0]], 2)
+        z = zeros(2)
+        d1d1 = MultiDiffCochain(2, 2, 1, {(0, z, (shift(z, 0, 2),), z): 1})
+        spec = perturb_cochain(spec, 2, coboundary(d1d1, deformed=False))
+        scenario = Scenario.from_json({
+            "name": "closed-form-coboundary", "n": 2, "K": 2,
+            "star_product": {"inline": spec.to_json()}, "tau": {"source": "closed_form"},
+            "functional": {"atoms": [{"point": ["0", "0"], "vector": ["1"]}]},
+            "tests": {"random": {"seed": 1, "count": 3}}})
+        report, code = run_scenario(scenario)
+        assert code == 1
+        assert [(c["op"], c["outcome"]) for c in report["commands"]] == \
+            [("validate", "pass"), ("build-tau", "fail")]
+        assert report["commands"][1]["detail"] == {
+            "error": "final error check failed in degree 2"}
 
     def test_homomorphism(self, moyal_r2, fixture_tau_r2):
         f = lp(monomial(N, (1, 1)))

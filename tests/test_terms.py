@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqw.cochain import MultiDiffCochain
-from dqw.koszul import KoszulForm
 from dqw.qpoly import QPolynomial, expand_terms, group_terms
 from dqw.terms import (DimensionMismatch, add, below, binom, factorial, falling,
                        shift, sub, unit, zeros)
 from dqw.welement import LambdaPoly, WElement
 
+from oracles import KoszulForm
 from strategies import (cochains, exponents, gaussian_rationals, lambda_polys,
                         qpolynomials, welements)
 

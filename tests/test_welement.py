@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dqw.functionals import check_positivity
 from dqw.qpoly import DimensionMismatch, QPolynomial
 from dqw.scenario import read_lambda_poly
-from dqw.welement import (LambdaPoly, RealLambdaSeries, SeriesSign, WElement,
-                          real_series_from_complex)
+from dqw.welement import LambdaPoly, NonRealSeries, SeriesSign, WElement
 from dqw.weyl import iota_star
 
 from oracles import degree_image, shift_lam
@@ -98,30 +98,48 @@ class TestEvaluate:
         assert f.evaluate(point) == tuple(expect)
 
 
+class _Identity:
+    """A stub functional whose value on a square is the square itself."""
+
+    def describe(self):
+        return {}
+
+    def action(self, series):
+        return series
+
+
+def classify(coeffs):
+    """check-pos's verdict on one lam-series, given by its coefficients."""
+    (test,) = check_positivity(_Identity(), [tuple(map(gr, coeffs))], ["s"]).tests
+    return test
+
+
 class TestSeriesSign:
     def test_positive(self):
-        s = RealLambdaSeries([0, Fraction(3, 4), -5])
-        assert s.sign() == SeriesSign.POSITIVE
+        t = classify([0, Fraction(3, 4), -5, 0, 0])
+        assert t.classification == SeriesSign.POSITIVE
+        assert t.coefficients == ["0", "3/4", "-5"]
 
     def test_negative(self):
-        assert RealLambdaSeries([0, -1]).sign() == SeriesSign.NEGATIVE
+        assert classify([0, -1]).classification == SeriesSign.NEGATIVE
 
     def test_zero_up_to_k(self):
-        assert RealLambdaSeries([0, 0, 0]).sign() == SeriesSign.ZERO_UP_TO_K
+        t = classify([0, 0, 0])
+        assert t.classification == SeriesSign.ZERO_UP_TO_K
+        assert t.coefficients == ["0"]
 
     @given(real_series(), real_series())
     def test_invariant_under_positive_leading_factor(self, s, t):
-        lead = Fraction(abs(t.coeffs[0]) + 1)
-        t_pos = (lead,) + t.coeffs[1:]
-        product = [sum(s.coeffs[i] * t_pos[r - i] for i in range(r + 1))
-                   for r in range(s.K + 1)]
-        assert RealLambdaSeries(product).sign() == s.sign()
+        t_pos = (Fraction(abs(t[0]) + 1),) + t[1:]
+        product = [sum(s[i] * t_pos[r - i] for i in range(r + 1)) for r in range(len(s))]
+        assert classify(product).classification == classify(s).classification
 
 
 def test_real_series_rejects_imaginary():
-    from dqw.welement import NonRealSeries
-    with pytest.raises(NonRealSeries):
-        real_series_from_complex((gr(0, 1),))
+    with pytest.raises(NonRealSeries,
+                       match=r"omega\(f~ \* f\) for s: lam\^1 coefficient has "
+                             "nonzero imaginary part 1"):
+        check_positivity(_Identity(), [(gr(1), gr(0, 1))], ["s"])
 
 
 class TestAlgebraLaws:
