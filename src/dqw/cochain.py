@@ -39,7 +39,7 @@ from typing import Mapping, Sequence
 from .qpoly import DimensionMismatch, expand_terms, group_terms
 from .rationals import I, _coerce
 from .terms import (GradedTermMap, accumulate, add, below, binom, exponents, factorial,
-                    falling, shift, sub, unit, zeros)
+                    falling, shift, sub, zeros)
 from .welement import LambdaPoly, WElement
 from .weyl import WEYL_PAIRING, propagate
 
@@ -192,13 +192,6 @@ def mu_cochain(n: int, K: int) -> MultiDiffCochain:
     """The arity-2 cochain (f, g) -> f g."""
     z = zeros(n)
     return MultiDiffCochain(n, K, 2, {(0, z, (z, z), z): 1})
-
-
-def biderivation_cochain(n: int, K: int, coeffs) -> MultiDiffCochain:
-    """sum_{k,l} coeffs[k][l] * D_k (x) D_l with QPolynomial coefficients."""
-    z = zeros(n)
-    return MultiDiffCochain(n, K, 2, {
-        (0, z, (unit(n, k), unit(n, l))): coeffs[k][l] for k in range(n) for l in range(n)})
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,13 @@ that witnesses failure of naive positivity.
 
 The deformed functional is the composite
 
-    f  ->  Omega_0( at p = 0 )( U( tau(f) ) ),
+    f  ->  Omega_0( U_0( tau(f) ) ),
 
-where tau is the multiplicative embedding and U is the inverse of the
-runtime-certified operator carrying the z/zbar-pairing product to the
-q/p-pairing product.  Positivity of each value then reduces to the
+where tau is the multiplicative embedding and U_0 is the zero-momentum
+part of the inverse of the runtime-certified operator carrying the
+z/zbar-pairing product to the q/p-pairing product; `exp_laplace_exact`
+gives it in closed form per monomial, through the sound order below.
+Positivity of each value then reduces to the
 positivity of atomic functionals for the z/zbar product, which holds
 coefficientwise (the Wick certificate in `tests/oracles.py` exhibits
 it).
@@ -43,7 +45,7 @@ from .rationals import GaussianRational, ZERO, _coerce
 from .starspec import StarProductSpec, star_apply
 from .terms import SquareMatrix
 from .welement import LambdaPoly, NonRealSeries, SeriesSign
-from .weyl import exp_laplace_exact, iota_star, resolve_fock_sign
+from .weyl import exp_laplace_exact, resolve_fock_sign
 
 
 class PartitionError(ValueError):
@@ -187,17 +189,13 @@ class DeformedFunctional:
         return min(self.K, self.tau.K // 2)
 
     def _push_entry(self, f: LambdaPoly) -> LambdaPoly:
-        w = self.tau.apply(f)
-        u = exp_laplace_exact(w, -self.sigma)
-        return iota_star(u)
+        return exp_laplace_exact(self.tau.apply(f), -self.sigma, self.sound_order)
 
     def action(self, m: MatrixLambdaPoly) -> tuple:
         if m.N != self.base.N or m.n != self.base.n:
             raise DimensionMismatch("test element has wrong shape")
         pushed = [[self._push_entry(x) for x in row] for row in m.entries]
-        full = self.base.eval_matrix_series(pushed, self.K)
-        L = self.sound_order
-        return full[: L + 1]
+        return self.base.eval_matrix_series(pushed, self.sound_order)
 
     def describe(self) -> dict:
         return {

@@ -107,6 +107,8 @@ def load_scenario(path: str) -> Scenario:
         raise ConfigurationError(
             f"malformed JSON in {path}: line {e.lineno} column {e.colno}: {e.msg}"
         )
+    except ValueError as e:  # an integer literal over the int-string conversion limit
+        raise ConfigurationError(f"malformed JSON in {path}: {e}")
     return Scenario.from_json(data)
 
 

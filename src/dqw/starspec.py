@@ -35,11 +35,11 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 from .cobsolver import solve_classical_coboundary
-from .cochain import (MultiDiffCochain, biderivation_cochain, coboundary, compose_slot,
-                      find_witness, mu_cochain, plug_constant, swap)
-from .qpoly import DimensionMismatch, QPolynomial, group_terms
+from .cochain import (MultiDiffCochain, coboundary, compose_slot, find_witness, mu_cochain,
+                      plug_constant, swap)
+from .qpoly import DimensionMismatch, group_terms
 from .rationals import HALF_I, I
-from .terms import accumulate, shift, zeros
+from .terms import accumulate, shift, unit, zeros
 from .welement import LambdaPoly
 
 
@@ -76,31 +76,29 @@ class StarProductSpec(namedtuple("StarProductSpec", "n order hermitian cochains 
 
     # ---- bracket data ----
 
-    def poisson_matrix(self):
-        """The antisymmetric bracket coefficients as QPolynomial entries.
+    def bracket(self) -> MultiDiffCochain:
+        """The Poisson bracket sum_{k,l} theta^{kl} D_k (x) D_l as a 2-cochain.
 
-        Taken from the stored constant matrix when present, otherwise
-        extracted from the antisymmetric part of C_1 (which must be i
-        times a real first-order biderivation).
+        Built from the stored constant matrix when present, otherwise
+        the antisymmetric part of C_1 divided by i, which must be a real
+        biderivation.
         """
         n = self.n
         if self.theta is not None:
-            return [
-                [QPolynomial.constant(n, self.theta[k][l]) for l in range(n)]
-                for k in range(n)
-            ]
-        out = [[{} for _ in range(n)] for _ in range(n)]
-        anti = self.cochain(1) - swap(self.cochain(1))
-        for (a, idx, (j1, j2), exp), c in anti.terms.items():
+            z = zeros(n)
+            return MultiDiffCochain(n, self.order, 2, {
+                (0, z, (unit(n, k), unit(n, l)), z): self.theta[k][l]
+                for k in range(n) for l in range(n)})
+        c1 = self.cochain(1)
+        bracket = (c1 - swap(c1)).scale(-I)
+        for (_a, _idx, (j1, j2), _exp), c in bracket.terms.items():
             if sum(j1) != 1 or sum(j2) != 1:
                 raise InvalidStarProduct(
                     "antisymmetric part of the first cochain is not a biderivation"
                 )
-            theta_c = c * -I  # divide by i
-            if not theta_c.is_real():
+            if not c.is_real():
                 raise InvalidStarProduct("bracket coefficients are not real")
-            out[j1.index(1)][j2.index(1)][exp] = theta_c
-        return [[QPolynomial(n, t) for t in row] for row in out]
+        return bracket
 
     # ---- canonical JSON (schema is part of the external interface) ----
 
@@ -315,9 +313,8 @@ def validate_star(spec: StarProductSpec, K: int | None = None) -> ValidationRepo
     if spec.order >= 1:
         c1 = spec.cochain(1)
         try:
-            bracket = biderivation_cochain(spec.n, spec.order, spec.poisson_matrix())
             checks.append(_first_failure("first_order_bracket", [
-                (1, c1 - swap(c1) - bracket.scale(I), "")]))
+                (1, c1 - swap(c1) - spec.bracket().scale(I), "")]))
         except InvalidStarProduct as e:
             checks.append(ValidationCheck("first_order_bracket", False, order=1,
                                           witness=str(e)))

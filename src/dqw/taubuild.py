@@ -46,9 +46,8 @@ from typing import NoReturn
 
 from .cobsolver import (CocyclePrecondition, check_solvability_preconditions,
                         solve_coboundary)
-from .cochain import (MultiDiffCochain, biderivation_cochain, coboundary,
-                      cochain_weyl_product, compose_slot, identity_cochain,
-                      mu_cochain, plug_constant)
+from .cochain import (MultiDiffCochain, coboundary, cochain_weyl_product, compose_slot,
+                      identity_cochain, mu_cochain, plug_constant)
 from .qpoly import DimensionMismatch, group_terms
 from .starspec import (InvalidStarProduct, StarProductSpec, antisymmetric_matrix,
                        digest_json, theta_powers)
@@ -313,7 +312,7 @@ def check_poisson_realization(tau: TauMap, spec: StarProductSpec,
     K = tau.K if K is None else K
     n = tau.n
     cl = tau.classical_part()
-    bracket = biderivation_cochain(n, 0, spec.poisson_matrix())
+    bracket = spec.bracket()
     images: dict = {}  # q-exponent e -> cl(q^e)
 
     def image(e):

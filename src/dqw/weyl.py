@@ -1,5 +1,5 @@
-"""The phase-space side of the deformation: the pairing kernel, the
-Laplacian equivalence and the chart map at zero momentum.
+"""The phase-space side of the deformation: the pairing kernel and the
+Laplacian equivalence, with its zero-momentum part in closed form.
 
 Over n base coordinates q^1..q^n with conjugate momenta p_1..p_n, two
 deformed products are given as pairing tables:
@@ -21,15 +21,19 @@ conjugates the z/zbar product into the q/p product.  The sign sigma
 that intertwines them under the conventions above is not hard-coded:
 it is certified at runtime on the quadratic symbols read from the same
 pairing and Laplacian tables that `propagate` and Lap apply.  The
-deformed functional applies the inverse operator (`exp_laplace_exact`)
-and then sets the momenta to zero (`iota_star`).
+deformed functional needs only the zero-momentum part of the inverse
+operator's image, which `exp_laplace_exact` gives per monomial in
+closed form, a product of one-variable Gaussian smoothings.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from fractions import Fraction
 
-from .rationals import GaussianRational, HALF_I, ONE, ZERO, _coerce
+from .rationals import GaussianRational, HALF_I, ZERO, _coerce
 from .terms import accumulate, shift
 from .welement import LambdaPoly, WElement
 
@@ -117,47 +121,6 @@ def propagate(left, right, pairing, dq, join, K: int) -> dict:
 LAPLACIAN = tuple((u, Fraction(1, 4)) for u in "qp")
 
 
-def _laplace_image(flat: dict, n: int) -> dict:
-    """One application of Lap to flat terms (lam-power, p-exponent, q-exponent)."""
-    out: dict = {}
-    for term, c in flat.items():
-        for k in range(n):
-            for u, w in LAPLACIAN:
-                slot = 2 if u == "q" else 1
-                m = term[slot][k]
-                if m >= 2:
-                    e = shift(term[slot], k, -2)
-                    accumulate(out, term[:slot] + (e,) + term[slot + 1:], c * (m * (m - 1) * w))
-    return out
-
-
-def _exp_laplace(x: WElement, sign: int, K: int) -> WElement:
-    """Apply exp(sign * lam * Lap), exactly on polynomial data."""
-    n = x.n
-    state = x.terms
-    out: dict = {}
-    m = 0
-    factor = ONE  # sign^m / m!
-    while state:
-        for (a, idx, exp), c in state.items():
-            if a + m + sum(idx) <= K:
-                accumulate(out, (a + m, idx, exp), c * factor)
-        state = _laplace_image(state, n)
-        m += 1
-        factor = factor * Fraction(sign, m)
-    return WElement._trusted((n, K), out)
-
-
-# ---------------------------------------------------------------------------
-# chart maps
-# ---------------------------------------------------------------------------
-
-def iota_star(a: WElement) -> LambdaPoly:
-    """Set all momenta to zero, keeping the lam-series of q-polynomials."""
-    return LambdaPoly._trusted((a.n, a.K), {(r, exp): c for (r, idx, exp), c in a.terms.items()
-                                             if not any(idx)})
-
-
 # ---------------------------------------------------------------------------
 # the exponential equivalence between the two products
 # ---------------------------------------------------------------------------
@@ -203,10 +166,37 @@ def resolve_fock_sign() -> dict:
     return {"sigma": signs[0], "basis_size": len(_SYMBOL_KEYS)}
 
 
-def exp_laplace_exact(x: WElement, sign: int) -> WElement:
-    """exp(sign lam Lap) at a lifted truncation where nothing is dropped."""
-    bound = 0
-    for a, idx, exp in x.terms:
-        bound = max(bound, a + sum(idx) + (sum(idx) + sum(exp) + 1) // 2 + 1)
-    K = max(x.K, bound)
-    return _exp_laplace(x.retruncate(K), sign, K)
+@functools.lru_cache(maxsize=1024)
+def _gauss(w, m: int, j: int) -> Fraction:
+    """The coefficient of lam^j u^(m-2j) in exp(w lam d^2/du^2) u^m."""
+    return w ** j * Fraction(math.factorial(m), math.factorial(m - 2 * j) * math.factorial(j))
+
+
+def exp_laplace_exact(x: WElement, sign: int, K: int) -> LambdaPoly:
+    """The zero-momentum part iota*(exp(sign lam Lap) x) of the operator,
+    truncated at lam^K, in closed form term by term.
+
+    Lap acts on each variable u on its own, with weight w_u from
+    `LAPLACIAN`, so the operator is a product of one-variable Gaussian
+    smoothings (`_gauss`).  At p = 0 a momentum p_k^m leaves only its
+    j = m/2 term, so an odd power drops out; a coordinate q^e keeps every
+    j <= e/2.
+    """
+    wq, wp = (sign * sum(w for v, w in LAPLACIAN if v == u) for u in "qp")
+    out: dict = {}
+    for (a, idx, exp), c in x.terms.items():
+        a += sum(idx) // 2
+        if a > K or any(m % 2 for m in idx):
+            continue
+        for m in idx:
+            if m:
+                c = c * _gauss(wp, m, m // 2)
+        for js in itertools.product(*(range(min(e // 2, K - a) + 1) for e in exp)):
+            r = a + sum(js)
+            if r <= K:
+                w = c
+                for e, j in zip(exp, js):
+                    if j:
+                        w = w * _gauss(wq, e, j)
+                accumulate(out, (r, tuple(e - 2 * j for e, j in zip(exp, js))), w)
+    return LambdaPoly._trusted((x.n, K), out)

@@ -9,7 +9,8 @@
   dicts (`cobsolver._axial_potential`); these are the reference it is
   checked against.
 * The bracket-realization check pair by pair, evaluating both sides of
-  every pair from scratch through the spec's Poisson bracket;
+  every pair from scratch through the spec's Poisson bracket
+  (`poisson_bracket`, term by term from `StarProductSpec.bracket`);
   `taubuild.check_poisson_realization` shares the basis images, their
   gradients and the monomial images instead.
 * The lam-shift of a base lam-series.
@@ -25,9 +26,12 @@
   matrices, the q/p- and z/zbar-pairing products through the shared
   `weyl.propagate` kernel; the pipeline multiplies cochain values only
   (`cochain.cochain_weyl_product`).  With them: the canonical bracket,
-  the lift `pi_star` of a base series, the operator exp(sigma lam Lap)
-  on elements and matrices (`fock_equivalence`) and the grading
-  operator (`degree_image`).
+  the lift `pi_star` of a base series, the chart map `iota_star`
+  (momenta set to zero), the operator exp(sigma lam Lap) as the iterated
+  Laplacian series on elements and matrices (`fock_equivalence`) and the
+  grading operator (`degree_image`).  The series at a lifted order
+  followed by `iota_star` is the reference for the pipeline's closed
+  form `weyl.exp_laplace_exact` (`zero_momentum_reference`).
 * The Wick positivity certificate: Omega_0(A~ . A) for the z/zbar
   product and a lam-free matrix A, exhibited coefficientwise as sums of
   squared moduli of zbar-derivative evaluations.
@@ -39,16 +43,16 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 
+from dqw import weyl
 from dqw.cochain import MultiDiffCochain, compose_slot, find_witness, mu_cochain
 from dqw.qpoly import DimensionMismatch, expand_terms, group_terms
-from dqw.rationals import ZERO, GaussianRational, _coerce
+from dqw.rationals import ONE, ZERO, GaussianRational, _coerce
 from dqw.starspec import ValidationCheck
 from dqw.taubuild import RealizationReport
 from dqw.terms import (SquareMatrix, TermMap, accumulate, add, exponents, factorial, shift,
-                       unit, zeros)
+                       zeros)
 from dqw.welement import LambdaPoly, NonRealSeries, WElement
-from dqw.weyl import (WEYL_PAIRING, WICK_PAIRING, _exp_laplace, iota_star, propagate,
-                      resolve_fock_sign)
+from dqw.weyl import WEYL_PAIRING, WICK_PAIRING, propagate, resolve_fock_sign
 
 
 def monomial_basis(n: int, total_degree: int):
@@ -78,8 +82,8 @@ def check_sign_on_pair(sign: int, a: WElement, b: WElement) -> bool:
     K = exact_order_for_pair(a, b)
     a = a.retruncate(K)
     b = b.retruncate(K)
-    lhs = _exp_laplace(wick_product(a, b), sign, K)
-    rhs = weyl_product(_exp_laplace(a, sign, K), _exp_laplace(b, sign, K))
+    lhs = exp_laplace(wick_product(a, b), sign, K)
+    rhs = weyl_product(exp_laplace(a, sign, K), exp_laplace(b, sign, K))
     return lhs == rhs
 
 
@@ -156,18 +160,11 @@ def poincare_homotopy(omega: KoszulForm) -> KoszulForm:
 
 
 def poisson_bracket(spec, f: LambdaPoly, g: LambdaPoly) -> LambdaPoly:
-    """{f, g} = sum_{k,l} theta^{kl} D_k f D_l g for the spec's bracket."""
-    theta = spec.poisson_matrix()
+    """{f, g} = sum_{k,l} theta^{kl} D_k f D_l g for the spec's bracket,
+    one product of derivatives per term of its cochain."""
     out = LambdaPoly.zero(spec.n, f.K)
-    for k in range(spec.n):
-        fk = f.derivative(unit(spec.n, k))
-        if fk.is_zero():
-            continue
-        for l in range(spec.n):
-            if theta[k][l].is_zero():
-                continue
-            out = out + LambdaPoly(spec.n, f.K, {(0,): theta[k][l]}) * fk * \
-                g.derivative(unit(spec.n, l))
+    for (_a, _idx, (jk, jl), e), c in spec.bracket().terms.items():
+        out = out + LambdaPoly(spec.n, f.K, {(0, e): c}) * f.derivative(jk) * g.derivative(jl)
     return out
 
 
@@ -349,6 +346,64 @@ def pi_star(f: LambdaPoly) -> WElement:
     return WElement(f.n, f.K, {(r, z, e): c for (r, e), c in f.terms.items()})
 
 
+def iota_star(a: WElement) -> LambdaPoly:
+    """Set all momenta to zero, keeping the lam-series of q-polynomials."""
+    return LambdaPoly._trusted((a.n, a.K), {(r, exp): c for (r, idx, exp), c in a.terms.items()
+                                             if not any(idx)})
+
+
+def laplace_image(flat: dict, n: int) -> dict:
+    """One application of Lap, read from `weyl.LAPLACIAN` at call time, to
+    flat terms (lam-power, p-exponent, q-exponent)."""
+    out: dict = {}
+    for term, c in flat.items():
+        for k in range(n):
+            for u, w in weyl.LAPLACIAN:
+                slot = 2 if u == "q" else 1
+                m = term[slot][k]
+                if m >= 2:
+                    e = shift(term[slot], k, -2)
+                    accumulate(out, term[:slot] + (e,) + term[slot + 1:], c * (m * (m - 1) * w))
+    return out
+
+
+def exp_laplace(x: WElement, sign: int, K: int) -> WElement:
+    """Apply exp(sign * lam * Lap) as the iterated series
+    sum_m (sign lam)^m/m! Lap^m, truncated at order K."""
+    n = x.n
+    state = x.terms
+    out: dict = {}
+    m = 0
+    factor = ONE  # sign^m / m!
+    while state:
+        for (a, idx, exp), c in state.items():
+            if a + m + sum(idx) <= K:
+                accumulate(out, (a + m, idx, exp), c * factor)
+        state = laplace_image(state, n)
+        m += 1
+        factor = factor * Fraction(sign, m)
+    return WElement._trusted((n, K), out)
+
+
+def exp_laplace_lifted(x: WElement, sign: int) -> WElement:
+    """exp(sign lam Lap) x at a lifted truncation where nothing is
+    dropped: Lap^m vanishes on a term once 2m exceeds its p- and
+    q-degree."""
+    bound = 0
+    for a, idx, exp in x.terms:
+        bound = max(bound, a + sum(idx) + (sum(idx) + sum(exp) + 1) // 2 + 1)
+    K = max(x.K, bound)
+    return exp_laplace(x.retruncate(K), sign, K)
+
+
+def zero_momentum_reference(x: WElement, sign: int, K: int) -> LambdaPoly:
+    """iota*(exp(sign lam Lap) x) through lam^K, by the iterated series at
+    the lifted order and the chart map: the reference for
+    `weyl.exp_laplace_exact`."""
+    full = iota_star(exp_laplace_lifted(x, sign))
+    return LambdaPoly(x.n, K, full.terms)
+
+
 def fock_equivalence(a, direction: str = "forward"):
     """exp(sigma lam Lap) on an element or element matrix, mapping the
     z/zbar product side into the q/p side ("forward") or back
@@ -359,8 +414,8 @@ def fock_equivalence(a, direction: str = "forward"):
     sigma = resolve_fock_sign()["sigma"]
     s = sigma if direction == "forward" else -sigma
     if isinstance(a, MatrixWElement):
-        return a.map_entries(lambda x: _exp_laplace(x, s, x.K)), sigma
-    return _exp_laplace(a, s, a.K), sigma
+        return a.map_entries(lambda x: exp_laplace(x, s, x.K)), sigma
+    return exp_laplace(a, s, a.K), sigma
 
 
 def degree_image(x: WElement) -> WElement:

@@ -67,7 +67,7 @@ def qpolynomials(n=2, max_terms=3):
     ).map(lambda terms: QPolynomial(n, terms))
 
 
-def welements(n=2, K=4, max_terms=3):
+def welements(n=2, K=4, max_terms=3, max_lam=2, max_each=2):
     def build(entries):
         terms = {}
         for (a, idx, exp, c) in entries:
@@ -78,9 +78,9 @@ def welements(n=2, K=4, max_terms=3):
         return WElement(n, K, terms)
 
     entry = st.tuples(
-        st.integers(min_value=0, max_value=2),
-        exponents(n, 2),
-        exponents(n, 2),
+        st.integers(min_value=0, max_value=max_lam),
+        exponents(n, max_each),
+        exponents(n, max_each),
         gaussian_rationals(),
     )
     return st.lists(entry, min_size=0, max_size=max_terms).map(build)

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dqw.cochain import (MultiDiffCochain, _splittings, alt, biderivation_cochain,
-                         coboundary, cochain_weyl_product, compose_slot,
-                         find_witness, identity_cochain, mu_cochain,
-                         plug_constant)
+from dqw.cochain import (MultiDiffCochain, _splittings, alt, coboundary,
+                         cochain_weyl_product, compose_slot, find_witness,
+                         identity_cochain, mu_cochain, plug_constant)
 from dqw.qpoly import QPolynomial
 from dqw.rationals import I
 from dqw.starspec import star_apply
@@ -20,7 +19,7 @@ from dqw.welement import LambdaPoly, WElement
 
 from oracles import (evaluate_per_order, star_apply_by_lam_pairs, tau_apply_per_order,
                      weyl_product)
-from strategies import cochains, coordinate, exponents, gaussian_rationals, gr, lambda_polys
+from strategies import cochains, exponents, gaussian_rationals, gr, lambda_polys
 
 N, K = 2, 4
 ZERO_IDX = (0, 0)
@@ -410,10 +409,9 @@ class TestWitness:
             assert phi.evaluate(args) == val
 
 
-def test_biderivation_is_cocycle():
-    theta = [[QPolynomial(N), coordinate(N, 0)],
-             [-coordinate(N, 0), QPolynomial(N)]]
-    bid = biderivation_cochain(N, K, theta)
+def test_biderivation_is_cocycle(linear_2d):
+    # the bracket {x, y} = x
+    bid = linear_2d.bracket()
     assert coboundary(bid, True).is_zero()
     assert coboundary(bid, False).is_zero()
 

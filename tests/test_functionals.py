@@ -12,10 +12,11 @@ from dqw.cli import build_star_product, build_tau_map
 from dqw.scenario import (Scenario, generate_tests, load_scenario, random_lambda_poly,
                           read_functional)
 from dqw.welement import LambdaPoly, NonRealSeries, SeriesSign, WElement
-from dqw.weyl import exp_laplace_exact, iota_star, resolve_fock_sign
+from dqw.weyl import resolve_fock_sign
 
 from conftest import SCENARIO_DIR, positivity_verdict
-from oracles import MatrixWElement, wick_positivity_certificate
+from oracles import (MatrixWElement, exp_laplace_lifted, iota_star,
+                     wick_positivity_certificate)
 from strategies import coordinate, element, gr, lam_power, momentum, monomial, series
 from test_taubuild import _substitution_reference, seeded_theta
 
@@ -186,7 +187,7 @@ class TestClosedFormSeries:
         sigma = resolve_fock_sign()["sigma"]
         tests, labels = generate_tests(scenario)
         for g, label in zip(star_squares(spec, tests), labels):
-            pushed = [[iota_star(exp_laplace_exact(
+            pushed = [[iota_star(exp_laplace_lifted(
                 _substitution_reference(spec.theta, x), -sigma)) for x in row]
                 for row in g.entries]
             expect = state.eval_matrix_series(pushed, scenario.K)

@@ -4,7 +4,8 @@ Each row monkeypatches one defect into the pipeline and runs a shipped
 scenario in-process.  The run must exit 1, and the first failing command
 must carry the message of the certificate that catches the defect.  A
 row needs a scenario whose bracket can show its defect: dropping Lap
-from E^-1 leaves linear-poisson-2d passing at its sound order 1, so that
+from E^-1, so that the deformed functional only sets the momenta to
+zero, leaves linear-poisson-2d passing at its sound order 1, so that
 row runs on moyal-r2-delta only.
 """
 
@@ -153,7 +154,10 @@ def _flipped_sigma(monkeypatch):
 
 
 def _no_laplacian(monkeypatch):
-    monkeypatch.setattr(dqw.functionals, "exp_laplace_exact", lambda x, sign: x)
+    # at sign 0 the kernel is exp(0) = id followed by p = 0
+    exp_laplace = dqw.functionals.exp_laplace_exact
+    monkeypatch.setattr(dqw.functionals, "exp_laplace_exact",
+                        lambda x, sign, K: exp_laplace(x, 0, K))
 
 
 def _unpatched(monkeypatch):

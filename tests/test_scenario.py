@@ -249,6 +249,7 @@ class TestCli:
         pytest.param(b"[" * 10000 + b"]" * 10000, None, id="json nested 10000 deep"),
         pytest.param((SCENARIO_DIR / "k0-degenerate.json").read_bytes(), "missing/report.json",
                      id="out into a missing directory"),
+        pytest.param(b'{"K": ' + b"9" * 5000 + b"}", None, id="integer literal of 5000 digits"),
     ])
     def test_unreadable_or_unwritable_file_exit_two(self, tmp_path, capsys, content, out):
         scenario = tmp_path / "scenario.json"

@@ -5,12 +5,12 @@ import pytest
 
 from dqw import starspec
 from dqw.cochain import MultiDiffCochain
-from dqw.qpoly import QPolynomial
+from dqw.qpoly import QPolynomial, group_terms
 from dqw.scenario import read_star_product_spec
 from dqw.starspec import (InvalidStarProduct, StarProductSpec, make_constant_theta_star,
                           make_linear_poisson_2d_star, make_zero_star, perturb_cochain,
                           star_apply, validate_star)
-from dqw.terms import zeros
+from dqw.terms import unit, zeros
 from dqw.welement import LambdaPoly
 
 from oracles import associativity_two_sided, shift_lam
@@ -138,9 +138,11 @@ class TestLinearPoisson:
         assert validate_star(linear_2d).ok
 
     def test_bracket_matrix(self, linear_2d):
-        theta = linear_2d.poisson_matrix()
-        assert theta[0][1] == coordinate(N, 0)
-        assert theta[1][0] == -coordinate(N, 0)
+        # theta^{kl} is the coefficient of D_k (x) D_l
+        entries = group_terms(linear_2d.bracket().terms, N)
+        z = zeros(N)
+        assert entries[(0, z, (unit(N, 0), unit(N, 1)))] == coordinate(N, 0)
+        assert entries[(0, z, (unit(N, 1), unit(N, 0)))] == -coordinate(N, 0)
 
     def test_hermitian(self, linear_2d):
         for r in range(1, linear_2d.order + 1):

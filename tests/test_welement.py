@@ -8,9 +8,8 @@ from dqw.functionals import check_positivity
 from dqw.qpoly import DimensionMismatch, QPolynomial
 from dqw.scenario import read_lambda_poly
 from dqw.welement import LambdaPoly, NonRealSeries, SeriesSign, WElement
-from dqw.weyl import iota_star
 
-from oracles import degree_image, shift_lam
+from oracles import degree_image, iota_star, shift_lam
 from strategies import (coordinate, element, gaussian_rationals, gr, lam_power,
                         lambda_polys, momentum, real_series, series, welements)
 

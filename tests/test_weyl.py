@@ -3,16 +3,18 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqw import weyl
 from dqw.qpoly import DimensionMismatch, QPolynomial
 from dqw.rationals import HALF_I, I
 from dqw.welement import LambdaPoly, WElement
 from dqw.weyl import (LAPLACIAN, WEYL_PAIRING, WICK_PAIRING, ConsistencyError,
-                      _equivalence_signs, exp_laplace_exact, iota_star, resolve_fock_sign)
+                      _equivalence_signs, exp_laplace_exact, resolve_fock_sign)
 
 from oracles import (MatrixWElement, canonical_bracket, check_sign_on_pair, degree_image,
-                     fock_equivalence, monomial_basis, pi_star, weyl_product, wick_product)
+                     exp_laplace_lifted, fock_equivalence, iota_star, monomial_basis,
+                     pi_star, weyl_product, wick_product, zero_momentum_reference)
 from strategies import (coordinate, element, gr, lam_power, momentum, monomial, series,
                         welements)
 
@@ -163,8 +165,8 @@ class TestFockEquivalence:
         z = q(0) + p(0).scale(I)
         zb = q(0) - p(0).scale(I)
         sigma = resolve_fock_sign()["sigma"]
-        lhs = exp_laplace_exact(wick_product(z, zb), sigma)
-        rhs = weyl_product(exp_laplace_exact(z, sigma), exp_laplace_exact(zb, sigma))
+        lhs = exp_laplace_lifted(wick_product(z, zb), sigma)
+        rhs = weyl_product(exp_laplace_lifted(z, sigma), exp_laplace_lifted(zb, sigma))
         assert WElement(N, K, lhs.terms) == WElement(N, K, rhs.terms)
 
     def test_commutes_with_conjugation(self):
@@ -172,6 +174,24 @@ class TestFockEquivalence:
         fwd, _ = fock_equivalence(x.conjugate(), "forward")
         fwd2, _ = fock_equivalence(x, "forward")
         assert fwd == fwd2.conjugate()
+
+
+class TestZeroMomentumKernel:
+    """The closed form of iota*(exp(sign lam Lap) x) against the iterated
+    series at the lifted order followed by the chart map."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=3).flatmap(
+               lambda n: welements(n, K=6, max_terms=4, max_lam=3, max_each=3)),
+           st.sampled_from((1, -1)), st.integers(min_value=0, max_value=6))
+    def test_matches_the_iterated_series(self, x, sign, K):
+        assert exp_laplace_exact(x, sign, K) == zero_momentum_reference(x, sign, K)
+
+    def test_momentum_square(self):
+        # exp(-lam Lap) maps p_1^2 to p_1^2 - lam/2 and q_1^2 to q_1^2 - lam/2
+        x = p(0) * p(0) + q(0) * q(0)
+        assert exp_laplace_exact(x, -1, 1) == LambdaPoly(N, 1, {
+            (0,): monomial(N, (2, 0)), (1,): QPolynomial.constant(N, -1)})
 
 
 class TestChartMaps:
