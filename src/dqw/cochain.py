@@ -198,43 +198,57 @@ def mu_cochain(n: int, K: int) -> MultiDiffCochain:
 # coboundary, swap and antisymmetrization
 # ---------------------------------------------------------------------------
 
-def _outer_action_terms(a, idx, exp, c, deformed, left):
-    """Expand the bimodule action of a new argument on one flat value term.
-
-    Yields (a', idx', jnew, exp, coeff).  jnew is the derivative landing
-    on the new argument.
-    """
-    if not deformed:
-        yield (a, idx, zeros(len(idx)), exp, c)
-        return
-    for jnew in below(idx):
+def _action_rows(idx: tuple, powers: list, deformed: bool) -> list:
+    """The bimodule action of a new argument on value terms with
+    p-exponent idx: (lam-shift w, idx - jnew, jnew, coefficient) rows,
+    jnew <= idx the derivative landing on the new argument (only 0 in
+    classical mode) and the coefficient powers[w] binom(idx, jnew), None
+    when it is 1."""
+    rows = []
+    for jnew in below(idx if deformed else zeros(len(idx))):
         w = sum(jnew)
-        scalar = (I * Fraction(1, 2) if left else I * Fraction(-1, 2)) ** w
-        coeff = c * scalar * binom(idx, jnew)
-        yield (a + w, sub(idx, jnew), jnew, exp, coeff)
+        coeff = powers[w] * binom(idx, jnew)
+        rows.append((w, sub(idx, jnew), jnew, None if coeff == 1 else coeff))
+    return rows
 
 
 def coboundary(phi: MultiDiffCochain, deformed: bool = True) -> MultiDiffCochain:
-    """The bar-complex coboundary for the chosen bimodule action."""
+    """The bar-complex coboundary for the chosen bimodule action.  The
+    powers (+-i/2)^w of the action are taken once per call, the action
+    rows of each p-exponent and the splits of each derivative index
+    once per call where they first occur."""
     n, K, k = phi.n, phi.K, phi.arity
+    tail_sign = 1 if (k + 1) % 2 == 0 else -1
+    # (i/2)^w for the left action and tail_sign (-i/2)^w for the right one
+    powers = [[(I * Fraction(s, 2)) ** w * t for w in range(K + 1)]
+              for s, t in ((1, 1), (-1, tail_sign))]
+    actions: dict = {}  # p-exponent -> [left rows, right rows]
+    splits: dict = {}  # j -> (l, j - l, binom(j, l)) for l <= j
     out: dict = {}
     for (a, idx, jvec, exp), c in phi.terms.items():
+        rows = actions.get(idx)
+        if rows is None:
+            rows = actions[idx] = [_action_rows(idx, p, deformed) for p in powers]
         # left outer action: new argument in slot 0
-        for (a2, idx2, jnew, exp2, c2) in _outer_action_terms(a, idx, exp, c, deformed, True):
-            accumulate(out, (a2, idx2, (jnew,) + jvec, exp2), c2)
+        for w, idx2, jnew, coeff in rows[0]:
+            accumulate(out, (a + w, idx2, (jnew,) + jvec, exp),
+                       c if coeff is None else c * coeff)
         # inner insertions with alternating signs
         sign = -1
         for i in range(k):
             j = jvec[i]
-            for l in below(j):
-                coeff = c * (sign * binom(j, l))
-                newj = jvec[:i] + (l, sub(j, l)) + jvec[i + 1:]
-                accumulate(out, (a, idx, newj, exp), coeff)
+            rows_j = splits.get(j)
+            if rows_j is None:
+                rows_j = splits[j] = [(l, sub(j, l), binom(j, l)) for l in below(j)]
+            head, tail = jvec[:i], jvec[i + 1:]
+            for l, rest, b in rows_j:
+                b *= sign
+                accumulate(out, (a, idx, head + (l, rest) + tail, exp), c if b == 1 else c * b)
             sign = -sign
         # right outer action: new argument in slot k
-        tail_sign = 1 if (k + 1) % 2 == 0 else -1
-        for (a2, idx2, jnew, exp2, c2) in _outer_action_terms(a, idx, exp, c, deformed, False):
-            accumulate(out, (a2, idx2, jvec + (jnew,), exp2), c2 * tail_sign)
+        for w, idx2, jnew, coeff in rows[1]:
+            accumulate(out, (a + w, idx2, jvec + (jnew,), exp),
+                       c if coeff is None else c * coeff)
     return MultiDiffCochain._trusted((n, K, k + 1), out)
 
 
@@ -317,29 +331,47 @@ def compose_slot(phi: MultiDiffCochain, slot: int, inner: MultiDiffCochain) -> M
     m = inner.arity
     out: dict = {}
     inner_flat = [(avec, fexp, ic) for (_, _, avec, fexp), ic in inner.terms.items()]
+    # Both tables are kept for one call only, since process-wide ones
+    # raise the peak memory.  (j, fexp) -> the Leibniz splits of D^j on
+    # q^fexp times the inner arguments: j0 <= j differentiates q^fexp with
+    # weight binom(j, j0) falling(fexp, j0), leaves the q-exponent
+    # fexp - j0 (None when zero), and the rest j - j0 splits over the
+    # inner arguments
+    leibniz: dict = {}
     # (inner derivative tuple, rest) -> the inner slots D^{avec_s + piece_s}
-    # of each splitting of rest, with its multinomial; kept for one call
-    # only, since a process-wide table of them raises the peak memory
+    # of each splitting of rest, with its multinomial
     slot_cache: dict = {}
     for (a, idx, jvec, exp), c in phi.terms.items():
         j = jvec[slot]
         head, tail = jvec[:slot], jvec[slot + 1:]
         for avec, fexp, ic in inner_flat:
             cc = c * ic
-            # Leibniz: j0 <= j differentiates the inner coefficient q^fexp,
-            # the rest splits over the inner arguments
-            for j0 in below(tuple(map(min, j, fexp))):
-                weight = binom(j, j0) * falling(fexp, j0)
-                new_exp = add(exp, sub(fexp, j0))
-                rest = sub(j, j0)
+            rows = leibniz.get((j, fexp))
+            if rows is None:
+                rows = leibniz[(j, fexp)] = [
+                    (binom(j, j0) * falling(fexp, j0), sub(fexp, j0) if j0 != fexp else None,
+                     sub(j, j0)) for j0 in below(tuple(map(min, j, fexp)))]
+            for weight, left, rest in rows:
+                new_exp = exp if left is None else add(exp, left)
                 slots = slot_cache.get((avec, rest))
                 if slots is None:
                     slots = slot_cache[(avec, rest)] = [
                         (tuple(map(add, avec, pieces)), mult)
                         for pieces, mult in _splittings(rest, m)]
                 for new_slots, mult in slots:
-                    accumulate(out, (a, idx, head + new_slots + tail, new_exp),
-                               cc * (weight * mult))
+                    key = (a, idx, head + new_slots + tail, new_exp)
+                    w = weight * mult
+                    v = cc if w == 1 else cc * w
+                    # every weight is nonzero, so no sum is written as zero
+                    s = out.get(key)
+                    if s is None:
+                        out[key] = v
+                    else:
+                        s = s + v
+                        if s:
+                            out[key] = s
+                        else:
+                            del out[key]
     return MultiDiffCochain._trusted((n, K, phi.arity + m - 1), out)
 
 

@@ -303,7 +303,7 @@ class GluedFunctional:
             raise ValueError("need at least one part")
         K = parts[0][0].K
         n = spec.n
-        total = LambdaPoly.zero(n, K)
+        total = LambdaPoly(n, K)
         for chi, _omega in parts:
             total = total + star_apply(spec, chi.conjugate(), chi)
         if total != LambdaPoly.constant(n, K, 1):

@@ -2,9 +2,10 @@
 
 All coefficient arithmetic in this package runs over Q(i).  A value is
 one integer triple (a, b, d) meaning (a + b*i)/d, kept reduced: d > 0 and
-gcd(a, b, d) = 1, restored by one three-argument gcd per operation.  Each
-element of Q(i) therefore has exactly one triple, so values compare
-structurally and equality of derived objects is decidable and canonical.
+gcd(a, b, d) = 1, restored by one gcd per operation (of two arguments
+for a product by an int, three otherwise).  Each element of Q(i)
+therefore has exactly one triple, so values compare structurally and
+equality of derived objects is decidable and canonical.
 Values are immutable; `re` and `im` give the parts as Fractions, and a
 real value hashes like the Fraction (or int) it equals.
 """
@@ -73,9 +74,13 @@ class GaussianRational:
 
     def __mul__(self, other):
         a, b, d = self._t
-        # an int is a kernel's Leibniz or multinomial weight
-        c, e, f = other._t if type(other) is GaussianRational else (
-            (other, 0, 1) if type(other) is int else _parts(other))
+        if type(other) is int:
+            # a kernel's Leibniz or multinomial weight k: as the triple is
+            # reduced, gcd(a k, b k, d) = gcd(k, d)
+            g = gcd(other, d)
+            k = other // g
+            return _triple(a * k, b * k, d // g)
+        c, e, f = other._t if type(other) is GaussianRational else _parts(other)
         return _reduced(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
@@ -199,13 +204,20 @@ _FULL_RE = _re.compile(
 _REAL_RE = _re.compile(r"^\s*(?P<re>[+-]?[0-9]+(?:/[0-9]+)?)\s*$")
 
 
+def _fraction_text(a: int, d: int) -> str:
+    """str(Fraction(a, d)) for d > 0."""
+    g = gcd(a, d)
+    return str(a // g) if g == d else f"{a // g}/{d // g}"
+
+
 def format_scalar(x: GaussianRational) -> str:
-    if not x.im:
-        return str(x.re)
-    if not x.re:
-        return f"{x.im} i"
-    sign = "+" if x.im > 0 else "-"
-    return f"{x.re}{sign}{abs(x.im)} i"
+    a, b, d = x._t
+    if not b:
+        return _fraction_text(a, d)
+    if not a:
+        return f"{_fraction_text(b, d)} i"
+    sign = "+" if b > 0 else "-"
+    return f"{_fraction_text(a, d)}{sign}{_fraction_text(abs(b), d)} i"
 
 
 def parse_fraction(x) -> Fraction:

@@ -39,7 +39,7 @@ from .cochain import (MultiDiffCochain, coboundary, compose_slot, find_witness, 
                       plug_constant, swap)
 from .qpoly import DimensionMismatch, group_terms
 from .rationals import HALF_I, I
-from .terms import accumulate, shift, unit, zeros
+from .terms import accumulate, add_terms, shift, unit, zeros
 from .welement import LambdaPoly
 
 
@@ -207,9 +207,10 @@ def make_linear_poisson_2d_star(K: int) -> StarProductSpec:
         cochains.append(MultiDiffCochain(n, K, 2, {(0, z, ((1, 0), (0, 1)), (1, 0)): HALF_I,
                                                    (0, z, ((0, 1), (1, 0)), (1, 0)): -HALF_I}))
     for r in range(2, K + 1):
-        left = MultiDiffCochain.zero(n, K, 3)
+        terms: dict = {}
         for i in range(1, r):
-            left = left + compose_slot(cochains[i - 1], 0, cochains[r - i - 1])
+            add_terms(terms, compose_slot(cochains[i - 1], 0, cochains[r - i - 1]).terms)
+        left = MultiDiffCochain._trusted((n, K, 3), terms)
         defect = left - left.involution()
         cr = solve_classical_coboundary(defect)
         if cr is None:
@@ -287,14 +288,20 @@ def _associator(spec: StarProductSpec, mu: MultiDiffCochain, m: int,
     def cr(r):
         return mu if r == 0 else spec.cochain(r)
 
-    zero = left = right = MultiDiffCochain.zero(spec.n, spec.order, 3)
+    terms: dict = {}
     for i in range(0, m + 1):
-        left = left + compose_slot(cr(i), 0, cr(m - i))
+        add_terms(terms, compose_slot(cr(i), 0, cr(m - i)).terms)
         if not hermitian:
-            right = right + compose_slot(cr(i), 1, cr(m - i))
-    right = left.involution() if hermitian else right
-    # A = B for an associative product, so A - B is formed only on failure
-    return zero if left == right else left - right
+            add_terms(terms, compose_slot(cr(i), 1, cr(m - i)).terms, subtract=True)
+    out = MultiDiffCochain._trusted((spec.n, spec.order, 3), terms)
+    if not hermitian:
+        return out
+    # A = A* key by key, as the involution maps the keys one to one; for an
+    # associative product it holds, so A - A* is formed only on failure
+    if all(c.conjugate() == terms.get((a, idx, jvec[::-1], exp))
+           for (a, idx, jvec, exp), c in terms.items()):
+        return out._new({})
+    return out - out.involution()
 
 
 def validate_star(spec: StarProductSpec, K: int | None = None) -> ValidationReport:

@@ -51,7 +51,7 @@ from .cochain import (MultiDiffCochain, coboundary, cochain_weyl_product, compos
 from .qpoly import DimensionMismatch, group_terms
 from .starspec import (InvalidStarProduct, StarProductSpec, antisymmetric_matrix,
                        digest_json, theta_powers)
-from .terms import exponents, zeros
+from .terms import accumulate, add, add_terms, exponents, zeros
 from .welement import LambdaPoly, WElement
 from .weyl import ConsistencyError
 
@@ -115,10 +115,11 @@ class TauMap:
         """sum_k tau_k, built on first use and then kept, since the map is
         immutable; a run that never applies the map never builds it."""
         if self._total is None:
-            out = MultiDiffCochain.zero(self.n, self.K, 1)
+            out: dict = {}
             for c in self.components:
-                out = out + c
-            object.__setattr__(self, "_total", out)
+                add_terms(out, c.terms)
+            object.__setattr__(self, "_total",
+                               MultiDiffCochain._trusted((self.n, self.K, 1), out))
         return self._total
 
     def apply(self, f: LambdaPoly) -> WElement:
@@ -126,10 +127,10 @@ class TauMap:
         return self.total_cochain().evaluate([f])
 
     def classical_part(self) -> MultiDiffCochain:
-        out = MultiDiffCochain.zero(self.n, self.K, 1)
+        out: dict = {}
         for c in self.components:
-            out = out + c.classical_limit()
-        return out
+            add_terms(out, c.classical_limit().terms)
+        return MultiDiffCochain._trusted((self.n, self.K, 1), out)
 
     def __eq__(self, other):
         if not isinstance(other, TauMap):
@@ -175,14 +176,14 @@ def compute_Rk(spec: StarProductSpec, taus, k: int) -> MultiDiffCochain:
     homogeneous of degree k.  Its solvability preconditions (cocycle,
     symmetric classical limit) are checked by `build_tau` only when the
     stage fails (`_stage_failure`)."""
-    n = spec.n
     K = taus[0].K
-    out = MultiDiffCochain.zero(n, K, 2)
+    terms: dict = {}
     for i in range(0, k):
         c = spec.cochain(k - i).retruncate(K)
-        out = out + compose_slot(taus[i], 0, c).scale_lambda(k - i)
+        add_terms(terms, compose_slot(taus[i], 0, c).scale_lambda(k - i).terms)
     for i in range(1, k):
-        out = out - cochain_weyl_product(taus[i], taus[k - i])
+        add_terms(terms, cochain_weyl_product(taus[i], taus[k - i]).terms, subtract=True)
+    out = MultiDiffCochain._trusted((spec.n, K, 2), terms)
     if not out.is_zero() and not out.is_homogeneous(k):
         raise BuildAborted(f"stage-{k} term is not homogeneous of degree {k}")
     return out
@@ -202,16 +203,19 @@ def epsilon_cochain(spec: StarProductSpec, taus, upto: int) -> MultiDiffCochain:
     """tau(f*g) - tau(f).tau(g) as an arity-2 cochain, with values
     truncated at combined degree `upto` (exact for all degrees <= upto)."""
     n = spec.n
-    total = MultiDiffCochain.zero(n, upto, 1)
+    terms: dict = {}
     for c in taus:
-        total = total + c.retruncate(upto)
-    out = compose_slot(total, 0, mu_cochain(n, upto))
+        add_terms(terms, c.retruncate(upto).terms)
+    total = MultiDiffCochain._trusted((n, upto, 1), terms)
+    # the composition with mu is a fresh map, so it becomes the accumulator
+    out = compose_slot(total, 0, mu_cochain(n, upto)).terms
     for r in range(1, min(spec.order, upto) + 1):
         # lam^r drops every term of degree above upto - r, so compose only the rest
         low = total.retruncate(upto - r).retruncate(upto)
-        out = out + compose_slot(low, 0, spec.cochain(r).retruncate(upto)).scale_lambda(r)
-    out = out - cochain_weyl_product(total, total)
-    return out
+        add_terms(out, compose_slot(low, 0, spec.cochain(r).retruncate(upto))
+                  .scale_lambda(r).terms)
+    add_terms(out, cochain_weyl_product(total, total).terms, subtract=True)
+    return MultiDiffCochain._trusted((n, upto, 2), out)
 
 
 def check_multiplicative(spec: StarProductSpec, taus, K: int) -> None:
@@ -307,13 +311,17 @@ def check_poisson_realization(tau: TauMap, spec: StarProductSpec,
     bracket's biderivation and the gradients of each basis image are
     built once, and since the classical limit is linear, its image of a
     bracket is summed from the images of the bracket's monomials, each
-    evaluated once.
+    evaluated once.  Each pair's difference is summed into one dict,
+    over the terms the check reads only.
     """
     K = tau.K if K is None else K
     n = tau.n
     cl = tau.classical_part()
     bracket = spec.bracket()
     images: dict = {}  # q-exponent e -> cl(q^e)
+    # the check reads lam-free terms of momentum degree <= K - 1; a
+    # product of gradients is also truncated at the map's order
+    top = min(tau.K, K - 1)
 
     def image(e):
         img = images.get(e)
@@ -321,22 +329,34 @@ def check_poisson_realization(tau: TauMap, spec: StarProductSpec,
             img = images[e] = cl.evaluate([LambdaPoly(n, 0, {(0, e): 1})])
         return img
 
+    def read(x):
+        return [(i, sum(i), e, c) for (a, i, e), c in x.terms.items()
+                if not a and sum(i) <= top]
+
+    def add_product(out, x, y, negate):
+        """out += x y, or out -= x y, on the terms the check reads."""
+        for i1, d1, e1, c1 in x:
+            for i2, d2, e2, c2 in y:
+                if d1 + d2 <= top:
+                    v = c1 * c2
+                    accumulate(out, (0, add(i1, i2), add(e1, e2)), -v if negate else v)
+
     exps = [e for t in (1, 2) for e in exponents(n, t)]
     basis = [LambdaPoly(n, 0, {(0, e): 1}) for e in exps]
-    grads = [([image(e).diff_q(k) for k in range(n)],
-              [image(e).diff_p(k) for k in range(n)]) for e in exps]
-    zero = WElement.zero(n, tau.K)
+    grads = [([read(image(e).diff_q(k)) for k in range(n)],
+              [read(image(e).diff_p(k)) for k in range(n)]) for e in exps]
     checked = 0
     for (f, (fq, fp)), (g, (gq, gp)) in itertools.combinations(zip(basis, grads), 2):
-        lhs = zero
+        # the bracket's image minus the canonical bracket of cl(f) and cl(g)
+        diff: dict = {}
         for (_a, _i, e), c in bracket.evaluate([f, g]).terms.items():
-            lhs = lhs + image(e).scale(c)
-        rhs = zero  # the canonical bracket of cl(f) and cl(g)
+            for key, v in image(e).terms.items():
+                if key[0] == 0 and sum(key[1]) <= K - 1:
+                    accumulate(diff, key, v * c)
         for k in range(n):
-            rhs = rhs + fq[k] * gp[k] - fp[k] * gq[k]
-        diff = lhs - rhs
-        bad = group_terms({key: c for key, c in diff.terms.items()
-                           if key[0] == 0 and sum(key[1]) <= K - 1}, n)
+            add_product(diff, fq[k], gp[k], True)
+            add_product(diff, fp[k], gq[k], False)
+        bad = group_terms(diff, n)
         checked += 1
         if bad:
             (_a, idx), poly = next(iter(bad.items()))

@@ -10,7 +10,9 @@ The keys are built from multi-indices: tuples of n non-negative ints
 for q-exponents, p-exponents and derivative orders D^j.  Their
 arithmetic lives here, for every module: `zeros`, `unit`, `add`, `sub`,
 `shift`, the enumerators `exponents` and `below`, and the weights
-`binom`, `factorial` and `falling`.
+`binom`, `factorial` and `falling`.  `accumulate` and `add_terms` sum
+into a plain dict in place, so a kernel or a caller that adds up kernel
+outputs keeps one accumulator instead of building a map per addend.
 """
 
 from __future__ import annotations
@@ -34,6 +36,25 @@ def accumulate(out: dict, key, value):
         out[key] = s
     else:
         out.pop(key, None)
+
+
+def add_terms(out: dict, terms, subtract: bool = False):
+    """Add (or subtract) every term of the mapping terms into out, in
+    place, removing the keys whose sum is zero."""
+    if not subtract:
+        for key, value in terms.items():
+            accumulate(out, key, value)
+        return
+    for key, value in terms.items():
+        s = out.get(key)
+        if s is None:
+            out[key] = -value
+        else:
+            s = s - value
+            if s:
+                out[key] = s
+            else:
+                del out[key]
 
 
 def exponents(n: int, total: int):
@@ -134,23 +155,13 @@ class TermMap:
     def __add__(self, other):
         self._check(other)
         out = dict(self.terms)
-        for key, value in other.terms.items():
-            accumulate(out, key, value)
+        add_terms(out, other.terms)
         return self._new(out)
 
     def __sub__(self, other):
         self._check(other)
         out = dict(self.terms)
-        for key, value in other.terms.items():
-            s = out.get(key)
-            if s is None:
-                out[key] = -value
-            else:
-                s = s - value
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
+        add_terms(out, other.terms, subtract=True)
         return self._new(out)
 
     def __neg__(self):
@@ -236,7 +247,7 @@ class SquareMatrix:
         """The matrix product with entry products mul(x, y)."""
         self._check(other)
         N = self.N
-        zero = self._ENTRY.zero(self.n, self.K)
+        zero = self._ENTRY(self.n, self.K)
         rows = []
         for i in range(N):
             row = []

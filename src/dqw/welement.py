@@ -48,12 +48,6 @@ class WElement(GradedTermMap):
                 accumulate(clean, (a, tuple(idx), tuple(exp)), _coerce(c))
         self._init((n, K), clean)
 
-    # ---- constructors ----
-
-    @classmethod
-    def zero(cls, n: int, K: int) -> "WElement":
-        return cls(n, K)
-
     # ---- commutative product ----
 
     def __mul__(self, other) -> "WElement":
@@ -129,10 +123,6 @@ class LambdaPoly(TermMap):
             if r <= K:
                 accumulate(clean, (r, tuple(exp)), _coerce(c))
         self._init((n, K), clean)
-
-    @classmethod
-    def zero(cls, n: int, K: int) -> "LambdaPoly":
-        return cls(n, K)
 
     @classmethod
     def constant(cls, n: int, K: int, c) -> "LambdaPoly":

@@ -77,6 +77,8 @@ def propagate(left, right, pairing, dq, join, K: int) -> dict:
     the lam-power, so a pair whose next lam-power exceeds K stops.  When
     no entry takes two p-derivatives, no pairing lowers the combined
     degree a + |I| of a pair, so pairs above K are dropped on entry.
+    The derivatives of a term are taken once per call, however many
+    pairs and orders meet it.
     """
     steps = [("qp".index(u), "qp".index(v), w) for u, v, w in pairing]
     monotone = all(u != "p" or v != "p" for u, v, _w in pairing)
@@ -88,6 +90,9 @@ def propagate(left, right, pairing, dq, join, K: int) -> dict:
             if monotone and d1 + t2[0] + sum(t2[1]) > K:
                 continue
             accumulate(state, (t1, t2), c1 * c2)
+    # term -> its derivatives, d/dq^k at 2k and d/dp_k at 2k + 1, each
+    # taken when first needed
+    derivs: dict = {}
     weights: dict = {}  # (entry, multiplicity, r) -> weight * multiplicity / (r + 1)
     out: dict = {}
     r = 0
@@ -100,12 +105,22 @@ def propagate(left, right, pairing, dq, join, K: int) -> dict:
                 accumulate(out, key, c)
             if t1[0] + t2[0] + r + 1 > K:
                 continue
-            for k in range(len(t1[1])):
-                lefts = (dq(t1, k), _dp(t1, k))
-                rights = (dq(t2, k), _dp(t2, k))
+            i1, i2 = t1[1], t2[1]
+            e1 = derivs.get(t1) or derivs.setdefault(t1, [None] * (2 * len(i1)))
+            e2 = derivs.get(t2) or derivs.setdefault(t2, [None] * (2 * len(i2)))
+            for k in range(len(i1)):
                 for s, (li, ri, w) in enumerate(steps):
-                    for lt, lm in lefts[li]:
-                        for rt, rm in rights[ri]:
+                    # d/dp_k of a term without p_k is zero
+                    if (li and not i1[k]) or (ri and not i2[k]):
+                        continue
+                    lefts = e1[2 * k + li]
+                    if lefts is None:
+                        lefts = e1[2 * k + li] = (_dp if li else dq)(t1, k)
+                    rights = e2[2 * k + ri]
+                    if rights is None:
+                        rights = e2[2 * k + ri] = (_dp if ri else dq)(t2, k)
+                    for lt, lm in lefts:
+                        for rt, rm in rights:
                             m = lm * rm
                             wm = weights.get((s, m, r))
                             if wm is None:

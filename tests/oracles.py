@@ -35,6 +35,10 @@
 * The Wick positivity certificate: Omega_0(A~ . A) for the z/zbar
   product and a lam-free matrix A, exhibited coefficientwise as sums of
   squared moduli of zbar-derivative evaluations.
+* The build kernels `weyl.propagate`, `cochain.compose_slot` and
+  `cochain.coboundary` without their per-call tables, every per-term
+  quantity recomputed where it is used (`propagate_reference`,
+  `compose_slot_reference`, `coboundary_reference`).
 """
 
 from __future__ import annotations
@@ -43,14 +47,14 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 
-from dqw import weyl
+from dqw import cochain, weyl
 from dqw.cochain import MultiDiffCochain, compose_slot, find_witness, mu_cochain
 from dqw.qpoly import DimensionMismatch, expand_terms, group_terms
-from dqw.rationals import ONE, ZERO, GaussianRational, _coerce
+from dqw.rationals import I, ONE, ZERO, GaussianRational, _coerce
 from dqw.starspec import ValidationCheck
 from dqw.taubuild import RealizationReport
-from dqw.terms import (SquareMatrix, TermMap, accumulate, add, exponents, factorial, shift,
-                       zeros)
+from dqw.terms import (SquareMatrix, TermMap, accumulate, add, below, binom, exponents,
+                       factorial, falling, shift, sub, zeros)
 from dqw.welement import LambdaPoly, NonRealSeries, WElement
 from dqw.weyl import WEYL_PAIRING, WICK_PAIRING, propagate, resolve_fock_sign
 
@@ -162,7 +166,7 @@ def poincare_homotopy(omega: KoszulForm) -> KoszulForm:
 def poisson_bracket(spec, f: LambdaPoly, g: LambdaPoly) -> LambdaPoly:
     """{f, g} = sum_{k,l} theta^{kl} D_k f D_l g for the spec's bracket,
     one product of derivatives per term of its cochain."""
-    out = LambdaPoly.zero(spec.n, f.K)
+    out = LambdaPoly(spec.n, f.K)
     for (_a, _idx, (jk, jl), e), c in spec.bracket().terms.items():
         out = out + LambdaPoly(spec.n, f.K, {(0, e): c}) * f.derivative(jk) * g.derivative(jl)
     return out
@@ -184,7 +188,7 @@ def lam_coefficients(f: LambdaPoly) -> dict:
 def evaluate_per_order(phi: MultiDiffCochain, args) -> WElement:
     """phi(f_1..f_k) summed over one lam-coefficient per argument: phi on
     those lam-free coefficients, shifted by the sum of their lam-powers."""
-    out = WElement.zero(phi.n, phi.K)
+    out = WElement(phi.n, phi.K)
     for combo in itertools.product(*(lam_coefficients(f).items() for f in args)):
         r = sum(s for s, _ in combo)
         if r <= phi.K:
@@ -214,7 +218,7 @@ def tau_apply_per_order(tau, f: LambdaPoly) -> WElement:
     """tau(f) as sum_r lam^r tau(f_r) over the lam-coefficients f_r of f,
     truncated at combined degree tau.K."""
     total = tau.total_cochain()
-    out = WElement.zero(tau.n, tau.K)
+    out = WElement(tau.n, tau.K)
     for r, fr in lam_coefficients(f).items():
         if r <= tau.K:
             out = out + total.evaluate([fr]).scale_lambda(r)
@@ -283,7 +287,7 @@ class MatrixWElement(SquareMatrix):
     @classmethod
     def identity(cls, N: int, n: int, K: int) -> "MatrixWElement":
         one = WElement(n, K, {(0, zeros(n), zeros(n)): 1})
-        zero = WElement.zero(n, K)
+        zero = WElement(n, K)
         return cls([[one if i == j else zero for j in range(N)] for i in range(N)])
 
     def map_entries(self, f) -> "MatrixWElement":
@@ -334,7 +338,7 @@ def wick_product(a, b):
 def canonical_bracket(a: WElement, b: WElement) -> WElement:
     """sum_k (dq^k a * dp_k b - dp_k a * dq^k b)."""
     a._check(b)
-    out = WElement.zero(a.n, a.K)
+    out = WElement(a.n, a.K)
     for k in range(a.n):
         out = out + a.diff_q(k) * b.diff_p(k) - a.diff_p(k) * b.diff_q(k)
     return out
@@ -506,3 +510,101 @@ def wick_positivity_certificate(state, A: MatrixWElement) -> WickCertificate:
         entries=entries,
         all_nonnegative=all(c >= 0 for c in coefficients),
     )
+
+
+# ---------------------------------------------------------------------------
+# the build kernels in their plain form
+# ---------------------------------------------------------------------------
+#
+# `weyl.propagate`, `cochain.compose_slot` and `cochain.coboundary` keep
+# per-call tables of the quantities each term needs; these are the same
+# sums with every quantity recomputed where it is used.
+
+def propagate_reference(left, right, pairing, dq, join, K: int) -> dict:
+    """`weyl.propagate`, deriving each term again for every pair and order."""
+    steps = [("qp".index(u), "qp".index(v), w) for u, v, w in pairing]
+    monotone = all(u != "p" or v != "p" for u, v, _w in pairing)
+    right = list(right)
+    state: dict = {}
+    for t1, c1 in left:
+        for t2, c2 in right:
+            if monotone and t1[0] + sum(t1[1]) + t2[0] + sum(t2[1]) > K:
+                continue
+            accumulate(state, (t1, t2), c1 * c2)
+    out: dict = {}
+    r = 0
+    while state:
+        new: dict = {}
+        for (t1, t2), c in state.items():
+            key = join(t1, t2, r)
+            if key[0] + sum(key[1]) <= K:
+                accumulate(out, key, c)
+            if t1[0] + t2[0] + r + 1 > K:
+                continue
+            for k in range(len(t1[1])):
+                lefts = (dq(t1, k), weyl._dp(t1, k))
+                rights = (dq(t2, k), weyl._dp(t2, k))
+                for li, ri, w in steps:
+                    for lt, lm in lefts[li]:
+                        for rt, rm in rights[ri]:
+                            accumulate(new, (lt, rt), c * w * Fraction(lm * rm, r + 1))
+        state = new
+        r += 1
+    return out
+
+
+def cochain_weyl_product_reference(phi: MultiDiffCochain,
+                                   psi: MultiDiffCochain) -> MultiDiffCochain:
+    flat = propagate_reference(phi.terms.items(), psi.terms.items(), WEYL_PAIRING,
+                               cochain._cochain_dq, cochain._cochain_join, phi.K)
+    return MultiDiffCochain._trusted((phi.n, phi.K, phi.arity + psi.arity), flat)
+
+
+def compose_slot_reference(phi: MultiDiffCochain, slot: int,
+                           inner: MultiDiffCochain) -> MultiDiffCochain:
+    """`cochain.compose_slot`, weighing every Leibniz split where it is used."""
+    out: dict = {}
+    for (a, idx, jvec, exp), c in phi.terms.items():
+        j = jvec[slot]
+        for (_a, _i, avec, fexp), ic in inner.terms.items():
+            for j0 in below(tuple(map(min, j, fexp))):
+                weight = binom(j, j0) * falling(fexp, j0)
+                for pieces, mult in cochain._splittings(sub(j, j0), inner.arity):
+                    new_slots = tuple(map(add, avec, pieces))
+                    accumulate(out, (a, idx, jvec[:slot] + new_slots + jvec[slot + 1:],
+                                     add(exp, sub(fexp, j0))),
+                               c * ic * (weight * mult))
+    return MultiDiffCochain._trusted((phi.n, phi.K, phi.arity + inner.arity - 1), out)
+
+
+def _outer_action_terms(a, idx, exp, c, deformed, left):
+    """The bimodule action of a new argument on one value term, as
+    (a', idx', jnew, exp, coeff) with jnew the new argument's derivative."""
+    if not deformed:
+        yield (a, idx, zeros(len(idx)), exp, c)
+        return
+    for jnew in below(idx):
+        w = sum(jnew)
+        scalar = (I * Fraction(1, 2) if left else I * Fraction(-1, 2)) ** w
+        yield (a + w, sub(idx, jnew), jnew, exp, c * scalar * binom(idx, jnew))
+
+
+def coboundary_reference(phi: MultiDiffCochain, deformed: bool = True) -> MultiDiffCochain:
+    """`cochain.coboundary`, expanding each term's action and insertions
+    from scratch."""
+    k = phi.arity
+    out: dict = {}
+    for (a, idx, jvec, exp), c in phi.terms.items():
+        for (a2, idx2, jnew, exp2, c2) in _outer_action_terms(a, idx, exp, c, deformed, True):
+            accumulate(out, (a2, idx2, (jnew,) + jvec, exp2), c2)
+        sign = -1
+        for i in range(k):
+            j = jvec[i]
+            for l in below(j):
+                newj = jvec[:i] + (l, sub(j, l)) + jvec[i + 1:]
+                accumulate(out, (a, idx, newj, exp), c * (sign * binom(j, l)))
+            sign = -sign
+        tail_sign = 1 if (k + 1) % 2 == 0 else -1
+        for (a2, idx2, jnew, exp2, c2) in _outer_action_terms(a, idx, exp, c, deformed, False):
+            accumulate(out, (a2, idx2, jvec + (jnew,), exp2), c2 * tail_sign)
+    return MultiDiffCochain._trusted((phi.n, phi.K, k + 1), out)

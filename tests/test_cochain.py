@@ -8,17 +8,19 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dqw.cochain import (MultiDiffCochain, _splittings, alt, coboundary,
-                         cochain_weyl_product, compose_slot, find_witness,
+from dqw.cochain import (MultiDiffCochain, _cochain_dq, _cochain_join, _splittings, alt,
+                         coboundary, cochain_weyl_product, compose_slot, find_witness,
                          identity_cochain, mu_cochain, plug_constant)
 from dqw.qpoly import QPolynomial
 from dqw.rationals import I
 from dqw.starspec import star_apply
 from dqw.terms import accumulate, shift, zeros
 from dqw.welement import LambdaPoly, WElement
+from dqw.weyl import WICK_PAIRING, propagate
 
-from oracles import (evaluate_per_order, star_apply_by_lam_pairs, tau_apply_per_order,
-                     weyl_product)
+from oracles import (coboundary_reference, cochain_weyl_product_reference,
+                     compose_slot_reference, evaluate_per_order, propagate_reference,
+                     star_apply_by_lam_pairs, tau_apply_per_order, weyl_product)
 from strategies import cochains, exponents, gaussian_rationals, gr, lambda_polys
 
 N, K = 2, 4
@@ -423,3 +425,61 @@ def test_deg_homogeneous_components():
     assert not phi.is_homogeneous(1)
     assert phi.component(2).is_homogeneous(2)
 
+
+
+@st.composite
+def _kernel_cochain(draw, n, K, arity, lam_free=False):
+    """A cochain over n coordinates at order K whose terms may carry
+    lam-powers, momenta (unless lam_free) and q-coefficients."""
+    multi = st.tuples(*[st.integers(min_value=0, max_value=2)] * n)
+    with_q = draw(st.booleans())
+    terms: dict = {}
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        a, idx = (0, zeros(n)) if lam_free else (draw(st.integers(0, 2)), draw(multi))
+        jvec = tuple(draw(multi) for _ in range(arity))
+        exp = draw(multi) if with_q else zeros(n)
+        accumulate(terms, (a, idx, jvec, exp), draw(gaussian_rationals()))
+    return MultiDiffCochain(n, K, arity, terms)
+
+
+@st.composite
+def _kernel_inputs(draw, lam_free_second=False):
+    n = draw(st.integers(min_value=1, max_value=3))
+    K = draw(st.integers(min_value=0, max_value=4))
+    first = draw(_kernel_cochain(n, K, draw(st.integers(min_value=1, max_value=2))))
+    second = draw(_kernel_cochain(n, K, draw(st.integers(min_value=1, max_value=2)),
+                                  lam_free=lam_free_second))
+    return first, second
+
+
+class TestKernelsMatchReferences:
+    """The kernels with per-call tables against their plain forms in
+    `tests/oracles.py`, on the same random cochains."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_kernel_inputs())
+    def test_weyl_product(self, case):
+        phi, psi = case
+        assert cochain_weyl_product(phi, psi) == cochain_weyl_product_reference(phi, psi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_kernel_inputs())
+    def test_propagate_with_two_momentum_derivatives(self, case):
+        # the z/zbar table pairs d/dp with d/dp, so no pair is dropped on entry
+        phi, psi = case
+        args = (phi.terms.items(), psi.terms.items(), WICK_PAIRING,
+                _cochain_dq, _cochain_join, phi.K)
+        assert propagate(*args) == propagate_reference(*args)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_kernel_inputs(lam_free_second=True), st.data())
+    def test_compose_slot(self, case, data):
+        phi, inner = case
+        slot = data.draw(st.integers(min_value=0, max_value=phi.arity - 1))
+        assert compose_slot(phi, slot, inner) == compose_slot_reference(phi, slot, inner)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_kernel_inputs(), st.booleans())
+    def test_coboundary(self, case, deformed):
+        phi, _ = case
+        assert coboundary(phi, deformed) == coboundary_reference(phi, deformed)

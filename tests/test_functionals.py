@@ -230,7 +230,7 @@ class TestCheckPositivity:
 
     def test_zero_test_inconclusive(self, moyal_r2, fixture_tau_r2, delta0):
         omega = DeformedFunctional(delta0, fixture_tau_r2, K)
-        verdict = positivity_verdict(omega, moyal_r2, [LambdaPoly.zero(N_DIM, K)])
+        verdict = positivity_verdict(omega, moyal_r2, [LambdaPoly(N_DIM, K)])
         assert verdict.tests[0].classification == SeriesSign.ZERO_UP_TO_K
         assert verdict.aggregate == "inconclusive"
         assert verdict.inconclusive
@@ -241,7 +241,7 @@ class TestCheckPositivity:
         f = counterexample_test()
         m = MatrixLambdaPoly([
             [f, LambdaPoly.constant(N_DIM, K, 1)],
-            [LambdaPoly.zero(N_DIM, K), f],
+            [LambdaPoly(N_DIM, K), f],
         ])
         verdict = positivity_verdict(omega, moyal_r2, [m])
         assert verdict.tests[0].classification != SeriesSign.NEGATIVE

@@ -176,3 +176,28 @@ def test_equal_numbers_hash_alike():
 def test_real_hash_matches_fraction(q, k):
     built = gr(q.numerator * k) / gr(q.denominator * k)
     assert built == q and hash(built) == hash(q) == hash(gr(q))
+
+
+@given(gaussian_rationals(), st.data())
+def test_int_product_matches_the_scalar_product(x, data):
+    d = x._t[2]
+    k = data.draw(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-60, 60),
+                            st.integers(-5, 5).map(lambda m: m * d)))
+    got = x * k
+    _assert_reduced(got)
+    assert got == x * GaussianRational(k) and k * x == got
+
+
+_PARTS = st.one_of(st.just(Fraction(0)), st.integers(-10**6, 10**6).map(Fraction),
+                   st.fractions(max_denominator=10**6))
+
+
+@given(_PARTS, _PARTS)
+def test_format_matches_fraction_strings(re, im):
+    if not im:
+        want = str(re)
+    elif not re:
+        want = f"{im} i"
+    else:
+        want = f"{re}{'+' if im > 0 else '-'}{abs(im)} i"
+    assert format_scalar(GaussianRational(re, im)) == want

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from dqw.cli import emit_report, run_scenario, strip_timings
+from dqw import cli
+from dqw.cli import report_to_json_text, run_scenario, strip_timings, write_report
 from dqw.cli import main as cli_main
 from dqw.rationals import parse_scalar
 from dqw.scenario import ConfigurationError, Scenario, load_scenario
@@ -171,6 +172,12 @@ class TestDeterminism:
         assert t1 != t2
 
 
+def emit_report(report, fmt):
+    fh = io.StringIO()
+    write_report(report, fmt, fh)
+    return fh.getvalue()
+
+
 class TestReports:
     def test_json_emission_roundtrips(self):
         report, _ = run_scenario(load("k0-degenerate"))
@@ -182,6 +189,25 @@ class TestReports:
         text = emit_report(report, "text")
         assert "k0-degenerate" in text
         assert "overall: pass" in text
+
+    def test_written_json_is_the_report_text(self, tmp_path, monkeypatch, capsysbinary):
+        """The report streamed into --out, and onto stdout, has the bytes of
+        `report_to_json_text` of the same report."""
+        reports = []
+        run = cli.run_scenario
+
+        def captured(*args, **kwargs):
+            result = run(*args, **kwargs)
+            reports.append(result[0])
+            return result
+
+        monkeypatch.setattr(cli, "run_scenario", captured)
+        scenario = str(SCENARIO_DIR / "moyal-r2-delta.json")
+        out = tmp_path / "report.json"
+        assert cli_main(["run", "--scenario", scenario, "--out", str(out)]) == 0
+        assert out.read_bytes() == report_to_json_text(reports[0]).encode()
+        assert cli_main(["run", "--scenario", scenario]) == 0
+        assert capsysbinary.readouterr().out == report_to_json_text(reports[1]).encode()
 
     def test_unknown_format_rejected(self):
         report, _ = run_scenario(load("k0-degenerate"))

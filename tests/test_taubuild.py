@@ -433,7 +433,7 @@ def _substitution_reference(theta, f: LambdaPoly, K: int | None = None) -> WElem
             if theta[i][j]:
                 img = img - momentum(n, KK, j).scale(Fraction(theta[i][j]) / 2)
         images.append(img)
-    out = WElement.zero(n, KK)
+    out = WElement(n, KK)
     for (r, exp), c in f.terms.items():
         term = WElement(n, KK, {(r, (0,) * n, (0,) * n): c})
         for i, e in enumerate(exp):

@@ -87,8 +87,8 @@ def test_grouped_and_flat_forms_agree(kind, data):
 def test_shape_mismatch_still_raises():
     pairs = [
         (QPolynomial.constant(2, 1), QPolynomial.constant(3, 1)),
-        (WElement.zero(2, 3), WElement.zero(2, 4)),
-        (LambdaPoly.zero(2, 3), LambdaPoly.zero(3, 3)),
+        (WElement(2, 3), WElement(2, 4)),
+        (LambdaPoly(2, 3), LambdaPoly(3, 3)),
         (MultiDiffCochain.zero(2, 3, 1), MultiDiffCochain.zero(2, 3, 2)),
         (KoszulForm.zero(3, 1), KoszulForm.zero(3, 2)),
     ]

@@ -37,7 +37,7 @@ class TestMultiply:
 
     def test_truncation_policy(self):
         one = lam_power(N, 1)
-        assert one * one == WElement.zero(N, 1)
+        assert one * one == WElement(N, 1)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -164,7 +164,7 @@ class TestAlgebraLaws:
 
     @given(welements())
     def test_component_decomposition(self, a):
-        total = WElement.zero(N, K)
+        total = WElement(N, K)
         for d in range(K + 1):
             comp = a.component(d)
             assert degree_image(comp) == comp.scale(d)

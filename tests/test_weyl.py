@@ -216,13 +216,13 @@ class TestChartMaps:
 class TestMatrix:
     def _m(self):
         z = q(0) + p(0).scale(I)
-        zero = WElement.zero(N, K)
+        zero = WElement(N, K)
         return MatrixWElement([[z, q(1)], [zero, z.conjugate()]])
 
     def test_involution_is_conjugate_transpose(self):
         m = self._m()
         mi = m.involution()
-        assert mi.entries[0][1] == WElement.zero(N, K)
+        assert mi.entries[0][1] == WElement(N, K)
         assert mi.entries[1][0] == q(1)
         assert mi.involution() == m
 
