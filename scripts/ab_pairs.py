@@ -11,7 +11,11 @@ Every run's end-to-end metrics are printed as they come.  Then, for each
 end-to-end metric of BENCHMARK.json, one line gives the median and the
 quartiles of both sides, the number of pairs the change won, and the
 gap of the medians in the metric's worse direction against its bound
-(read in the metric's unit).  A second line says whether a gain claim
+(read in the metric's unit): "EXCEEDS BOUND" when the gap is larger than
+the bound; else "unresolved" when the parent's own quartile spread is
+wider than the bound, so that noise could hide a regression, unless every
+run of the change reads better than every run of the parent; else
+"within bound".  A second line says whether a gain claim
 would hold: the change wins at least nine tenths of all pairs, ties
 counting for neither side, and its median is better than the parent's
 by more than the distance between the parent's quartiles.  A run that fails, or whose benchmark
@@ -49,6 +53,19 @@ def quartiles(values: list) -> tuple:
 def summary(values: list) -> str:
     q1, med, q3 = quartiles(values)
     return f"{med:.4f} [{q1:.4f}, {q3:.4f}]"
+
+
+def bound_verdict(before: list, after: list, sign: int, bound: float) -> str:
+    """"EXCEEDS BOUND", "unresolved" or "within bound", as the module
+    docstring defines them, for the paired runs of the parent (before)
+    and the change (after); sign is 1 when lower is better, -1 when
+    higher is."""
+    if sign * (statistics.median(after) - statistics.median(before)) > bound:
+        return "EXCEEDS BOUND"
+    q1, _, q3 = quartiles(before)
+    if q3 - q1 > bound and not max(sign * a for a in after) < min(sign * b for b in before):
+        return "unresolved"
+    return "within bound"
 
 
 def gain_claim(before: list, after: list, sign: int) -> tuple:
@@ -97,7 +114,7 @@ def main(argv=None) -> int:
         gap = sign * (statistics.median(after) - statistics.median(before))
         print(f"{name}: parent {summary(before)}  change {summary(after)}  "
               f"won {won}/{args.pairs}  worse by {gap:+.4f} {m['unit']} "
-              f"(bound {bound}): {'EXCEEDS BOUND' if gap > bound else 'within bound'}")
+              f"(bound {bound}): {bound_verdict(before, after, sign, bound)}")
         print(gain_claim(before, after, sign)[1])
     return 0
 

@@ -319,7 +319,7 @@ def solve_coboundary(phi: MultiDiffCochain):
     n, K = phi.n, phi.K
     report = SolveReport()
     if phi.is_zero():
-        psi = MultiDiffCochain.zero(n, K, 1)
+        psi = MultiDiffCochain(n, K, 1)
         report.certified = (phi, psi)
         return psi, report
     degrees = phi.degrees()
@@ -327,7 +327,7 @@ def solve_coboundary(phi: MultiDiffCochain):
         raise ValueError(f"target is not homogeneous: degrees {sorted(degrees)}")
     degree = degrees.pop()
 
-    psi = MultiDiffCochain.zero(n, K, 1)
+    psi = MultiDiffCochain(n, K, 1)
     residual = phi
     for a in range(degree + 1):
         part = _level(residual, a)

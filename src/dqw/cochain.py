@@ -65,12 +65,6 @@ class MultiDiffCochain(GradedTermMap):
                 accumulate(clean, (a, tuple(idx), jvec, tuple(exp)), _coerce(c))
         self._init((n, K, arity), clean)
 
-    # ---- constructors ----
-
-    @classmethod
-    def zero(cls, n: int, K: int, arity: int) -> "MultiDiffCochain":
-        return cls(n, K, arity)
-
     # ---- grading, conjugation, restriction ----
 
     def degrees(self) -> set:

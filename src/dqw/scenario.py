@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .cochain import MultiDiffCochain
 from .functionals import MatrixLambdaPoly, StateFunctional
-from .qpoly import QPolynomial
 from .rationals import GaussianRational, parse_fraction, parse_scalar
 from .starspec import StarProductSpec, digest_json
 from .terms import accumulate, shift, zeros
@@ -200,10 +199,10 @@ def _read_terms(field: str, value, n: int) -> dict:
     return terms
 
 
-def read_qpolynomial(field: str, data, n: int) -> QPolynomial:
-    """A polynomial {"n", "terms"}, as `QPolynomial.to_json` writes it."""
+def read_qpolynomial(field: str, data, n: int) -> dict:
+    """The terms {exponents: scalar} of a polynomial {"n", "terms"}."""
     _check_int(f"{field}.n", _read_object(field, data, ("n", "terms"))["n"], n, n)
-    return QPolynomial(n, _read_terms(f"{field}.terms", data["terms"], n))
+    return _read_terms(f"{field}.terms", data["terms"], n)
 
 
 def read_lambda_poly(field: str, data, n: int) -> LambdaPoly:
@@ -243,8 +242,7 @@ def read_star_product_spec(field: str, data, n: int) -> StarProductSpec:
             _read_object(term_at, term, ("coeff_poly", "derivs"))
             jvec = tuple(_read_exponents(j_at, j, n)
                          for j_at, j in _read_list(f"{term_at}.derivs", term["derivs"], 2))
-            poly = read_qpolynomial(f"{term_at}.coeff_poly", term["coeff_poly"], n)
-            for exp, c in poly.terms.items():
+            for exp, c in read_qpolynomial(f"{term_at}.coeff_poly", term["coeff_poly"], n).items():
                 accumulate(terms, (0, z, jvec, exp), c)
     order = max(by_power, default=0)
     return StarProductSpec(

@@ -71,7 +71,7 @@ class StarProductSpec(namedtuple("StarProductSpec", "n order hermitian cochains 
         if r < 1:
             raise IndexError("cochain index starts at 1")
         if r > self.order:
-            return MultiDiffCochain.zero(self.n, self.order, 2)
+            return MultiDiffCochain(self.n, self.order, 2)
         return self.cochains[r - 1]
 
     # ---- bracket data ----

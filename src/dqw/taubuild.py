@@ -233,7 +233,7 @@ def _solve_stage(rk: MultiDiffCochain, k: int, hermitian: bool):
     `_stage_failure`, so a violated precondition is reported with its
     witness."""
     if rk.is_zero():
-        return MultiDiffCochain.zero(rk.n, rk.K, 1), None
+        return MultiDiffCochain(rk.n, rk.K, 1), None
     if hermitian and rk.involution() != rk:
         _stage_failure(rk, k, BuildAborted(f"stage-{k} term is not Hermitian"))
     try:

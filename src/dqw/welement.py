@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .qpoly import DimensionMismatch, expand_terms, group_terms
-from .rationals import GaussianRational, ONE, ZERO, _coerce
+from .rationals import GaussianRational, _coerce
 from .terms import GradedTermMap, TermMap, accumulate, add, falling, shift, sub, zeros
 
 
@@ -151,28 +151,6 @@ class LambdaPoly(TermMap):
             if w:
                 out[(r, sub(exp, j))] = c * w
         return self._new(out)
-
-    def evaluate(self, point) -> tuple:
-        """Substitute exact coordinates; the tuple of lam-coefficients
-        (length K + 1).  Each coordinate's powers are taken once, up to
-        its top exponent, and shared by every term."""
-        if len(point) != self.n:
-            raise DimensionMismatch("evaluation point has wrong dimension")
-        tops = [max(column) for column in zip(*(exp for _r, exp in self.terms))]
-        powers = []
-        for x, top in zip(point, tops):
-            x = _coerce(x)
-            row = [ONE]
-            for _ in range(top):
-                row.append(row[-1] * x)
-            powers.append(row)
-        coeffs = [ZERO] * (self.K + 1)
-        for (r, exp), c in self.terms.items():
-            for row, e in zip(powers, exp):
-                if e:
-                    c = c * row[e]
-            coeffs[r] = coeffs[r] + c
-        return tuple(coeffs)
 
     def __repr__(self):
         return f"LambdaPoly(n={self.n}, K={self.K}, {len(self.terms)} terms)"

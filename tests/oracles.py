@@ -32,6 +32,11 @@
   grading operator (`degree_image`).  The series at a lifted order
   followed by `iota_star` is the reference for the pipeline's closed
   form `weyl.exp_laplace_exact` (`zero_momentum_reference`).
+* The action of a functional entry by entry (`per_entry_action`): a
+  deformed functional pushes each entry through tau and
+  `weyl.exp_laplace_exact`, then every entry is evaluated at each atom
+  (`evaluate`, `eval_matrix_series`); `dqw.functionals` sums the
+  functional's moment table instead.
 * The Wick positivity certificate: Omega_0(A~ . A) for the z/zbar
   product and a lam-free matrix A, exhibited coefficientwise as sums of
   squared moduli of zbar-derivative evaluations.
@@ -49,6 +54,7 @@ from fractions import Fraction
 
 from dqw import cochain, weyl
 from dqw.cochain import MultiDiffCochain, compose_slot, find_witness, mu_cochain
+from dqw.functionals import DeformedFunctional
 from dqw.qpoly import DimensionMismatch, expand_terms, group_terms
 from dqw.rationals import I, ONE, ZERO, GaussianRational, _coerce
 from dqw.starspec import ValidationCheck
@@ -255,7 +261,7 @@ def two_sided_associator(spec, m: int) -> MultiDiffCochain:
     def cr(r):
         return mu_cochain(spec.n, spec.order) if r == 0 else spec.cochain(r)
 
-    out = MultiDiffCochain.zero(spec.n, spec.order, 3)
+    out = MultiDiffCochain(spec.n, spec.order, 3)
     for i in range(m + 1):
         out = out + compose_slot(cr(i), 0, cr(m - i)) - compose_slot(cr(i), 1, cr(m - i))
     return out
@@ -429,6 +435,70 @@ def degree_image(x: WElement) -> WElement:
 
 
 # ---------------------------------------------------------------------------
+# a functional's action entry by entry
+# ---------------------------------------------------------------------------
+
+def evaluate(f: LambdaPoly, point) -> tuple:
+    """Substitute exact coordinates into a lam-series; the tuple of
+    lam-coefficients (length K + 1).  Each coordinate's powers are taken
+    once, up to its top exponent, and shared by every term."""
+    if len(point) != f.n:
+        raise DimensionMismatch("evaluation point has wrong dimension")
+    tops = [max(column) for column in zip(*(exp for _r, exp in f.terms))]
+    powers = []
+    for x, top in zip(point, tops):
+        x = _coerce(x)
+        row = [ONE]
+        for _ in range(top):
+            row.append(row[-1] * x)
+        powers.append(row)
+    coeffs = [ZERO] * (f.K + 1)
+    for (r, exp), c in f.terms.items():
+        for row, e in zip(powers, exp):
+            if e:
+                c = c * row[e]
+        coeffs[r] = coeffs[r] + c
+    return tuple(coeffs)
+
+
+def eval_matrix_series(state, entries, K: int) -> tuple:
+    """sum_a v_a* M(x_a) v_a for a matrix of LambdaPoly entries, as the
+    tuple of its lam-coefficients through lam^K."""
+    out = [ZERO] * (K + 1)
+    for point, vector in state.atoms:
+        for i in range(state.N):
+            vi = vector[i].conjugate()
+            if not vi:
+                continue
+            for j in range(state.N):
+                vj = vector[j]
+                if not vj:
+                    continue
+                series = evaluate(entries[i][j], point)
+                w = vi * vj
+                for r in range(min(K, entries[i][j].K) + 1):
+                    c = series[r]
+                    if c:
+                        out[r] = out[r] + c * w
+    return tuple(out)
+
+
+def per_entry_action(omega, m) -> tuple:
+    """omega(m) for an `UndeformedExtension` or a `DeformedFunctional`,
+    entry by entry: the deformed functional pushes each whole entry
+    through tau and E^-1 at zero momentum to its sound order, then both
+    evaluate every entry at each atom."""
+    if m.N != omega.base.N or m.n != omega.base.n:
+        raise DimensionMismatch("test element has wrong shape")
+    L = omega.sound_order
+    entries = m.entries
+    if isinstance(omega, DeformedFunctional):
+        entries = [[weyl.exp_laplace_exact(omega.tau.apply(x), -omega.sigma, L) for x in row]
+                   for row in entries]
+    return eval_matrix_series(omega.base, entries, L)
+
+
+# ---------------------------------------------------------------------------
 # the Wick positivity certificate
 # ---------------------------------------------------------------------------
 
@@ -458,7 +528,7 @@ def wick_positivity_certificate(state, A: MatrixWElement) -> WickCertificate:
     # value = Omega_0( (A~ . A) at p=0 ), computed independently
     prod = wick_product(A.involution(), A)
     pushed = [[iota_star(x) for x in row] for row in prod.entries]
-    value = state.eval_matrix_series(pushed, K)
+    value = eval_matrix_series(state, pushed, K)
     for r, c in enumerate(value):
         if c.im:
             raise NonRealSeries(f"lam^{r} coefficient is not real: {c}")
@@ -476,7 +546,7 @@ def wick_positivity_certificate(state, A: MatrixWElement) -> WickCertificate:
                 for i in range(state.N):
                     w = ZERO
                     for j in range(state.N):
-                        series = at_zero[i][j].evaluate(point)
+                        series = evaluate(at_zero[i][j], point)
                         w = w + series[0] * vector[j]
                     norm_sq += w.re * w.re + w.im * w.im
                 if norm_sq:

@@ -1,7 +1,9 @@
-"""The gain-claim summary of `scripts/ab_pairs.py` on synthetic runs: a
+"""The summaries of `scripts/ab_pairs.py` on synthetic runs.  A gain
 claim holds only when the change wins at least nine tenths of all pairs,
 ties counting for neither side, and its median beats the parent's by
-more than the distance between the parent's quartiles."""
+more than the distance between the parent's quartiles.  A metric whose
+parent spread is wider than its bound is unresolved, unless every run of
+the change beats every run of the parent."""
 
 import importlib.util
 import pathlib
@@ -43,3 +45,21 @@ def test_gain_claim_line_reads_the_figures():
     _, line = ab_pairs.gain_claim(PARENT, after, 1)
     assert "won 9/10 (needs 9/10)" in line
     assert f"median gain +0.5000 against the parent's quartile spread {q3 - q1:.4f}" in line
+
+
+@pytest.mark.parametrize("after, sign, bound, verdict", [
+    # the parent's quartile spread (0.055) is within a bound of 0.1
+    (PARENT, 1, 0.1, "within bound"),
+    ([x + 0.05 for x in PARENT], 1, 0.1, "within bound"),
+    ([x + 0.2 for x in PARENT], 1, 0.1, "EXCEEDS BOUND"),
+    # a bound of 0.01 is finer than the parent's spread
+    (PARENT, 1, 0.01, "unresolved"),
+    ([x - 0.005 for x in PARENT], 1, 0.01, "unresolved"),
+    ([x + 0.02 for x in PARENT], 1, 0.01, "EXCEEDS BOUND"),
+    # every change run beats every parent run: resolved whatever the spread
+    ([x - 0.1 for x in PARENT], 1, 0.01, "within bound"),
+    ([x + 0.1 for x in PARENT], -1, 0.01, "within bound"),
+    ([x - 0.005 for x in PARENT], -1, 0.01, "unresolved"),
+])
+def test_bound_verdict(after, sign, bound, verdict):
+    assert ab_pairs.bound_verdict(PARENT, after, sign, bound) == verdict

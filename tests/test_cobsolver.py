@@ -60,7 +60,7 @@ class TestRoundTrips:
         assert coboundary(cand, True) == phi
 
     def test_zero_accepted(self):
-        psi, _ = solve_coboundary(MultiDiffCochain.zero(N, K, 2))
+        psi, _ = solve_coboundary(MultiDiffCochain(N, K, 2))
         assert psi.is_zero()
 
     def test_seeded_roundtrips(self):

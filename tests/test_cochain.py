@@ -397,7 +397,7 @@ class TestLamLinearExtension:
 
 class TestWitness:
     def test_zero_has_no_witness(self):
-        assert find_witness(MultiDiffCochain.zero(N, K, 2)) is None
+        assert find_witness(MultiDiffCochain(N, K, 2)) is None
 
     @settings(max_examples=30)
     @given(cochains(arity=2))

@@ -1,7 +1,10 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dqw.functionals import (DeformedFunctional, GluedFunctional, MatrixLambdaPoly,
                              PartitionError, StateFunctional, UndeformedExtension,
@@ -15,9 +18,10 @@ from dqw.welement import LambdaPoly, NonRealSeries, SeriesSign, WElement
 from dqw.weyl import resolve_fock_sign
 
 from conftest import SCENARIO_DIR, positivity_verdict
-from oracles import (MatrixWElement, exp_laplace_lifted, iota_star,
-                     wick_positivity_certificate)
-from strategies import coordinate, element, gr, lam_power, momentum, monomial, series
+from oracles import (MatrixWElement, eval_matrix_series, evaluate, exp_laplace_lifted,
+                     iota_star, per_entry_action, wick_positivity_certificate)
+from strategies import (coordinate, element, fractions, gaussian_rationals, gr, lam_power,
+                        lambda_polys, momentum, monomial, series)
 from test_taubuild import _substitution_reference, seeded_theta
 
 N_DIM, K = 2, 4
@@ -44,13 +48,13 @@ def delta0():
 
 class TestStateFunctional:
     def test_delta_functional(self, delta0):
-        f = [[lp(monomial(N_DIM, (2, 0), 3))]]
-        assert str(delta0.eval_matrix_series(f, K)[0]) == "0"
+        f = scalar(lp(monomial(N_DIM, (2, 0), 3)))
+        assert str(UndeformedExtension(delta0, K).action(f)[0]) == "0"
 
     def test_empty_atom_list_is_zero(self):
         zero = StateFunctional(N_DIM, 1, [])
-        f = [[lp(QPolynomial.constant(N_DIM, 5))]]
-        assert all(not c for c in zero.eval_matrix_series(f, K))
+        f = scalar(lp(QPolynomial.constant(N_DIM, 5)))
+        assert all(not c for c in UndeformedExtension(zero, K).action(f))
 
     def test_matrix_compression(self):
         st = StateFunctional(N_DIM, 2, [((0, 0), (1, 0))])
@@ -68,7 +72,7 @@ class TestStateFunctional:
         for _ in range(10):
             f = random_lambda_poly(rng, N_DIM, K, 3, 3, False)
             base = LambdaPoly(N_DIM, K, {k: c for k, c in f.terms.items() if k[0] == 0})
-            val = st.eval_matrix_series([[base.conjugate() * base]], K)[0]
+            val = UndeformedExtension(st, K).action(scalar(base.conjugate() * base))[0]
             assert val.im == 0 and val.re >= 0
 
     def test_atom_order_canonical(self):
@@ -165,7 +169,7 @@ class TestDeformedFunctional:
         for _ in range(10):
             f = random_lambda_poly(rng, N_DIM, K, 3, 3, True)
             out = omega.action(scalar(f))
-            assert out[0] == f.evaluate((0, 0))[0]
+            assert out[0] == evaluate(f, (0, 0))[0]
 
     def test_sound_order(self, tau_moyal_r2, fixture_tau_r2, delta0):
         built = DeformedFunctional(delta0, tau_moyal_r2, tau_moyal_r2.K)
@@ -190,7 +194,7 @@ class TestClosedFormSeries:
             pushed = [[iota_star(exp_laplace_lifted(
                 _substitution_reference(spec.theta, x), -sigma)) for x in row]
                 for row in g.entries]
-            expect = state.eval_matrix_series(pushed, scenario.K)
+            expect = eval_matrix_series(state, pushed, scenario.K)
             assert omega.action(g) == expect, label
 
     def test_fixture_scenario(self):
@@ -209,6 +213,52 @@ class TestClosedFormSeries:
             "tests": {"random": {"seed": 3, "count": 6, "max_q_degree": 3,
                                  "max_coeff": 4}},
         }))
+
+
+DEFORMING = ("moyal-r2-delta", "linear-poisson-2d", "moyal-r2-delta-fixture",
+             "zero-poisson", "moyal-r3-rank2-delta")
+
+
+@functools.cache
+def _deforming(name):
+    """(scenario, star product, embedding) of a shipped deforming scenario."""
+    scenario = load_scenario(str(SCENARIO_DIR / f"{name}.json"))
+    spec = build_star_product(scenario)
+    return scenario, spec, build_tau_map(scenario, spec)[0]
+
+
+@st.composite
+def squares_and_states(draw):
+    """A deforming scenario, a state of size N = 1 (the scenario's own) or
+    N = 2 (two atoms with non-real vector entries) and the square f~ * f
+    of a random N x N test element in the scenario's product."""
+    scenario, spec, tau = _deforming(draw(st.sampled_from(DEFORMING)))
+    n, K = scenario.n, scenario.K
+    N = draw(st.sampled_from((1, 2)))
+    state = scenario.state
+    if N == 2:
+        entry = gaussian_rationals().filter(lambda v: v.im)
+        state = StateFunctional(n, 2, [
+            (draw(st.tuples(*[fractions()] * n)), (draw(entry), draw(entry)))
+            for _ in range(2)])
+    f = MatrixLambdaPoly([[draw(lambda_polys(n, K, max_terms=2)) for _ in range(N)]
+                          for _ in range(N)])
+    return scenario, tau, state, star_squares(spec, [f])[0]
+
+
+class TestMomentRoute:
+    """`action` by the moment tables equals the per-entry reference on
+    random squares of every deforming scenario, for both functionals.
+    No shipped scenario has N > 1, so the N = 2 draws are what check the
+    (i, j) compression of the moments."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(squares_and_states())
+    def test_action_equals_per_entry_reference(self, drawn):
+        scenario, tau, state, g = drawn
+        for omega in (DeformedFunctional(state, tau, scenario.K),
+                      UndeformedExtension(state, scenario.K)):
+            assert omega.action(g) == per_entry_action(omega, g)
 
 
 class TestCheckPositivity:

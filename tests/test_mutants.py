@@ -49,7 +49,7 @@ def _wrap_stage(monkeypatch, change):
 
 
 def _zero_tau_2(monkeypatch):
-    _wrap_stage(monkeypatch, lambda t, k, K: MultiDiffCochain.zero(t.n, K, 1) if k == 2 else t)
+    _wrap_stage(monkeypatch, lambda t, k, K: MultiDiffCochain(t.n, K, 1) if k == 2 else t)
 
 
 def _non_hermitian_tau_top(monkeypatch):

@@ -10,6 +10,7 @@ from dqw.scenario import read_qpolynomial
 from dqw.terms import exponents, shift
 from dqw.welement import LambdaPoly
 
+from oracles import evaluate
 from strategies import coordinate, gr, qpolynomials
 
 
@@ -80,10 +81,10 @@ def test_derivative_edges():
 
 def test_evaluate():
     p = lp({(0, (1, 0)): 1, (0, (0, 1)): gr(0, 1), (2, (1, 1)): 3})
-    assert p.evaluate([1, 2]) == (gr(1, 2), gr(0), gr(6))
-    assert p.evaluate([Fraction(1, 2), 0]) == (gr(Fraction(1, 2)), gr(0), gr(0))
+    assert evaluate(p, [1, 2]) == (gr(1, 2), gr(0), gr(6))
+    assert evaluate(p, [Fraction(1, 2), 0]) == (gr(Fraction(1, 2)), gr(0), gr(0))
     with pytest.raises(DimensionMismatch):
-        p.evaluate([1])
+        evaluate(p, [1])
 
 
 def test_dimension_mismatch():
@@ -108,6 +109,6 @@ def test_conjugation_is_ring_involution(a, b):
 @given(qpolynomials())
 def test_json_roundtrip_bit_exact(p):
     blob = json.dumps(p.to_json(), sort_keys=True)
-    again = read_qpolynomial("poly", json.loads(blob), p.n)
+    again = QPolynomial(p.n, read_qpolynomial("poly", json.loads(blob), p.n))
     assert again == p
     assert json.dumps(again.to_json(), sort_keys=True) == blob

@@ -24,7 +24,6 @@ ALLOWED = {
     "cobsolver.solve_sparse_system": "perfbench/tracer.py wraps it by name",
     "starspec.make_zero_star": "perfbench/tracer.py wraps it by name",
     "functionals.GluedFunctional": "perfbench/tracer.py wraps GluedFunctional.action by name",
-    "functionals.UndeformedExtension.sound_order": "read only by GluedFunctional.sound_order",
 }
 
 

@@ -308,6 +308,23 @@ class TestCli:
             ("validate", "pass"), ("build-tau", "pass"), ("deform", "pass"),
             ("check-pos", "pass")]
 
+    @pytest.mark.parametrize("check, code, outcome", [
+        pytest.param({"op": "check-pos", "functional": "deformed", "expect": "nonnegative"},
+                     3, "inconclusive", id="nonnegative is inconclusive"),
+        pytest.param({"op": "check-pos", "functional": "undeformed", "expect": "negative"},
+                     1, "fail", id="negative still fails"),
+    ])
+    def test_empty_test_set_checks_nothing(self, tmp_path, capsys, check, code, outcome):
+        data = json.loads((SCENARIO_DIR / "moyal-r2-delta.json").read_text())
+        data["tests"] = {}
+        data["commands"] = ["validate", "build-tau", "deform", check]
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(data))
+        assert cli_main(["run", "--scenario", str(scenario)]) == code
+        report = json.loads(capsys.readouterr().out)
+        assert report["commands"][-1]["outcome"] == outcome
+        assert report["commands"][-1]["detail"]["tests"] == []
+
     def test_out_and_text_format(self, tmp_path, capsys):
         out = tmp_path / "report.txt"
         code = cli_main(["run", "--scenario",

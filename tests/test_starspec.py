@@ -43,7 +43,7 @@ class TestConstantThetaGenerator:
             zero = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
             assert make_zero_star(n, K) == StarProductSpec(
                 n=n, order=K, hermitian=True, theta=zero,
-                cochains=tuple(MultiDiffCochain.zero(n, K, 2) for _ in range(K)))
+                cochains=tuple(MultiDiffCochain(n, K, 2) for _ in range(K)))
 
     def test_validates_at_order_six(self, moyal_r2_k6):
         assert validate_star(moyal_r2_k6).ok
@@ -266,4 +266,4 @@ def test_spec_rejects_momentum_content():
         (0, (1, 0), ((1, 0), (0, 1))): QPolynomial.constant(N, 1)})
     with pytest.raises(ValueError):
         StarProductSpec(n=N, order=2, hermitian=True,
-                        cochains=(MultiDiffCochain.zero(N, 2, 2), bad))
+                        cochains=(MultiDiffCochain(N, 2, 2), bad))

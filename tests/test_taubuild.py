@@ -49,8 +49,8 @@ class TestComputeRk:
 
     def test_zero_poisson_all_stages_vanish(self, zero_star):
         taus = [identity_cochain(N, 3),
-                MultiDiffCochain.zero(N, 3, 1),
-                MultiDiffCochain.zero(N, 3, 1)]
+                MultiDiffCochain(N, 3, 1),
+                MultiDiffCochain(N, 3, 1)]
         for k in (1, 2):
             assert compute_Rk(zero_star, taus, k).is_zero()
 
@@ -172,7 +172,7 @@ class TestStageIdentity:
         for k in range(1, K + 1):
             rk = compute_Rk(spec, taus[:k], k)
             # the built component, no component, and the retired -1 sign
-            for cand in (taus[k], MultiDiffCochain.zero(spec.n, K, 1), -taus[k]):
+            for cand in (taus[k], MultiDiffCochain(spec.n, K, 1), -taus[k]):
                 eps = epsilon_cochain(spec, taus[:k] + [cand], k)
                 for d in range(k):
                     assert eps.component(d).is_zero(), (k, d)

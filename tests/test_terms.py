@@ -89,7 +89,7 @@ def test_shape_mismatch_still_raises():
         (QPolynomial.constant(2, 1), QPolynomial.constant(3, 1)),
         (WElement(2, 3), WElement(2, 4)),
         (LambdaPoly(2, 3), LambdaPoly(3, 3)),
-        (MultiDiffCochain.zero(2, 3, 1), MultiDiffCochain.zero(2, 3, 2)),
+        (MultiDiffCochain(2, 3, 1), MultiDiffCochain(2, 3, 2)),
         (KoszulForm.zero(3, 1), KoszulForm.zero(3, 2)),
     ]
     for a, b in pairs:
