@@ -1,28 +1,35 @@
 """Command-line front end and scenario runner.
 
+    dqw VERB --scenario FILE [--max-order K] [--seed N] [--out FILE]
+             [--format json|text]
+
 Verbs map to pipeline stages: `validate` checks the star product,
 `build-tau` additionally constructs the embedding, `deform` builds the
 corrected functional, `check-pos` also classifies the test set, and
 `run` executes the scenario's own command list.  Every verb takes
 --scenario; --max-order and --seed override the scenario's truncation
 order and random-test seed; --out and --format control report output.
+An option's value follows it as the next argument or after `=`; options
+are spelled in full.  `parse_args` reads this fixed grammar itself, so a
+process does not import argparse.
 
 `run_scenario` executes the commands.  Its report is deterministic, but
 for the wall-clock figures of its "timings" section, which comparisons
-are expected to strip.
+are expected to strip.  `report_to_json_text` writes a report as
+`json.dumps(report, sort_keys=True, indent=2)` would, without json's
+pure-Python indenting encoder.
 
-Exit codes: 0 all pass; 1 a mathematical violation or negative verdict;
-2 configuration or parse error; 3 verdict-bearing steps ran but every
-one was inconclusive.
+Exit codes: 0 all pass (and -h/--help); 1 a mathematical violation or
+negative verdict; 2 configuration, usage or parse error; 3
+verdict-bearing steps ran but every one was inconclusive.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
-import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
 
 from .functionals import DeformedFunctional, UndeformedExtension, check_positivity, star_squares
 from .scenario import ConfigurationError, Scenario, generate_tests, load_scenario
@@ -169,8 +176,64 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
 # report emission
 # ---------------------------------------------------------------------------
 
+# the floats whose json spelling is not their repr
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_parts(v, parts: list, pad: str) -> None:
+    """Append the text of v at indentation pad to parts, exactly as
+    json.dumps(v, sort_keys=True, indent=2) writes it.  v is built from
+    dict (with str keys), list, str, int, float, bool and None; anything
+    else raises TypeError."""
+    t = type(v)
+    if t is str:
+        parts.append(encode_basestring_ascii(v))
+    elif t is dict:
+        if not v:
+            parts.append("{}")
+            return
+        inner = pad + "  "
+        sep, comma = "{\n" + inner, ",\n" + inner
+        for key in sorted(v):
+            if type(key) is not str:
+                raise TypeError(f"JSON object key {key!r} is not a str")
+            parts += (sep, encode_basestring_ascii(key), ": ")
+            _json_parts(v[key], parts, inner)
+            sep = comma
+        parts.append("\n" + pad + "}")
+    elif t is list:
+        if not v:
+            parts.append("[]")
+            return
+        inner = pad + "  "
+        sep, comma = "[\n" + inner, ",\n" + inner
+        if all(type(x) is int for x in v):
+            parts.append(sep + comma.join(map(int.__repr__, v)) + "\n" + pad + "]")
+            return
+        for x in v:
+            parts.append(sep)
+            _json_parts(x, parts, inner)
+            sep = comma
+        parts.append("\n" + pad + "]")
+    elif v is None:
+        parts.append("null")
+    elif t is bool:
+        parts.append("true" if v else "false")
+    elif t is int:
+        parts.append(int.__repr__(v))
+    elif t is float:
+        text = float.__repr__(v)
+        parts.append(_FLOAT_WORDS.get(text, text))
+    else:
+        raise TypeError(f"{t.__name__} value {v!r} is not JSON serializable")
+
+
 def report_to_json_text(report: dict) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """json.dumps(report, sort_keys=True, indent=2) and a newline."""
+    parts: list = []
+    _json_parts(report, parts, "")
+    parts.append("\n")
+    return "".join(parts)
 
 
 def strip_timings(report: dict) -> dict:
@@ -199,11 +262,9 @@ def report_to_text(report: dict) -> str:
 
 
 def write_report(report: dict, fmt: str, fh) -> None:
-    """Write the report to fh.  JSON is streamed: the same text as
-    `report_to_json_text`, without holding every chunk of it at once."""
+    """Write the report to fh in the format fmt, "json" or "text"."""
     if fmt == "json":
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(report_to_json_text(report))
     elif fmt == "text":
         fh.write(report_to_text(report))
     else:
@@ -219,49 +280,94 @@ _STAGE_PREFIX = {
 }
 
 
-def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dqw",
-        description="exact-arithmetic workbench for star products and "
-                    "positivity of deformed functionals",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb in ("validate", "build-tau", "deform", "check-pos", "run"):
-        p = sub.add_parser(verb)
-        p.add_argument("--scenario", required=True, help="scenario JSON file")
-        p.add_argument("--max-order", type=int, default=None,
-                       help="override the truncation order K")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the random-test seed")
-        p.add_argument("--out", default=None, help="write the report here")
-        p.add_argument("--format", choices=("json", "text"), default="json")
-    return parser
+USAGE = """\
+usage: dqw VERB --scenario FILE [--max-order K] [--seed N] [--out FILE]
+           [--format json|text]
+
+exact-arithmetic workbench for star products and positivity of deformed
+functionals
+
+verbs: validate, build-tau, deform, check-pos, run
+  --scenario FILE  scenario JSON file
+  --max-order K    override the truncation order K
+  --seed N         override the random-test seed
+  --out FILE       write the report here (default: standard output)
+  --format FORMAT  json (default) or text
+"""
+
+
+def parse_args(argv) -> dict | None:
+    """The verb and the options of one invocation by name ("verb",
+    "scenario", "max-order", "seed", "out", "format"), or None when
+    -h/--help asks for the usage text.  An option's value is the next
+    argument or follows `=`.  A usage error raises ConfigurationError,
+    which names the option and the bad value."""
+    args = {"verb": None, "scenario": None, "max-order": None, "seed": None,
+            "out": None, "format": "json"}
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return None
+        if args["verb"] is None:
+            if token not in _STAGE_PREFIX:
+                raise ConfigurationError(
+                    f"unknown verb {token!r}; expected one of {', '.join(_STAGE_PREFIX)}")
+            args["verb"] = token
+            continue
+        name, eq, value = token.partition("=")
+        if not name.startswith("--") or name[2:] not in args or name == "--verb":
+            raise ConfigurationError(f"unknown option {token!r}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None:
+                raise ConfigurationError(f"option {name} needs a value")
+        args[name[2:]] = value
+    if args["verb"] is None:
+        raise ConfigurationError(f"missing verb; expected one of {', '.join(_STAGE_PREFIX)}")
+    if args["scenario"] is None:
+        raise ConfigurationError("option --scenario is required")
+    for name in ("max-order", "seed"):
+        if args[name] is not None:
+            try:
+                args[name] = int(args[name])
+            except ValueError:
+                raise ConfigurationError(
+                    f"option --{name} takes an integer, not {args[name]!r}") from None
+    if args["format"] not in ("json", "text"):
+        raise ConfigurationError(
+            f"option --format takes json or text, not {args['format']!r}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    """Run one invocation; argv defaults to sys.argv[1:].  Returns the
+    exit code."""
     try:
-        scenario = load_scenario(args.scenario)
-        prefix = _STAGE_PREFIX[args.verb]
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(USAGE)
+            return EXIT_PASS
+        scenario = load_scenario(args["scenario"])
+        prefix = _STAGE_PREFIX[args["verb"]]
         if prefix is not None:
             scenario = scenario.with_fields(commands=prefix)
         report, code = run_scenario(
             scenario,
-            seed_override=args.seed,
-            max_order_override=args.max_order,
+            seed_override=args["seed"],
+            max_order_override=args["max-order"],
         )
     except ConfigurationError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    if args.out:
+    if args["out"]:
         try:
-            with open(args.out, "w") as fh:
-                write_report(report, args.format, fh)
+            with open(args["out"], "w") as fh:
+                write_report(report, args["format"], fh)
         except OSError as e:
             print(f"configuration error: cannot write report: {e}", file=sys.stderr)
             return EXIT_CONFIG
     else:
-        write_report(report, args.format, sys.stdout)
+        write_report(report, args["format"], sys.stdout)
     return code
 
 

@@ -182,10 +182,11 @@ def solve_classical_coboundary(target: MultiDiffCochain):
         blocks.setdefault((a, idx, exp, t), {})[jvec] = c * math.prod(map(factorial, jvec))
     flat: dict = {}
     for (a, idx, exp, t), phi in blocks.items():
+        values: dict = {}
         for t1 in range(1, t):
             for j1 in exponents(n, t1):
                 for j2 in exponents(n, t - t1):
-                    c = _value(phi, j1, j2)
+                    c = _value(phi, j1, j2, values)
                     if c:
                         flat[(a, idx, (j1, j2), exp)] = c / (factorial(j1) * factorial(j2))
     psi = MultiDiffCochain._trusted((n, target.K, 2), flat)
@@ -193,26 +194,38 @@ def solve_classical_coboundary(target: MultiDiffCochain):
 
 
 def _last(e: tuple) -> int:
-    return max(i for i, x in enumerate(e) if x)
+    """The index of the last nonzero entry of a nonzero exponent."""
+    i = len(e) - 1
+    while not e[i]:
+        i -= 1
+    return i
 
 
-def _value(phi: dict, x: tuple, y: tuple) -> GaussianRational:
+def _value(phi: dict, x: tuple, y: tuple, values: dict) -> GaussianRational:
     """C(q^x, q^y) = x! y! times the coefficient of D^x (x) D^y, from
     the target's values phi = -C(xy, z) + C(x, yz) on monomial triples.
     With l the last index of a nonzero exponent, C(x, y' q_l) =
     Phi(x, y', q_l) + C(x y', q_l), C(x' q_l, q_k) = Phi(x', q_k, q_l)
-    - Phi(x', q_l, q_k) for k < l, and C = 0 on (J - e_l, e_l)."""
+    - Phi(x', q_l, q_k) for k < l, and C = 0 on (J - e_l, e_l).  values
+    keeps the C found so far in the block of phi, since C(x y', q_l)
+    recurs."""
+    c = values.get((x, y))
+    if c is not None:
+        return c
     if sum(y) >= 2:
         l = _last(y)
         rest = shift(y, l, -1)
         el = unit(len(y), l)
-        return phi.get((x, rest, el), _GZERO) + _value(phi, add(x, rest), el)
-    k, l = _last(y), _last(x)
-    if sum(x) < 2 or k >= l:
-        return _GZERO
-    rest = shift(x, l, -1)
-    el = unit(len(x), l)
-    return phi.get((rest, y, el), _GZERO) - phi.get((rest, el, y), _GZERO)
+        c = phi.get((x, rest, el), _GZERO) + _value(phi, add(x, rest), el, values)
+    elif sum(x) < 2 or _last(y) >= _last(x):
+        c = _GZERO
+    else:
+        l = _last(x)
+        rest = shift(x, l, -1)
+        el = unit(len(x), l)
+        c = phi.get((rest, y, el), _GZERO) - phi.get((rest, el, y), _GZERO)
+    values[(x, y)] = c
+    return c
 
 
 # ---------------------------------------------------------------------------

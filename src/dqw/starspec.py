@@ -297,11 +297,14 @@ def _associator(spec: StarProductSpec, mu: MultiDiffCochain, m: int,
     if not hermitian:
         return out
     # A = A* key by key, as the involution maps the keys one to one; for an
-    # associative product it holds, so A - A* is formed only on failure
-    if all(c.conjugate() == terms.get((a, idx, jvec[::-1], exp))
-           for (a, idx, jvec, exp), c in terms.items()):
-        return out._new({})
-    return out - out.involution()
+    # associative product it holds, so A - A* is formed only on failure.
+    # The conjugate of the reduced triple (x, y, d) of a scalar is (x, -y, d).
+    for (a, idx, jvec, exp), c in terms.items():
+        mirror = terms.get((a, idx, jvec[::-1], exp))
+        x, y, d = c._t
+        if mirror is None or mirror._t != (x, -y, d):
+            return out - out.involution()
+    return out._new({})
 
 
 def validate_star(spec: StarProductSpec, K: int | None = None) -> ValidationReport:

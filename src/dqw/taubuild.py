@@ -51,7 +51,7 @@ from .cochain import (MultiDiffCochain, coboundary, cochain_weyl_product, compos
 from .qpoly import DimensionMismatch, group_terms
 from .starspec import (InvalidStarProduct, StarProductSpec, antisymmetric_matrix,
                        digest_json, theta_powers)
-from .terms import accumulate, add, add_terms, exponents, zeros
+from .terms import accumulate, add, add_terms, exponents, falling, sub, zeros
 from .welement import LambdaPoly, WElement
 from .weyl import ConsistencyError
 
@@ -171,6 +171,14 @@ class ClosedFormTau(TauMap):
 # stage machinery
 # ---------------------------------------------------------------------------
 
+def _add_lambda_shifted(out: dict, terms: dict, r: int, K: int) -> None:
+    """out += lam^r terms, in place, dropping the terms that land above
+    combined degree K."""
+    for (a, idx, jvec, exp), c in terms.items():
+        if a + r + sum(idx) <= K:
+            accumulate(out, (a + r, idx, jvec, exp), c)
+
+
 def compute_Rk(spec: StarProductSpec, taus, k: int) -> MultiDiffCochain:
     """The inhomogeneous term of the stage-k equation, asserted to be
     homogeneous of degree k.  Its solvability preconditions (cocycle,
@@ -180,7 +188,7 @@ def compute_Rk(spec: StarProductSpec, taus, k: int) -> MultiDiffCochain:
     terms: dict = {}
     for i in range(0, k):
         c = spec.cochain(k - i).retruncate(K)
-        add_terms(terms, compose_slot(taus[i], 0, c).scale_lambda(k - i).terms)
+        _add_lambda_shifted(terms, compose_slot(taus[i], 0, c).terms, k - i, K)
     for i in range(1, k):
         add_terms(terms, cochain_weyl_product(taus[i], taus[k - i]).terms, subtract=True)
     out = MultiDiffCochain._trusted((spec.n, K, 2), terms)
@@ -212,8 +220,8 @@ def epsilon_cochain(spec: StarProductSpec, taus, upto: int) -> MultiDiffCochain:
     for r in range(1, min(spec.order, upto) + 1):
         # lam^r drops every term of degree above upto - r, so compose only the rest
         low = total.retruncate(upto - r).retruncate(upto)
-        add_terms(out, compose_slot(low, 0, spec.cochain(r).retruncate(upto))
-                  .scale_lambda(r).terms)
+        _add_lambda_shifted(out, compose_slot(low, 0, spec.cochain(r).retruncate(upto)).terms,
+                            r, upto)
     add_terms(out, cochain_weyl_product(total, total).terms, subtract=True)
     return MultiDiffCochain._trusted((n, upto, 2), out)
 
@@ -307,26 +315,39 @@ def check_poisson_realization(tau: TauMap, spec: StarProductSpec,
 
     Both sides are antisymmetric and bilinear in the pair, so only the
     pairs (f, g) with f before g in the basis are checked; the first
-    failing pair is the first failing ordered pair as well.  The
-    bracket's biderivation and the gradients of each basis image are
-    built once, and since the classical limit is linear, its image of a
-    bracket is summed from the images of the bracket's monomials, each
-    evaluated once.  Each pair's difference is summed into one dict,
-    over the terms the check reads only.
+    failing pair is the first failing ordered pair as well.  The bracket
+    and the classical limit are read from tables of their terms, so the
+    value of either on monomials is summed without evaluating the
+    cochain; the gradients of each basis image are built once, and since
+    the classical limit is linear, its image of a bracket is summed from
+    the images of the bracket's monomials, each built once.  Each pair's
+    difference is summed into one dict, over the terms the check reads
+    only.
     """
     K = tau.K if K is None else K
     n = tau.n
-    cl = tau.classical_part()
-    bracket = spec.bracket()
-    images: dict = {}  # q-exponent e -> cl(q^e)
     # the check reads lam-free terms of momentum degree <= K - 1; a
     # product of gradients is also truncated at the map's order
     top = min(tau.K, K - 1)
+    # A term c lam^a p^I q^E D^J1 (x) D^J2 .. takes the monomials q^A,
+    # q^B, .. to c falling(A, J1) falling(B, J2) .. lam^a p^I
+    # q^(E - J1 - J2 .. + A + B ..), so each cochain is read as a table of
+    # its derivative orders, E - their sum and its coefficient
+    cl = [(jvec[0], sub(e, jvec[0]), (a, i), c)
+          for (a, i, jvec, e), c in tau.classical_part().terms.items()]
+    bracket = [(j1, j2, sub(e, add(j1, j2)), c)
+               for (_a, _i, (j1, j2), e), c in spec.bracket().terms.items()]
+    images: dict = {}  # q-exponent A -> cl(q^A)
 
-    def image(e):
-        img = images.get(e)
+    def image(A):
+        img = images.get(A)
         if img is None:
-            img = images[e] = cl.evaluate([LambdaPoly(n, 0, {(0, e): 1})])
+            out: dict = {}
+            for j, shift_e, (a, i), c in cl:
+                w = falling(A, j)
+                if w:
+                    accumulate(out, (a, i, add(shift_e, A)), c * w)
+            img = images[A] = WElement._trusted((n, tau.K), out)
         return img
 
     def read(x):
@@ -342,14 +363,20 @@ def check_poisson_realization(tau: TauMap, spec: StarProductSpec,
                     accumulate(out, (0, add(i1, i2), add(e1, e2)), -v if negate else v)
 
     exps = [e for t in (1, 2) for e in exponents(n, t)]
-    basis = [LambdaPoly(n, 0, {(0, e): 1}) for e in exps]
     grads = [([read(image(e).diff_q(k)) for k in range(n)],
               [read(image(e).diff_p(k)) for k in range(n)]) for e in exps]
     checked = 0
-    for (f, (fq, fp)), (g, (gq, gp)) in itertools.combinations(zip(basis, grads), 2):
-        # the bracket's image minus the canonical bracket of cl(f) and cl(g)
+    for (A, (fq, fp)), (B, (gq, gp)) in itertools.combinations(zip(exps, grads), 2):
+        # the bracket's value on (q^A, q^B), then its image minus the
+        # canonical bracket of cl(q^A) and cl(q^B)
+        value: dict = {}
+        AB = add(A, B)
+        for j1, j2, shift_e, c in bracket:
+            w = falling(A, j1) * falling(B, j2)
+            if w:
+                accumulate(value, add(shift_e, AB), c * w)
         diff: dict = {}
-        for (_a, _i, e), c in bracket.evaluate([f, g]).terms.items():
+        for e, c in value.items():
             for key, v in image(e).terms.items():
                 if key[0] == 0 and sum(key[1]) <= K - 1:
                     accumulate(diff, key, v * c)
@@ -360,6 +387,7 @@ def check_poisson_realization(tau: TauMap, spec: StarProductSpec,
         checked += 1
         if bad:
             (_a, idx), poly = next(iter(bad.items()))
+            f, g = (LambdaPoly(n, 0, {(0, e): 1}) for e in (A, B))
             return RealizationReport(
                 ok=False, checked_pairs=checked,
                 violation=f"pair ({f}, {g}): p-exponent {idx} differs by {poly}")

@@ -96,16 +96,16 @@ def below(upper: tuple):
 
 def binom(upper: tuple, lower: tuple) -> int:
     """The multi-index binomial prod_i C(upper_i, lower_i)."""
-    return math.prod(math.comb(u, l) for u, l in zip(upper, lower))
+    return math.prod(map(math.comb, upper, lower))
 
 
 def factorial(j: tuple) -> int:
-    return math.prod(math.factorial(e) for e in j)
+    return math.prod(map(math.factorial, j))
 
 
 def falling(e: tuple, j: tuple) -> int:
     """E!/(E - j)!, the weight of D^j on q^E; 0 unless j <= E."""
-    return math.prod(math.perm(x, y) for x, y in zip(e, j))
+    return math.prod(map(math.perm, e, j))
 
 
 class TermMap:
@@ -206,11 +206,6 @@ class GradedTermMap(TermMap):
         """The same terms at truncation order K, dropping those above it."""
         terms = {k: v for k, v in self.terms.items() if k[0] + sum(k[1]) <= K}
         return self._trusted(self._shape_tuple[:1] + (K,) + self._shape_tuple[2:], terms)
-
-    def scale_lambda(self, r: int) -> "GradedTermMap":
-        """Multiply by lam^r, dropping terms beyond the truncation."""
-        low = self.retruncate(self._shape_tuple[1] - r).terms
-        return self._new({(k[0] + r,) + k[1:]: v for k, v in low.items()})
 
 
 class SquareMatrix:

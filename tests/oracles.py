@@ -13,7 +13,7 @@
   (`poisson_bracket`, term by term from `StarProductSpec.bracket`);
   `taubuild.check_poisson_realization` shares the basis images, their
   gradients and the monomial images instead.
-* The lam-shift of a base lam-series.
+* The lam-shift of a base lam-series and of a graded term map.
 * The lam-linear extensions written out one lam-power at a time:
   a cochain's value, the star product and the embedding's application
   as sums over the lam-coefficients of their arguments, each evaluated
@@ -183,6 +183,13 @@ def shift_lam(f: LambdaPoly, r: int) -> LambdaPoly:
     return LambdaPoly(f.n, f.K, {(s + r, e): c for (s, e), c in f.terms.items()})
 
 
+def scale_lambda(x, r: int):
+    """lam^r x for a graded term map x (an element or a cochain), dropping
+    the terms beyond its truncation."""
+    low = x.retruncate(x.K - r).terms
+    return x._new({(k[0] + r,) + k[1:]: v for k, v in low.items()})
+
+
 def lam_coefficients(f: LambdaPoly) -> dict:
     """r -> the lam^r coefficient of f, as a lam-free series."""
     out: dict = {}
@@ -198,7 +205,7 @@ def evaluate_per_order(phi: MultiDiffCochain, args) -> WElement:
     for combo in itertools.product(*(lam_coefficients(f).items() for f in args)):
         r = sum(s for s, _ in combo)
         if r <= phi.K:
-            out = out + phi.evaluate([x for _, x in combo]).scale_lambda(r)
+            out = out + scale_lambda(phi.evaluate([x for _, x in combo]), r)
     return out
 
 
@@ -227,7 +234,7 @@ def tau_apply_per_order(tau, f: LambdaPoly) -> WElement:
     out = WElement(tau.n, tau.K)
     for r, fr in lam_coefficients(f).items():
         if r <= tau.K:
-            out = out + total.evaluate([fr]).scale_lambda(r)
+            out = out + scale_lambda(total.evaluate([fr]), r)
     return out
 
 

@@ -2,6 +2,10 @@ import contextlib
 import importlib.util
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +19,9 @@ from dqw.rationals import parse_scalar
 from dqw.scenario import ConfigurationError, Scenario, load_scenario
 
 from conftest import SCENARIO_DIR
+
+GOLDEN_DIR = SCENARIO_DIR.parent / "tests" / "golden"
+RUN_K0 = ["run", "--scenario", str(SCENARIO_DIR / "k0-degenerate.json")]
 
 
 class Replace:
@@ -191,7 +198,7 @@ class TestReports:
         assert "overall: pass" in text
 
     def test_written_json_is_the_report_text(self, tmp_path, monkeypatch, capsysbinary):
-        """The report streamed into --out, and onto stdout, has the bytes of
+        """The report written into --out, and onto stdout, has the bytes of
         `report_to_json_text` of the same report."""
         reports = []
         run = cli.run_scenario
@@ -238,6 +245,45 @@ class TestReports:
                         assert len(t["coefficients"]) <= order + 1, (path.name, t["label"])
                         verdicts += 1
         assert stages and verdicts
+
+
+# JSON values with the characters the writer must escape: quotes,
+# backslashes, control characters and text beyond ASCII
+_JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600a ')
+                     | st.characters())
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(min_value=-10 ** 40, max_value=10 ** 40)
+    | st.floats() | _JSON_TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(st.integers(min_value=-10 ** 20, max_value=10 ** 20), max_size=4)
+    | st.dictionaries(_JSON_TEXT, children, max_size=4),
+    max_leaves=20)
+
+
+class TestJsonWriter:
+    """`report_to_json_text` writes what json.dumps writes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES)
+    def test_random_values(self, value):
+        assert report_to_json_text(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN_DIR.glob("*.json")))
+    def test_every_golden(self, name):
+        text = (GOLDEN_DIR / name).read_text()
+        report = json.loads(text)
+        assert report_to_json_text(report) == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        assert report_to_json_text(report) == text
+
+    @pytest.mark.parametrize("value", [
+        pytest.param({1: "one"}, id="int key"),
+        pytest.param({"a": [{None: 0}]}, id="nested None key"),
+        pytest.param({"a": (1, 2)}, id="tuple value"),
+        pytest.param([Fraction(1, 2)], id="Fraction value"),
+    ])
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(TypeError):
+            report_to_json_text(value)
 
 
 def _k0_without_command(index):
@@ -332,6 +378,56 @@ class TestCli:
                          "--format", "text", "--out", str(out)])
         assert code == 0
         assert "overall: pass" in out.read_text()
+
+    @pytest.mark.parametrize("argv, named", [
+        pytest.param([], ["verb"], id="no verb"),
+        pytest.param(["prove", "--scenario", "s.json"], ["verb", "'prove'"], id="unknown verb"),
+        pytest.param(["run"], ["--scenario"], id="no scenario"),
+        pytest.param([*RUN_K0, "--max-order", "abc"], ["--max-order", "'abc'"],
+                     id="max-order not an integer"),
+        pytest.param([*RUN_K0, "--seed", "x"], ["--seed", "'x'"], id="seed not an integer"),
+        pytest.param([*RUN_K0, "--format", "xml"], ["--format", "'xml'"], id="unknown format"),
+        pytest.param([*RUN_K0, "--verbose"], ["'--verbose'"], id="unknown option"),
+        pytest.param(["run", "--scen", RUN_K0[2]], ["'--scen'"], id="abbreviated option"),
+        pytest.param([*RUN_K0, "--seed"], ["--seed"], id="option without value"),
+    ])
+    def test_usage_error_names_the_option(self, capsys, argv, named):
+        """A malformed invocation exits 2 and names the option and its
+        bad value."""
+        assert cli_main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("configuration error:")
+        for word in named:
+            assert word in err
+
+    def test_option_value_after_equals(self, capsys):
+        scenario = str(SCENARIO_DIR / "moyal-r2-delta.json")
+        reports = []
+        for argv in (["validate", "--scenario", scenario, "--max-order", "2"],
+                     ["validate", f"--scenario={scenario}", "--max-order=2"]):
+            assert cli_main(argv) == 0
+            reports.append(strip_timings(json.loads(capsys.readouterr().out)))
+        assert reports[0]["scenario"]["K"] == 2
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["run", "--scenario", "s.json", "-h"]])
+    def test_help_exits_zero(self, capsys, argv):
+        assert cli_main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: dqw VERB --scenario FILE") and err == ""
+
+    def test_main_reads_the_process_arguments(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.argv", ["dqw", "-h"])
+        assert cli_main() == 0
+        assert capsys.readouterr().out.startswith("usage: dqw")
+
+    def test_import_loads_no_argparse(self):
+        src = pathlib.Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, dqw.cli; print('argparse' in sys.modules)"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+            check=True)
+        assert done.stdout.strip() == "False"
 
     @pytest.mark.parametrize("field, mutate", [
         ("'K'", lambda d: d.update(K=-1)),

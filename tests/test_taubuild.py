@@ -119,20 +119,24 @@ class TestBuild:
 
     def test_epsilon_composes_only_surviving_terms(self, moyal_r2, tau_moyal_r2,
                                                    monkeypatch):
-        """The lam^r shift after composing with C_r drops no term, so only
-        the terms of tau that reach the checked degrees are composed."""
-        dropped = []
-        shift = MultiDiffCochain.scale_lambda
+        """No term of a composition with C_r lands above degree 4 once
+        shifted by lam^r, so only the terms of tau that reach the checked
+        degrees are composed."""
+        orders = {moyal_r2.cochain(r).retruncate(4): r for r in range(1, moyal_r2.order + 1)}
+        landed = []
+        compose = taubuild.compose_slot
 
-        def counted(phi, r):
-            out = shift(phi, r)
-            dropped.append(len(phi.terms) - len(out.terms))
+        def recorded(phi, slot, inner):
+            out = compose(phi, slot, inner)
+            r = orders.get(inner)
+            if r is not None:
+                landed.extend(a + sum(idx) + r for (a, idx, _j, _e) in out.terms)
             return out
 
-        monkeypatch.setattr(MultiDiffCochain, "scale_lambda", counted)
+        monkeypatch.setattr(taubuild, "compose_slot", recorded)
         eps = epsilon_cochain(moyal_r2, list(tau_moyal_r2.components), 4)
         assert eps.is_zero()
-        assert dropped and sum(dropped) == 0
+        assert landed and max(landed) == 4
 
     def test_order_zero_build(self, zero_star):
         tau, _ = build_tau(zero_star, 0)
