@@ -98,8 +98,8 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
         if op == "validate":
             spec = spec or build_star_product(scenario)
             report = validate_star(spec, scenario.K)
-            record(op, "pass" if report.ok else "fail", report.to_json(), t0)
-            if not report.ok:
+            record(op, "pass" if report["ok"] else "fail", report, t0)
+            if not report["ok"]:
                 break
         elif op == "build-tau":
             spec = spec or build_star_product(scenario)
@@ -112,10 +112,10 @@ def run_scenario(scenario: Scenario, seed_override: int | None = None,
             detail = {
                 "tau": scenario.tau_source,
                 "report": tau_report.to_json() if tau_report else None,
-                "poisson_realization": realization.to_json(),
+                "poisson_realization": realization,
             }
-            record(op, "pass" if realization.ok else "fail", detail, t0)
-            if not realization.ok:
+            record(op, "pass" if realization["ok"] else "fail", detail, t0)
+            if not realization["ok"]:
                 break
         elif op == "deform":
             deformed = DeformedFunctional(scenario.state, tau, scenario.K)

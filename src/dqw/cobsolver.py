@@ -24,17 +24,18 @@ returned solution is re-verified symbolically against the original
 target.  The classical arity-3 solve of
 `starspec.make_linear_poisson_2d_star` is a closed-form recursion on
 monomial values (an algebraic Morse matching on the bar complex of the
-polynomial ring, Skoldberg 2006), also certified; the sparse eliminator
-below is off the pipeline and is the tests' reference for it.
+polynomial ring, Skoldberg 2006), also certified; the plain Gauss-Jordan
+eliminator below is off the pipeline and is the tests' reference for it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 from .cochain import MultiDiffCochain, alt, coboundary, find_witness
-from .rationals import GaussianRational, ONE
+from .rationals import GaussianRational
 from .terms import accumulate, add, exponents, factorial, shift, unit
 from .weyl import ConsistencyError
 
@@ -68,94 +69,51 @@ class SolveReport:
 
 
 # ---------------------------------------------------------------------------
-# exact sparse elimination (off the pipeline)
+# Gauss-Jordan elimination (off the pipeline)
 # ---------------------------------------------------------------------------
 
 def solve_sparse_system(columns, rhs, col_order):
-    """Solve sum_c M[:, c] x_c = rhs over Q(i).
+    """Solve sum_c M[:, c] x_c = rhs over Q(i) by Gauss-Jordan elimination.
 
     columns: mapping col -> list of (row_key, coeff); rhs: mapping
-    row_key -> coeff.  Returns a dict col -> coeff (free columns are
-    zero) or None when inconsistent.
-    No pipeline path calls it; it and its helpers stay as the tests'
-    reference for `solve_classical_coboundary` and because
-    perfbench/tracer.py wraps this name.
+    row_key -> coeff.  The columns are taken in col_order: each one that
+    is independent of the columns before it gets a pivot row, which is
+    normalized and eliminated from every other row, and the other
+    columns are zero, so the solution is unique.  Returns a dict col ->
+    coeff (nonzero entries only), or None when inconsistent.
+    No pipeline path calls it; it stays as the tests' reference for
+    `solve_classical_coboundary` and because perfbench/tracer.py wraps
+    this name.
     """
-    col_index = {c: i for i, c in enumerate(col_order)}
-    rows: dict = {}
+    system: dict = {}
     for c, entries in columns.items():
-        ci = col_index[c]
         for rk, v in entries:
-            accumulate(rows.setdefault(rk, {}), ci, v)
-    row_list = []
-    rhs_list = []
-    all_rows = set(rows) | set(rhs)
-    for rk in sorted(all_rows, key=_row_sort_key):
-        row_list.append(rows.get(rk, {}))
-        rhs_list.append(rhs.get(rk, _GZERO))
-
-    ncols = len(col_order)
-    # column -> set of row ids currently containing it
-    occupancy = [set() for _ in range(ncols)]
-    for ri, r in enumerate(row_list):
-        for ci in r:
-            occupancy[ci].add(ri)
-
-    pivot_of_col = {}
-    used_rows = set()
-    for ci in range(ncols):
-        candidates = [ri for ri in occupancy[ci] if ri not in used_rows]
-        if not candidates:
+            accumulate(system.setdefault(rk, {}), c, v)
+    # [entries, right side] of each row that is not a pivot row yet
+    rest = [[system.get(rk, {}), rhs.get(rk, _GZERO)] for rk in {**system, **rhs}]
+    pivots: dict = {}  # col -> its pivot row
+    for col in col_order:
+        i = next((i for i, row in enumerate(rest) if col in row[0]), None)
+        if i is None:
             continue
-        ri = min(candidates, key=lambda r: (len(row_list[r]), r))
-        used_rows.add(ri)
-        pivot_of_col[ci] = ri
-        piv = row_list[ri][ci]
-        inv = piv.inverse()
-        if inv != ONE or piv != ONE:
-            row_list[ri] = {c: v * inv for c, v in row_list[ri].items()}
-            rhs_list[ri] = rhs_list[ri] * inv
-            # occupancy unchanged
-        prow = row_list[ri]
-        prhs = rhs_list[ri]
-        for rj in list(occupancy[ci]):
-            if rj == ri:
-                continue
-            factor = row_list[rj].get(ci)
-            if not factor:
-                continue
-            target = row_list[rj]
-            for c, v in prow.items():
-                nv = target.get(c, _GZERO) - factor * v
-                if nv:
-                    if c not in target:
-                        occupancy[c].add(rj)
-                    target[c] = nv
-                else:
-                    if c in target:
-                        del target[c]
-                        occupancy[c].discard(rj)
-            rhs_list[rj] = rhs_list[rj] - factor * prhs
-
-    for ri, r in enumerate(row_list):
-        if ri not in used_rows and rhs_list[ri]:
-            return None
-
-    solution = {}
-    for ci, ri in pivot_of_col.items():
-        v = rhs_list[ri]
-        if v:
-            solution[col_order[ci]] = v
-    return solution
+        row = rest.pop(i)
+        inv = row[0][col].inverse()
+        row[0] = {c: v * inv for c, v in row[0].items()}
+        row[1] = row[1] * inv
+        for other in itertools.chain(rest, pivots.values()):
+            f = other[0].get(col)
+            if f:
+                for c, v in row[0].items():
+                    accumulate(other[0], c, -f * v)
+                other[1] = other[1] - f * row[1]
+        pivots[col] = row
+    # no column is left in the other rows, so each must read 0 = 0
+    if any(b for _entries, b in rest):
+        return None
+    return {col: b for col, (_entries, b) in pivots.items() if b}
 
 
 _GZERO = GaussianRational(0)
-
-
-def _row_sort_key(rk):
-    # rows keyed by (a, I, Jvec); sort by lam-power then structure
-    a, idx, jvec = rk
-    return (a, sum(sum(j) for j in jvec), idx, jvec)
 
 
 # ---------------------------------------------------------------------------

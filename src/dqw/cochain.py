@@ -36,10 +36,10 @@ import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .qpoly import DimensionMismatch, expand_terms, group_terms
+from .qpoly import group_terms
 from .rationals import I, _coerce
-from .terms import (GradedTermMap, accumulate, add, below, binom, exponents, factorial,
-                    falling, shift, sub, zeros)
+from .terms import (DimensionMismatch, GradedTermMap, accumulate, add, below, binom,
+                    exponents, factorial, falling, shift, sub, zeros)
 from .welement import LambdaPoly, WElement
 from .weyl import WEYL_PAIRING, propagate
 
@@ -50,12 +50,11 @@ class MultiDiffCochain(GradedTermMap):
 
     def __init__(self, n: int, K: int, arity: int,
                  terms: Mapping | None = None):
-        """terms maps (a, I, J, E) to the coefficient of q^E, or (a, I, J) to
-        a QPolynomial that stands for its monomials (`expand_terms`)."""
+        """terms maps (a, I, J, E) to the coefficient of q^E."""
         if arity < 0:
             raise ValueError("arity must be non-negative")
         clean: dict = {}
-        for (a, idx, jvec, exp), c in expand_terms(terms or {}):
+        for (a, idx, jvec, exp), c in (terms or {}).items():
             jvec = tuple(tuple(j) for j in jvec)
             if len(jvec) != arity:
                 raise ValueError("derivative tuple has wrong arity")

@@ -40,15 +40,13 @@ classify as inconclusive, never as positive.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from math import prod
 
-from .qpoly import DimensionMismatch
 from .rationals import GaussianRational, ZERO, _coerce
 from .starspec import StarProductSpec, star_apply
-from .terms import SquareMatrix
-from .welement import LambdaPoly, NonRealSeries, SeriesSign
+from .terms import DimensionMismatch, SquareMatrix
+from .welement import LambdaPoly, NonRealSeries
 from .weyl import exp_laplace_exact, resolve_fock_sign
 
 
@@ -238,18 +236,11 @@ class DeformedFunctional:
 # verdicts
 # ---------------------------------------------------------------------------
 
-class TestVerdict(namedtuple("TestVerdict", "label coefficients classification")):
-    __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "coefficients": self.coefficients,
-            "classification": self.classification.value,
-        }
-
-
 class PositivityVerdict:
+    """The verdict of one check-pos: per test {"label", "coefficients",
+    "classification"}, the classification "positive", "negative" or
+    "zero_up_to_K"."""
+
     __slots__ = ("functional", "tests")
 
     def __init__(self, functional: dict):
@@ -258,18 +249,18 @@ class PositivityVerdict:
 
     @property
     def negatives(self):
-        return [t for t in self.tests if t.classification == SeriesSign.NEGATIVE]
+        return [t for t in self.tests if t["classification"] == "negative"]
 
     @property
     def inconclusive(self):
-        return [t for t in self.tests if t.classification == SeriesSign.ZERO_UP_TO_K]
+        return [t for t in self.tests if t["classification"] == "zero_up_to_K"]
 
     @property
     def aggregate(self) -> str:
         if self.negatives:
             return "fail"
         # an empty test set checks nothing, so it is inconclusive too
-        if all(t.classification == SeriesSign.ZERO_UP_TO_K for t in self.tests):
+        if len(self.inconclusive) == len(self.tests):
             return "inconclusive"
         return "pass"
 
@@ -277,8 +268,8 @@ class PositivityVerdict:
         return {
             "functional": self.functional,
             "aggregate": self.aggregate,
-            "tests": [t.to_json() for t in self.tests],
-            "inconclusive_tests": [t.label for t in self.inconclusive],
+            "tests": self.tests,
+            "inconclusive_tests": [t["label"] for t in self.inconclusive],
         }
 
 
@@ -303,10 +294,11 @@ def check_positivity(functional, squares, labels) -> PositivityVerdict:
                 raise NonRealSeries(f"omega(f~ * f) for {label}: lam^{r} coefficient "
                                     f"has nonzero imaginary part {c.im}")
         nonzero = [r for r, c in enumerate(series) if c]
-        sign = (SeriesSign.ZERO_UP_TO_K if not nonzero else
-                SeriesSign.POSITIVE if series[nonzero[0]].re > 0 else SeriesSign.NEGATIVE)
+        sign = ("zero_up_to_K" if not nonzero else
+                "positive" if series[nonzero[0]].re > 0 else "negative")
         top = nonzero[-1] if nonzero else 0
-        verdict.tests.append(TestVerdict(label, [str(c.re) for c in series[:top + 1]], sign))
+        verdict.tests.append({"label": label, "classification": sign,
+                              "coefficients": [str(c.re) for c in series[:top + 1]]})
     return verdict
 
 

@@ -6,10 +6,10 @@ coefficients.  The representation is canonical: equal polynomials have
 identical term mappings, and zero coefficients are never stored.
 
 No kernel computes with polynomials: the containers (elements,
-lam-series, cochains, forms) store flat scalar terms whose key ends in
-the q-exponent.  `expand_terms` and `group_terms` convert between that
-form and the grouped one, key[:-1] -> QPolynomial, that builders,
-scenario files and printed output use.
+lam-series, cochains) store flat scalar terms whose key ends in the
+q-exponent, and take only that form.  `group_terms` turns it into the
+grouped one, key[:-1] -> QPolynomial, that serialization and printed
+output use.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .rationals import GaussianRational, _coerce, format_scalar
-from .terms import DimensionMismatch, TermMap, accumulate, add, zeros
+from .terms import DimensionMismatch, TermMap, accumulate, add
 
 
 class QPolynomial(TermMap):
@@ -36,12 +36,6 @@ class QPolynomial(TermMap):
                 if c:
                     clean[tuple(exp)] = c if isinstance(c, GaussianRational) else _coerce(c)
         self._init((n,), clean)
-
-    # ---- constructors ----
-
-    @classmethod
-    def constant(cls, n: int, c) -> "QPolynomial":
-        return cls(n, {zeros(n): _coerce(c)})
 
     # ---- ring operations ----
 
@@ -89,17 +83,6 @@ class QPolynomial(TermMap):
                 for exp in sorted(self.terms)
             ],
         }
-
-
-def expand_terms(terms: Mapping):
-    """The items of terms with full keys: a QPolynomial value stands for
-    its monomials, under its key extended by each q-exponent."""
-    for key, c in terms.items():
-        if isinstance(c, QPolynomial):
-            for exp, v in c.terms.items():
-                yield key + (exp,), v
-        else:
-            yield key, c
 
 
 def group_terms(terms: Mapping, n: int) -> dict:

@@ -37,9 +37,9 @@ except ImportError:
 from .cobsolver import solve_classical_coboundary
 from .cochain import (MultiDiffCochain, coboundary, compose_slot, find_witness, mu_cochain,
                       plug_constant, swap)
-from .qpoly import DimensionMismatch, group_terms
+from .qpoly import group_terms
 from .rationals import HALF_I, I
-from .terms import accumulate, add_terms, shift, unit, zeros
+from .terms import DimensionMismatch, accumulate, add_terms, shift, unit, zeros
 from .welement import LambdaPoly
 
 
@@ -242,26 +242,6 @@ def perturb_cochain(spec: StarProductSpec, r: int,
 # validation
 # ---------------------------------------------------------------------------
 
-class ValidationCheck(namedtuple("ValidationCheck", "name ok order witness",
-                                 defaults=(None, None))):
-    __slots__ = ()
-
-    def to_json(self) -> dict:
-        out = {"name": self.name, "ok": self.ok}
-        if self.order is not None:
-            out["order"] = self.order
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
-
-
-class ValidationReport(namedtuple("ValidationReport", "ok checks")):
-    __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "checks": [c.to_json() for c in self.checks]}
-
-
 def _witness_str(cochain: MultiDiffCochain) -> str:
     got = find_witness(cochain)
     if got is None:
@@ -270,14 +250,14 @@ def _witness_str(cochain: MultiDiffCochain) -> str:
     return f"args ({', '.join(str(a) for a in args)}) -> {val}"
 
 
-def _first_failure(name: str, cases) -> ValidationCheck:
+def _first_failure(name: str, cases) -> dict:
     """The check `name`, failed at the first of the lazily generated
     cases (order, cochain, witness prefix) whose cochain is nonzero."""
     for order, cochain, prefix in cases:
         if not cochain.is_zero():
-            return ValidationCheck(name, False, order=order,
-                                   witness=prefix + _witness_str(cochain))
-    return ValidationCheck(name, True)
+            return {"name": name, "ok": False, "order": order,
+                    "witness": prefix + _witness_str(cochain)}
+    return {"name": name, "ok": True}
 
 
 def _associator(spec: StarProductSpec, mu: MultiDiffCochain, m: int,
@@ -307,10 +287,12 @@ def _associator(spec: StarProductSpec, mu: MultiDiffCochain, m: int,
     return out._new({})
 
 
-def validate_star(spec: StarProductSpec, K: int | None = None) -> ValidationReport:
+def validate_star(spec: StarProductSpec, K: int | None = None) -> dict:
     """Run all symbolic checks up to order K (default: the spec order).
-    The Hermitian defects are computed first; when the product is
-    Hermitian through K, the associator takes one composition per pair."""
+    Returns the report {"ok", "checks"}, one check {"name", "ok"} per
+    condition, with "order" and "witness" where it failed.  The
+    Hermitian defects are computed first; when the product is Hermitian
+    through K, the associator takes one composition per pair."""
     K = spec.order if K is None else min(K, spec.order)
     mu = mu_cochain(spec.n, spec.order)
     orders = range(1, K + 1)
@@ -326,8 +308,8 @@ def validate_star(spec: StarProductSpec, K: int | None = None) -> ValidationRepo
             checks.append(_first_failure("first_order_bracket", [
                 (1, c1 - swap(c1) - spec.bracket().scale(I), "")]))
         except InvalidStarProduct as e:
-            checks.append(ValidationCheck("first_order_bracket", False, order=1,
-                                          witness=str(e)))
+            checks.append({"name": "first_order_bracket", "ok": False, "order": 1,
+                           "witness": str(e)})
 
     if spec.hermitian:
         checks.append(_first_failure("hermitian", defects))
@@ -336,7 +318,7 @@ def validate_star(spec: StarProductSpec, K: int | None = None) -> ValidationRepo
         (r, plug_constant(spec.cochain(r), slot), f"slot {slot}: ")
         for r in orders for slot in (0, 1))))
 
-    return ValidationReport(ok=all(c.ok for c in checks), checks=checks)
+    return {"ok": all(c["ok"] for c in checks), "checks": checks}
 
 
 # ---------------------------------------------------------------------------

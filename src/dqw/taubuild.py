@@ -48,10 +48,11 @@ from .cobsolver import (CocyclePrecondition, check_solvability_preconditions,
                         solve_coboundary)
 from .cochain import (MultiDiffCochain, coboundary, cochain_weyl_product, compose_slot,
                       identity_cochain, mu_cochain, plug_constant)
-from .qpoly import DimensionMismatch, group_terms
+from .qpoly import group_terms
 from .starspec import (InvalidStarProduct, StarProductSpec, antisymmetric_matrix,
                        digest_json, theta_powers)
-from .terms import accumulate, add, add_terms, exponents, falling, sub, zeros
+from .terms import (DimensionMismatch, accumulate, add, add_terms, exponents, falling, sub,
+                    zeros)
 from .welement import LambdaPoly, WElement
 from .weyl import ConsistencyError
 
@@ -297,21 +298,13 @@ def build_tau(spec: StarProductSpec, K: int):
 # bracket realization check
 # ---------------------------------------------------------------------------
 
-class RealizationReport(namedtuple("RealizationReport", "ok checked_pairs violation",
-                                   defaults=(None,))):
-    __slots__ = ()
-
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "checked_pairs": self.checked_pairs,
-                "violation": self.violation}
-
-
 def check_poisson_realization(tau: TauMap, spec: StarProductSpec,
-                              K: int | None = None) -> RealizationReport:
+                              K: int | None = None) -> dict:
     """Verify that the classical limit intertwines the star product's
     bracket with the canonical q/p bracket on the pairs of monomials of
     degree 1 and 2, through momentum degree K - 1 (K defaults to the
-    map's order).
+    map's order).  Returns the report {"ok", "checked_pairs",
+    "violation"}, the violation naming the first failing pair or None.
 
     Both sides are antisymmetric and bilinear in the pair, so only the
     pairs (f, g) with f before g in the basis are checked; the first
@@ -388,7 +381,6 @@ def check_poisson_realization(tau: TauMap, spec: StarProductSpec,
         if bad:
             (_a, idx), poly = next(iter(bad.items()))
             f, g = (LambdaPoly(n, 0, {(0, e): 1}) for e in (A, B))
-            return RealizationReport(
-                ok=False, checked_pairs=checked,
-                violation=f"pair ({f}, {g}): p-exponent {idx} differs by {poly}")
-    return RealizationReport(ok=True, checked_pairs=checked)
+            return {"ok": False, "checked_pairs": checked,
+                    "violation": f"pair ({f}, {g}): p-exponent {idx} differs by {poly}"}
+    return {"ok": True, "checked_pairs": checked, "violation": None}

@@ -12,19 +12,18 @@ Also provided here:
 * LambdaPoly, a polynomial lam-series over the base coordinates only,
   i.e. an element of C[q][[lam]] truncated at lam^K, stored the same
   way: one scalar per key (lam-power r, q-exponent E);
-* SeriesSign, the classes of a real lam-series in the ordered ring
-  R[[lam]], and NonRealSeries, raised for a series that should be real.
+* NonRealSeries, raised for a series that should be real.
 """
 
 from __future__ import annotations
 
-import enum
 from fractions import Fraction
 from typing import Mapping
 
-from .qpoly import DimensionMismatch, expand_terms, group_terms
+from .qpoly import group_terms
 from .rationals import GaussianRational, _coerce
-from .terms import GradedTermMap, TermMap, accumulate, add, falling, shift, sub, zeros
+from .terms import (DimensionMismatch, GradedTermMap, TermMap, accumulate, add, falling,
+                    shift, sub, zeros)
 
 
 class WElement(GradedTermMap):
@@ -32,14 +31,13 @@ class WElement(GradedTermMap):
     _SHAPE = ("n", "K")
 
     def __init__(self, n: int, K: int, terms: Mapping | None = None):
-        """terms maps (a, I, E) to the coefficient of lam^a p^I q^E, or (a, I)
-        to a QPolynomial that stands for its monomials (`expand_terms`)."""
+        """terms maps (a, I, E) to the coefficient of lam^a p^I q^E."""
         if n < 1:
             raise ValueError("dimension must be positive")
         if K < 0:
             raise ValueError("truncation order must be non-negative")
         clean: dict = {}
-        for (a, idx, exp), c in expand_terms(terms or {}):
+        for (a, idx, exp), c in (terms or {}).items():
             if len(idx) != n or len(exp) != n:
                 raise DimensionMismatch("exponent has wrong length")
             if a < 0:
@@ -112,10 +110,9 @@ class LambdaPoly(TermMap):
     _SHAPE = ("n", "K")
 
     def __init__(self, n: int, K: int, terms: Mapping | None = None):
-        """terms maps (r, E) to the coefficient of lam^r q^E, or (r,) to a
-        QPolynomial that stands for its monomials (`expand_terms`)."""
+        """terms maps (r, E) to the coefficient of lam^r q^E."""
         clean: dict = {}
-        for (r, exp), c in expand_terms(terms or {}):
+        for (r, exp), c in (terms or {}).items():
             if r < 0:
                 raise ValueError("negative lam-power")
             if len(exp) != n:
@@ -163,12 +160,6 @@ class LambdaPoly(TermMap):
             return str(grouped.get((0,), "0"))
         return " + ".join(("" if r == 0 else ("lam" if r == 1 else f"lam^{r}") + "*")
                           + f"({poly})" for (r,), poly in grouped.items())
-
-
-class SeriesSign(enum.Enum):
-    POSITIVE = "positive"
-    NEGATIVE = "negative"
-    ZERO_UP_TO_K = "zero_up_to_K"
 
 
 class NonRealSeries(ValueError):

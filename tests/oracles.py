@@ -55,10 +55,8 @@ from fractions import Fraction
 from dqw import cochain, weyl
 from dqw.cochain import MultiDiffCochain, compose_slot, find_witness, mu_cochain
 from dqw.functionals import DeformedFunctional
-from dqw.qpoly import DimensionMismatch, expand_terms, group_terms
+from dqw.qpoly import DimensionMismatch, group_terms
 from dqw.rationals import I, ONE, ZERO, GaussianRational, _coerce
-from dqw.starspec import ValidationCheck
-from dqw.taubuild import RealizationReport
 from dqw.terms import (SquareMatrix, TermMap, accumulate, add, below, binom, exponents,
                        factorial, falling, shift, sub, zeros)
 from dqw.welement import LambdaPoly, NonRealSeries, WElement
@@ -107,14 +105,13 @@ class KoszulForm(TermMap):
     _SHAPE = ("n", "degree")
 
     def __init__(self, n: int, degree: int, terms=None):
-        """terms maps (I, sel, E) to a scalar, or (I, sel) to a QPolynomial
-        that stands for its monomials (`expand_terms`)."""
+        """terms maps (I, sel, E) to a scalar."""
         if degree < 0:
             raise ValueError("form degree must be non-negative")
         if degree > n and terms:
             raise ValueError(f"nonzero form of degree {degree} impossible for n={n}")
         clean: dict = {}
-        for (idx, sel, exp), c in expand_terms(terms or {}):
+        for (idx, sel, exp), c in (terms or {}).items():
             sel = tuple(sel)
             if len(sel) != degree or list(sel) != sorted(set(sel)):
                 raise ValueError(f"index set {sel} must be strictly increasing")
@@ -238,7 +235,7 @@ def tau_apply_per_order(tau, f: LambdaPoly) -> WElement:
     return out
 
 
-def realization_per_pair(tau, spec, K=None) -> RealizationReport:
+def realization_per_pair(tau, spec, K=None) -> dict:
     """The bracket-realization check over the unordered pairs of the
     degree-1 and degree-2 monomials, with each pair's sides computed on
     their own: cl({f, g}_spec) against the canonical bracket of cl(f)
@@ -256,10 +253,9 @@ def realization_per_pair(tau, spec, K=None) -> RealizationReport:
         checked += 1
         if bad:
             (_a, idx), poly = next(iter(bad.items()))
-            return RealizationReport(
-                ok=False, checked_pairs=checked,
-                violation=f"pair ({f}, {g}): p-exponent {idx} differs by {poly}")
-    return RealizationReport(ok=True, checked_pairs=checked)
+            return {"ok": False, "checked_pairs": checked,
+                    "violation": f"pair ({f}, {g}): p-exponent {idx} differs by {poly}"}
+    return {"ok": True, "checked_pairs": checked, "violation": None}
 
 
 def two_sided_associator(spec, m: int) -> MultiDiffCochain:
@@ -274,7 +270,7 @@ def two_sided_associator(spec, m: int) -> MultiDiffCochain:
     return out
 
 
-def associativity_two_sided(spec, K=None) -> ValidationCheck:
+def associativity_two_sided(spec, K=None) -> dict:
     """The associativity entry of `validate_star` from the two-sided
     associator: the first failing order and its witness."""
     K = spec.order if K is None else min(K, spec.order)
@@ -282,9 +278,9 @@ def associativity_two_sided(spec, K=None) -> ValidationCheck:
         got = find_witness(two_sided_associator(spec, m))
         if got is not None:
             args, val = got
-            return ValidationCheck("associativity", False, order=m,
-                                   witness=f"args ({', '.join(map(str, args))}) -> {val}")
-    return ValidationCheck("associativity", True)
+            return {"name": "associativity", "ok": False, "order": m,
+                    "witness": f"args ({', '.join(map(str, args))}) -> {val}"}
+    return {"name": "associativity", "ok": True}
 
 
 # ---------------------------------------------------------------------------

@@ -27,12 +27,13 @@ def monomial(n: int, exp, c=1) -> QPolynomial:
 
 def series(poly: QPolynomial, K: int) -> LambdaPoly:
     """The lam-free base series of a polynomial."""
-    return LambdaPoly(poly.n, K, {(0,): poly})
+    return LambdaPoly(poly.n, K, {(0, e): c for e, c in poly.terms.items()})
 
 
 def element(poly: QPolynomial, K: int) -> WElement:
     """The lam- and momentum-free element of a polynomial."""
-    return WElement(poly.n, K, {(0, zeros(poly.n)): poly})
+    z = zeros(poly.n)
+    return WElement(poly.n, K, {(0, z, e): c for e, c in poly.terms.items()})
 
 
 def momentum(n: int, K: int, k: int) -> WElement:

@@ -5,8 +5,9 @@ No module of `dqw` or of the tests imports a name it does not use;
 the re-exports of an `__init__.py` are exempt.  No module of `dqw`
 imports `hashlib`, which maps OpenSSL's libcrypto into every process,
 other than as the fallback of an `except ImportError` clause.  The
-kernels compute on flat scalar terms only: their code never names
-`QPolynomial` (a docstring may)."""
+modules compute on flat scalar terms only: `QPolynomial` is the output
+type of `qpoly.group_terms`, and the code of no other module names it
+(a docstring may)."""
 
 import ast
 import pathlib
@@ -16,7 +17,6 @@ import dqw
 SRC = pathlib.Path(dqw.__file__).parent
 TESTS = pathlib.Path(__file__).parent
 SHARED_PRIVATE = {"rationals"}
-KERNELS = ("cochain", "weyl", "taubuild", "functionals", "cobsolver")
 
 
 def _private_imports(path):
@@ -87,5 +87,7 @@ def _qpolynomial_names(path):
 
 
 def test_kernels_do_not_name_qpolynomial():
-    found = [line for module in KERNELS for line in _qpolynomial_names(SRC / f"{module}.py")]
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "qpoly.py"]
+    assert len(paths) >= 10
+    found = [line for path in paths for line in _qpolynomial_names(path)]
     assert found == []

@@ -5,7 +5,7 @@ import pytest
 
 from dqw import starspec
 from dqw.cochain import MultiDiffCochain
-from dqw.qpoly import QPolynomial, group_terms
+from dqw.qpoly import group_terms
 from dqw.scenario import read_star_product_spec
 from dqw.starspec import (InvalidStarProduct, StarProductSpec, make_constant_theta_star,
                           make_linear_poisson_2d_star, make_zero_star, perturb_cochain,
@@ -27,10 +27,9 @@ class TestConstantThetaGenerator:
     def test_first_cochain(self, moyal_r2):
         c1 = moyal_r2.cochain(1)
         ih = gr(0, Fraction(1, 2))
-        one = QPolynomial.constant(N, 1)
         expect = MultiDiffCochain(N, 4, 2, {
-            (0, zeros(N), ((1, 0), (0, 1))): one.scale(ih),
-            (0, zeros(N), ((0, 1), (1, 0))): one.scale(-ih),
+            (0, zeros(N), ((1, 0), (0, 1)), zeros(N)): ih,
+            (0, zeros(N), ((0, 1), (1, 0)), zeros(N)): -ih,
         })
         assert c1 == expect
 
@@ -46,7 +45,7 @@ class TestConstantThetaGenerator:
                 cochains=tuple(MultiDiffCochain(n, K, 2) for _ in range(K)))
 
     def test_validates_at_order_six(self, moyal_r2_k6):
-        assert validate_star(moyal_r2_k6).ok
+        assert validate_star(moyal_r2_k6)["ok"]
 
     def test_rejects_non_antisymmetric(self):
         with pytest.raises(ValueError):
@@ -56,48 +55,48 @@ class TestConstantThetaGenerator:
 class TestValidator:
     def test_moyal_passes(self, moyal_r2):
         report = validate_star(moyal_r2)
-        assert report.ok
-        names = {c.name for c in report.checks}
+        assert report["ok"]
+        names = {c["name"] for c in report["checks"]}
         assert names == {"associativity", "first_order_bracket", "hermitian",
                          "unitality"}
 
     def test_biderivation_perturbation_fails_at_order_three(self, moyal_r2):
         bump = MultiDiffCochain(N, 4, 2, {
-            (0, zeros(N), ((1, 0), (1, 0))): QPolynomial.constant(N, 1)})
+            (0, zeros(N), ((1, 0), (1, 0)), zeros(N)): 1})
         bad = perturb_cochain(moyal_r2, 2, bump)
         report = validate_star(bad)
-        assert not report.ok
-        assoc = next(c for c in report.checks if c.name == "associativity")
+        assert not report["ok"]
+        assoc = next(c for c in report["checks"] if c["name"] == "associativity")
         # a biderivation is a classical cocycle, so order 2 still holds
-        assert assoc.order == 3
-        assert assoc.witness
+        assert assoc["order"] == 3
+        assert assoc["witness"]
 
     def test_non_cocycle_perturbation_fails_at_order_two(self, moyal_r2):
         bump = MultiDiffCochain(N, 4, 2, {
-            (0, zeros(N), ((2, 0), (1, 0))): QPolynomial.constant(N, 1)})
+            (0, zeros(N), ((2, 0), (1, 0)), zeros(N)): 1})
         bad = perturb_cochain(moyal_r2, 2, bump)
         report = validate_star(bad)
-        assoc = next(c for c in report.checks if c.name == "associativity")
-        assert assoc.order == 2
+        assoc = next(c for c in report["checks"] if c["name"] == "associativity")
+        assert assoc["order"] == 2
 
     def test_zero_star_passes(self, zero_star):
-        assert validate_star(zero_star).ok
+        assert validate_star(zero_star)["ok"]
 
     def test_unitality_violation_detected(self, moyal_r2):
         bump = MultiDiffCochain(N, 4, 2, {
-            (0, zeros(N), ((0, 0), (1, 0))): QPolynomial.constant(N, 1)})
+            (0, zeros(N), ((0, 0), (1, 0)), zeros(N)): 1})
         bad = perturb_cochain(moyal_r2, 2, bump)
         report = validate_star(bad)
-        unital = next(c for c in report.checks if c.name == "unitality")
-        assert not unital.ok and unital.order == 2
+        unital = next(c for c in report["checks"] if c["name"] == "unitality")
+        assert not unital["ok"] and unital["order"] == 2
 
     def test_hermitian_violation_detected(self, moyal_r2):
         bump = MultiDiffCochain(N, 4, 2, {
-            (0, zeros(N), ((1, 0), (1, 0))): QPolynomial.constant(N, gr(0, 1))})
+            (0, zeros(N), ((1, 0), (1, 0)), zeros(N)): gr(0, 1)})
         bad = perturb_cochain(moyal_r2, 2, bump)
         report = validate_star(bad)
-        herm = next(c for c in report.checks if c.name == "hermitian")
-        assert not herm.ok
+        herm = next(c for c in report["checks"] if c["name"] == "hermitian")
+        assert not herm["ok"]
 
 
 class TestStarApply:
@@ -105,7 +104,7 @@ class TestStarApply:
         f = lp(coordinate(N, 0))
         g = lp(coordinate(N, 1))
         out = star_apply(moyal_r2, f, g)
-        expect = f * g + LambdaPoly(N, 4, {(1,): QPolynomial.constant(N, gr(0, Fraction(1, 2)))})
+        expect = f * g + LambdaPoly(N, 4, {(1, zeros(N)): gr(0, Fraction(1, 2))})
         assert out == expect
 
     def test_unital(self, moyal_r2):
@@ -135,7 +134,7 @@ class TestStarApply:
 
 class TestLinearPoisson:
     def test_validates(self, linear_2d):
-        assert validate_star(linear_2d).ok
+        assert validate_star(linear_2d)["ok"]
 
     def test_bracket_matrix(self, linear_2d):
         # theta^{kl} is the coefficient of D_k (x) D_l
@@ -153,7 +152,7 @@ class TestLinearPoisson:
         g = lp(coordinate(N, 1), K=3)
         comm = star_apply(linear_2d, f, g) - star_apply(linear_2d, g, f)
         # [x, y] = i lam {x, y} = i lam x
-        expect = LambdaPoly(N, 3, {(1,): coordinate(N, 0).scale(gr(0, 1))})
+        expect = LambdaPoly(N, 3, {(1, (1, 0)): gr(0, 1)})
         assert comm == expect
 
 
@@ -208,23 +207,23 @@ class TestOneCompositionPerPair:
         monkeypatch.setattr(starspec, "compose_slot", recorded)
         report = validate_star(spec, K)
         monkeypatch.setattr(starspec, "compose_slot", compose)
-        entry = next(c for c in report.checks if c.name == "associativity")
+        entry = next(c for c in report["checks"] if c["name"] == "associativity")
         assert entry == associativity_two_sided(spec, K)
         return entry, slots
 
     def test_moyal_at_order_six(self, monkeypatch, moyal_r2_k6):
         entry, slots = self._validate(monkeypatch, moyal_r2_k6)
-        assert entry.ok and slots == {0}
+        assert entry["ok"] and slots == {0}
 
     def test_linear_generator_at_order_five(self, monkeypatch):
         entry, slots = self._validate(monkeypatch, make_linear_poisson_2d_star(K=5))
-        assert entry.ok and slots == {0}
+        assert entry["ok"] and slots == {0}
 
     def test_unflagged_product_takes_both_sides(self, monkeypatch, moyal_r2):
         spec = StarProductSpec(n=N, order=4, hermitian=False,
                                cochains=moyal_r2.cochains, theta=moyal_r2.theta)
         entry, slots = self._validate(monkeypatch, spec, K=3)
-        assert entry.ok and slots == {0, 1}
+        assert entry["ok"] and slots == {0, 1}
 
     @pytest.mark.parametrize("name", sorted(BUMPS))
     def test_perturbations(self, monkeypatch, moyal_r2, name):
@@ -234,7 +233,7 @@ class TestOneCompositionPerPair:
         entry, slots = self._validate(monkeypatch, bad)
         assert slots == ({0} if hermitian else {0, 1})
         if name in ("biderivation", "non_cocycle"):
-            assert not entry.ok and entry.witness
+            assert not entry["ok"] and entry["witness"]
 
 
 class TestJsonSchema:
@@ -263,7 +262,7 @@ class TestJsonSchema:
 
 def test_spec_rejects_momentum_content():
     bad = MultiDiffCochain(N, 2, 2, {
-        (0, (1, 0), ((1, 0), (0, 1))): QPolynomial.constant(N, 1)})
+        (0, (1, 0), ((1, 0), (0, 1)), zeros(N)): 1})
     with pytest.raises(ValueError):
         StarProductSpec(n=N, order=2, hermitian=True,
                         cochains=(MultiDiffCochain(N, 2, 2), bad))

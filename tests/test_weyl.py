@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dqw import weyl
-from dqw.qpoly import DimensionMismatch, QPolynomial
 from dqw.rationals import HALF_I, I
+from dqw.terms import DimensionMismatch, zeros
 from dqw.welement import LambdaPoly, WElement
 from dqw.weyl import (LAPLACIAN, WEYL_PAIRING, WICK_PAIRING, ConsistencyError,
                       _equivalence_signs, exp_laplace_exact, resolve_fock_sign)
@@ -191,7 +191,7 @@ class TestZeroMomentumKernel:
         # exp(-lam Lap) maps p_1^2 to p_1^2 - lam/2 and q_1^2 to q_1^2 - lam/2
         x = p(0) * p(0) + q(0) * q(0)
         assert exp_laplace_exact(x, -1, 1) == LambdaPoly(N, 1, {
-            (0,): monomial(N, (2, 0)), (1,): QPolynomial.constant(N, -1)})
+            (0, (2, 0)): 1, (1, zeros(N)): -1})
 
 
 class TestChartMaps:
@@ -199,8 +199,8 @@ class TestChartMaps:
         x = q(0) * q(0) + p(0) * p(0) - lam()
         f = iota_star(x)
         assert f == LambdaPoly(N, K, {
-            (0,): monomial(N, (2, 0)),
-            (1,): QPolynomial.constant(N, -1),
+            (0, (2, 0)): 1,
+            (1, zeros(N)): -1,
         })
 
     def test_section_property(self):
@@ -258,4 +258,4 @@ class TestMatrix:
 def test_canonical_bracket():
     u = q(0) - p(1).scale(Fraction(1, 2))
     v = q(1) + p(0).scale(Fraction(1, 2))
-    assert canonical_bracket(u, v) == element(QPolynomial.constant(N, 1), K)
+    assert canonical_bracket(u, v) == element(monomial(N, zeros(N), 1), K)
