@@ -15,7 +15,9 @@ gap of the medians in the metric's worse direction against its bound
 the bound; else "unresolved" when the parent's own quartile spread is
 wider than the bound, so that noise could hide a regression, unless every
 run of the change reads better than every run of the parent; else
-"within bound".  A second line says whether a gain claim
+"within bound".  A second line gives the median and the quartiles of the
+per-pair differences (change - parent), which the alternation shields
+from a drift in the machine's speed.  A third line says whether a gain claim
 would hold: the change wins at least nine tenths of all pairs, ties
 counting for neither side, and its median is better than the parent's
 by more than the distance between the parent's quartiles.  A run that fails, or whose benchmark
@@ -68,6 +70,13 @@ def bound_verdict(before: list, after: list, sign: int, bound: float) -> str:
     return "within bound"
 
 
+def pair_differences(before: list, after: list) -> str:
+    """The line with the median and the quartiles of the per-pair
+    differences (change - parent) of the paired runs."""
+    q1, med, q3 = quartiles([a - b for a, b in zip(after, before)])
+    return f"  pair differences (change - parent): {med:+.4f} [{q1:+.4f}, {q3:+.4f}]"
+
+
 def gain_claim(before: list, after: list, sign: int) -> tuple:
     """(whether a gain claim holds, the line that says so) for the paired
     runs of the parent (before) and the change (after); sign is 1 when
@@ -115,6 +124,7 @@ def main(argv=None) -> int:
         print(f"{name}: parent {summary(before)}  change {summary(after)}  "
               f"won {won}/{args.pairs}  worse by {gap:+.4f} {m['unit']} "
               f"(bound {bound}): {bound_verdict(before, after, sign, bound)}")
+        print(pair_differences(before, after))
         print(gain_claim(before, after, sign)[1])
     return 0
 

@@ -21,10 +21,12 @@ mode).  With k-ary phi the coboundary is
                           + sum_{i=1..k} (-1)^i phi(.., f_{i-1} f_i, ..)
                           + (-1)^{k+1} phi(f_0,..,f_{k-1}) . f_k,
 
-where the dot is the chosen bimodule action.  In deformed mode the left
-action expands to sum_J (i/2)^{|J|} binom(I, J) lam^{|J|} p^{I-J} D^J f_0
-on a normal-form term, the right action likewise with (-i/2)^{|J|}; the
-classical action keeps only J = 0.
+where the dot is the chosen bimodule action.  `coboundary` computes it
+as written: the outer terms are the products of the embedding f -> f
+with phi, through `weyl.propagate` with the q/p table (deformed) or the
+empty table (classical, the pointwise product), and the inner ones are
+phi composed with mu in each slot.  The q/p sign convention is read from
+`WEYL_PAIRING` alone, by this action and by the product of values.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .qpoly import group_terms
-from .rationals import I, _coerce
-from .terms import (DimensionMismatch, GradedTermMap, accumulate, add, below, binom,
-                    exponents, factorial, falling, shift, sub, zeros)
+from .rationals import _coerce
+from .terms import (DimensionMismatch, GradedTermMap, accumulate, add, add_terms, below,
+                    binom, exponents, factorial, falling, shift, sub, zeros)
 from .welement import LambdaPoly, WElement
 from .weyl import WEYL_PAIRING, propagate
 
@@ -188,62 +190,8 @@ def mu_cochain(n: int, K: int) -> MultiDiffCochain:
 
 
 # ---------------------------------------------------------------------------
-# coboundary, swap and antisymmetrization
+# swap and antisymmetrization
 # ---------------------------------------------------------------------------
-
-def _action_rows(idx: tuple, powers: list, deformed: bool) -> list:
-    """The bimodule action of a new argument on value terms with
-    p-exponent idx: (lam-shift w, idx - jnew, jnew, coefficient) rows,
-    jnew <= idx the derivative landing on the new argument (only 0 in
-    classical mode) and the coefficient powers[w] binom(idx, jnew), None
-    when it is 1."""
-    rows = []
-    for jnew in below(idx if deformed else zeros(len(idx))):
-        w = sum(jnew)
-        coeff = powers[w] * binom(idx, jnew)
-        rows.append((w, sub(idx, jnew), jnew, None if coeff == 1 else coeff))
-    return rows
-
-
-def coboundary(phi: MultiDiffCochain, deformed: bool = True) -> MultiDiffCochain:
-    """The bar-complex coboundary for the chosen bimodule action.  The
-    powers (+-i/2)^w of the action are taken once per call, the action
-    rows of each p-exponent and the splits of each derivative index
-    once per call where they first occur."""
-    n, K, k = phi.n, phi.K, phi.arity
-    tail_sign = 1 if (k + 1) % 2 == 0 else -1
-    # (i/2)^w for the left action and tail_sign (-i/2)^w for the right one
-    powers = [[(I * Fraction(s, 2)) ** w * t for w in range(K + 1)]
-              for s, t in ((1, 1), (-1, tail_sign))]
-    actions: dict = {}  # p-exponent -> [left rows, right rows]
-    splits: dict = {}  # j -> (l, j - l, binom(j, l)) for l <= j
-    out: dict = {}
-    for (a, idx, jvec, exp), c in phi.terms.items():
-        rows = actions.get(idx)
-        if rows is None:
-            rows = actions[idx] = [_action_rows(idx, p, deformed) for p in powers]
-        # left outer action: new argument in slot 0
-        for w, idx2, jnew, coeff in rows[0]:
-            accumulate(out, (a + w, idx2, (jnew,) + jvec, exp),
-                       c if coeff is None else c * coeff)
-        # inner insertions with alternating signs
-        sign = -1
-        for i in range(k):
-            j = jvec[i]
-            rows_j = splits.get(j)
-            if rows_j is None:
-                rows_j = splits[j] = [(l, sub(j, l), binom(j, l)) for l in below(j)]
-            head, tail = jvec[:i], jvec[i + 1:]
-            for l, rest, b in rows_j:
-                b *= sign
-                accumulate(out, (a, idx, head + (l, rest) + tail, exp), c if b == 1 else c * b)
-            sign = -sign
-        # right outer action: new argument in slot k
-        for w, idx2, jnew, coeff in rows[1]:
-            accumulate(out, (a + w, idx2, jvec + (jnew,), exp),
-                       c if coeff is None else c * coeff)
-    return MultiDiffCochain._trusted((n, K, k + 1), out)
-
 
 def swap(phi: MultiDiffCochain) -> MultiDiffCochain:
     """The 2-cochain with its arguments exchanged: (f, g) -> phi(g, f)."""
@@ -259,7 +207,7 @@ def alt(phi: MultiDiffCochain) -> MultiDiffCochain:
 
 
 # ---------------------------------------------------------------------------
-# cochain-valued deformed product and composition
+# cochain-valued deformed product, composition and coboundary
 # ---------------------------------------------------------------------------
 
 def _cochain_dq(term: tuple, k: int):
@@ -366,6 +314,26 @@ def compose_slot(phi: MultiDiffCochain, slot: int, inner: MultiDiffCochain) -> M
                         else:
                             del out[key]
     return MultiDiffCochain._trusted((n, K, phi.arity + m - 1), out)
+
+
+def coboundary(phi: MultiDiffCochain, deformed: bool = True) -> MultiDiffCochain:
+    """The bar-complex coboundary for the chosen bimodule action: the
+    products of the embedding with phi on either side, under the q/p
+    table in deformed mode and the empty table (the pointwise product)
+    in classical mode, and phi composed with mu in each slot."""
+    n, K, k = phi.n, phi.K, phi.arity
+    table = WEYL_PAIRING if deformed else ()
+    embedding = identity_cochain(n, K).terms.items()
+    values = phi.terms.items()
+    out = propagate(embedding, values, table, _cochain_dq, _cochain_join, K)
+    # (-1)^(k+1) phi(f_0,..,f_{k-1}) . f_k
+    add_terms(out, propagate(values, embedding, table, _cochain_dq, _cochain_join, K),
+              subtract=k % 2 == 0)
+    # (-1)^(i+1) phi(.., f_i f_{i+1}, ..) for slot i
+    mu = mu_cochain(n, K)
+    for i in range(k):
+        add_terms(out, compose_slot(phi, i, mu).terms, subtract=i % 2 == 0)
+    return MultiDiffCochain._trusted((n, K, k + 1), out)
 
 
 def plug_constant(phi: MultiDiffCochain, slot: int) -> MultiDiffCochain:

@@ -278,11 +278,9 @@ def _associator(spec: StarProductSpec, mu: MultiDiffCochain, m: int,
         return out
     # A = A* key by key, as the involution maps the keys one to one; for an
     # associative product it holds, so A - A* is formed only on failure.
-    # The conjugate of the reduced triple (x, y, d) of a scalar is (x, -y, d).
     for (a, idx, jvec, exp), c in terms.items():
         mirror = terms.get((a, idx, jvec[::-1], exp))
-        x, y, d = c._t
-        if mirror is None or mirror._t != (x, -y, d):
+        if mirror is None or mirror != c.conjugate():
             return out - out.involution()
     return out._new({})
 

@@ -11,9 +11,10 @@ deformed products are given as pairing tables:
   d/dz = (d/dq - i d/dp)/2, d/dzbar = (d/dq + i d/dp)/2.
 
 `propagate` computes the product of a table exactly on flat terms; the
-pipeline runs it with the q/p table on cochain values
-(`cochain.cochain_weyl_product`), the tests also on elements
-(`tests/oracles.py`).
+pipeline runs it on cochain values, with the q/p table for their product
+(`cochain.cochain_weyl_product`) and with the q/p or the empty table for
+the coboundary's bimodule action (`cochain.coboundary`), the tests also
+on elements (`tests/oracles.py`).
 
 The operator family E_sigma = exp(sigma * lam * Lap) with
 Lap = sum_k d^2/dz^k dzbar^k = (1/4) sum_k (d^2/d(q^k)^2 + d^2/d(p_k)^2)

@@ -40,10 +40,13 @@
 * The Wick positivity certificate: Omega_0(A~ . A) for the z/zbar
   product and a lam-free matrix A, exhibited coefficientwise as sums of
   squared moduli of zbar-derivative evaluations.
-* The build kernels `weyl.propagate`, `cochain.compose_slot` and
-  `cochain.coboundary` without their per-call tables, every per-term
-  quantity recomputed where it is used (`propagate_reference`,
-  `compose_slot_reference`, `coboundary_reference`).
+* The build kernels `weyl.propagate` and `cochain.compose_slot` without
+  their per-call tables, every per-term quantity recomputed where it is
+  used (`propagate_reference`, `compose_slot_reference`), and the
+  coboundary with its bimodule action expanded by hand as
+  (+-i/2)^|J| binom(I, J) lam^|J| p^(I-J) D^J on each term
+  (`coboundary_reference`); `cochain.coboundary` reads that action from
+  the q/p table through `weyl.propagate` instead.
 """
 
 from __future__ import annotations
@@ -589,9 +592,11 @@ def wick_positivity_certificate(state, A: MatrixWElement) -> WickCertificate:
 # the build kernels in their plain form
 # ---------------------------------------------------------------------------
 #
-# `weyl.propagate`, `cochain.compose_slot` and `cochain.coboundary` keep
-# per-call tables of the quantities each term needs; these are the same
-# sums with every quantity recomputed where it is used.
+# `weyl.propagate` and `cochain.compose_slot` keep per-call tables of the
+# quantities each term needs; these are the same sums with every quantity
+# recomputed where it is used.  `cochain.coboundary` is built from those
+# two kernels; its reference expands the q/p action by hand, so it checks
+# the pairing table's sign convention as well.
 
 def propagate_reference(left, right, pairing, dq, join, K: int) -> dict:
     """`weyl.propagate`, deriving each term again for every pair and order."""

@@ -3,7 +3,8 @@ claim holds only when the change wins at least nine tenths of all pairs,
 ties counting for neither side, and its median beats the parent's by
 more than the distance between the parent's quartiles.  A metric whose
 parent spread is wider than its bound is unresolved, unless every run of
-the change beats every run of the parent."""
+the change beats every run of the parent.  The per-pair differences are
+change minus parent, pair by pair, whichever direction is better."""
 
 import importlib.util
 import pathlib
@@ -63,3 +64,15 @@ def test_gain_claim_line_reads_the_figures():
 ])
 def test_bound_verdict(after, sign, bound, verdict):
     assert ab_pairs.bound_verdict(PARENT, after, sign, bound) == verdict
+
+
+@pytest.mark.parametrize("offsets, line", [
+    ([-0.5] * 10, "-0.5000 [-0.5000, -0.5000]"),
+    ([-0.3, -0.2, -0.2, -0.1, -0.1, -0.1, 0.0, 0.1, 0.2, 0.4], "-0.1000 [-0.2000, +0.1250]"),
+    # the same differences, paired with the parent's runs in another order
+    ([0.4, 0.2, 0.1, 0.0, -0.1, -0.1, -0.1, -0.2, -0.2, -0.3], "-0.1000 [-0.2000, +0.1250]"),
+])
+def test_pair_differences(offsets, line):
+    after = [x + d for x, d in zip(PARENT, offsets)]
+    assert ab_pairs.pair_differences(PARENT, after) == (
+        f"  pair differences (change - parent): {line}")

@@ -444,8 +444,8 @@ def _kernel_inputs(draw, lam_free_second=False):
 
 
 class TestKernelsMatchReferences:
-    """The kernels with per-call tables against their plain forms in
-    `tests/oracles.py`, on the same random cochains."""
+    """The build kernels against their plain forms in `tests/oracles.py`,
+    on the same random cochains."""
 
     @settings(max_examples=80, deadline=None)
     @given(_kernel_inputs())
@@ -470,7 +470,8 @@ class TestKernelsMatchReferences:
         assert compose_slot(phi, slot, inner) == compose_slot_reference(phi, slot, inner)
 
     @settings(max_examples=80, deadline=None)
-    @given(_kernel_inputs(), st.booleans())
-    def test_coboundary(self, case, deformed):
-        phi, _ = case
+    @given(st.integers(min_value=1, max_value=3), st.integers(min_value=0, max_value=4),
+           st.integers(min_value=0, max_value=3), st.booleans(), st.data())
+    def test_coboundary(self, n, K, arity, deformed, data):
+        phi = data.draw(_kernel_cochain(n, K, arity))
         assert coboundary(phi, deformed) == coboundary_reference(phi, deformed)

@@ -1,6 +1,8 @@
 """The modules of `dqw` share no private names: a helper that two
 modules need is public in the module that owns it (multi-index
 arithmetic in `terms`).  `rationals._coerce` is the one exception.
+Only `rationals` reads the reduced triple `_t` of a scalar; the other
+modules go through its operators and methods.
 No module of `dqw` or of the tests imports a name it does not use;
 the re-exports of an `__init__.py` are exempt.  No module of `dqw`
 imports `hashlib`, which maps OpenSSL's libcrypto into every process,
@@ -30,6 +32,19 @@ def _private_imports(path):
 
 def test_no_private_imports_across_modules():
     found = [line for path in sorted(SRC.glob("*.py")) for line in _private_imports(path)]
+    assert found == []
+
+
+def _triple_reads(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr == "_t":
+            yield f"{path.name}:{node.lineno}: .{node.attr}"
+
+
+def test_only_rationals_reads_the_scalar_triple():
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "rationals.py"]
+    assert len(paths) >= 10
+    found = [line for path in paths for line in _triple_reads(path)]
     assert found == []
 
 

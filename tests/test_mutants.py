@@ -25,6 +25,7 @@ from dqw.cli import run_scenario
 from dqw.scenario import load_scenario
 from dqw.starspec import perturb_cochain
 from dqw.terms import shift, unit, zeros
+from dqw.weyl import WEYL_PAIRING
 
 from conftest import SCENARIO_DIR
 
@@ -132,12 +133,33 @@ def _non_unital_top(monkeypatch):
     _bump_top_cochain(monkeypatch, lambda n: (zeros(n), zeros(n)), 1)
 
 
+def _flip(pairing):
+    """The table with the sign of its first entry flipped; the empty
+    table of the classical action has none."""
+    if not pairing:
+        return pairing
+    (u, v, w), *rest = pairing
+    return ((u, v, -w), *rest)
+
+
 def _flipped_pairing(monkeypatch):
+    # only the product that forms R_k flips; the coboundary keeps the q/p
+    # convention, so the first target it forms is not a cocycle
+    def flipped(phi, psi):
+        flat = dqw.cochain.propagate(phi.terms.items(), psi.terms.items(),
+                                     _flip(WEYL_PAIRING), dqw.cochain._cochain_dq,
+                                     dqw.cochain._cochain_join, phi.K)
+        return MultiDiffCochain._trusted((phi.n, phi.K, phi.arity + psi.arity), flat)
+    monkeypatch.setattr(dqw.taubuild, "cochain_weyl_product", flipped)
+
+
+def _flipped_cochain_pairing(monkeypatch):
+    # every product in dqw.cochain flips, the coboundary's too; the flipped
+    # convention is consistent, and the solver's closed form is not
     propagate = dqw.cochain.propagate
 
     def flipped(left, right, pairing, dq, join, K):
-        (u, v, w), *rest = pairing
-        return propagate(left, right, ((u, v, -w), *rest), dq, join, K)
+        return propagate(left, right, _flip(pairing), dq, join, K)
     monkeypatch.setattr(dqw.cochain, "propagate", flipped)
 
 
@@ -191,6 +213,8 @@ MUTANTS = [
      "stage-2 term: target is not a cocycle; witness arguments"),
     (_flipped_pairing, "linear-poisson-2d", "build-tau",
      "stage-2 term: target is not a cocycle; witness arguments"),
+    (_flipped_cochain_pairing, "moyal-r2-delta", "build-tau",
+     "solver certificate failed: d(psi) != phi"),
     (_corrupted_realization, "moyal-r2-delta", "build-tau",
      '"poisson_realization": {"checked_pairs": 1, "ok": false, "violation": "pair ('),
     (_corrupted_realization, "linear-poisson-2d", "build-tau",
